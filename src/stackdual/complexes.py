@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
                       minimalize, subquotient, vector_bidegree)
 from .groebner import Vector, syzygies_over
-from .poly import Bidegree, GradedRing, Polynomial
+from .poly import GradedRing, Polynomial
 
 DEFAULT_DEPTH = 6
 
@@ -45,9 +45,6 @@ class ChainComplex:
 
     def ranks(self) -> list[int]:
         return [t.rank for t in self.terms]
-
-    def bidegree_table(self) -> list[list[Bidegree]]:
-        return [list(t.free.bidegrees) for t in self.terms]
 
     def map_out_of(self, i: int) -> Optional[ModuleMap]:
         return self.maps.get(i)
@@ -148,7 +145,7 @@ def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
                             rank=terms[i - 1].rank)
         from .groebner import minimal_generating_vectors
         degs = [vector_bidegree(v, current_degs, ring) for v in syz]
-        keep = minimal_generating_vectors(ring, syz, len(current_cols), degs)
+        keep = sorted(minimal_generating_vectors(ring, syz, len(current_cols), degs))
         current_cols = tuple(syz[k] for k in keep)
         current_degs = tuple(degs[k] for k in keep)
         i += 1

@@ -18,7 +18,7 @@ from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
                       hilbert_function, invariant_part, minimalize,
                       minimalize_with_tracking, restrict_along)
 from .groebner import SubmoduleOracle, Vector
-from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError, substitute
+from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
 DEFAULT_DEPTH = 4
 DEFAULT_BOUND = 12
@@ -98,11 +98,6 @@ class CMReport:
 
 def _is_zero_module(M: ModulePresentation) -> bool:
     return minimalize(M).rank == 0
-
-
-def _apply_weighted(f: RingMorphism, p: Polynomial) -> Polynomial:
-    """Push a polynomial over the weighted source through the images."""
-    return f.target.reduce(substitute(p, f.target.ambient(), f.images))
 
 
 def canonical_module(C: GradedRing) -> ModulePresentation:
@@ -205,7 +200,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
 
     # relations of the A-presentation, pushed through the images
     for col in h0.relations:
-        relations.append(tuple(_apply_weighted(f, p) for p in col))
+        relations.append(tuple(f.apply(p) for p in col))
 
     # linearization: x_t * kappa_i = sum_j a_j kappa_j
     for t in range(ring_b.nvars):
@@ -228,7 +223,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
                 raise RuntimeError("B-action left the Hom module")
             col = [zero_b] * ngens
             for j in range(ngens):
-                col[j] = -_apply_weighted(f, coords[j])
+                col[j] = -f.apply(coords[j])
             col[i] = col[i] + xt
             relations.append(tuple(col))
 

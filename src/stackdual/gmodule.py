@@ -68,9 +68,6 @@ class FreeModule:
     def twist(self, d: Bidegree) -> "FreeModule":
         return FreeModule(self.ring, tuple(g - d for g in self.bidegrees))
 
-    def zero_vector(self) -> Vector:
-        return tuple(self.ring.zero() for _ in range(self.rank))
-
     def unit_vector(self, i: int) -> Vector:
         return tuple(self.ring.one() if j == i else self.ring.zero()
                      for j in range(self.rank))
@@ -123,20 +120,6 @@ class ModulePresentation:
     @property
     def rank(self) -> int:
         return self.free.rank
-
-    def is_zero_presentation(self) -> bool:
-        return self.free.rank == 0
-
-    def is_free_presentation(self) -> bool:
-        return not self.relations
-
-    def same_ring(self, other: "ModulePresentation") -> bool:
-        return self.ring == other.ring
-
-    def key(self) -> tuple:
-        """Canonical shape used for equality and periodicity detection."""
-        return (tuple((d.zdeg, d.weight) for d in self.free.bidegrees),
-                tuple(tuple(str(p) for p in col) for col in self.relations))
 
     def __str__(self) -> str:
         gens = ", ".join(f"e{i + 1}:{d}" for i, d in enumerate(self.free.bidegrees))
@@ -259,17 +242,7 @@ def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
 
     # drop generators already in the subs + relations span, minimally
     context = list(subs) + list(within.relations)
-    keep: list[int] = []
-    order = sorted(range(len(gens)),
-                   key=lambda i: ((degs[i].zdeg if degs[i] else 0),
-                                  tuple(str(p) for p in gens[i])))
-    for i in order:
-        if all(p.is_zero() for p in gens[i]):
-            continue
-        oracle = SubmoduleOracle(ring, [gens[k] for k in keep] + context, free.rank)
-        if not oracle.contains(gens[i]):
-            keep.append(i)
-    keep.sort()
+    keep = sorted(minimal_generating_vectors(ring, gens, free.rank, degs, context))
     kept_gens = [gens[i] for i in keep]
     kept_degs = [degs[i] for i in keep]
 
@@ -469,15 +442,8 @@ def minimalize_with_tracking(M: ModulePresentation
             seen.add(key)
             unique.append(col)
     degs = [vector_bidegree(col, free.bidegrees, ring) for col in unique]
-    order = sorted(range(len(unique)),
-                   key=lambda ix: ((degs[ix].zdeg if degs[ix] else 0),
-                                   tuple(str(p) for p in unique[ix])))
-    kept_cols: list[Vector] = []
-    for ix in order:
-        oracle = SubmoduleOracle(ring, kept_cols, free.rank)
-        if not oracle.contains(unique[ix]):
-            kept_cols.append(unique[ix])
-    return ModulePresentation(free, kept_cols), tuple(origin)
+    keep = minimal_generating_vectors(ring, unique, free.rank, degs)
+    return ModulePresentation(free, [unique[ix] for ix in keep]), tuple(origin)
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +480,28 @@ class _LeadStaircase:
         vecs = [groebner.vec_from_polys([ambient.retag(p) for p in col])
                 for col in M.relations]
         vecs += groebner._ideal_rows(ring, M.rank)
-        gb = groebner._TrackedGB(vecs, ambient) if vecs else None
-        self.leads: list[tuple[int, Monomial]] = []
-        if gb is not None:
-            for b in gb.basis:
-                self.leads.append(groebner._vec_lead(b, ambient.order)[0])
+        gb = groebner._TrackedGB(vecs, ambient)
+        self.leads: list[tuple[int, Monomial]] = [lead for lead, _ in gb.leads]
 
     def is_standard(self, pos: int, mono: Monomial) -> bool:
         return not any(p == pos and monomial_divides(m, mono)
                        for p, m in self.leads)
+
+
+def _standard_basis(M: ModulePresentation, zmax: int):
+    """Yield (generator index, standard monomial, bidegree) for every basis
+    element of M up to zdeg `zmax`, generator-major, then by zdeg."""
+    ring = M.ring
+    staircase = _LeadStaircase(M)
+    zmin = min((d.zdeg for d in M.free.bidegrees), default=0)
+    for k, gdeg in enumerate(M.free.bidegrees):
+        for z in range(min(zmin, 0), zmax + 1):
+            mono_z = z - gdeg.zdeg
+            if mono_z < 0:
+                continue
+            for mono in _monomials_of_zdeg(ring, mono_z):
+                if staircase.is_standard(k, mono):
+                    yield k, mono, ring.monomial_bidegree(mono) + gdeg
 
 
 def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], int]:
@@ -533,20 +512,10 @@ def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], 
     """
     if zmax < 0:
         raise ValueError("zmax must be >= 0")
-    ring = M.ring
-    staircase = _LeadStaircase(M)
     table: dict[tuple[int, int], int] = {}
-    zmin = min((d.zdeg for d in M.free.bidegrees), default=0)
-    for k, gdeg in enumerate(M.free.bidegrees):
-        for z in range(min(zmin, 0), zmax + 1):
-            mono_z = z - gdeg.zdeg
-            if mono_z < 0:
-                continue
-            for mono in _monomials_of_zdeg(ring, mono_z):
-                if staircase.is_standard(k, mono):
-                    d = ring.monomial_bidegree(mono) + gdeg
-                    key = (d.zdeg, d.weight)
-                    table[key] = table.get(key, 0) + 1
+    for _, _, d in _standard_basis(M, zmax):
+        key = (d.zdeg, d.weight)
+        table[key] = table.get(key, 0) + 1
     return table
 
 
@@ -558,25 +527,15 @@ def invariant_part(M: ModulePresentation, bound: int
     (standard monomials times generators) of the low-degree pieces.
     """
     ring = M.ring
-    staircase = _LeadStaircase(M)
     dims: dict[int, int] = {}
     elements: list[str] = []
-    zmin = min((d.zdeg for d in M.free.bidegrees), default=0)
-    for k, gdeg in enumerate(M.free.bidegrees):
-        for z in range(min(zmin, 0), bound + 1):
-            mono_z = z - gdeg.zdeg
-            if mono_z < 0:
-                continue
-            for mono in _monomials_of_zdeg(ring, mono_z):
-                if not staircase.is_standard(k, mono):
-                    continue
-                d = ring.monomial_bidegree(mono) + gdeg
-                if d.weight != 0:
-                    continue
-                dims[d.zdeg] = dims.get(d.zdeg, 0) + 1
-                if len(elements) < 24:
-                    mono_str = str(ring.monomial(mono)) if any(mono) else "1"
-                    elements.append(f"{mono_str}*e{k + 1} (zdeg {d.zdeg})")
+    for k, mono, d in _standard_basis(M, bound):
+        if d.weight != 0:
+            continue
+        dims[d.zdeg] = dims.get(d.zdeg, 0) + 1
+        if len(elements) < 24:
+            mono_str = str(ring.monomial(mono)) if any(mono) else "1"
+            elements.append(f"{mono_str}*e{k + 1} (zdeg {d.zdeg})")
     return dims, elements
 
 
@@ -844,9 +803,9 @@ def restrict_along(f: RingMorphism, N: ModulePresentation) -> ModulePresentation
                 seen.add(key)
                 rel_cols.append(col)
 
-    keep = minimal_generating_vectors(
+    keep = sorted(minimal_generating_vectors(
         ring_a, rel_cols, ngen,
-        [vector_bidegree(c, tuple(gen_degs), ring_a) for c in rel_cols])
+        [vector_bidegree(c, tuple(gen_degs), ring_a) for c in rel_cols]))
     pres = ModulePresentation(FreeModule(ring_a, tuple(gen_degs)),
                               [rel_cols[i] for i in keep])
     return pres

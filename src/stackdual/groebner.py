@@ -250,6 +250,13 @@ def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
 class _TrackedGB:
     """Module Groebner basis with expressions in terms of the input vectors.
 
+    Input vector i carries the index i (zero inputs keep their index and
+    contribute nothing); `extend` grows the span by one more input at the
+    next free index, `ninputs`, when the new vector is not already in it.
+    It reduces the vector with tracking, inserts the nonzero remainder
+    with its representation over that index and completes the basis, so
+    `express` stays valid over every input seen so far.
+
     For syzygy completeness every same-position S-pair is processed; the
     Buchberger shortcut criteria are deliberately not used here.  Pair keys
     are computed once and kept in a heap, leads are cached (basis elements
@@ -265,11 +272,12 @@ class _TrackedGB:
         self.reps: list[VecDict] = []          # over the input index space
         self.syzygies: list[VecDict] = []      # likewise
         self.collect = collect_syzygies
+        self.ninputs = len(vectors)
         self._heap: list = []
-        unit = (0,) * ring.nvars
+        self._unit = (0,) * ring.nvars
         for i, v in enumerate(vectors):
             if v:
-                self._insert(dict(v), {(i, unit): Fraction(1)})
+                self._insert(dict(v), {(i, self._unit): Fraction(1)})
         self._complete()
 
     def _insert(self, vec: VecDict, rep: VecDict) -> None:
@@ -287,6 +295,13 @@ class _TrackedGB:
             heapq.heappush(self._heap,
                            (self.order.key(lcm), kpos, k, new, lcm))
 
+    def _add_reps(self, target: VecDict, quotients: list[dict],
+                  sign: Fraction) -> None:
+        """target += sign * sum_t quotients[t] * reps[t]"""
+        for t, q in enumerate(quotients):
+            for mono, coeff in q.items():
+                _vec_axpy(target, mono, sign * coeff, self.reps[t])
+
     def _complete(self) -> None:
         while self._heap:
             check_deadline()
@@ -301,13 +316,23 @@ class _TrackedGB:
             _vec_axpy(srep, monomial_div(lcm, mj), Fraction(-1), self.reps[j])
             remainder, quotients = _vec_reduce(s, self.basis, self.order,
                                                track=True, leads=self.leads)
-            for t, q in enumerate(quotients):
-                for mono, coeff in q.items():
-                    _vec_axpy(srep, mono, -coeff, self.reps[t])
+            self._add_reps(srep, quotients, Fraction(-1))
             if remainder:
                 self._insert(remainder, srep)
             elif self.collect and srep:
                 self.syzygies.append(srep)
+
+    def extend(self, vec: VecDict) -> bool:
+        """Add vec as input `ninputs` unless it is already in the span."""
+        remainder, quotients = self.reduce(vec, track=True)
+        if not remainder:
+            return False
+        rep: VecDict = {(self.ninputs, self._unit): Fraction(1)}
+        self._add_reps(rep, quotients, Fraction(-1))
+        self.ninputs += 1
+        self._insert(remainder, rep)
+        self._complete()
+        return True
 
     # -- queries -------------------------------------------------------------
 
@@ -325,9 +350,7 @@ class _TrackedGB:
         if remainder:
             return None
         out: VecDict = {}
-        for t, q in enumerate(quotients):
-            for mono, coeff in q.items():
-                _vec_axpy(out, mono, coeff, self.reps[t])
+        self._add_reps(out, quotients, Fraction(1))
         return out
 
 
@@ -338,28 +361,24 @@ def module_syzygies(vectors: Sequence[VecDict], ring: GradedRing) -> list[VecDic
     discrepancy columns e_i - (expression of input i through the basis).
     """
     unit = (0,) * ring.nvars
-    live = [(i, v) for i, v in enumerate(vectors) if v]
     syz: list[VecDict] = []
     for i, v in enumerate(vectors):
         if not v:
             syz.append({(i, unit): Fraction(1)})  # zero rows are pure relations
-    if not live:
+    if len(syz) == len(vectors):
         return syz
-    gb = _TrackedGB([v for _, v in live], ring, collect_syzygies=True)
-    remap = {local: orig for local, (orig, _) in enumerate(live)}
-
-    def remapped(vec: VecDict) -> VecDict:
-        return {(remap[pos], m): c for (pos, m), c in vec.items()}
-
-    syz.extend(remapped(s) for s in gb.syzygies)
-    for local_i, (_, v) in enumerate(live):
+    gb = _TrackedGB(vectors, ring, collect_syzygies=True)
+    syz.extend(gb.syzygies)
+    for i, v in enumerate(vectors):
+        if not v:
+            continue
         expr = gb.express(dict(v))
         assert expr is not None
-        delta: VecDict = {(local_i, unit): Fraction(1)}
+        delta: VecDict = {(i, unit): Fraction(1)}
         for k, c in expr.items():
             _vec_add_term(delta, k, -c)
         if delta:
-            syz.append(remapped(delta))
+            syz.append(delta)
     return syz
 
 
@@ -414,7 +433,7 @@ def syzygies_over(ring: GradedRing, vectors: Sequence[Vector],
 
 
 class SubmoduleOracle:
-    """Membership and lifting for a fixed tuple of generators over a ring.
+    """Membership and lifting for a growing tuple of generators over a ring.
 
     Over a quotient ring the span implicitly includes I times the free
     module, so `lift` returns coordinates valid modulo the ideal.
@@ -425,47 +444,48 @@ class SubmoduleOracle:
         self.rank = rank
         self.ngens = len(generators)
         self.ambient = ring.ambient()
-        vecs = [vec_from_polys([self.ambient.retag(p) for p in v]) for v in generators]
-        self._live = [(i, v) for i, v in enumerate(vecs) if v]
-        all_vecs = [v for _, v in self._live] + _ideal_rows(ring, rank)
-        self.gb = _TrackedGB(all_vecs, self.ambient) if all_vecs else None
+        ideal_rows = _ideal_rows(ring, rank)
+        self.gb = _TrackedGB([self._vec(v) for v in generators] + ideal_rows,
+                             self.ambient)
+        # generator index of each GB input; None for the ideal rows
+        self._gen_of: list[Optional[int]] = (list(range(self.ngens))
+                                             + [None] * len(ideal_rows))
 
     def _vec(self, v: Vector) -> VecDict:
         return vec_from_polys([self.ambient.retag(p) for p in v])
 
     def contains(self, v: Vector) -> bool:
-        vec = self._vec(v)
-        if not vec:
-            return True
-        if self.gb is None:
-            return False
-        return self.gb.contains(vec)
+        return self.gb.contains(self._vec(v))
+
+    def extend(self, v: Vector) -> None:
+        """Append v as generator number `ngens`."""
+        if self.gb.extend(self._vec(v)):
+            self._gen_of.append(self.ngens)
+        self.ngens += 1
 
     def lift(self, v: Vector) -> Optional[Vector]:
         """Coordinates a with v = sum a_i * gen_i modulo I * R^rank."""
-        vec = self._vec(v)
-        if not vec:
-            return tuple(self.ring.zero() for _ in range(self.ngens))
-        if self.gb is None:
-            return None
-        expr = self.gb.express(vec)
+        expr = self.gb.express(self._vec(v))
         if expr is None:
             return None
         coords = [self.ring.zero() for _ in range(self.ngens)]
         for (pos, m), c in expr.items():
-            if pos < len(self._live):
-                orig = self._live[pos][0]
-                coords[orig] = coords[orig] + self.ring.monomial(m, c)
+            gen = self._gen_of[pos]
+            if gen is not None:
+                coords[gen] = coords[gen] + self.ring.monomial(m, c)
         return tuple(self.ring.reduce(p) for p in coords)
 
 
 def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Vector],
-                               rank: int, bidegrees: Sequence | None = None
-                               ) -> list[int]:
-    """Indices of a minimal generating subset, greedy in ascending degree.
+                               rank: int, bidegrees: Sequence | None = None,
+                               context: Sequence[Vector] = ()) -> list[int]:
+    """Indices of a minimal generating subset modulo `context`, in the
+    greedy order: ascending degree, then printed form.
 
-    The ring is assumed connected (scalars in degree zero), so graded
-    Nakayama makes the kept count well-defined.
+    The single greedy minimality loop of the package: one oracle over the
+    context grows by each candidate that it does not already contain.  The
+    ring is assumed connected (scalars in degree zero), so graded Nakayama
+    makes the kept count well-defined.
     """
     def zdeg_of(i):
         if bidegrees is not None and bidegrees[i] is not None:
@@ -473,16 +493,18 @@ def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Vector],
         return min((min(ring.monomial_bidegree(m).zdeg for m in p.terms)
                     for p in vectors[i] if not p.is_zero()), default=0)
 
-    order = sorted(range(len(vectors)),
+    order = sorted((i for i, v in enumerate(vectors)
+                    if any(not p.is_zero() for p in v)),
                    key=lambda i: (zdeg_of(i), tuple(str(p) for p in vectors[i])))
+    if not order:
+        return []
+    oracle = SubmoduleOracle(ring, context, rank)
     kept: list[int] = []
     for i in order:
-        if all(p.is_zero() for p in vectors[i]):
-            continue
-        oracle = SubmoduleOracle(ring, [vectors[k] for k in kept], rank)
         if not oracle.contains(vectors[i]):
+            oracle.extend(vectors[i])
             kept.append(i)
-    return sorted(kept)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +564,9 @@ def syzygies(rows: Sequence[Vector | Polynomial], ring: GradedRing | None = None
         row_degs.append(d if d is not None else ring.degree_zero())
 
     result = syzygies_over(ring, norm_rows, rank=rank)
-    keep = minimal_generating_vectors(
+    keep = sorted(minimal_generating_vectors(
         ring, result, len(norm_rows),
-        [vector_bidegree(v, tuple(row_degs), ring) for v in result])
+        [vector_bidegree(v, tuple(row_degs), ring) for v in result]))
     vectors = tuple(result[i] for i in keep)
     bidegs = tuple(vector_bidegree(v, tuple(row_degs), ring) for v in vectors)
     return SyzygyModule(ring, len(norm_rows), vectors, bidegs)

@@ -195,7 +195,8 @@ class GradedRing:
             raise ValueError("degree/weight lists must match the variable count")
         self.group_order = group_order
         self.order = order if order is not None else MonomialOrder()
-        self.order.resolved_precedence(n)
+        self.signature = (self.variables, self.zdegs, self.weights, group_order,
+                          self.order.kind, self.order.resolved_precedence(n))
         self.name = name or "Q[" + ",".join(self.variables) + "]"
         self.ideal: tuple[Polynomial, ...] = ()
         for g in ideal:
@@ -209,11 +210,6 @@ class GradedRing:
         self._gb_cache = None
 
     # -- identity ----------------------------------------------------------
-
-    @property
-    def signature(self):
-        return (self.variables, self.zdegs, self.weights, self.group_order,
-                self.order.kind, self.order.resolved_precedence(len(self.variables)))
 
     def same_ambient(self, other: "GradedRing") -> bool:
         return self.signature == other.signature
@@ -473,9 +469,6 @@ class Polynomial:
             return None
         return next(iter(degs))
 
-    def is_bihomogeneous(self) -> bool:
-        return self.is_zero() or self.bidegree() is not None
-
     # -- display ----------------------------------------------------------------
 
     def _term_str(self, mono: Monomial, coeff: Fraction) -> str:
@@ -519,10 +512,6 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def leading_term(p: Polynomial, order: MonomialOrder | None = None) -> tuple[Monomial, Scalar]:
     return p.leading_term(order)
-
-
-def bidegree_of(p: Polynomial) -> Optional[Bidegree]:
-    return p.bidegree()
 
 
 def substitute(p: Polynomial, target: GradedRing, images: Sequence[Polynomial]) -> Polynomial:

@@ -8,6 +8,7 @@ and the expected values are equalities.
 import json
 import random
 from math import gcd
+from pathlib import Path
 
 from oracles import cusp_hom_oracle, root_hom_oracle
 from stackdual.complexes import homology, koszul, resolve
@@ -22,6 +23,8 @@ from stackdual.groebner import buchberger, normal_form
 from stackdual.poly import GradedRing
 from stackdual.presets import PRESETS, preset_session
 from stackdual.session import run_session
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(number: int, ok: bool, label: str) -> None:
@@ -271,7 +274,8 @@ def test_criterion_10_deterministic_reports():
         text = preset_session(name)
         first = run_session(parse_session(text)).to_json()
         second = run_session(parse_session(text)).to_json()
-        ok &= first == second
+        golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        ok &= first == second == golden
         json.loads(first)  # valid JSON document
     report(10, ok, "every preset produces byte-identical JSON across "
-                   "two consecutive runs")
+                   "two consecutive runs, equal to its golden report")

@@ -132,6 +132,23 @@ def test_submodule_oracle_membership_and_lift(node_ring):
     assert node_ring.reduce(coords[0] * x).terms == (x * x).terms
 
 
+def test_submodule_oracle_extend_grows_the_span(node_ring):
+    x, y = node_ring.var("x"), node_ring.var("y")
+    z = node_ring.zero()
+    oracle = SubmoduleOracle(node_ring, [], 2)
+    assert not oracle.contains((y, z)) and oracle.lift((y, z)) is None
+    oracle.extend((x, z))
+    oracle.extend((x * x, z))          # already in the span
+    oracle.extend((y, y))
+    assert oracle.ngens == 3
+    assert oracle.contains((y * y, y * y))
+    coords = oracle.lift((x + y, y))
+    assert coords is not None
+    back = [sum((c * g[t] for c, g in zip(coords, [(x, z), (x * x, z), (y, y)])),
+                node_ring.zero()) for t in range(2)]
+    assert [node_ring.reduce(p) for p in back] == [x + y, y]
+
+
 def test_empty_input_is_zero_ideal(qxy):
     gb = buchberger([], ring=qxy)
     assert isinstance(gb, GroebnerBasis) and len(gb) == 0

@@ -3,8 +3,9 @@
 Fifty seeded random small cases exercise the kernel invariants: ring
 axioms, leading-term multiplicativity, bidegree additivity, normal-form
 idempotence and linearity, reduced-basis uniqueness under permutation,
-Koszul exactness for regular sequences, and d o d = 0 with bihomogeneous
-matrices on every constructed complex.
+Koszul exactness for regular sequences, d o d = 0 with bihomogeneous
+matrices on every constructed complex, and the incremental span oracle
+against a fresh oracle per candidate.
 """
 
 import random
@@ -17,7 +18,9 @@ from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModulePresentation, hilbert_function,
                                hom_module, minimalize, restrict_along,
                                vector_bidegree)
-from stackdual.groebner import buchberger, normal_form, syzygies
+from stackdual.groebner import (SubmoduleOracle, buchberger,
+                                minimal_generating_vectors, normal_form,
+                                syzygies)
 from stackdual.poly import GradedRing
 
 SEED = 20260810
@@ -230,3 +233,103 @@ def test_minimalize_preserves_tables(instances):
         m = minimalize(M)
         assert m.rank == 1
         assert hilbert_function(M, 6) == hilbert_function(m, 6)
+
+
+# ---------------------------------------------------------------------------
+# the incremental span oracle
+
+
+def random_quotient(rng, ring):
+    """The ring modulo a random monomial of degree two (always bihomogeneous)."""
+    i, j = rng.randrange(ring.nvars), rng.randrange(ring.nvars)
+    mono = tuple((k == i) + (k == j) for k in range(ring.nvars))
+    return ring.quotient([ring.monomial(mono)])
+
+
+def random_form(rng, ring, d):
+    """Zero or a sum of one or two terms of Z-degree d (all degrees one)."""
+    out = ring.zero()
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        mono = [0] * ring.nvars
+        for _ in range(d):
+            mono[rng.randrange(ring.nvars)] += 1
+        out = out + ring.monomial(tuple(mono), rng.choice([-2, -1, 1, 3]))
+    return out
+
+
+def span_instances(count, seed):
+    """(ring, candidates, context, rank) with Z-homogeneous vectors;
+    candidates include multiples and sums of earlier ones, so the greedy
+    loop has something to drop."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        ring = random_ring(rng)
+        if n % 2:
+            ring = random_quotient(rng, ring)
+        rank = rng.choice([1, 2])
+
+        def vec():
+            d = rng.choice([1, 2])
+            return tuple(random_form(rng, ring, d) for _ in range(rank))
+
+        cands = [vec() for _ in range(4)]
+        for _ in range(3):
+            u, v = rng.sample(cands, 2)
+            g = ring.var(rng.randrange(ring.nvars))
+            cands.append(tuple(a * g + b for a, b in zip(u, v)))
+        cands.append(tuple(ring.zero() for _ in range(rank)))
+        cands.append(cands[0])
+        rng.shuffle(cands)
+        context = [vec() for _ in range(rng.choice([0, 1, 2]))]
+        out.append((ring, cands, context, rank))
+    return out
+
+
+def fresh_oracle_greedy(ring, vectors, rank, context):
+    """Reference: one new oracle over kept + context per candidate."""
+    def zdeg_of(v):
+        return min((min(ring.monomial_bidegree(m).zdeg for m in p.terms)
+                    for p in v if not p.is_zero()), default=0)
+
+    order = sorted(range(len(vectors)),
+                   key=lambda i: (zdeg_of(vectors[i]), tuple(str(p) for p in vectors[i])))
+    kept = []
+    for i in order:
+        if all(p.is_zero() for p in vectors[i]):
+            continue
+        oracle = SubmoduleOracle(ring, [vectors[k] for k in kept] + list(context), rank)
+        if not oracle.contains(vectors[i]):
+            kept.append(i)
+    return kept
+
+
+def test_minimal_generating_vectors_matches_fresh_oracle_greedy():
+    instances = span_instances(40, SEED + 7)
+    assert any(ring.ideal for ring, *_ in instances)
+    dropped = 0
+    for ring, cands, context, rank in instances:
+        kept = minimal_generating_vectors(ring, cands, rank, context=context)
+        assert kept == fresh_oracle_greedy(ring, cands, rank, context)
+        dropped += len(cands) - len(kept)
+    assert dropped > 0
+
+
+def test_oracle_lift_after_extends():
+    rng = random.Random(SEED + 8)
+    for ring, cands, context, rank in span_instances(20, SEED + 9):
+        oracle = SubmoduleOracle(ring, context, rank)
+        for v in cands:           # some of these are already in the span
+            oracle.extend(v)
+        gens = list(context) + cands
+        assert oracle.ngens == len(gens)
+        for _ in range(3):
+            coeffs = [random_poly(rng, ring, max_terms=1, max_deg=1)
+                      if rng.random() < 0.5 else ring.zero() for _ in gens]
+            target = tuple(sum((c * g[t] for c, g in zip(coeffs, gens)), ring.zero())
+                           for t in range(rank))
+            coords = oracle.lift(target)
+            assert coords is not None and len(coords) == len(gens)
+            for t in range(rank):
+                back = sum((c * g[t] for c, g in zip(coords, gens)), ring.zero())
+                assert ring.reduce(back - target[t]).is_zero()
