@@ -194,7 +194,8 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
             rows.append(f.coordinates(ring_b.monomial(mono)))
         var_action.append(rows)
 
-    oracle = SubmoduleOracle(ring_a, list(incl) + list(c0.relations), c0.rank)
+    oracle = SubmoduleOracle(ring_a, list(incl) + list(c0.relations), c0.rank,
+                             liftable=True)
     zero_b = ring_b.zero()
     relations: list[Vector] = []
 

@@ -481,11 +481,11 @@ class _LeadStaircase:
                 for col in M.relations]
         vecs += groebner._ideal_rows(ring, M.rank)
         gb = groebner._TrackedGB(vecs, ambient)
-        self.leads: list[tuple[int, Monomial]] = [lead for lead, _ in gb.leads]
+        self.by_pos = gb.by_pos
 
     def is_standard(self, pos: int, mono: Monomial) -> bool:
-        return not any(p == pos and monomial_divides(m, mono)
-                       for p, m in self.leads)
+        return not any(monomial_divides(m, mono)
+                       for m, _ in self.by_pos.get(pos, ()))
 
 
 def _standard_basis(M: ModulePresentation, zmax: int):

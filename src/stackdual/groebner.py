@@ -3,9 +3,12 @@
 Two engines live here.  The ring-level engine computes reduced Groebner
 bases of ideals with the product and chain criteria for S-pair elimination.
 The module-level engine works on vectors over a free module with a
-term-over-position order induced by the ring order; it tracks how every
-basis element is expressed in the input generators, which makes Schreyer
-syzygies fall out of the S-pair reductions.  Quotient rings B = C/I are
+term-over-position order induced by the ring order, in one of two modes.
+Tracked, it records how every basis element is expressed in the input
+generators and processes every S-pair, which makes Schreyer syzygies fall
+out of the S-pair reductions and lets `lift` answer.  Span-only, it keeps
+no expressions and drops S-pairs by the chain criterion; the product
+criterion does not hold for module elements.  Quotient rings B = C/I are
 handled by lifting to the ambient ring and adjoining I times the unit
 vectors, then projecting back.
 
@@ -213,17 +216,15 @@ def _vec_scale(vec: VecDict, coeff: Fraction) -> VecDict:
 
 
 def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
-                track: bool = False, leads=None):
-    """Full reduction of vec by the basis.
+                by_pos: dict[int, list[tuple[Monomial, int]]],
+                track: bool = False):
+    """Full reduction of vec by the monic basis.
 
-    Returns (remainder, quotients): quotients[i] is a terms dict with
-    vec = sum_i quotients[i]*basis[i] + remainder.
+    `by_pos` indexes the basis leads per position as (monomial, basis
+    index), in basis order.  Returns (remainder, quotients):
+    quotients[i] is a terms dict with vec = sum_i quotients[i]*basis[i] +
+    remainder; it is empty unless `track`.
     """
-    if leads is None:
-        leads = [_vec_lead(b, order) for b in basis]
-    by_pos: dict[int, list] = {}
-    for i, ((bpos, bmono), bcoeff) in enumerate(leads):
-        by_pos.setdefault(bpos, []).append((bmono, bcoeff, i))
     quotients: list[dict] = [{} for _ in basis] if track else []
     remainder: VecDict = {}
     current = dict(vec)
@@ -233,13 +234,12 @@ def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
         key = max(current, key=keyf)
         pos, mono = key
         coeff = current[key]
-        for bmono, bcoeff, i in by_pos.get(pos, ()):
+        for bmono, i in by_pos.get(pos, ()):
             if monomial_divides(bmono, mono):
                 q = monomial_div(mono, bmono)
-                factor = coeff / bcoeff
-                _vec_axpy(current, q, -factor, basis[i])
+                _vec_axpy(current, q, -coeff, basis[i])
                 if track:
-                    quotients[i][q] = quotients[i].get(q, Fraction(0)) + factor
+                    quotients[i][q] = quotients[i].get(q, Fraction(0)) + coeff
                 break
         else:
             remainder[key] = coeff
@@ -248,52 +248,66 @@ def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
 
 
 class _TrackedGB:
-    """Module Groebner basis with expressions in terms of the input vectors.
+    """Module Groebner basis of the span of the input vectors.
 
     Input vector i carries the index i (zero inputs keep their index and
     contribute nothing); `extend` grows the span by one more input at the
-    next free index, `ninputs`, when the new vector is not already in it.
-    It reduces the vector with tracking, inserts the nonzero remainder
-    with its representation over that index and completes the basis, so
-    `express` stays valid over every input seen so far.
+    next free index, `ninputs`, when the new vector is not already in it,
+    and completes the basis.
 
-    For syzygy completeness every same-position S-pair is processed; the
-    Buchberger shortcut criteria are deliberately not used here.  Pair keys
-    are computed once and kept in a heap, leads are cached (basis elements
-    are monic and never mutated after insertion).
+    With `track=True` every basis element carries its representation over
+    the inputs (`reps`), so `express` writes any span element over every
+    input seen so far.  Every same-position S-pair is processed, and the
+    representations of those that reduce to zero are the Schreyer syzygies
+    (`syzygies`).
+
+    With `track=False` only the span is built: no representations, no
+    quotients, no syzygies.  A pair (i, j) is skipped by the chain criterion
+    (Gebauer-Moller): some same-position lead k divides lcm(i, j) and
+    neither (i, k) nor (j, k) is still pending.  The product criterion does
+    not hold for module elements: for f = x*e1 and g = y*e1 + e2 the
+    S-vector -x*e2 does not reduce to zero.
+
+    Pair keys are computed once and kept in a heap; leads are cached and
+    indexed per position (basis elements are monic and never mutated after
+    insertion).
     """
 
     def __init__(self, vectors: Sequence[VecDict], ring: GradedRing,
-                 collect_syzygies: bool = False):
+                 track: bool = False):
         self.ring = ring
         self.order = ring.order
+        self.track = track
         self.basis: list[VecDict] = []
-        self.leads: list[tuple[tuple[int, Monomial], Fraction]] = []
+        self.leads: list[tuple[int, Monomial]] = []
+        # per position: (lead monomial, basis index), in basis order
+        self.by_pos: dict[int, list[tuple[Monomial, int]]] = {}
         self.reps: list[VecDict] = []          # over the input index space
         self.syzygies: list[VecDict] = []      # likewise
-        self.collect = collect_syzygies
         self.ninputs = len(vectors)
         self._heap: list = []
+        self._pending: set[tuple[int, int]] = set()
         self._unit = (0,) * ring.nvars
         for i, v in enumerate(vectors):
             if v:
                 self._insert(dict(v), {(i, self._unit): Fraction(1)})
         self._complete()
 
-    def _insert(self, vec: VecDict, rep: VecDict) -> None:
+    def _insert(self, vec: VecDict, rep: Optional[VecDict]) -> None:
         (posmono, lc) = _vec_lead(vec, self.order)
         self.basis.append(_vec_scale(vec, 1 / lc))
-        self.reps.append(_vec_scale(rep, 1 / lc))
-        self.leads.append((posmono, Fraction(1)))
+        if self.track:
+            self.reps.append(_vec_scale(rep, 1 / lc))
+        self.leads.append(posmono)
         new = len(self.basis) - 1
         npos, nmono = posmono
-        for k in range(new):
-            (kpos, kmono), _ = self.leads[k]
-            if kpos != npos:
-                continue
+        same = self.by_pos.setdefault(npos, [])
+        for kmono, k in same:
             lcm = monomial_lcm(kmono, nmono)
             heapq.heappush(self._heap,
-                           (self.order.key(lcm), kpos, k, new, lcm))
+                           (self.order.key(lcm), npos, k, new, lcm))
+            self._pending.add((k, new))
+        same.append((nmono, new))
 
     def _add_reps(self, target: VecDict, quotients: list[dict],
                   sign: Fraction) -> None:
@@ -302,33 +316,50 @@ class _TrackedGB:
             for mono, coeff in q.items():
                 _vec_axpy(target, mono, sign * coeff, self.reps[t])
 
+    def _chain(self, pos: int, i: int, j: int, lcm: Monomial) -> bool:
+        pending = self._pending
+        for kmono, k in self.by_pos[pos]:
+            if (k != i and k != j and monomial_divides(kmono, lcm)
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
+
     def _complete(self) -> None:
         while self._heap:
             check_deadline()
-            _, _, i, j, lcm = heapq.heappop(self._heap)
-            (pi, mi), _ = self.leads[i]
-            (pj, mj), _ = self.leads[j]
+            _, pos, i, j, lcm = heapq.heappop(self._heap)
+            self._pending.discard((i, j))
+            if not self.track and self._chain(pos, i, j, lcm):
+                continue
+            mi = self.leads[i][1]
+            mj = self.leads[j][1]
             s: VecDict = {}
             _vec_axpy(s, monomial_div(lcm, mi), Fraction(1), self.basis[i])
             _vec_axpy(s, monomial_div(lcm, mj), Fraction(-1), self.basis[j])
+            if not self.track:
+                remainder, _ = self.reduce(s)
+                if remainder:
+                    self._insert(remainder, None)
+                continue
             srep: VecDict = {}
             _vec_axpy(srep, monomial_div(lcm, mi), Fraction(1), self.reps[i])
             _vec_axpy(srep, monomial_div(lcm, mj), Fraction(-1), self.reps[j])
-            remainder, quotients = _vec_reduce(s, self.basis, self.order,
-                                               track=True, leads=self.leads)
+            remainder, quotients = self.reduce(s, track=True)
             self._add_reps(srep, quotients, Fraction(-1))
             if remainder:
                 self._insert(remainder, srep)
-            elif self.collect and srep:
+            elif srep:
                 self.syzygies.append(srep)
 
     def extend(self, vec: VecDict) -> bool:
         """Add vec as input `ninputs` unless it is already in the span."""
-        remainder, quotients = self.reduce(vec, track=True)
+        remainder, quotients = self.reduce(vec, track=self.track)
         if not remainder:
             return False
         rep: VecDict = {(self.ninputs, self._unit): Fraction(1)}
-        self._add_reps(rep, quotients, Fraction(-1))
+        if self.track:
+            self._add_reps(rep, quotients, Fraction(-1))
         self.ninputs += 1
         self._insert(remainder, rep)
         self._complete()
@@ -337,8 +368,11 @@ class _TrackedGB:
     # -- queries -------------------------------------------------------------
 
     def reduce(self, vec: VecDict, track: bool = False):
-        return _vec_reduce(vec, self.basis, self.order, track=track,
-                           leads=self.leads)
+        if track and not self.track:
+            raise RuntimeError("span-only Groebner basis (track=False) "
+                               "keeps no representations")
+        return _vec_reduce(vec, self.basis, self.order, self.by_pos,
+                           track=track)
 
     def contains(self, vec: VecDict) -> bool:
         remainder, _ = self.reduce(vec)
@@ -367,7 +401,7 @@ def module_syzygies(vectors: Sequence[VecDict], ring: GradedRing) -> list[VecDic
             syz.append({(i, unit): Fraction(1)})  # zero rows are pure relations
     if len(syz) == len(vectors):
         return syz
-    gb = _TrackedGB(vectors, ring, collect_syzygies=True)
+    gb = _TrackedGB(vectors, ring, track=True)
     syz.extend(gb.syzygies)
     for i, v in enumerate(vectors):
         if not v:
@@ -436,17 +470,20 @@ class SubmoduleOracle:
     """Membership and lifting for a growing tuple of generators over a ring.
 
     Over a quotient ring the span implicitly includes I times the free
-    module, so `lift` returns coordinates valid modulo the ideal.
+    module, so `lift` returns coordinates valid modulo the ideal.  Only an
+    oracle built with `liftable=True` can lift; the default builds the span
+    alone, which is all that `contains` and `extend` need.
     """
 
-    def __init__(self, ring: GradedRing, generators: Sequence[Vector], rank: int):
+    def __init__(self, ring: GradedRing, generators: Sequence[Vector], rank: int,
+                 liftable: bool = False):
         self.ring = ring
         self.rank = rank
         self.ngens = len(generators)
         self.ambient = ring.ambient()
         ideal_rows = _ideal_rows(ring, rank)
         self.gb = _TrackedGB([self._vec(v) for v in generators] + ideal_rows,
-                             self.ambient)
+                             self.ambient, track=liftable)
         # generator index of each GB input; None for the ideal rows
         self._gen_of: list[Optional[int]] = (list(range(self.ngens))
                                              + [None] * len(ideal_rows))
@@ -464,7 +501,10 @@ class SubmoduleOracle:
         self.ngens += 1
 
     def lift(self, v: Vector) -> Optional[Vector]:
-        """Coordinates a with v = sum a_i * gen_i modulo I * R^rank."""
+        """Coordinates a with v = sum a_i * gen_i modulo I * R^rank.
+
+        Raises RuntimeError unless the oracle was built with liftable=True.
+        """
         expr = self.gb.express(self._vec(v))
         if expr is None:
             return None

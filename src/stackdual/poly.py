@@ -208,6 +208,7 @@ class GradedRing:
                 raise ValueError(f"ideal generator {g} is not bihomogeneous")
             self.ideal += (Polynomial(self, dict(g.terms)),)
         self._gb_cache = None
+        self._gb_leads: tuple[Monomial, ...] = ()
 
     # -- identity ----------------------------------------------------------
 
@@ -306,14 +307,23 @@ class GradedRing:
             from .groebner import buchberger
             self._gb_cache = buchberger(list(self.ideal), order=self.order,
                                         ring=self.ambient())
+            self._gb_leads = tuple(g.leading_term(self.order)[0]
+                                   for g in self._gb_cache.generators)
         return self._gb_cache
 
     def reduce(self, p: "Polynomial") -> "Polynomial":
         """Normal form of p modulo the defining ideal."""
         if not self.ideal:
             return p if p.ring is self else Polynomial(self, dict(p.terms))
+        if p.ring is not self and not self.same_ambient(p.ring):
+            raise RingMismatchError("polynomial and basis live in different rings")
+        gb = self.ideal_groebner()
+        leads = self._gb_leads
+        if not any(monomial_divides(lm, m) for m in p.terms for lm in leads):
+            # no term is reducible, so p is its own normal form
+            return p if p.ring is self else Polynomial(self, dict(p.terms))
         from .groebner import normal_form
-        return Polynomial(self, dict(normal_form(p, self.ideal_groebner()).terms))
+        return Polynomial(self, dict(normal_form(p, gb).terms))
 
     def retag(self, p: "Polynomial") -> "Polynomial":
         """Reinterpret a polynomial of the same ambient signature in this ring."""

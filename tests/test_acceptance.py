@@ -279,3 +279,18 @@ def test_criterion_10_deterministic_reports():
         json.loads(first)  # valid JSON document
     report(10, ok, "every preset produces byte-identical JSON across "
                    "two consecutive runs, equal to its golden report")
+
+
+# node at a larger group order and at depth 10: these go through the large
+# module Groebner bases of restriction of scalars and of the resolution
+LARGE_BASIS_GOLDENS = {
+    "node-a7-i2-j3": ({"a": 7, "i": 2, "j": 3}, None),
+    "node-a5-depth10": ({"a": 5}, 10),
+}
+
+
+def test_large_basis_reports_match_goldens():
+    for name, (params, depth) in LARGE_BASIS_GOLDENS.items():
+        text = preset_session("node", **params)
+        got = run_session(parse_session(text), default_depth=depth).to_json()
+        assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name

@@ -124,7 +124,7 @@ def test_syzygy_annihilation_over_quotient(node_ring):
 def test_submodule_oracle_membership_and_lift(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     z = node_ring.zero()
-    oracle = SubmoduleOracle(node_ring, [(x, z), (z, y)], 2)
+    oracle = SubmoduleOracle(node_ring, [(x, z), (z, y)], 2, liftable=True)
     assert oracle.contains((x * x, z))
     assert not oracle.contains((y, z))
     coords = oracle.lift((x * x, z))
@@ -135,7 +135,7 @@ def test_submodule_oracle_membership_and_lift(node_ring):
 def test_submodule_oracle_extend_grows_the_span(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     z = node_ring.zero()
-    oracle = SubmoduleOracle(node_ring, [], 2)
+    oracle = SubmoduleOracle(node_ring, [], 2, liftable=True)
     assert not oracle.contains((y, z)) and oracle.lift((y, z)) is None
     oracle.extend((x, z))
     oracle.extend((x * x, z))          # already in the span

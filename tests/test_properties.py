@@ -4,8 +4,10 @@ Fifty seeded random small cases exercise the kernel invariants: ring
 axioms, leading-term multiplicativity, bidegree additivity, normal-form
 idempotence and linearity, reduced-basis uniqueness under permutation,
 Koszul exactness for regular sequences, d o d = 0 with bihomogeneous
-matrices on every constructed complex, and the incremental span oracle
-against a fresh oracle per candidate.
+matrices on every constructed complex, the incremental span oracle
+against a fresh oracle per candidate, span-only module Groebner bases
+against tracked ones, and the quotient-ring reduction fast path against
+the full normal form.
 """
 
 import random
@@ -18,10 +20,12 @@ from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModulePresentation, hilbert_function,
                                hom_module, minimalize, restrict_along,
                                vector_bidegree)
+from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
                                 syzygies)
-from stackdual.poly import GradedRing
+from stackdual.poly import GradedRing, monomial_divides
+from stackdual.presets import preset_session
 
 SEED = 20260810
 N_INSTANCES = 50
@@ -318,7 +322,7 @@ def test_minimal_generating_vectors_matches_fresh_oracle_greedy():
 def test_oracle_lift_after_extends():
     rng = random.Random(SEED + 8)
     for ring, cands, context, rank in span_instances(20, SEED + 9):
-        oracle = SubmoduleOracle(ring, context, rank)
+        oracle = SubmoduleOracle(ring, context, rank, liftable=True)
         for v in cands:           # some of these are already in the span
             oracle.extend(v)
         gens = list(context) + cands
@@ -333,3 +337,81 @@ def test_oracle_lift_after_extends():
             for t in range(rank):
                 back = sum((c * g[t] for c, g in zip(coords, gens)), ring.zero())
                 assert ring.reduce(back - target[t]).is_zero()
+
+
+def test_oracle_lift_needs_liftable():
+    ring, cands, context, rank = span_instances(1, SEED + 10)[0]
+    oracle = SubmoduleOracle(ring, cands, rank)
+    assert oracle.contains(cands[0])
+    with pytest.raises(RuntimeError):
+        oracle.lift(cands[0])
+
+
+# ---------------------------------------------------------------------------
+# span-only module Groebner bases (chain criterion, no representations)
+
+
+def minimal_leads(gb):
+    leads = gb.leads
+    return {(p, m) for p, m in leads
+            if not any(q == p and n != m and monomial_divides(n, m)
+                       for q, n in leads)}
+
+
+def assert_same_span(untracked, tracked):
+    assert not untracked.track and tracked.track
+    assert minimal_leads(untracked) == minimal_leads(tracked)
+    assert all(tracked.contains(b) for b in untracked.basis)
+    assert all(untracked.contains(b) for b in tracked.basis)
+
+
+def test_span_only_basis_matches_tracked_on_span_instances():
+    for ring, cands, context, rank in span_instances(40, SEED + 11):
+        gens = list(context) + cands
+        tracked = SubmoduleOracle(ring, gens, rank, liftable=True).gb
+        assert_same_span(SubmoduleOracle(ring, gens, rank).gb, tracked)
+        grown = SubmoduleOracle(ring, context, rank)
+        for v in cands:
+            grown.extend(v)
+        assert_same_span(grown.gb, tracked)
+
+
+def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
+    ast = parse_session(preset_session("node", a=5, i=2, j=3))
+    (f,) = ast.maps.values()
+    mixed = f._mixed()[0]
+    captured = []
+
+    class Recording(groebner._TrackedGB):
+        def __init__(self, vectors, ring, track=False):
+            if ring is mixed and not track:
+                captured.append([dict(v) for v in vectors])
+            super().__init__(vectors, ring, track)
+
+    monkeypatch.setattr(groebner, "_TrackedGB", Recording)
+    restrict_along(f, ModulePresentation.structure(f.target))
+    monkeypatch.undo()
+    (vecs,) = captured      # the one elimination basis of restrict_along
+    assert_same_span(groebner._TrackedGB(vecs, mixed),
+                     groebner._TrackedGB(vecs, mixed, track=True))
+
+
+# ---------------------------------------------------------------------------
+# GradedRing.reduce: irreducible inputs come back unchanged
+
+
+def test_ring_reduce_matches_normal_form():
+    rng = random.Random(SEED + 12)
+    kinds = set()
+    for _ in range(40):
+        ring = random_quotient(rng, random_ring(rng))
+        gb = ring.ideal_groebner()
+        for _ in range(3):
+            p = ring.ambient().retag(random_poly(rng, ring, max_terms=4))
+            for q in (p, normal_form(p, gb)):
+                expected = normal_form(q, gb)
+                kinds.add(expected == q)
+                got = ring.reduce(q)
+                assert got.ring is ring and got.terms == expected.terms
+                assert ring.reduce(ring.retag(q)).terms == expected.terms
+    assert kinds == {True, False}   # both reducible and reduced inputs
