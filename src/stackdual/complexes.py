@@ -156,10 +156,6 @@ def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
     return cc
 
 
-def _matrix_shape(m: ModuleMap) -> tuple:
-    return tuple(tuple(str(p) for p in col) for col in m.columns)
-
-
 def _detect_period(cc: ChainComplex) -> Optional[int]:
     if cc.finite or cc.length < 3:
         return None
@@ -167,7 +163,7 @@ def _detect_period(cc: ChainComplex) -> Optional[int]:
         i = cc.length
         if i - period < 1:
             continue
-        if _matrix_shape(cc.maps[i]) == _matrix_shape(cc.maps[i - period]):
+        if cc.maps[i].columns == cc.maps[i - period].columns:
             return period
     return None
 

@@ -342,6 +342,7 @@ class _Parser:
         group = 1
         weights = {v: 0 for v in variables}
         degrees = {v: 1 for v in variables}
+        weight_toks: dict[str, Token] = {}
         order_kind = self.default_order
         while self.peek().kind == "IDENT" and self.peek().value in (
                 "group", "weights", "degrees", "order"):
@@ -365,6 +366,8 @@ class _Parser:
                                                f"unknown variable {v!r}"))
                     self.expect_symbol(":")
                     table[v] = self.expect_int()
+                    if table is weights:
+                        weight_toks[v] = var_tok
                     if not self.accept_symbol(","):
                         break
                 self.expect_symbol("}")
@@ -373,7 +376,8 @@ class _Parser:
         for v, w in weights.items():
             if group > 1 and not (0 <= w < group):
                 self.diagnostics.append(Diagnostic(
-                    1, 1, f"weight of {v} outside [0, {group})"))
+                    weight_toks[v].line, weight_toks[v].col,
+                    f"weight of {v} outside [0, {group})"))
         ambient = GradedRing(variables, [degrees[v] for v in variables],
                              [weights[v] for v in variables], group,
                              order=MonomialOrder(order_kind), name=name)

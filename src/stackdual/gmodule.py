@@ -3,7 +3,7 @@
 A module is presented by a free module with a bidegree per generator and a
 list of homogeneous relation columns; entries are kept reduced modulo the
 ring ideal.  On top of that sit the operations the duality recipes need:
-kernels, Hom, tensor and exterior powers, twists, minimal presentations,
+kernels, Hom, twists, minimal presentations,
 Hilbert tables, invariant (weight-zero) parts, and restriction of scalars
 along a module-finite ring map.
 
@@ -13,7 +13,6 @@ function, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -212,9 +211,8 @@ def kernel_with_inclusion(f: ModuleMap) -> tuple[ModulePresentation, tuple[Vecto
         head = tuple(ring.reduce(p) for p in head)
         if all(p.is_zero() for p in head):
             continue
-        key = tuple(str(p) for p in head)
-        if key not in seen:
-            seen.add(key)
+        if head not in seen:
+            seen.add(head)
             gens.append(head)
     if f.target.rank == 0:
         gens = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
@@ -266,7 +264,7 @@ def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
 
 
 # ---------------------------------------------------------------------------
-# hom, tensor, exterior, twist
+# hom and twist
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> ModulePresentation:
@@ -332,50 +330,6 @@ def precompose_matrix(M: ModulePresentation, F1: FreeModule, N: ModulePresentati
     return ModuleMap(hom0, hom1, cols, check=False)
 
 
-def tensor(M: ModulePresentation, N: ModulePresentation) -> ModulePresentation:
-    """M tensor N with the standard presentation."""
-    if M.ring != N.ring:
-        raise RingMismatchError("tensor across different rings")
-    ring = M.ring
-    degs = [dm + dn for dm in M.free.bidegrees for dn in N.free.bidegrees]
-    zero = ring.zero()
-    rels: list[Vector] = []
-    for col in M.relations:
-        for j in range(N.rank):
-            vec = [zero] * len(degs)
-            for i, p in enumerate(col):
-                vec[i * N.rank + j] = p
-            rels.append(tuple(vec))
-    for i in range(M.rank):
-        for col in N.relations:
-            vec = [zero] * len(degs)
-            for j, p in enumerate(col):
-                vec[i * N.rank + j] = p
-            rels.append(tuple(vec))
-    return ModulePresentation(FreeModule(ring, tuple(degs)), rels)
-
-
-def exterior_power(F: FreeModule | ModulePresentation, r: int) -> ModulePresentation:
-    """The r-th exterior power of a free module.
-
-    Presented-but-free input is accepted (I/I^2 of a regular sequence is
-    free); the top power has rank one with the sum of the bidegrees.
-    """
-    if isinstance(F, ModulePresentation):
-        if F.relations:
-            raise ValueError("exterior_power needs a free module")
-        F = F.free
-    if r < 0 or r > F.rank:
-        raise ValueError(f"exterior power {r} out of range for rank {F.rank}")
-    degs = []
-    for subset in itertools.combinations(range(F.rank), r):
-        d = F.ring.degree_zero()
-        for i in subset:
-            d = d + F.bidegrees[i]
-        degs.append(d)
-    return ModulePresentation(FreeModule(F.ring, tuple(degs)))
-
-
 def twist(M: ModulePresentation, d: Bidegree) -> ModulePresentation:
     """Shift the grading: twist(M, d) in degree e is M in degree d + e."""
     free = M.free.twist(d)
@@ -437,9 +391,8 @@ def minimalize_with_tracking(M: ModulePresentation
     seen = set()
     unique: list[Vector] = []
     for col in live:
-        key = tuple(str(p) for p in col)
-        if key not in seen:
-            seen.add(key)
+        if col not in seen:
+            seen.add(col)
             unique.append(col)
     degs = [vector_bidegree(col, free.bidegrees, ring) for col in unique]
     keep = minimal_generating_vectors(ring, unique, free.rank, degs)
@@ -452,6 +405,8 @@ def minimalize_with_tracking(M: ModulePresentation
 
 def _monomials_of_zdeg(ring: GradedRing, z: int):
     """All monomials of exact Z-degree z; needs every variable of positive degree."""
+    if z < 0:
+        return
     if any(d <= 0 for d in ring.zdegs):
         raise ValueError("Hilbert enumeration needs all variable degrees >= 1")
     n = ring.nvars
@@ -466,42 +421,27 @@ def _monomials_of_zdeg(ring: GradedRing, z: int):
         for e in range(remaining // d + 1):
             yield from rec(idx + 1, remaining - e * d, current + [e])
 
-    if z < 0:
-        return
     yield from rec(0, z, [])
 
 
-class _LeadStaircase:
-    """Leading module-monomials of relations + ideal, for dimension counting."""
-
-    def __init__(self, M: ModulePresentation):
-        ring = M.ring
-        ambient = ring.ambient()
-        vecs = [groebner.vec_from_polys([ambient.retag(p) for p in col])
-                for col in M.relations]
-        vecs += groebner._ideal_rows(ring, M.rank)
-        gb = groebner._TrackedGB(vecs, ambient)
-        self.by_pos = gb.by_pos
-
-    def is_standard(self, pos: int, mono: Monomial) -> bool:
-        return not any(monomial_divides(m, mono)
-                       for m, _ in self.by_pos.get(pos, ()))
+def _standard_monomials(ring: GradedRing, z: int, leads: Sequence[Monomial]):
+    """The monomials of exact Z-degree z that no lead monomial divides."""
+    for mono in _monomials_of_zdeg(ring, z):
+        if not any(monomial_divides(lm, mono) for lm in leads):
+            yield mono
 
 
 def _standard_basis(M: ModulePresentation, zmax: int):
     """Yield (generator index, standard monomial, bidegree) for every basis
     element of M up to zdeg `zmax`, generator-major, then by zdeg."""
     ring = M.ring
-    staircase = _LeadStaircase(M)
+    by_pos = SubmoduleOracle(ring, M.relations, M.rank).gb.by_pos
     zmin = min((d.zdeg for d in M.free.bidegrees), default=0)
     for k, gdeg in enumerate(M.free.bidegrees):
+        leads = [m for m, _ in by_pos.get(k, ())]
         for z in range(min(zmin, 0), zmax + 1):
-            mono_z = z - gdeg.zdeg
-            if mono_z < 0:
-                continue
-            for mono in _monomials_of_zdeg(ring, mono_z):
-                if staircase.is_standard(k, mono):
-                    yield k, mono, ring.monomial_bidegree(mono) + gdeg
+            for mono in _standard_monomials(ring, z - gdeg.zdeg, leads):
+                yield k, mono, ring.monomial_bidegree(mono) + gdeg
 
 
 def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], int]:
@@ -584,6 +524,7 @@ class RingMorphism:
             if not target.reduce(self.apply(g)).is_zero():
                 raise ValueError(f"source ideal generator {g} does not map into the target ideal")
         self._gens_cache = None
+        self._contraction_cache = None
         self._mixed_cache = None
         self._wsrc_cache = None
         if check_finite and not self.is_module_finite():
@@ -636,11 +577,13 @@ class RingMorphism:
         return 4 * zmax
 
     def _contraction_gb(self):
-        """GB of (target ideal + variable images) in the target ambient."""
-        ambient = self.target.ambient()
-        gens = [ambient.retag(g) for g in self.target.ideal]
-        gens += [ambient.retag(img) for img in self.images]
-        return buchberger(gens, ring=ambient)
+        """GB of (target ideal + variable images) in the target ambient (cached)."""
+        if self._contraction_cache is None:
+            ambient = self.target.ambient()
+            gens = [ambient.retag(g) for g in self.target.ideal]
+            gens += [ambient.retag(img) for img in self.images]
+            self._contraction_cache = buchberger(gens, ring=ambient)
+        return self._contraction_cache
 
     def _pure_power_exponents(self) -> Optional[list[int]]:
         """Least pure power of each variable in the contraction lead ideal;
@@ -679,11 +622,8 @@ class RingMorphism:
         # every standard monomial divides the corner prod x_i^(k_i - 1)
         bound = sum(max(k - 1, 0) * d for k, d in zip(powers, self.target.zdegs))
         bound = min(bound, self._staircase_guard() * max(1, self.target.nvars))
-        found: list[Monomial] = []
-        for z in range(bound + 1):
-            for mono in _monomials_of_zdeg(ambient, z):
-                if not any(monomial_divides(lm, mono) for lm in leads):
-                    found.append(mono)
+        found = [mono for z in range(bound + 1)
+                 for mono in _standard_monomials(ambient, z, leads)]
         found.sort(key=lambda m: (self.target.monomial_bidegree(m).zdeg,
                                   self.target.order.key(m)))
         monos = tuple(found)
@@ -798,9 +738,8 @@ def restrict_along(f: RingMorphism, N: ModulePresentation) -> ModulePresentation
             col = tuple(ring_a.reduce(source_ambient.poly(comp)) for comp in comps)
             if all(p.is_zero() for p in col):
                 continue
-            key = tuple(str(p) for p in col)
-            if key not in seen:
-                seen.add(key)
+            if col not in seen:
+                seen.add(col)
                 rel_cols.append(col)
 
     keep = sorted(minimal_generating_vectors(

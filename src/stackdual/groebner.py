@@ -1,16 +1,15 @@
 """Buchberger Groebner bases, normal forms, and syzygies.
 
-Two engines live here.  The ring-level engine computes reduced Groebner
-bases of ideals with the product and chain criteria for S-pair elimination.
-The module-level engine works on vectors over a free module with a
-term-over-position order induced by the ring order, in one of two modes.
-Tracked, it records how every basis element is expressed in the input
-generators and processes every S-pair, which makes Schreyer syzygies fall
-out of the S-pair reductions and lets `lift` answer.  Span-only, it keeps
-no expressions and drops S-pairs by the chain criterion; the product
-criterion does not hold for module elements.  Quotient rings B = C/I are
-handled by lifting to the ambient ring and adjoining I times the unit
-vectors, then projecting back.
+One engine works on vectors over a free module with a term-over-position
+order induced by the ring order, in one of two modes.  Tracked, it records
+how every basis element is expressed in the input generators and processes
+every S-pair, which makes Schreyer syzygies fall out of the S-pair
+reductions and lets `lift` answer.  Span-only, it keeps no expressions and
+drops S-pairs by the chain criterion; the product criterion does not hold
+for module elements.  An ideal is a rank-1 submodule, so `buchberger` and
+`normal_form` run on the same engine.  Quotient rings B = C/I are handled
+by lifting to the ambient ring and adjoining I times the unit vectors,
+then projecting back.
 
 Everything is deterministic: pair selection, generator order and the final
 bases do not depend on dict iteration order.
@@ -29,132 +28,6 @@ from .poly import (GradedRing, Monomial, MonomialOrder, Polynomial,
                    monomial_lcm, monomial_mul)
 
 Vector = tuple[Polynomial, ...]
-
-
-# ---------------------------------------------------------------------------
-# ring-level Buchberger
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ring: GradedRing
-    order: MonomialOrder
-    generators: tuple[Polynomial, ...]
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
-def _reduce_poly(p: Polynomial, basis: Sequence[Polynomial],
-                 order: MonomialOrder) -> Polynomial:
-    """Full normal form: every term of the remainder is irreducible."""
-    if not basis:
-        return p
-    leads = [(g.leading_term(order)[0], g.leading_term(order)[1], g) for g in basis]
-    remainder = p.ring.zero()
-    current = p
-    while not current.is_zero():
-        check_deadline()
-        mono, coeff = current.leading_term(order)
-        for lm, lc, g in leads:
-            if monomial_divides(lm, mono):
-                current = current - g.scale_monomial(monomial_div(mono, lm), coeff / lc)
-                break
-        else:
-            remainder = remainder + current.ring.monomial(mono, coeff)
-            current = current - current.ring.monomial(mono, coeff)
-    return remainder
-
-
-def normal_form(p: Polynomial, gb: GroebnerBasis | Sequence[Polynomial]) -> Polynomial:
-    """Unique remainder of p modulo a (Groebner) basis; zero iff p is in the ideal."""
-    if isinstance(gb, GroebnerBasis):
-        if not p.ring.same_ambient(gb.ring):
-            raise RingMismatchError("polynomial and basis live in different rings")
-        return _reduce_poly(p, gb.generators, gb.order)
-    return _reduce_poly(p, list(gb), p.ring.order)
-
-
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    lcm = monomial_lcm(lmf, lmg)
-    return (f.scale_monomial(monomial_div(lcm, lmf), Fraction(1) / lcf)
-            - g.scale_monomial(monomial_div(lcm, lmg), Fraction(1) / lcg))
-
-
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None,
-               ring: GradedRing | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis (monic, auto-reduced, deterministically sorted).
-
-    The empty input is the zero ideal.  Pairs are discarded by the product
-    criterion (coprime leading monomials) and the chain criterion.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if ring is None:
-        if not gens:
-            raise ValueError("need a ring for the empty ideal")
-        ring = gens[0].ring
-    order = order or ring.order
-    if not gens:
-        return GroebnerBasis(ring, order, ())
-    for g in gens:
-        if not ring.same_ambient(g.ring):
-            raise RingMismatchError("generators live in different rings")
-
-    basis: list[Polynomial] = []
-    for g in sorted(gens, key=lambda q: (order.key(q.leading_term(order)[0]), str(q))):
-        r = _reduce_poly(g, basis, order)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-
-    def lead(i: int) -> Monomial:
-        return basis[i].leading_term(order)[0]
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        check_deadline()
-        i, j = min(pairs, key=lambda pq: (order.key(monomial_lcm(lead(pq[0]), lead(pq[1]))),
-                                          pq[0], pq[1]))
-        pairs.discard((i, j))
-        lcm = monomial_lcm(lead(i), lead(j))
-        if lcm == monomial_mul(lead(i), lead(j)):
-            continue  # product criterion
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lead(k), lcm):
-                continue
-            if ((min(i, k), max(i, k)) not in pairs
-                    and (min(j, k), max(j, k)) not in pairs):
-                chain = True
-                break
-        if chain:
-            continue
-        r = _reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
-
-    # minimalize: a global order makes every proper divisor strictly smaller,
-    # so processing leads in ascending order sees divisors first
-    basis.sort(key=lambda q: (order.key(q.leading_term(order)[0]), str(q)))
-    minimal: list[Polynomial] = []
-    for g in basis:
-        lm = g.leading_term(order)[0]
-        if any(monomial_divides(h.leading_term(order)[0], lm) for h in minimal):
-            continue
-        minimal.append(g)
-
-    # inter-reduce tails; leading terms are pairwise non-dividing, so they survive
-    final = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        final.append(_reduce_poly(g, others, order).monic(order))
-    final.sort(key=lambda q: order.key(q.leading_term(order)[0]), reverse=True)
-    return GroebnerBasis(ring, order, tuple(final))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +290,80 @@ def module_syzygies(vectors: Sequence[VecDict], ring: GradedRing) -> list[VecDic
 
 
 # ---------------------------------------------------------------------------
+# ideals: rank-1 modules on the same engine
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    ring: GradedRing
+    generators: tuple[Polynomial, ...]
+
+    def __iter__(self):
+        return iter(self.generators)
+
+    def __len__(self):
+        return len(self.generators)
+
+
+def _rank1(p: Polynomial) -> VecDict:
+    return {(0, m): c for m, c in p.terms.items()}
+
+
+def buchberger(gens: Sequence[Polynomial],
+               ring: GradedRing | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis under the ring's order: monic, inter-reduced,
+    sorted by descending lead.
+
+    The ideal is the rank-1 submodule spanned by the generators, so the
+    span-only module engine builds the basis.  The empty input is the zero
+    ideal.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if ring is None:
+        if not gens:
+            raise ValueError("need a ring for the empty ideal")
+        ring = gens[0].ring
+    for g in gens:
+        if not ring.same_ambient(g.ring):
+            raise RingMismatchError("generators live in different rings")
+    order = ring.order
+    gb = _TrackedGB([_rank1(g) for g in gens], ring)
+
+    # minimalize: a global order makes every proper divisor strictly smaller,
+    # so processing leads in ascending order sees divisors first
+    minimal: list[int] = []
+    for i in sorted(range(len(gb.basis)), key=lambda i: order.key(gb.leads[i][1])):
+        if not any(monomial_divides(gb.leads[k][1], gb.leads[i][1]) for k in minimal):
+            minimal.append(i)
+
+    # inter-reduce: the reduced element with lead m is m + NF(tail), and the
+    # normal form modulo any Groebner basis of the ideal is unique
+    final = []
+    for i in reversed(minimal):
+        tail = dict(gb.basis[i])
+        del tail[gb.leads[i]]
+        remainder, _ = gb.reduce(tail)
+        remainder[gb.leads[i]] = Fraction(1)
+        final.append(Polynomial(ring, {m: c for (_, m), c in remainder.items()}))
+    return GroebnerBasis(ring, tuple(final))
+
+
+def normal_form(p: Polynomial, gb: GroebnerBasis | Sequence[Polynomial]) -> Polynomial:
+    """Unique remainder of p modulo a (Groebner) basis; zero iff p is in the ideal."""
+    if isinstance(gb, GroebnerBasis):
+        if not p.ring.same_ambient(gb.ring):
+            raise RingMismatchError("polynomial and basis live in different rings")
+        order = gb.ring.order
+        gens = gb.generators
+    else:
+        order = p.ring.order
+        gens = [g.monic(order) for g in gb if not g.is_zero()]
+    by_pos = {0: [(g.leading_term(order)[0], i) for i, g in enumerate(gens)]}
+    remainder, _ = _vec_reduce(_rank1(p), [_rank1(g) for g in gens], order, by_pos)
+    return Polynomial(p.ring, {m: c for (_, m), c in remainder.items()})
+
+
+# ---------------------------------------------------------------------------
 # quotient-ring wrappers
 
 
@@ -457,10 +404,9 @@ def syzygies_over(ring: GradedRing, vectors: Sequence[Vector],
         reduced = tuple(ring.reduce(p) for p in polys)
         if all(p.is_zero() for p in reduced):
             continue
-        key = tuple(str(p) for p in reduced)
-        if key in seen:
+        if reduced in seen:
             continue
-        seen.add(key)
+        seen.add(reduced)
         out.append(reduced)
     out.sort(key=lambda v: tuple(str(p) for p in v))
     return out

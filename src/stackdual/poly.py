@@ -220,7 +220,7 @@ class GradedRing:
         presentations of the same quotient compare equal."""
         if not self.ideal:
             return ()
-        return tuple(str(g) for g in self.ideal_groebner().generators)
+        return self.ideal_groebner().generators
 
     def __eq__(self, other):
         return (isinstance(other, GradedRing) and self.signature == other.signature
@@ -305,8 +305,7 @@ class GradedRing:
         """Reduced Groebner basis of the defining ideal (cached)."""
         if self._gb_cache is None:
             from .groebner import buchberger
-            self._gb_cache = buchberger(list(self.ideal), order=self.order,
-                                        ring=self.ambient())
+            self._gb_cache = buchberger(list(self.ideal), ring=self.ambient())
             self._gb_leads = tuple(g.leading_term(self.order)[0]
                                    for g in self._gb_cache.generators)
         return self._gb_cache
@@ -378,7 +377,8 @@ class Polynomial:
         return self.ring.same_ambient(other.ring) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring.signature, tuple(sorted(self.terms.items()))))
+        # equal polynomials have equal terms; most hashed entries are zero
+        return hash(frozenset(self.terms.items())) if self.terms else 0
 
     # -- arithmetic ----------------------------------------------------------
 

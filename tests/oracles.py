@@ -1,9 +1,24 @@
-"""Independent enumeration oracles for the Hom modules of the worked maps.
+"""Independent oracles: Hom modules of the worked maps, and a reference
+Groebner basis.
 
-These were derived by hand from the explicit A-module decompositions before
-the build and deliberately avoid the Groebner engine: dimension tables come
-from counting basis elements of the known decompositions.
+The Hom oracles were derived by hand from the explicit A-module
+decompositions before the build and deliberately avoid the Groebner engine:
+dimension tables come from counting basis elements of the known
+decompositions.
+
+`reference_buchberger` is a ring-level Buchberger algorithm with the
+product and chain criteria, independent of the module engine in
+`stackdual.groebner`.  The reduced basis of an ideal under a fixed order is
+unique, so both must return the same generators.
 """
+
+from fractions import Fraction
+from typing import Sequence
+
+from stackdual.caps import check_deadline
+from stackdual.poly import (GradedRing, Monomial, MonomialOrder, Polynomial,
+                            RingMismatchError, monomial_div, monomial_divides,
+                            monomial_lcm, monomial_mul)
 
 
 def node_hom_oracle(a, i, j, alpha, beta, zmax):
@@ -64,3 +79,108 @@ def cusp_hom_oracle(zmax):
         table[(2 * k - 3, 1)] = 1
         k += 1
     return table
+
+
+# ---------------------------------------------------------------------------
+# reference ring-level Buchberger
+
+
+def _reduce_poly(p: Polynomial, basis: Sequence[Polynomial],
+                 order: MonomialOrder) -> Polynomial:
+    """Full normal form: every term of the remainder is irreducible."""
+    if not basis:
+        return p
+    leads = [(g.leading_term(order)[0], g.leading_term(order)[1], g) for g in basis]
+    remainder = p.ring.zero()
+    current = p
+    while not current.is_zero():
+        check_deadline()
+        mono, coeff = current.leading_term(order)
+        for lm, lc, g in leads:
+            if monomial_divides(lm, mono):
+                current = current - g.scale_monomial(monomial_div(mono, lm), coeff / lc)
+                break
+        else:
+            remainder = remainder + current.ring.monomial(mono, coeff)
+            current = current - current.ring.monomial(mono, coeff)
+    return remainder
+
+
+def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    lmf, lcf = f.leading_term(order)
+    lmg, lcg = g.leading_term(order)
+    lcm = monomial_lcm(lmf, lmg)
+    return (f.scale_monomial(monomial_div(lcm, lmf), Fraction(1) / lcf)
+            - g.scale_monomial(monomial_div(lcm, lmg), Fraction(1) / lcg))
+
+
+def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None,
+                         ring: GradedRing | None = None) -> tuple[Polynomial, ...]:
+    """Reduced Groebner basis (monic, auto-reduced, sorted by descending
+    lead), as a tuple of generators.
+
+    The empty input is the zero ideal.  Pairs are discarded by the product
+    criterion (coprime leading monomials) and the chain criterion.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if ring is None:
+        if not gens:
+            raise ValueError("need a ring for the empty ideal")
+        ring = gens[0].ring
+    order = order or ring.order
+    if not gens:
+        return ()
+    for g in gens:
+        if not ring.same_ambient(g.ring):
+            raise RingMismatchError("generators live in different rings")
+
+    basis: list[Polynomial] = []
+    for g in sorted(gens, key=lambda q: (order.key(q.leading_term(order)[0]), str(q))):
+        r = _reduce_poly(g, basis, order)
+        if not r.is_zero():
+            basis.append(r.monic(order))
+
+    def lead(i: int) -> Monomial:
+        return basis[i].leading_term(order)[0]
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    while pairs:
+        check_deadline()
+        i, j = min(pairs, key=lambda pq: (order.key(monomial_lcm(lead(pq[0]), lead(pq[1]))),
+                                          pq[0], pq[1]))
+        pairs.discard((i, j))
+        lcm = monomial_lcm(lead(i), lead(j))
+        if lcm == monomial_mul(lead(i), lead(j)):
+            continue  # product criterion
+        chain = False
+        for k in range(len(basis)):
+            if k in (i, j) or not monomial_divides(lead(k), lcm):
+                continue
+            if ((min(i, k), max(i, k)) not in pairs
+                    and (min(j, k), max(j, k)) not in pairs):
+                chain = True
+                break
+        if chain:
+            continue
+        r = _reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            basis.append(r.monic(order))
+            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+
+    # minimalize: a global order makes every proper divisor strictly smaller,
+    # so processing leads in ascending order sees divisors first
+    basis.sort(key=lambda q: (order.key(q.leading_term(order)[0]), str(q)))
+    minimal: list[Polynomial] = []
+    for g in basis:
+        lm = g.leading_term(order)[0]
+        if any(monomial_divides(h.leading_term(order)[0], lm) for h in minimal):
+            continue
+        minimal.append(g)
+
+    # inter-reduce tails; leading terms are pairwise non-dividing, so they survive
+    final = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1:]
+        final.append(_reduce_poly(g, others, order).monic(order))
+    final.sort(key=lambda q: order.key(q.leading_term(order)[0]), reverse=True)
+    return tuple(final)

@@ -286,6 +286,7 @@ def test_criterion_10_deterministic_reports():
 LARGE_BASIS_GOLDENS = {
     "node-a7-i2-j3": ({"a": 7, "i": 2, "j": 3}, None),
     "node-a5-depth10": ({"a": 5}, 10),
+    "node-a13-i5-j7": ({"a": 13, "i": 5, "j": 7}, None),
 }
 
 

@@ -108,6 +108,15 @@ def test_weight_outside_group_rejected():
         parse_session("ring B = Q[x] group 3 weights {x:5}")
 
 
+def test_weight_outside_group_points_at_the_entry():
+    with pytest.raises(ParseError) as err:
+        parse_session("ring A = Q[u]\n"
+                      "ring B = Q[x,y] group 3 weights {x:1, y:5}")
+    [diag] = err.value.diagnostics
+    assert (diag.line, diag.col) == (2, 39)
+    assert diag.message == "weight of y outside [0, 3)"
+
+
 def test_arity_mismatch_reported():
     with pytest.raises(ParseError) as err:
         parse_session("""

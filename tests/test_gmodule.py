@@ -1,15 +1,14 @@
-"""Module presentations and their algebra: kernels, Hom, tensor, exterior
-powers, twists, minimal presentations, Hilbert tables, invariant parts, and
-restriction of scalars."""
+"""Module presentations and their algebra: kernels, Hom, twists, minimal
+presentations, Hilbert tables, invariant parts, and restriction of
+scalars."""
 
 import pytest
 
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
-                               exterior_power, hilbert_function, hom_module,
-                               invariant_part, kernel, minimalize,
-                               restrict_along, tensor, twist)
+                               hilbert_function, hom_module, invariant_part,
+                               kernel, minimalize, restrict_along, twist)
 from stackdual.poly import Bidegree, GradedRing
 
 
@@ -112,32 +111,7 @@ def test_hom_node_module_matches_restriction():
     assert {k: v for k, v in table.items() if k[0] >= 0} == b_table
 
 
-# -- tensor, exterior, twist ---------------------------------------------------
-
-
-def test_tensor_with_ring_is_identity(node_ring):
-    x, y = node_ring.var("x"), node_ring.var("y")
-    M = ModulePresentation(
-        FreeModule(node_ring, (node_ring.degree_zero(),)), [(x,)])
-    T = tensor(M, structure(node_ring))
-    assert hilbert_function(T, 8) == hilbert_function(M, 8)
-
-
-def test_top_wedge_adds_bidegrees(qxy):
-    F = FreeModule(qxy, (Bidegree(1, 0, 1), Bidegree(4, 0, 1)))
-    top = exterior_power(F, 2)
-    assert top.rank == 1 and top.free.bidegrees[0] == Bidegree(5, 0, 1)
-    with pytest.raises(ValueError):
-        exterior_power(F, 3)
-
-
-def test_first_wedge_of_hypersurface_conormal():
-    C = GradedRing(["x", "y", "z"], zdegs=[1, 4, 6])
-    x, y, z = C.var("x"), C.var("y"), C.var("z")
-    f = z * x ** 2 - y ** 2
-    conormal = FreeModule(C, (f.bidegree(),))
-    w = exterior_power(conormal, 1)
-    assert w.rank == 1 and w.free.bidegrees[0].zdeg == 8
+# -- twist ------------------------------------------------------------------------
 
 
 def test_twist_conventions(node_ring):

@@ -46,8 +46,8 @@ def test_triple_point_lex_basis_contains_hand_spair(uvt):
     # S(uv - t^2, ut - v^2) = v^3 - t^3 under lex u>v>t; it survives into
     # the reduced lex basis and lies in the ideal for any order
     u, v, t = uvt.var("u"), uvt.var("v"), uvt.var("t")
-    lex = MonomialOrder("lex")
-    gb = buchberger(triple_gens(uvt), order=lex)
+    lex_ring = GradedRing(["u", "v", "t"], order=MonomialOrder("lex"))
+    gb = buchberger(triple_gens(lex_ring))
     assert "v^3 - t^3" in {str(g) for g in gb.generators}
     grevlex_gb = buchberger(triple_gens(uvt))
     assert normal_form(v ** 3 - t ** 3, grevlex_gb).is_zero()
@@ -58,6 +58,8 @@ def test_normal_form_generator_reduces_to_zero(qxy):
     gb = buchberger([x * y])
     assert normal_form(x * y, gb).is_zero()
     assert normal_form(x ** 3, gb) == x ** 3
+    # a plain generator list need not be monic
+    assert normal_form(x ** 2 * y + x ** 3, [2 * x * y]) == x ** 3
 
 
 def test_normal_form_uvt(uvt):
