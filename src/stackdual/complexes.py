@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
-                      minimalize, subquotient, vector_bidegree)
-from .groebner import Vector, syzygies_over
+                      kernel_with_inclusion, minimalize, precompose_columns,
+                      subquotient)
+from .groebner import (Vector, minimal_generating_vectors, syzygies_over,
+                       vector_bidegree)
 from .poly import GradedRing, Polynomial
 
 DEFAULT_DEPTH = 6
@@ -71,7 +73,7 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
     sum of the bidegrees of the chosen elements, and the differential is the
     standard contraction with alternating signs.
     """
-    seq = [ring.reduce(ring.retag(f)) for f in seq]
+    seq = [ring.reduce(f) for f in seq]
     degs = []
     for f in seq:
         d = f.bidegree()
@@ -141,9 +143,7 @@ def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
         columns.append(current_cols)
         if i == depth:
             break
-        syz = syzygies_over(ring, list(current_cols),
-                            rank=terms[i - 1].rank)
-        from .groebner import minimal_generating_vectors
+        syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
         degs = [vector_bidegree(v, current_degs, ring) for v in syz]
         keep = sorted(minimal_generating_vectors(ring, syz, len(current_cols), degs))
         current_cols = tuple(syz[k] for k in keep)
@@ -183,25 +183,13 @@ def hom_complex(C: ChainComplex, N: ModulePresentation) -> ChainComplex:
             raise ValueError("hom_complex needs a complex of free modules")
     if C.direction != "chain":
         raise ValueError("hom_complex expects a chain complex")
-    ring = C.ring
     terms = [hom_free_into(t.free, N) for t in C.terms]
     maps: dict[int, ModuleMap] = {}
-    nr = N.rank
     for i in range(1, C.length + 1):
-        d = C.maps[i]                      # C_i -> C_{i-1}
-        src_rank = C.terms[i - 1].rank     # Hom(C_{i-1}, N) -> Hom(C_i, N)
-        tgt_rank = C.terms[i].rank
-        cols: list[Vector] = []
-        for k in range(src_rank):
-            for l in range(nr):
-                vec = [ring.zero()] * (tgt_rank * nr)
-                for j in range(tgt_rank):
-                    entry = d.columns[j][k]
-                    if not entry.is_zero():
-                        vec[j * nr + l] = entry
-                cols.append(tuple(vec))
+        # C_i -> C_{i-1} dualizes to Hom(C_{i-1}, N) -> Hom(C_i, N)
+        cols = precompose_columns(C.maps[i].columns, C.terms[i - 1].rank, N)
         maps[i - 1] = ModuleMap(terms[i - 1], terms[i], cols, check=False)
-    return ChainComplex(ring, terms, maps, direction="cochain",
+    return ChainComplex(C.ring, terms, maps, direction="cochain",
                         truncated_at=C.truncated_at, finite=C.finite)
 
 
@@ -222,7 +210,6 @@ def homology_with_inclusion(C: ChainComplex, i: int
     if out_map is None:
         cycle_gens = [term.free.unit_vector(j) for j in range(term.rank)]
     else:
-        from .gmodule import kernel_with_inclusion
         _, cycle_gens = kernel_with_inclusion(out_map)
         cycle_gens = list(cycle_gens)
 

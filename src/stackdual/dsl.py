@@ -374,7 +374,7 @@ class _Parser:
         self.end_statement()
 
         for v, w in weights.items():
-            if group > 1 and not (0 <= w < group):
+            if not 0 <= w < group:
                 self.diagnostics.append(Diagnostic(
                     weight_toks[v].line, weight_toks[v].col,
                     f"weight of {v} outside [0, {group})"))

@@ -244,7 +244,7 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
         raise ValueError("ext_dualizing needs a regular ambient ring")
     if omega.ring != C:
         raise RingMismatchError("omega must live over the ambient ring")
-    gens = [C.reduce(C.retag(g)) for g in ideal_gens]
+    gens = [C.reduce(g) for g in ideal_gens]
     gens = [g for g in gens if not g.is_zero()]
     ring_b = C.quotient(gens, name=f"{C.name}/I") if gens else C
     pres = ModulePresentation(FreeModule(C, (C.degree_zero(),)),
@@ -257,9 +257,8 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
             out.append((i, ModulePresentation.zero(ring_b)))
             continue
         h = homology(hc, i)
-        over_b = ModulePresentation(
-            FreeModule(ring_b, h.free.bidegrees),
-            [tuple(ring_b.retag(p) for p in col) for col in h.relations])
+        over_b = ModulePresentation(FreeModule(ring_b, h.free.bidegrees),
+                                    h.relations)
         out.append((i, minimalize(over_b)))
     return out
 
@@ -276,7 +275,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     """
     if omega.rank != 1 or omega.relations:
         raise ValueError("omega must be free of rank one")
-    seq = [C.reduce(C.retag(g)) for g in seq]
+    seq = [C.reduce(g) for g in seq]
     r = len(seq)
     kc = koszul(C, seq)
     for i in range(1, r + 1):
@@ -320,7 +319,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
 def _combinatorial_dimension(C: GradedRing, ideal_gens: Sequence[Polynomial]) -> int:
     """Krull dimension of C/I from independent sets of the lead ideal."""
     from .groebner import buchberger
-    gens = [C.ambient().retag(g) for g in ideal_gens if not g.is_zero()]
+    gens = [g for g in ideal_gens if not g.is_zero()]
     if not gens:
         return C.nvars
     gb = buchberger(gens, ring=C.ambient())
@@ -378,9 +377,8 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
             raise ValueError(
                 f"image of {f.source.variables[idx]} has nonzero weight")
     if omega_b.ring != f.target:
-        omega_b = ModulePresentation(
-            FreeModule(f.target, omega_b.free.bidegrees),
-            [tuple(f.target.retag(p) for p in col) for col in omega_b.relations])
+        omega_b = ModulePresentation(FreeModule(f.target, omega_b.free.bidegrees),
+                                     omega_b.relations)
     dims_b, _ = invariant_part(omega_b, bound)
     if omega_a.ring.ambient().signature == f.source.ambient().signature:
         omega_a = f.transport_module(omega_a)

@@ -8,7 +8,7 @@ Hilbert tables, invariant (weight-zero) parts, and restriction of scalars
 along a module-finite ring map.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent evaluation is safe.
+function.
 """
 
 from __future__ import annotations
@@ -18,29 +18,11 @@ from typing import Optional, Sequence
 
 from . import groebner
 from .groebner import (SubmoduleOracle, Vector, buchberger,
-                       minimal_generating_vectors, normal_form, syzygies_over)
+                       minimal_generating_vectors, normal_form, syzygies_over,
+                       vector_bidegree)
 from .poly import (Bidegree, GradedRing, Monomial, Polynomial,
                    RingMismatchError, _EliminationOrder, monomial_divides,
                    substitute)
-
-
-def vector_bidegree(vec: Sequence[Polynomial], gen_bidegrees: Sequence[Bidegree],
-                    ring: GradedRing) -> Optional[Bidegree]:
-    """Common bidegree of a homogeneous vector (entry degree + generator
-    degree must agree across components); None if inhomogeneous or zero."""
-    found: Optional[Bidegree] = None
-    for p, gdeg in zip(vec, gen_bidegrees):
-        if p.is_zero():
-            continue
-        d = p.bidegree()
-        if d is None:
-            return None
-        total = d + gdeg
-        if found is None:
-            found = total
-        elif found != total:
-            return None
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +65,14 @@ class ModulePresentation:
         for col in relations:
             if len(col) != free.rank:
                 raise ValueError("relation length differs from the rank")
-            reduced = tuple(self.ring.reduce(self.ring.retag(p)) for p in col)
+            reduced = tuple(self.ring.reduce(p) for p in col)
             if all(p.is_zero() for p in reduced):
                 continue
             d = vector_bidegree(reduced, free.bidegrees, self.ring)
             if d is None:
                 raise ValueError("inhomogeneous relation column")
             # normalize the column monic in the term-over-position order
-            _, lc = groebner._vec_lead(groebner.vec_from_polys(reduced),
+            _, lc = groebner._vec_lead(groebner.vec_from_polys(reduced, self.ring),
                                        self.ring.order)
             if lc != 1:
                 reduced = tuple(p / lc for p in reduced)
@@ -148,7 +130,7 @@ class ModuleMap:
         self.target = target
         self.ring = source.ring
         self.columns = tuple(
-            tuple(self.ring.reduce(self.ring.retag(p)) for p in col)
+            tuple(self.ring.reduce(p) for p in col)
             for col in columns)
         if len(self.columns) != source.rank:
             raise ValueError("need one column per source generator")
@@ -199,23 +181,12 @@ class ModuleMap:
 
 def kernel_with_inclusion(f: ModuleMap) -> tuple[ModulePresentation, tuple[Vector, ...]]:
     """Presentation of ker f plus the generators as vectors in the source."""
-    ring = f.ring
-    mapped = [f.apply_to_vector(f.source.free.unit_vector(j))
-              for j in range(f.source.rank)]
-    combined = list(mapped) + list(f.target.relations)
-    raw = syzygies_over(ring, combined, rank=f.target.rank) if combined else []
-    gens: list[Vector] = []
-    seen = set()
-    for syz in raw:
-        head = tuple(syz[:f.source.rank])
-        head = tuple(ring.reduce(p) for p in head)
-        if all(p.is_zero() for p in head):
-            continue
-        if head not in seen:
-            seen.add(head)
-            gens.append(head)
+    units = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
     if f.target.rank == 0:
-        gens = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
+        gens = units
+    else:
+        gens = syzygies_over(f.ring, [f.apply_to_vector(u) for u in units],
+                             f.target.rank, f.target.relations)
     return subquotient(gens, [], f.source)
 
 
@@ -233,7 +204,7 @@ def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
     """
     ring = within.ring
     free = within.free
-    gens = [tuple(ring.reduce(ring.retag(p)) for p in g) for g in gens]
+    gens = [tuple(ring.reduce(p) for p in g) for g in gens]
     degs = [vector_bidegree(g, free.bidegrees, ring) for g in gens]
     if any(d is None and any(not p.is_zero() for p in g) for g, d in zip(gens, degs)):
         raise ValueError("inhomogeneous subquotient generator")
@@ -248,17 +219,10 @@ def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
     if not kept_gens:
         return ModulePresentation(out_free), ()
 
-    # relations on the kept generators: any combination landing in the span
-    # of subs + ambient relations shows up as the head of a syzygy of the
-    # combined list, and every such combination arises this way
-    combined = kept_gens + context
-    raw = syzygies_over(ring, combined, rank=free.rank)
-    rel_cols: list[Vector] = []
-    for syz in raw:
-        head = tuple(ring.reduce(p) for p in syz[:len(kept_gens)])
-        if any(not p.is_zero() for p in head):
-            rel_cols.append(head)
-    pres = ModulePresentation(out_free, rel_cols)
+    # relations on the kept generators: the combinations landing in the
+    # span of subs + ambient relations
+    pres = ModulePresentation(out_free,
+                              syzygies_over(ring, kept_gens, free.rank, context))
     pres, kept2 = minimalize_with_tracking(pres)
     return pres, tuple(kept_gens[i] for i in kept2)
 
@@ -289,7 +253,8 @@ def hom_with_inclusion(M: ModulePresentation, N: ModulePresentation
         return pres, tuple(incl[i] for i in kept)
     f1 = FreeModule(M.ring, M.relation_bidegrees)
     hom1 = hom_free_into(f1, N)
-    d = precompose_matrix(M, f1, N, hom0, hom1)
+    d = ModuleMap(hom0, hom1, precompose_columns(M.relations, M.rank, N),
+                  check=False)
     return kernel_with_inclusion(d)
 
 
@@ -313,21 +278,22 @@ def hom_free_into(F: FreeModule, N: ModulePresentation) -> ModulePresentation:
     return ModulePresentation(FreeModule(ring, tuple(degs)), rels)
 
 
-def precompose_matrix(M: ModulePresentation, F1: FreeModule, N: ModulePresentation,
-                      hom0: ModulePresentation, hom1: ModulePresentation) -> ModuleMap:
-    """Hom(F0, N) -> Hom(F1, N), phi -> phi o d, for d the relation matrix."""
-    ring = M.ring
-    zero = ring.zero()
+def precompose_columns(columns: Sequence[Vector], rank: int,
+                       N: ModulePresentation) -> list[Vector]:
+    """Columns of Hom(F0, N) -> Hom(F1, N), phi -> phi o d, for d: F1 -> F0
+    given by its `columns` over F0 of rank `rank`; generators of both Hom
+    modules are ordered as in `hom_free_into`."""
+    zero = N.ring.zero()
     cols: list[Vector] = []
-    for k in range(M.free.rank):          # source index pair (k, l)
+    for k in range(rank):                 # source index pair (k, l)
         for l in range(N.rank):
-            vec = [zero] * (F1.rank * N.rank)
-            for t, col in enumerate(M.relations):
+            vec = [zero] * (len(columns) * N.rank)
+            for t, col in enumerate(columns):
                 entry = col[k]
                 if not entry.is_zero():
                     vec[t * N.rank + l] = entry
             cols.append(tuple(vec))
-    return ModuleMap(hom0, hom1, cols, check=False)
+    return cols
 
 
 def twist(M: ModulePresentation, d: Bidegree) -> ModulePresentation:
@@ -506,7 +472,7 @@ class RingMorphism:
         if target.group_order % source.group_order != 0:
             raise ValueError("source group order must divide the target's")
         self.multiplier = target.group_order // source.group_order
-        self.images = tuple(target.reduce(target.retag(p)) for p in images)
+        self.images = tuple(target.reduce(p) for p in images)
         for idx, img in enumerate(self.images):
             d = img.bidegree()
             if d is None:
@@ -579,10 +545,8 @@ class RingMorphism:
     def _contraction_gb(self):
         """GB of (target ideal + variable images) in the target ambient (cached)."""
         if self._contraction_cache is None:
-            ambient = self.target.ambient()
-            gens = [ambient.retag(g) for g in self.target.ideal]
-            gens += [ambient.retag(img) for img in self.images]
-            self._contraction_cache = buchberger(gens, ring=ambient)
+            gens = list(self.target.ideal) + list(self.images)
+            self._contraction_cache = buchberger(gens, ring=self.target.ambient())
         return self._contraction_cache
 
     def _pure_power_exponents(self) -> Optional[list[int]]:
@@ -716,14 +680,12 @@ def restrict_along(f: RingMorphism, N: ModulePresentation) -> ModulePresentation
             vec[pos] = g
             context.append(tuple(vec))
 
-    raw = syzygies_over(mixed, gen_vecs + context, rank=N.rank)
+    projected = syzygies_over(mixed, gen_vecs, N.rank, context)
     ngen = len(gen_vecs)
-    projected = [tuple(s[:ngen]) for s in raw
-                 if any(not p.is_zero() for p in s[:ngen])]
 
     # eliminate the target block: Groebner basis of the projected module in
     # the term-over-position elimination order, keep target-free elements
-    vecs = [groebner.vec_from_polys(v) for v in projected]
+    vecs = [groebner.vec_from_polys(v, mixed) for v in projected]
     rel_cols: list[Vector] = []
     if vecs:
         gb = groebner._TrackedGB(vecs, mixed)

@@ -23,11 +23,30 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .caps import check_deadline
-from .poly import (GradedRing, Monomial, MonomialOrder, Polynomial,
+from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
                    RingMismatchError, monomial_div, monomial_divides,
                    monomial_lcm, monomial_mul)
 
 Vector = tuple[Polynomial, ...]
+
+
+def vector_bidegree(vec: Sequence[Polynomial], gen_bidegrees: Sequence[Bidegree],
+                    ring: GradedRing) -> Optional[Bidegree]:
+    """Common bidegree of a homogeneous vector (entry degree + generator
+    degree must agree across components); None if inhomogeneous or zero."""
+    found: Optional[Bidegree] = None
+    for p, gdeg in zip(vec, gen_bidegrees):
+        if p.is_zero():
+            continue
+        d = p.bidegree()
+        if d is None:
+            return None
+        total = d + gdeg
+        if found is None:
+            found = total
+        elif found != total:
+            return None
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +62,12 @@ Vector = tuple[Polynomial, ...]
 VecDict = dict[tuple[int, Monomial], Fraction]
 
 
-def vec_from_polys(polys: Sequence[Polynomial]) -> VecDict:
+def vec_from_polys(polys: Sequence[Polynomial], ring: GradedRing) -> VecDict:
+    """The entries as one vector; each must share `ring`'s ambient signature."""
     out: VecDict = {}
     for pos, p in enumerate(polys):
+        if p.ring is not ring and not ring.same_ambient(p.ring):
+            raise RingMismatchError(f"vector entry {p} does not live over {ring!r}")
         for m, c in p.terms.items():
             out[(pos, m)] = c
     return out
@@ -376,35 +398,28 @@ def _ideal_rows(ring: GradedRing, rank: int) -> list[VecDict]:
     return rows
 
 
-def _vector_rank(vectors: Sequence[Vector]) -> int:
-    return len(vectors[0]) if vectors else 0
+def syzygies_over(ring: GradedRing, vectors: Sequence[Vector], rank: int,
+                  context: Sequence[Vector] = ()) -> list[Vector]:
+    """Relations among `vectors` modulo span(context) + I * R^rank, for I the
+    ideal of the (possibly quotient) ring and every vector of length `rank`.
 
-
-def syzygies_over(ring: GradedRing, vectors: Sequence[Vector],
-                  rank: int | None = None) -> list[Vector]:
-    """Generators of the syzygy module over a possibly-quotient ring.
-
-    Entries of the result are reduced modulo the ring ideal; zero vectors
-    are dropped.  No minimalization happens at this level.
+    A relation is a tuple a, one entry per vector, with sum_i a_i *
+    vectors[i] in that submodule; the result generates all of them.  Entries
+    are reduced modulo I, zero and repeated relations are dropped, and the
+    rest are sorted by their printed entries.  No minimalization happens at
+    this level.
     """
     if not vectors:
         return []
-    if rank is None:
-        rank = _vector_rank(vectors)
     ambient = ring.ambient()
-    vecs = [vec_from_polys([ambient.retag(p) for p in v]) for v in vectors]
-    nin = len(vecs)
-    augmented = vecs + _ideal_rows(ring, rank)
-    raw = module_syzygies(augmented, ambient)
+    rows = [vec_from_polys(v, ambient) for v in (*vectors, *context)]
+    nin = len(vectors)
     out: list[Vector] = []
     seen = set()
-    for s in raw:
-        head = {(pos, m): c for (pos, m), c in s.items() if pos < nin}
-        polys = vec_to_polys(head, nin, ambient)
-        reduced = tuple(ring.reduce(p) for p in polys)
-        if all(p.is_zero() for p in reduced):
-            continue
-        if reduced in seen:
+    for s in module_syzygies(rows + _ideal_rows(ring, rank), ambient):
+        head = vec_to_polys({k: c for k, c in s.items() if k[0] < nin}, nin, ambient)
+        reduced = tuple(ring.reduce(p) for p in head)
+        if reduced in seen or all(p.is_zero() for p in reduced):
             continue
         seen.add(reduced)
         out.append(reduced)
@@ -435,7 +450,7 @@ class SubmoduleOracle:
                                              + [None] * len(ideal_rows))
 
     def _vec(self, v: Vector) -> VecDict:
-        return vec_from_polys([self.ambient.retag(p) for p in v])
+        return vec_from_polys(v, self.ambient)
 
     def contains(self, v: Vector) -> bool:
         return self.gb.contains(self._vec(v))
@@ -535,11 +550,10 @@ def syzygies(rows: Sequence[Vector | Polynomial], ring: GradedRing | None = None
         ring = norm_rows[0][0].ring
     if not norm_rows:
         return SyzygyModule(ring, 0, (), ())
-    rank = _vector_rank(norm_rows)
+    rank = len(norm_rows[0])
     if any(len(r) != rank for r in norm_rows):
         raise ValueError("rows of different lengths")
 
-    from .gmodule import vector_bidegree
     free_degs = (tuple(gen_bidegrees) if gen_bidegrees is not None
                  else tuple(ring.degree_zero() for _ in range(rank)))
     row_degs = []
@@ -549,7 +563,7 @@ def syzygies(rows: Sequence[Vector | Polynomial], ring: GradedRing | None = None
             raise ValueError("syzygies: inhomogeneous input row")
         row_degs.append(d if d is not None else ring.degree_zero())
 
-    result = syzygies_over(ring, norm_rows, rank=rank)
+    result = syzygies_over(ring, norm_rows, rank)
     keep = sorted(minimal_generating_vectors(
         ring, result, len(norm_rows),
         [vector_bidegree(v, tuple(row_degs), ring) for v in result]))

@@ -311,24 +311,18 @@ class GradedRing:
         return self._gb_cache
 
     def reduce(self, p: "Polynomial") -> "Polynomial":
-        """Normal form of p modulo the defining ideal."""
-        if not self.ideal:
-            return p if p.ring is self else Polynomial(self, dict(p.terms))
+        """Normal form of p modulo the defining ideal, as an element of this
+        ring.  This is where a polynomial enters a ring: p must share the
+        ambient signature, or RingMismatchError is raised."""
         if p.ring is not self and not self.same_ambient(p.ring):
-            raise RingMismatchError("polynomial and basis live in different rings")
-        gb = self.ideal_groebner()
-        leads = self._gb_leads
-        if not any(monomial_divides(lm, m) for m in p.terms for lm in leads):
-            # no term is reducible, so p is its own normal form
-            return p if p.ring is self else Polynomial(self, dict(p.terms))
-        from .groebner import normal_form
-        return Polynomial(self, dict(normal_form(p, gb).terms))
-
-    def retag(self, p: "Polynomial") -> "Polynomial":
-        """Reinterpret a polynomial of the same ambient signature in this ring."""
-        if not self.same_ambient(p.ring):
-            raise RingMismatchError(f"cannot retag {p} into {self!r}")
-        return Polynomial(self, dict(p.terms))
+            raise RingMismatchError(f"{p} does not live in {self!r}")
+        if self.ideal:
+            gb = self.ideal_groebner()
+            # a polynomial with no reducible term is its own normal form
+            if any(monomial_divides(lm, m) for m in p.terms for lm in self._gb_leads):
+                from .groebner import normal_form
+                return Polynomial(self, dict(normal_form(p, gb).terms))
+        return p if p.ring is self else Polynomial(self, dict(p.terms))
 
     def reinterpret(self, p: "Polynomial") -> "Polynomial":
         """Reinterpret by raw terms only (for regrading along a ring map)."""

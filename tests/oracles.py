@@ -10,6 +10,9 @@ decompositions.
 product and chain criteria, independent of the module engine in
 `stackdual.groebner`.  The reduced basis of an ideal under a fixed order is
 unique, so both must return the same generators.
+
+`reference_relations_modulo` projects the syzygies of vectors + context by
+hand, without the `context` argument of `syzygies_over`.
 """
 
 from fractions import Fraction
@@ -184,3 +187,21 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
         final.append(_reduce_poly(g, others, order).monic(order))
     final.sort(key=lambda q: order.key(q.leading_term(order)[0]), reverse=True)
     return tuple(final)
+
+
+# ---------------------------------------------------------------------------
+# reference projection of syzygy heads
+
+
+def reference_relations_modulo(ring: GradedRing, vectors, rank: int,
+                               context) -> set:
+    """Relations among `vectors` modulo span(context) + I * R^rank, as a set:
+    the syzygies of vectors + context cut to their first len(vectors)
+    entries, reduced modulo the ring ideal, zero heads dropped."""
+    from stackdual.groebner import syzygies_over
+    heads = set()
+    for syz in syzygies_over(ring, list(vectors) + list(context), rank):
+        head = tuple(ring.reduce(p) for p in syz[:len(vectors)])
+        if any(not p.is_zero() for p in head):
+            heads.add(head)
+    return heads

@@ -295,3 +295,15 @@ def test_large_basis_reports_match_goldens():
         text = preset_session("node", **params)
         got = run_session(parse_session(text), default_depth=depth).to_json()
         assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
+
+
+# Ext of the degree-4 rational normal curve: its Ext^3 relations come from
+# tracked module bases, so they pin the S-pairs those bases process
+SESSION_GOLDENS = ("rnc4-ext-1",)
+
+
+def test_session_reports_match_goldens():
+    for name in SESSION_GOLDENS:
+        text = (GOLDEN / f"{name}.session").read_text(encoding="utf-8")
+        got = run_session(parse_session(text)).to_json()
+        assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name

@@ -117,6 +117,13 @@ def test_weight_outside_group_points_at_the_entry():
     assert diag.message == "weight of y outside [0, 3)"
 
 
+def test_weight_without_group_points_at_the_entry():
+    with pytest.raises(ParseError) as err:
+        parse_session("ring B = Q[x,y] weights {x:5, y:2}\nhilbert B max 2")
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (1, 26, "weight of x outside [0, 1)"), (1, 31, "weight of y outside [0, 1)")]
+
+
 def test_arity_mismatch_reported():
     with pytest.raises(ParseError) as err:
         parse_session("""

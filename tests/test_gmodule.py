@@ -9,7 +9,8 @@ from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
                                hilbert_function, hom_module, invariant_part,
                                kernel, minimalize, restrict_along, twist)
-from stackdual.poly import Bidegree, GradedRing
+from stackdual.groebner import SubmoduleOracle, syzygies_over
+from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 
 
 def structure(ring):
@@ -77,6 +78,21 @@ def test_ill_defined_map_rejected(node_ring, qxy):
     N = structure(qxy)
     with pytest.raises(ValueError):
         ModuleMap(M, N, [(qxy.one(),)])  # does not kill x
+
+
+def test_foreign_ring_entries_rejected(node_ring):
+    foreign = (GradedRing(["a", "b"]).var("a"),)
+    M = structure(node_ring)
+    with pytest.raises(RingMismatchError):
+        ModulePresentation(M.free, [foreign])
+    with pytest.raises(RingMismatchError):
+        ModuleMap(M, M, [foreign])
+    with pytest.raises(RingMismatchError):
+        SubmoduleOracle(node_ring, [foreign], 1)
+    with pytest.raises(RingMismatchError):
+        SubmoduleOracle(node_ring, [(node_ring.var("x"),)], 1).contains(foreign)
+    with pytest.raises(RingMismatchError):
+        syzygies_over(node_ring, [(node_ring.var("x"),)], 1, context=[foreign])
 
 
 # -- hom ----------------------------------------------------------------------

@@ -32,6 +32,14 @@ def test_ring_mismatch_raises(qxy):
         multiply(qxy.var("x"), other.var("a"))
 
 
+def test_reduce_rejects_a_foreign_polynomial():
+    R = GradedRing(["x", "y"])
+    foreign = GradedRing(["a", "b", "c"]).var("c")
+    for ring in (R, R.quotient([R.var("x") * R.var("y")])):
+        with pytest.raises(RingMismatchError):
+            ring.reduce(foreign)
+
+
 def test_leading_term_degrevlex_tie():
     R = GradedRing(["u", "v", "t"])
     u, v, t = R.var("u"), R.var("v"), R.var("t")

@@ -6,7 +6,8 @@ idempotence and linearity, reduced-basis uniqueness under permutation,
 the module-engine ideal basis against a ring-level reference Buchberger,
 Koszul exactness for regular sequences, d o d = 0 with bihomogeneous
 matrices on every constructed complex, the incremental span oracle
-against a fresh oracle per candidate, span-only module Groebner bases
+against a fresh oracle per candidate, relations modulo a context against
+the hand projection of the full syzygies, span-only module Groebner bases
 against tracked ones, and the quotient-ring reduction fast path against
 the full normal form.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_buchberger
+from oracles import reference_buchberger, reference_relations_modulo
 from stackdual.complexes import hom_complex, homology, koszul, resolve
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModulePresentation, hilbert_function,
@@ -25,7 +26,7 @@ from stackdual.gmodule import (FreeModule, ModulePresentation, hilbert_function,
 from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
-                                syzygies)
+                                syzygies, syzygies_over)
 from stackdual.poly import GradedRing, MonomialOrder, monomial_divides
 from stackdual.presets import preset_session
 
@@ -337,6 +338,17 @@ def test_minimal_generating_vectors_matches_fresh_oracle_greedy():
     assert dropped > 0
 
 
+def test_syzygies_over_context_matches_hand_projection():
+    instances = span_instances(40, SEED + 13)
+    assert any(ring.ideal for ring, *_ in instances)
+    assert any(context for _, _, context, _ in instances)
+    for ring, cands, context, rank in instances:
+        got = syzygies_over(ring, cands, rank, context=context)
+        assert len(set(got)) == len(got)
+        assert got == sorted(got, key=lambda v: tuple(str(p) for p in v))
+        assert set(got) == reference_relations_modulo(ring, cands, rank, context)
+
+
 def test_oracle_lift_after_extends():
     rng = random.Random(SEED + 8)
     for ring, cands, context, rank in span_instances(20, SEED + 9):
@@ -425,11 +437,10 @@ def test_ring_reduce_matches_normal_form():
         ring = random_quotient(rng, random_ring(rng))
         gb = ring.ideal_groebner()
         for _ in range(3):
-            p = ring.ambient().retag(random_poly(rng, ring, max_terms=4))
+            p = ring.ambient().poly(random_poly(rng, ring, max_terms=4).terms)
             for q in (p, normal_form(p, gb)):
                 expected = normal_form(q, gb)
                 kinds.add(expected == q)
                 got = ring.reduce(q)
                 assert got.ring is ring and got.terms == expected.terms
-                assert ring.reduce(ring.retag(q)).terms == expected.terms
     assert kinds == {True, False}   # both reducible and reduced inputs
