@@ -5,7 +5,7 @@ from .poly import Bidegree, GradedRing, MonomialOrder, Polynomial
 from .gmodule import (FreeModule, ModuleMap, ModulePresentation, RingMorphism,
                       hilbert_function, hom_module, invariant_part, kernel,
                       minimalize, restrict_along, twist)
-from .groebner import GroebnerBasis, SyzygyModule, buchberger, normal_form, syzygies
+from .groebner import GroebnerBasis, buchberger, normal_form
 from .complexes import ChainComplex, hom_complex, homology, koszul, resolve
 from .duality import (CMReport, DualityReport, canonical_module,
                       cm_gorenstein_check, compare_modules, ext_dualizing,

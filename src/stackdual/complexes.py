@@ -200,18 +200,21 @@ def homology(C: ChainComplex, i: int) -> ModulePresentation:
 
 def homology_with_inclusion(C: ChainComplex, i: int
                             ) -> tuple[ModulePresentation, tuple[Vector, ...]]:
-    """Homology plus its generators as vectors in the free part of term i."""
+    """Homology plus its generators as vectors in the free part of term i.
+
+    The cycles are presented once, modulo the boundaries: H_i is
+    `kernel_with_inclusion(out, boundaries)`, or the subquotient of the
+    whole term when no map leaves it.  The presentation is minimal
+    (`minimalize` returns it unchanged), so its rank is the minimal number
+    of generators.
+    """
     if i < 0 or i > C.length:
         raise IndexError(f"homology index {i} out of range 0..{C.length}")
     term = C.terms[i]
     out_map = C.map_out_of(i)
     in_map = C.map_into(i)
-
+    boundaries = list(in_map.columns) if in_map is not None else []
     if out_map is None:
-        cycle_gens = [term.free.unit_vector(j) for j in range(term.rank)]
-    else:
-        _, cycle_gens = kernel_with_inclusion(out_map)
-        cycle_gens = list(cycle_gens)
-
-    boundary_cols = list(in_map.columns) if in_map is not None else []
-    return subquotient(cycle_gens, boundary_cols, term)
+        units = [term.free.unit_vector(j) for j in range(term.rank)]
+        return subquotient(units, boundaries, term)
+    return kernel_with_inclusion(out_map, boundaries)

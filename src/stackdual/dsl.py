@@ -245,6 +245,12 @@ class _Parser:
             self.fail(f"unexpected {t.value or t.kind!r}", expected=(what,))
         return self.advance().value
 
+    def expect_keyword(self, word: str) -> None:
+        t = self.peek()
+        if t.kind != "IDENT" or t.value != word:
+            self.fail(f"unexpected {t.value or t.kind!r}", expected=(word,))
+        self.advance()
+
     def expect_int(self) -> int:
         neg = False
         if self.at_symbol("-"):
@@ -397,21 +403,12 @@ class _Parser:
         name = self.expect_ident("map name")
         self.declare(name, tok)
         self.expect_symbol(":")
-        src_tok = self.peek()
-        src = self.expect_ident("source ring")
-        if src not in self.rings:
-            raise _Bail(Diagnostic(src_tok.line, src_tok.col,
-                                   f"unknown ring {src!r}"))
+        source, src = self.ring_ref()
         t = self.peek()
         if t.kind != "ARROW":
             self.fail("expected ->", expected=("->",))
         self.advance()
-        tgt_tok = self.peek()
-        tgt = self.expect_ident("target ring")
-        if tgt not in self.rings:
-            raise _Bail(Diagnostic(tgt_tok.line, tgt_tok.col,
-                                   f"unknown ring {tgt!r}"))
-        source, target = self.rings[src], self.rings[tgt]
+        target, tgt = self.ring_ref()
         self.expect_symbol("{")
         images: dict[str, Polynomial] = {}
         while True:
@@ -444,18 +441,9 @@ class _Parser:
         tok = self.peek()
         name = self.expect_ident("module name")
         self.declare(name, tok)
-        kw = self.expect_ident("over")
-        if kw != "over":
-            self.fail("expected 'over'", expected=("over",))
-        ring_tok = self.peek()
-        ring_name = self.expect_ident("ring name")
-        if ring_name not in self.rings:
-            raise _Bail(Diagnostic(ring_tok.line, ring_tok.col,
-                                   f"unknown ring {ring_name!r}"))
-        ring = self.rings[ring_name]
-        kw = self.expect_ident("gens")
-        if kw != "gens":
-            self.fail("expected 'gens'", expected=("gens",))
+        self.expect_keyword("over")
+        ring, ring_name = self.ring_ref()
+        self.expect_keyword("gens")
         gen_names: list[str] = []
         bidegrees: list[Bidegree] = []
         while True:
@@ -554,13 +542,9 @@ class _Parser:
 
     def cmd_ext(self) -> Command:
         ring, rname = self.ring_ref()
-        kw = self.expect_ident("ideal")
-        if kw != "ideal":
-            self.fail("expected 'ideal'", expected=("ideal",))
+        self.expect_keyword("ideal")
         gens = self.poly_list(ring.ambient())
-        kw = self.expect_ident("omega")
-        if kw != "omega":
-            self.fail("expected 'omega'", expected=("omega",))
+        self.expect_keyword("omega")
         omega, oname = self.omega_ref(ring)
         opts = self.int_option("max")
         imax = opts.get("max", max(2, ring.nvars))
@@ -578,9 +562,7 @@ class _Parser:
 
     def cmd_koszul(self) -> Command:
         ring, rname = self.ring_ref()
-        kw = self.expect_ident("seq")
-        if kw != "seq":
-            self.fail("expected 'seq'", expected=("seq",))
+        self.expect_keyword("seq")
         seq = self.poly_list(ring)
         seq_txt = ", ".join(str(g) for g in seq)
         return Command("koszul", args={"ring": ring, "seq": seq},
@@ -604,13 +586,9 @@ class _Parser:
 
     def cmd_dualize_lci(self) -> Command:
         ring, rname = self.ring_ref()
-        kw = self.expect_ident("seq")
-        if kw != "seq":
-            self.fail("expected 'seq'", expected=("seq",))
+        self.expect_keyword("seq")
         seq = self.poly_list(ring)
-        kw = self.expect_ident("omega")
-        if kw != "omega":
-            self.fail("expected 'omega'", expected=("omega",))
+        self.expect_keyword("omega")
         omega, oname = self.omega_ref(ring)
         opts = self.int_option("depth")
         depth = opts.get("depth")
@@ -627,9 +605,7 @@ class _Parser:
         sub = self.expect_ident("gorenstein|pushforward")
         if sub == "gorenstein":
             ring, rname = self.ring_ref()
-            kw = self.expect_ident("ideal")
-            if kw != "ideal":
-                self.fail("expected 'ideal'", expected=("ideal",))
+            self.expect_keyword("ideal")
             gens = self.poly_list(ring.ambient())
             opts = self.int_option("max")
             imax = opts.get("max", max(2, ring.nvars))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
 from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
                       hilbert_function, invariant_part, minimalize,
-                      minimalize_with_tracking, restrict_along)
+                      restrict_along)
 from .groebner import SubmoduleOracle, Vector
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
@@ -96,10 +96,6 @@ class CMReport:
 # helpers
 
 
-def _is_zero_module(M: ModulePresentation) -> bool:
-    return minimalize(M).rank == 0
-
-
 def canonical_module(C: GradedRing) -> ModulePresentation:
     """Canonical module of a regular ambient ring: the top wedge of the
     differentials, free of rank one at the sum of the variable bidegrees."""
@@ -131,12 +127,9 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
     ring_b = f.target
     m_g = f.transport_module(M)
     ba = restrict_along(f, ModulePresentation.structure(ring_b))
-    ba_min, kept = minimalize_with_tracking(ba)
-    monos, _ = f.module_generators()
-    if list(kept) != list(range(len(monos))):
+    res = resolve(ba, depth + 1)
+    if res.terms[0].rank != ba.rank:
         raise RuntimeError("staircase generators failed to stay minimal")
-
-    res = resolve(ba_min, depth + 1)
     hc = hom_complex(res, m_g)
     ext_profile: dict[int, tuple[bool, int]] = {}
     for i in range(1, depth + 1):
@@ -279,7 +272,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     r = len(seq)
     kc = koszul(C, seq)
     for i in range(1, r + 1):
-        if not _is_zero_module(homology(kc, i)):
+        if homology(kc, i).rank:
             raise ValueError(f"sequence is not regular: Koszul H_{i} is nonzero")
 
     ring_b = C.quotient(seq, name=f"{C.name}/I")

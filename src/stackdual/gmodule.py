@@ -179,15 +179,23 @@ class ModuleMap:
 # kernels and subquotients
 
 
-def kernel_with_inclusion(f: ModuleMap) -> tuple[ModulePresentation, tuple[Vector, ...]]:
-    """Presentation of ker f plus the generators as vectors in the source."""
+def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Vector] = ()
+                          ) -> tuple[ModulePresentation, tuple[Vector, ...]]:
+    """ker f modulo the span of `modulo`, plus its generators as vectors of
+    the source's free module.
+
+    `modulo` lists vectors of the source's free module that must lie in
+    ker f, such as the boundaries of a complex; the result is the
+    subquotient ker f / <modulo>, and ker f itself when `modulo` is empty.
+    The presentation is minimal, as from `subquotient`.
+    """
     units = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
     if f.target.rank == 0:
         gens = units
     else:
         gens = syzygies_over(f.ring, [f.apply_to_vector(u) for u in units],
                              f.target.rank, f.target.relations)
-    return subquotient(gens, [], f.source)
+    return subquotient(gens, modulo, f.source)
 
 
 def kernel(f: ModuleMap) -> ModulePresentation:
@@ -200,7 +208,10 @@ def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
     """The module (<gens> + rel)/(<subs> + rel) inside the presented `within`.
 
     Returns a minimal presentation together with the surviving generators as
-    vectors of the ambient free module.
+    vectors of the ambient free module: a subsequence of `gens`, kept
+    greedily in ascending degree, then printed form.  Minimal means that
+    `minimalize` returns it unchanged: no relation column has a unit entry
+    or lies in the span of the others.
     """
     ring = within.ring
     free = within.free
@@ -232,7 +243,8 @@ def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> ModulePresentation:
-    """Hom_R(M, N) as a presented module.
+    """Hom_R(M, N) as a minimal presented module (`minimalize` returns it
+    unchanged).
 
     Computed as the kernel of Hom(F0, N) -> Hom(F1, N) for the presentation
     F1 -> F0 -> M.  A map sending a generator of bidegree d to an element of

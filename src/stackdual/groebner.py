@@ -507,66 +507,3 @@ def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Vector],
             kept.append(i)
     return kept
 
-
-# ---------------------------------------------------------------------------
-# the public syzygy surface
-
-
-@dataclass(frozen=True)
-class SyzygyModule:
-    """Generating vectors for the relations among a list of module elements."""
-
-    ring: GradedRing
-    rank: int                       # number of input rows
-    vectors: tuple[Vector, ...]     # each of length rank
-    bidegrees: tuple                # Bidegree per vector
-
-    def annihilates(self, rows: Sequence[Vector]) -> bool:
-        """Check matrix(S) * transpose(rows) reduces to zero."""
-        for syz in self.vectors:
-            target_rank = len(rows[0]) if rows else 0
-            acc = [self.ring.zero() for _ in range(target_rank)]
-            for coeff, row in zip(syz, rows):
-                for t in range(target_rank):
-                    acc[t] = acc[t] + coeff * row[t]
-            if any(not self.ring.reduce(p).is_zero() for p in acc):
-                return False
-        return True
-
-
-def syzygies(rows: Sequence[Vector | Polynomial], ring: GradedRing | None = None,
-             gen_bidegrees: Sequence | None = None) -> SyzygyModule:
-    """Relations among module elements over a (possibly quotient) ring.
-
-    Rows may be plain polynomials (elements of the rank-1 free module) or
-    tuples of polynomials; they must be bihomogeneous.  The output is a
-    minimal generating set of the full relation module over the quotient.
-    """
-    norm_rows: list[Vector] = [(r,) if isinstance(r, Polynomial) else tuple(r)
-                               for r in rows]
-    if ring is None:
-        if not norm_rows:
-            raise ValueError("need a ring for an empty row list")
-        ring = norm_rows[0][0].ring
-    if not norm_rows:
-        return SyzygyModule(ring, 0, (), ())
-    rank = len(norm_rows[0])
-    if any(len(r) != rank for r in norm_rows):
-        raise ValueError("rows of different lengths")
-
-    free_degs = (tuple(gen_bidegrees) if gen_bidegrees is not None
-                 else tuple(ring.degree_zero() for _ in range(rank)))
-    row_degs = []
-    for r in norm_rows:
-        d = vector_bidegree(r, free_degs, ring)
-        if d is None and any(not p.is_zero() for p in r):
-            raise ValueError("syzygies: inhomogeneous input row")
-        row_degs.append(d if d is not None else ring.degree_zero())
-
-    result = syzygies_over(ring, norm_rows, rank)
-    keep = sorted(minimal_generating_vectors(
-        ring, result, len(norm_rows),
-        [vector_bidegree(v, tuple(row_degs), ring) for v in result]))
-    vectors = tuple(result[i] for i in keep)
-    bidegs = tuple(vector_bidegree(v, tuple(row_degs), ring) for v in vectors)
-    return SyzygyModule(ring, len(norm_rows), vectors, bidegs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .caps import check_term_cap
 
@@ -113,11 +113,13 @@ class MonomialOrder:
     `precedence` lists variable indices from most to least precedent; the
     default is declaration order.  Keys compare as Python tuples, larger key
     means larger monomial.  Keys are memoized per order instance (monomials
-    repeat heavily inside the kernels).
+    repeat heavily inside the kernels).  `split` is set only by the block
+    order that eliminates the first `split` variables.
     """
 
     kind: str = "degrevlex"
     precedence: Optional[tuple[int, ...]] = None
+    split: ClassVar[Optional[int]] = None
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
@@ -158,7 +160,7 @@ class _EliminationOrder(MonomialOrder):
         object.__setattr__(self, "_key_cache", {})
 
     def _compute_key(self, mono: Monomial):
-        split = self.split  # type: ignore[attr-defined]
+        split = self.split
         head, tail = mono[:split], mono[split:]
         return (
             (sum(head), tuple(-e for e in reversed(head))),
@@ -196,7 +198,8 @@ class GradedRing:
         self.group_order = group_order
         self.order = order if order is not None else MonomialOrder()
         self.signature = (self.variables, self.zdegs, self.weights, group_order,
-                          self.order.kind, self.order.resolved_precedence(n))
+                          self.order.kind, self.order.resolved_precedence(n),
+                          self.order.split)
         self.name = name or "Q[" + ",".join(self.variables) + "]"
         self.ideal: tuple[Polynomial, ...] = ()
         for g in ideal:

@@ -20,7 +20,7 @@ from .duality import (CMReport, DualityReport, canonical_module,
                       cm_gorenstein_check, compare_modules, ext_dualizing,
                       finite_shriek, lci_dualizing, pushforward_check)
 from .gmodule import (ModulePresentation, hilbert_function, hom_module,
-                      invariant_part, minimalize)
+                      invariant_part)
 from .poly import Bidegree
 
 SCHEMA_VERSION = "1"
@@ -173,7 +173,7 @@ def _execute(cmd: Command, default_depth: Optional[int],
 
 
 def _run_hom(cmd: Command, _d, _b) -> CommandOutcome:
-    h = minimalize(hom_module(cmd.args["M"], cmd.args["N"]))
+    h = hom_module(cmd.args["M"], cmd.args["N"])
     return CommandOutcome(
         "hom", cmd.text, {"module": module_json(h)},
         {"min_generators": h.rank},
@@ -195,7 +195,7 @@ def _run_ext(cmd: Command, _d, _b) -> CommandOutcome:
 
 def _run_koszul(cmd: Command, _d, _b) -> CommandOutcome:
     kc = koszul(cmd.args["ring"], cmd.args["seq"])
-    homology_zero = all(minimalize(homology(kc, i)).rank == 0
+    homology_zero = all(homology(kc, i).rank == 0
                         for i in range(1, kc.length + 1))
     result = {
         "ranks": kc.ranks(),

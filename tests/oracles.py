@@ -13,6 +13,11 @@ unique, so both must return the same generators.
 
 `reference_relations_modulo` projects the syzygies of vectors + context by
 hand, without the `context` argument of `syzygies_over`.
+
+`reference_homology` presents the cycles first and quotients by the
+boundaries in a second subquotient, without the `modulo` argument of
+`kernel_with_inclusion`.  `annihilates` checks relations by multiplying
+them out.
 """
 
 from fractions import Fraction
@@ -205,3 +210,30 @@ def reference_relations_modulo(ring: GradedRing, vectors, rank: int,
         if any(not p.is_zero() for p in head):
             heads.add(head)
     return heads
+
+
+def annihilates(ring: GradedRing, relations, rows) -> bool:
+    """Whether sum_i a_i * rows[i] reduces to zero for every relation a."""
+    rank = len(rows[0]) if rows else 0
+    for rel in relations:
+        acc = [ring.zero() for _ in range(rank)]
+        for coeff, row in zip(rel, rows):
+            for t in range(rank):
+                acc[t] = acc[t] + coeff * row[t]
+        if any(not ring.reduce(p).is_zero() for p in acc):
+            return False
+    return True
+
+
+def reference_homology(C, i):
+    """H_i of a complex in two steps: a minimal presentation of the cycles,
+    whose generators are then cut down modulo the boundaries."""
+    from stackdual.gmodule import kernel_with_inclusion, subquotient
+    term = C.terms[i]
+    out_map, in_map = C.map_out_of(i), C.map_into(i)
+    if out_map is None:
+        cycles = [term.free.unit_vector(j) for j in range(term.rank)]
+    else:
+        cycles = list(kernel_with_inclusion(out_map)[1])
+    boundaries = list(in_map.columns) if in_map is not None else []
+    return subquotient(cycles, boundaries, term)

@@ -124,6 +124,21 @@ def test_weight_without_group_points_at_the_entry():
         (1, 26, "weight of x outside [0, 1)"), (1, 31, "weight of y outside [0, 1)")]
 
 
+@pytest.mark.parametrize("line, col, word, expected", [
+    ("ext C idel (x*y) omega canonical max 2", 7, "idel", "ideal"),
+    ("ext C ideal (x*y) omga canonical max 2", 19, "omga", "omega"),
+    ("module M ovr C gens a:(0,0)", 10, "ovr", "over"),
+    ("module M over C gns a:(0,0)", 17, "gns", "gens"),
+    ("dualize-lci C sq (x) omega canonical", 15, "sq", "seq"),
+    ("check gorenstein C idea (x) max 2", 20, "idea", "ideal"),
+])
+def test_wrong_keyword_points_at_the_word(line, col, word, expected):
+    with pytest.raises(ParseError) as err:
+        parse_session("ring C = Q[x,y]\n" + line)
+    assert [str(d) for d in err.value.diagnostics] == [
+        f"2:{col}: unexpected {word!r} (expected {expected})"]
+
+
 def test_arity_mismatch_reported():
     with pytest.raises(ParseError) as err:
         parse_session("""

@@ -8,8 +8,10 @@ computer algebra system.
 
 import pytest
 
+from oracles import annihilates
 from stackdual.groebner import (GroebnerBasis, SubmoduleOracle, buchberger,
-                                normal_form, syzygies)
+                                minimal_generating_vectors, normal_form,
+                                syzygies_over)
 from stackdual.poly import GradedRing, MonomialOrder
 
 
@@ -86,41 +88,38 @@ def test_reduced_basis_invariant_under_permutation(uvt):
         assert [str(g) for g in permuted.generators] == base
 
 
+def minimal_syzygies(ring, rows):
+    """A minimal generating set of the relations among `rows`."""
+    syz = syzygies_over(ring, rows, len(rows[0]))
+    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, len(rows)))]
+
+
 def test_koszul_syzygy_of_regular_pair(qxy):
     x, y = qxy.var("x"), qxy.var("y")
-    syz = syzygies([x, y], qxy)
-    assert len(syz.vectors) == 1
-    assert sorted(str(p) for p in syz.vectors[0]) in (["-x", "y"], ["-y", "x"])
-    assert syz.annihilates([(x,), (y,)])
+    syz = minimal_syzygies(qxy, [(x,), (y,)])
+    assert len(syz) == 1
+    assert sorted(str(p) for p in syz[0]) in (["-x", "y"], ["-y", "x"])
+    assert annihilates(qxy, syz, [(x,), (y,)])
 
 
 def test_unit_has_no_relations(qxy):
-    syz = syzygies([qxy.one()], qxy)
-    assert syz.vectors == ()
-
-
-def test_syzygies_require_homogeneous_rows(qxy):
-    x, y = qxy.var("x"), qxy.var("y")
-    with pytest.raises(ValueError):
-        syzygies([x + y ** 2], qxy)
+    assert minimal_syzygies(qxy, [(qxy.one(),)]) == []
 
 
 def test_syzygies_over_quotient_reproduce_node_relations():
     # x over B = Q[x,y]/(xy): the annihilator relation y*e comes from lifting
     B = GradedRing(["x", "y"]).quotient(
         [GradedRing(["x", "y"]).var("x") * GradedRing(["x", "y"]).var("y")])
-    x, y = B.var("x"), B.var("y")
-    syz = syzygies([x], B)
-    assert [[str(p) for p in v] for v in syz.vectors] == [["-y"]] or \
-           [[str(p) for p in v] for v in syz.vectors] == [["y"]]
+    x = B.var("x")
+    syz = minimal_syzygies(B, [(x,)])
+    assert [[str(p) for p in v] for v in syz] in ([["-y"]], [["y"]])
 
 
 def test_syzygy_annihilation_over_quotient(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     rows = [(x, y), (y, x.ring.zero())]
-    syz = syzygies(rows, node_ring,
-                   gen_bidegrees=(node_ring.degree_zero(),) * 2)
-    assert syz.annihilates(rows)
+    syz = minimal_syzygies(node_ring, rows)
+    assert syz and annihilates(node_ring, syz, rows)
 
 
 def test_submodule_oracle_membership_and_lift(node_ring):

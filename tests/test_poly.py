@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from stackdual.poly import (Bidegree, GradedRing, MonomialOrder,
-                            RingMismatchError, leading_term, multiply)
+                            RingMismatchError, _EliminationOrder, leading_term,
+                            multiply)
 
 
 def test_difference_of_squares(qxy):
@@ -38,6 +39,23 @@ def test_reduce_rejects_a_foreign_polynomial():
     for ring in (R, R.quotient([R.var("x") * R.var("y")])):
         with pytest.raises(RingMismatchError):
             ring.reduce(foreign)
+
+
+def test_elimination_order_ring_differs_from_plain_ring():
+    # y^2 + x*s leads with x*s when x is eliminated and with y^2 otherwise,
+    # so the two rings must not accept each other's polynomials
+    plain = GradedRing(["x", "y", "s"])
+    elim = GradedRing(["x", "y", "s"], order=_EliminationOrder(1))
+    assert elim != plain and not elim.same_ambient(plain)
+    x, y, s = (elim.var(v) for v in "xys")
+    assert leading_term(y * y + x * s) == ((1, 0, 1), 1)
+    assert leading_term(plain.var("y") ** 2 + plain.var("x") * plain.var("s")) == ((0, 2, 0), 1)
+    with pytest.raises(RingMismatchError):
+        elim.reduce(plain.var("y"))
+    with pytest.raises(RingMismatchError):
+        plain.reduce(y)
+    assert GradedRing(["x", "y", "s"], order=_EliminationOrder(1)) == elim
+    assert GradedRing(["x", "y", "s"], order=_EliminationOrder(2)) != elim
 
 
 def test_leading_term_degrevlex_tie():

@@ -8,8 +8,9 @@ Koszul exactness for regular sequences, d o d = 0 with bihomogeneous
 matrices on every constructed complex, the incremental span oracle
 against a fresh oracle per candidate, relations modulo a context against
 the hand projection of the full syzygies, span-only module Groebner bases
-against tracked ones, and the quotient-ring reduction fast path against
-the full normal form.
+against tracked ones, homology in one subquotient against the two-step
+reference, results that `minimalize` leaves unchanged, and the
+quotient-ring reduction fast path against the full normal form.
 """
 
 import random
@@ -17,16 +18,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_buchberger, reference_relations_modulo
-from stackdual.complexes import hom_complex, homology, koszul, resolve
+from oracles import (annihilates, reference_buchberger, reference_homology,
+                     reference_relations_modulo)
+from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
+                                 koszul, resolve)
 from stackdual.dsl import parse_session
-from stackdual.gmodule import (FreeModule, ModulePresentation, hilbert_function,
-                               hom_module, minimalize, restrict_along,
-                               vector_bidegree)
+from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
+                               hilbert_function, hom_module, kernel, minimalize,
+                               restrict_along, subquotient, vector_bidegree)
 from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
-                                syzygies, syzygies_over)
+                                syzygies_over)
 from stackdual.poly import GradedRing, MonomialOrder, monomial_divides
 from stackdual.presets import preset_session
 
@@ -143,8 +146,10 @@ def test_syzygies_annihilate_rows(instances):
         rows = [p for p in polys[:2] if not p.is_zero() and p.bidegree()]
         if not rows:
             continue
-        syz = syzygies(rows, ring)
-        assert syz.annihilates([(r,) for r in rows])
+        rows = [(r,) for r in rows]
+        syz = syzygies_over(ring, rows, 1)
+        keep = minimal_generating_vectors(ring, syz, len(rows))
+        assert annihilates(ring, [syz[i] for i in keep], rows)
 
 
 # -- Koszul exactness over a library of regular sequences -----------------------
@@ -280,14 +285,14 @@ def random_form(rng, ring, d):
     return out
 
 
-def span_instances(count, seed):
+def span_instances(count, seed, make_ring=random_ring):
     """(ring, candidates, context, rank) with Z-homogeneous vectors;
     candidates include multiples and sums of earlier ones, so the greedy
     loop has something to drop."""
     rng = random.Random(seed)
     out = []
     for n in range(count):
-        ring = random_ring(rng)
+        ring = make_ring(rng)
         if n % 2:
             ring = random_quotient(rng, ring)
         rank = rng.choice([1, 2])
@@ -424,6 +429,120 @@ def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
     (vecs,) = captured      # the one elimination basis of restrict_along
     assert_same_span(groebner._TrackedGB(vecs, mixed),
                      groebner._TrackedGB(vecs, mixed, track=True))
+
+
+# ---------------------------------------------------------------------------
+# homology presents each module once, and results come out minimal
+
+
+def same_presentation(a, b):
+    return a.free.bidegrees == b.free.bidegrees and a.relations == b.relations
+
+
+def bihomogeneous_forms(rng, ring, count):
+    """`count` nonzero bihomogeneous forms, reduced into the ring."""
+    out = []
+    while len(out) < count:
+        p = ring.reduce(random_poly(rng, ring, homogeneous=True))
+        if not p.is_zero() and p.bidegree() is not None:
+            out.append(p)
+    return out
+
+
+def quotient_module(ring, gens):
+    return ModulePresentation(FreeModule(ring, (ring.degree_zero(),)),
+                              [(g,) for g in gens])
+
+
+@pytest.fixture(scope="module")
+def homology_library(sequence_library):
+    """Complexes with nonzero homology and with terms between an in- and an
+    out-map: the Koszul library, Koszul complexes of non-regular sequences,
+    and Hom complexes of resolutions, over polynomial, quotient and
+    degree-0 rings (the last like balanced-node's)."""
+    out = [koszul(ring, seq) for ring, seq in sequence_library]
+    c3 = GradedRing(["x", "y", "z"], name="C3")
+    x, y, z = c3.var("x"), c3.var("y"), c3.var("z")
+    out += [koszul(c3, [x * y, x * z]), koszul(c3, [x, x * y, z])]
+    bal = GradedRing(["t", "u"], zdegs=[0, 0], weights=[1, 1], group_order=3)
+    t, u = bal.var("t"), bal.var("u")
+    out.append(koszul(bal, [t * u, t ** 2, u ** 3]))
+    deg0 = GradedRing(["t", "u", "v"], zdegs=[0, 1, 1], name="D0")
+    t, u, v = deg0.var("t"), deg0.var("u"), deg0.var("v")
+    res = resolve(quotient_module(deg0, [u * v - t * u ** 2, v ** 2]), 3)
+    out += [hom_complex(res, ModulePresentation.structure(deg0)),
+            hom_complex(res, quotient_module(deg0, [v]))]
+    triple = GradedRing(["u", "v", "t"], weights=[1, 1, 1], group_order=3)
+    u, v, t = triple.var("u"), triple.var("v"), triple.var("t")
+    res = resolve(quotient_module(triple, [u * v - t * t, u * t - v * v, v * t - u * u]), 4)
+    out.append(hom_complex(res, ModulePresentation.structure(triple)))
+    f = parse_session(preset_session("node", a=3, i=1, j=2)).maps["p"]
+    res = resolve(restrict_along(f, ModulePresentation.structure(f.target)), 4)
+    out.append(hom_complex(res, ModulePresentation.structure(f.weighted_source())))
+    rng = random.Random(SEED + 14)
+    for n in range(6):
+        ring = random_ring(rng)
+        if n % 2:
+            ring = random_quotient(rng, ring)
+        f, g, h = bihomogeneous_forms(rng, ring, 3)
+        out.append(koszul(ring, [f, g]))
+        res = resolve(quotient_module(ring, [f, g]), 3)
+        out.append(hom_complex(res, quotient_module(ring, [h])))
+    return out
+
+
+def test_homology_matches_two_step_reference(homology_library):
+    """One subquotient of the raw cycles modulo the boundaries gives the
+    presentation and inclusion vectors of the deleted two-step path."""
+    between = nonzero = 0
+    for C in homology_library:
+        for i in range(C.length + 1):
+            pres, incl = homology_with_inclusion(C, i)
+            ref, ref_incl = reference_homology(C, i)
+            assert same_presentation(pres, ref)
+            assert incl == ref_incl
+            if C.map_out_of(i) is not None and C.map_into(i) is not None:
+                between += 1
+                nonzero += pres.rank > 0
+    assert between and nonzero
+
+
+def ungraded_ring(rng):
+    """A ring with no group, so Z-homogeneous vectors are bihomogeneous."""
+    return GradedRing(["x", "y", "z"][:rng.choice([2, 3])])
+
+
+def homogeneous_span_instances(count, seed):
+    """span_instances over ungraded rings, kept when every vector is
+    homogeneous."""
+    out = []
+    for ring, cands, context, rank in span_instances(count, seed, ungraded_ring):
+        degs = (ring.degree_zero(),) * rank
+        if all(vector_bidegree(v, degs, ring) is not None
+               or all(p.is_zero() for p in v) for v in cands + context):
+            out.append((ring, cands, context, rank))
+    return out
+
+
+def test_results_are_minimal_by_contract(homology_library):
+    """subquotient, kernel, homology and hom_module return presentations
+    that minimalize leaves unchanged."""
+    results = [homology(C, i) for C in homology_library for i in range(C.length + 1)]
+    instances = homogeneous_span_instances(120, SEED + 15)
+    assert len(instances) >= 20
+    rng = random.Random(SEED + 16)
+    for ring, cands, context, rank in instances:
+        d0 = ring.degree_zero()
+        within = ModulePresentation(FreeModule(ring, (d0,) * rank), context)
+        results.append(subquotient(cands[:5], cands[5:], within)[0])
+        degs = [vector_bidegree(v, within.free.bidegrees, ring) or d0 for v in cands]
+        results.append(kernel(ModuleMap(ModulePresentation.free_of(ring, degs),
+                                        within, cands)))
+        N = quotient_module(ring, bihomogeneous_forms(rng, ring, 1))
+        results += [hom_module(within, N), hom_module(N, within)]
+    assert any(X.relations for X in results)
+    for X in results:
+        assert same_presentation(minimalize(X), X)
 
 
 # ---------------------------------------------------------------------------
