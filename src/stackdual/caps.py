@@ -1,9 +1,10 @@
 """Resource caps: maximum term counts and per-command deadlines.
 
 The kernels poll these at cheap points so a runaway Groebner computation
-fails fast instead of hanging a session.  Caps are off by default; the CLI
-installs them around each command.  Overridable through the environment
-variables STACKDUAL_MAX_TERMS and STACKDUAL_TIME_LIMIT_S.
+fails fast instead of hanging a session.  Caps are off by default;
+`run_session` installs them around each command from the environment
+variables STACKDUAL_MAX_TERMS and STACKDUAL_TIME_LIMIT_S, or the defaults
+below when those are unset.
 """
 
 from __future__ import annotations
@@ -23,22 +24,14 @@ class ResourceCapError(RuntimeError):
     """A configured resource cap was exceeded."""
 
 
-def env_max_terms() -> int:
-    return int(os.environ.get("STACKDUAL_MAX_TERMS", DEFAULT_MAX_TERMS))
-
-
-def env_time_limit() -> float:
-    return float(os.environ.get("STACKDUAL_TIME_LIMIT_S", DEFAULT_TIME_LIMIT_S))
-
-
 @contextmanager
-def command_caps(max_terms: int | None = None, time_limit: float | None = None):
-    """Install caps for the duration of one command."""
+def command_caps():
+    """Install the environment's caps for the duration of one command."""
     global _max_terms, _deadline
     old = (_max_terms, _deadline)
-    _max_terms = max_terms if max_terms is not None else env_max_terms()
-    limit = time_limit if time_limit is not None else env_time_limit()
-    _deadline = time.monotonic() + limit
+    _max_terms = int(os.environ.get("STACKDUAL_MAX_TERMS", DEFAULT_MAX_TERMS))
+    _deadline = time.monotonic() + float(
+        os.environ.get("STACKDUAL_TIME_LIMIT_S", DEFAULT_TIME_LIMIT_S))
     try:
         yield
     finally:

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
                       kernel_with_inclusion, minimalize, precompose_columns,
                       subquotient)
-from .groebner import (Vector, minimal_generating_vectors, syzygies_over,
-                       vector_bidegree)
+from .groebner import (SubmoduleOracle, Vector, minimal_generating_vectors,
+                       syzygies_over, vector_bidegree)
 from .poly import GradedRing, Polynomial
 
 DEFAULT_DEPTH = 6
@@ -56,9 +56,17 @@ class ChainComplex:
         return self.maps.get(src)
 
     def check_composition(self) -> None:
+        """Raise ValueError unless each differential followed by the next is
+        zero: the next map sends every stored column of the earlier one into
+        the span of its target's relations."""
         for i, f in self.maps.items():
             nxt = self.maps.get(i - 1 if self.direction == "chain" else i + 1)
-            if nxt is not None and not nxt.compose(f).is_zero_map():
+            if nxt is None:
+                continue
+            oracle = SubmoduleOracle(self.ring, list(nxt.target.relations),
+                                     nxt.target.rank)
+            if not all(oracle.contains(nxt.apply_to_vector(col))
+                       for col in f.columns):
                 raise ValueError(f"differentials at {i} do not compose to zero")
 
 

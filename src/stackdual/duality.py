@@ -21,7 +21,6 @@ from .groebner import SubmoduleOracle, Vector
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
 DEFAULT_DEPTH = 4
-DEFAULT_BOUND = 12
 COMPARE_BOUND = 8
 
 
@@ -235,6 +234,8 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
     """Ext^i_C(C/I, omega) as modules over B = C/I, for i = 0..imax."""
     if C.ideal:
         raise ValueError("ext_dualizing needs a regular ambient ring")
+    if imax < 0:
+        raise ValueError("the largest Ext index must be >= 0")
     if omega.ring != C:
         raise RingMismatchError("omega must live over the ambient ring")
     gens = [C.reduce(g) for g in ideal_gens]
@@ -242,7 +243,7 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
     ring_b = C.quotient(gens, name=f"{C.name}/I") if gens else C
     pres = ModulePresentation(FreeModule(C, (C.degree_zero(),)),
                               [(g,) for g in gens])
-    res = resolve(pres, max(imax + 1, C.nvars + 1))
+    res = resolve(pres, imax + 1)
     hc = hom_complex(res, omega)
     out = []
     for i in range(imax + 1):
@@ -370,12 +371,11 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
             raise ValueError(
                 f"image of {f.source.variables[idx]} has nonzero weight")
     if omega_b.ring != f.target:
-        omega_b = ModulePresentation(FreeModule(f.target, omega_b.free.bidegrees),
-                                     omega_b.relations)
+        raise RingMismatchError("omega_B must live over the map's target ring")
+    if omega_a.ring != f.source:
+        raise RingMismatchError("omega_A must live over the map's source ring")
     dims_b, _ = invariant_part(omega_b, bound)
-    if omega_a.ring.ambient().signature == f.source.ambient().signature:
-        omega_a = f.transport_module(omega_a)
-    table_a = hilbert_function(omega_a, bound)
+    table_a = hilbert_function(f.transport_module(omega_a), bound)
     dims_a: dict[int, int] = {}
     for (z, _w), d in table_a.items():
         dims_a[z] = dims_a.get(z, 0) + d

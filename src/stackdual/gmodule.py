@@ -43,9 +43,6 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.bidegrees)
 
-    def dual(self) -> "FreeModule":
-        return FreeModule(self.ring, tuple(-d for d in self.bidegrees))
-
     def twist(self, d: Bidegree) -> "FreeModule":
         return FreeModule(self.ring, tuple(g - d for g in self.bidegrees))
 
@@ -118,7 +115,8 @@ class ModuleMap:
     """A homogeneous map between presented modules, given on generators.
 
     columns[j] is the image of the j-th source generator, a vector over the
-    target's free module; the map is homogeneous of degree `shift`.
+    target's free module; the map is homogeneous of degree `shift`.  The
+    columns are the map's only stored form: kernels read them directly.
     """
 
     def __init__(self, source: ModulePresentation, target: ModulePresentation,
@@ -163,17 +161,6 @@ class ModuleMap:
                 out[i] = out[i] + coeff * entry
         return tuple(self.ring.reduce(p) for p in out)
 
-    def compose(self, earlier: "ModuleMap") -> "ModuleMap":
-        """self after earlier (earlier's target is self's source)."""
-        cols = [self.apply_to_vector(col) for col in earlier.columns]
-        return ModuleMap(earlier.source, self.target, cols,
-                         shift=self.shift + earlier.shift, check=False)
-
-    def is_zero_map(self) -> bool:
-        oracle = SubmoduleOracle(self.ring, list(self.target.relations),
-                                 self.target.rank)
-        return all(oracle.contains(col) for col in self.columns)
-
 
 # ---------------------------------------------------------------------------
 # kernels and subquotients
@@ -187,14 +174,15 @@ def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Vector] = ()
     `modulo` lists vectors of the source's free module that must lie in
     ker f, such as the boundaries of a complex; the result is the
     subquotient ker f / <modulo>, and ker f itself when `modulo` is empty.
-    The presentation is minimal, as from `subquotient`.
+    The presentation is minimal, as from `subquotient`.  The kernel
+    generators are the syzygies of f's stored columns modulo the target's
+    relations; a map into the zero module has the whole source as kernel.
     """
-    units = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
     if f.target.rank == 0:
-        gens = units
+        gens = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
     else:
-        gens = syzygies_over(f.ring, [f.apply_to_vector(u) for u in units],
-                             f.target.rank, f.target.relations)
+        gens = syzygies_over(f.ring, list(f.columns), f.target.rank,
+                             f.target.relations)
     return subquotient(gens, modulo, f.source)
 
 
@@ -246,28 +234,20 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
     """Hom_R(M, N) as a minimal presented module (`minimalize` returns it
     unchanged).
 
-    Computed as the kernel of Hom(F0, N) -> Hom(F1, N) for the presentation
-    F1 -> F0 -> M.  A map sending a generator of bidegree d to an element of
+    For a presentation F1 -> F0 -> M this is the kernel of Hom(F0, N) ->
+    Hom(F1, N), phi -> phi o d; for free M it is Hom(F0, N) itself,
+    minimalized.  A map sending a generator of bidegree d to an element of
     bidegree e contributes bidegree e - d.
     """
-    pres, _ = hom_with_inclusion(M, N)
-    return pres
-
-
-def hom_with_inclusion(M: ModulePresentation, N: ModulePresentation
-                       ) -> tuple[ModulePresentation, tuple[Vector, ...]]:
     if M.ring != N.ring:
         raise RingMismatchError("hom across different rings")
     hom0 = hom_free_into(M.free, N)
     if not M.relations:
-        incl = tuple(hom0.free.unit_vector(i) for i in range(hom0.rank))
-        pres, kept = minimalize_with_tracking(hom0)
-        return pres, tuple(incl[i] for i in kept)
-    f1 = FreeModule(M.ring, M.relation_bidegrees)
-    hom1 = hom_free_into(f1, N)
-    d = ModuleMap(hom0, hom1, precompose_columns(M.relations, M.rank, N),
-                  check=False)
-    return kernel_with_inclusion(d)
+        return minimalize(hom0)
+    hom1 = hom_free_into(FreeModule(M.ring, M.relation_bidegrees), N)
+    return kernel(ModuleMap(hom0, hom1,
+                            precompose_columns(M.relations, M.rank, N),
+                            check=False))
 
 
 def hom_free_into(F: FreeModule, N: ModulePresentation) -> ModulePresentation:
@@ -474,8 +454,7 @@ class RingMorphism:
     """
 
     def __init__(self, source: GradedRing, target: GradedRing,
-                 images: Sequence[Polynomial], name: str = "f",
-                 check_finite: bool = True):
+                 images: Sequence[Polynomial], name: str = "f"):
         self.source = source
         self.target = target
         self.name = name
@@ -505,7 +484,7 @@ class RingMorphism:
         self._contraction_cache = None
         self._mixed_cache = None
         self._wsrc_cache = None
-        if check_finite and not self.is_module_finite():
+        if not self.is_module_finite():
             raise NotModuleFiniteError(
                 f"{name}: target is not module-finite over the source images")
 

@@ -57,9 +57,6 @@ class Bidegree:
     def __neg__(self) -> "Bidegree":
         return Bidegree(-self.zdeg, -self.weight, self.modulus)
 
-    def scale(self, n: int) -> "Bidegree":
-        return Bidegree(self.zdeg * n, self.weight * n, self.modulus)
-
     def lambda_exponent(self) -> str:
         """The weight rendered as a power of the group character.
 
@@ -75,9 +72,6 @@ class Bidegree:
         if self.modulus == 1:
             return f"({self.zdeg})"
         return f"({self.zdeg}, {self.weight} mod {self.modulus})"
-
-
-ZERO_DEGREE = Bidegree(0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +220,8 @@ class GradedRing:
         return self.ideal_groebner().generators
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, GradedRing) and self.signature == other.signature
                 and self._ideal_key() == other._ideal_key())
 

@@ -138,14 +138,12 @@ class RunReport:
 
 
 def run_session(ast: SessionAst, default_depth: Optional[int] = None,
-                default_bound: Optional[int] = None,
-                max_terms: Optional[int] = None,
-                time_limit: Optional[float] = None) -> RunReport:
+                default_bound: Optional[int] = None) -> RunReport:
     report = RunReport()
     for cmd in ast.commands():
         started = time.monotonic()
         try:
-            with command_caps(max_terms=max_terms, time_limit=time_limit):
+            with command_caps():
                 outcome = _execute(cmd, default_depth, default_bound)
         except ResourceCapError as exc:
             report.partial = True

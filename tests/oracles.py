@@ -16,8 +16,9 @@ hand, without the `context` argument of `syzygies_over`.
 
 `reference_homology` presents the cycles first and quotients by the
 boundaries in a second subquotient, without the `modulo` argument of
-`kernel_with_inclusion`.  `annihilates` checks relations by multiplying
-them out.
+`kernel_with_inclusion`.  `reference_kernel` recomputes a map's images by
+applying it to every unit vector instead of reading its stored columns.
+`annihilates` checks relations by multiplying them out.
 """
 
 from fractions import Fraction
@@ -237,3 +238,17 @@ def reference_homology(C, i):
         cycles = list(kernel_with_inclusion(out_map)[1])
     boundaries = list(in_map.columns) if in_map is not None else []
     return subquotient(cycles, boundaries, term)
+
+
+def reference_kernel(f, modulo=()):
+    """ker f modulo `modulo`, with the images of the source generators
+    recomputed as f applied to each unit vector."""
+    from stackdual.gmodule import subquotient
+    from stackdual.groebner import syzygies_over
+    units = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
+    if f.target.rank == 0:
+        gens = units
+    else:
+        gens = syzygies_over(f.ring, [f.apply_to_vector(u) for u in units],
+                             f.target.rank, f.target.relations)
+    return subquotient(gens, modulo, f.source)

@@ -53,6 +53,29 @@ def test_malformed_session_exits_2(capsys, tmp_path):
     assert "1:" in err and "unknown symbol" in err
 
 
+def test_pushforward_over_the_wrong_ring_exits_2(capsys, tmp_path):
+    node = preset_session("node", a=3)
+    for extra, ring in (
+            ("ring B2 = Q[x,y]/(x^2) group 3 weights {x:1, y:2}\n"
+             "module W over B2 gens w:(0,0)\n"
+             "check pushforward p W A bound 8\n", "omega_B"),
+            ("check pushforward p B B bound 8\n", "omega_A")):
+        session = tmp_path / "pushforward.sdl"
+        session.write_text(node + extra)
+        code, out, _ = run_cli(["run", str(session)], capsys)
+        assert code == 2
+        assert f"error: {ring} must live over" in out
+
+
+def test_negative_ext_index_exits_2(capsys, tmp_path):
+    session = tmp_path / "lci.sdl"
+    session.write_text("ring C = Q[x,y,z] degrees {x:1, y:4, z:6}\n"
+                       "dualize-lci C seq (z*x^2 - y^2) omega canonical\n")
+    code, out, _ = run_cli(["run", str(session), "--depth", "-1"], capsys)
+    assert code == 2
+    assert "error: the largest Ext index must be >= 0" in out
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(["run", "/nonexistent/session"], capsys)
     assert code == 2

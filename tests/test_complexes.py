@@ -2,10 +2,12 @@
 
 import pytest
 
-from stackdual.complexes import hom_complex, homology, koszul, resolve
+from stackdual.complexes import (ChainComplex, hom_complex, homology, koszul,
+                                 resolve)
 from stackdual.dsl import parse_session
-from stackdual.gmodule import (FreeModule, ModulePresentation, hilbert_function,
-                               minimalize, restrict_along)
+from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
+                               hilbert_function, hom_free_into, minimalize,
+                               precompose_columns, restrict_along)
 from stackdual.poly import GradedRing
 
 
@@ -151,3 +153,55 @@ def test_resolve_homology_vanishes_against_module(triple_ring):
         assert minimalize(homology(res, i)).rank == 0
     h0 = homology(res, 0)
     assert hilbert_function(h0, 6) == hilbert_function(M, 6)
+
+
+# ---------------------------------------------------------------------------
+# d o d = 0 is checked on construction
+
+
+def pair_differentials(ring, sign):
+    """Columns of F2 -> F1 -> F0 on (x, y): the Koszul complex for sign -1,
+    and a map whose composite is 2xy for sign +1."""
+    x, y = ring.var("x"), ring.var("y")
+    return [(x,), (y,)], [(y, sign * x)]
+
+
+def pair_frees(ring):
+    deg = ring.variable_bidegree(0)
+    return [FreeModule(ring, (ring.degree_zero(),)), FreeModule(ring, (deg, deg)),
+            FreeModule(ring, (deg + deg,))]
+
+
+def free_pair_complex(ring, sign):
+    d1, d2 = pair_differentials(ring, sign)
+    terms = [ModulePresentation(F) for F in pair_frees(ring)]
+    maps = {1: ModuleMap(terms[1], terms[0], d1),
+            2: ModuleMap(terms[2], terms[1], d2)}
+    return ChainComplex(ring, terms, maps)
+
+
+def hom_pair_complex(ring, sign, N):
+    """Hom(F_i, N) for the maps of `pair_differentials`, built by hand as
+    `hom_complex` builds it: `hom_complex` only takes a complex."""
+    d1, d2 = pair_differentials(ring, sign)
+    terms = [hom_free_into(F, N) for F in pair_frees(ring)]
+    maps = {0: ModuleMap(terms[0], terms[1], precompose_columns(d1, 1, N), check=False),
+            1: ModuleMap(terms[1], terms[2], precompose_columns(d2, 2, N), check=False)}
+    return ChainComplex(ring, terms, maps, direction="cochain")
+
+
+def test_chain_complex_of_free_terms_must_compose_to_zero(qxy):
+    assert free_pair_complex(qxy, -1).ranks() == [1, 2, 1]
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        free_pair_complex(qxy, 1)
+
+
+def test_cochain_composite_is_read_modulo_target_relations(qxy):
+    x = qxy.var("x")
+    modulo_x = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [(x,)])
+    modulo_x2 = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [(x * x,)])
+    # the composite 2xy is nonzero in the free module but lies in x * Hom(F2, N)
+    assert hom_pair_complex(qxy, 1, modulo_x).ranks() == [1, 2, 1]
+    assert hom_pair_complex(qxy, -1, modulo_x2).ranks() == [1, 2, 1]
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        hom_pair_complex(qxy, 1, modulo_x2)

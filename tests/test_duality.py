@@ -14,8 +14,8 @@ from stackdual.duality import (canonical_module, cm_gorenstein_check,
                                compare_modules, ext_dualizing, finite_shriek,
                                lci_dualizing, pushforward_check)
 from stackdual.gmodule import (FreeModule, ModulePresentation, RingMorphism,
-                               hilbert_function, twist)
-from stackdual.poly import Bidegree, GradedRing
+                               hilbert_function, minimalize, twist)
+from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 
 
 def node_setup(a, i, j):
@@ -178,6 +178,22 @@ def test_ext_dualizing_plane_node_cancels_twist():
     assert dict(exts)[0].rank == 0 and dict(exts)[2].rank == 0
 
 
+def test_moving_to_the_quotient_can_leave_a_redundant_relation():
+    # why ext_dualizing minimalizes after moving Ext to B = C/I: relations
+    # independent over C can become dependent modulo I
+    C = GradedRing(["x", "y"], name="C")
+    x, y = C.var("x"), C.var("y")
+    degs = (C.degree_zero(), C.degree_zero())
+    M = ModulePresentation(FreeModule(C, degs),
+                           [(x, -y), (C.zero(), x * y), (C.zero(), x * x)])
+    assert minimalize(M).relations == M.relations
+    B = C.quotient([x * x])
+    # (0, x^2) vanishes over B and (0, xy) = -x * (x, -y) there
+    over_b = ModulePresentation(FreeModule(B, degs), M.relations)
+    assert len(over_b.relations) == 2
+    assert len(minimalize(over_b).relations) == 1
+
+
 def test_ext_agrees_with_finite_shriek_on_node():
     # the Koszul route and the finite-map route produce the same verdict
     f, _, _ = node_setup(3, 1, 2)
@@ -332,6 +348,18 @@ def test_pushforward_detects_mismatch():
     verdict, disc = pushforward_check(
         f, wrong, ModulePresentation.structure(f.source), 8)
     assert verdict == "unequal" and disc is not None
+
+
+def test_pushforward_rejects_modules_over_other_rings():
+    f, _, _ = node_setup(3, 1, 2)
+    B2 = f.target.ambient().quotient([f.target.var("x") ** 2])
+    w = ModulePresentation.structure(B2)
+    omega_a = ModulePresentation.structure(f.source)
+    with pytest.raises(RingMismatchError, match="omega_B"):
+        pushforward_check(f, w, omega_a, 8)
+    with pytest.raises(RingMismatchError, match="omega_A"):
+        pushforward_check(f, ModulePresentation.structure(f.target),
+                          ModulePresentation.structure(f.target), 8)
 
 
 def test_compare_modules_basics(node_ring):

@@ -9,7 +9,8 @@ matrices on every constructed complex, the incremental span oracle
 against a fresh oracle per candidate, relations modulo a context against
 the hand projection of the full syzygies, span-only module Groebner bases
 against tracked ones, homology in one subquotient against the two-step
-reference, results that `minimalize` leaves unchanged, and the
+reference, kernels read from a map's stored columns against the images
+of the unit vectors, results that `minimalize` leaves unchanged, and the
 quotient-ring reduction fast path against the full normal form.
 """
 
@@ -19,12 +20,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import (annihilates, reference_buchberger, reference_homology,
-                     reference_relations_modulo)
+                     reference_kernel, reference_relations_modulo)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
-                               hilbert_function, hom_module, kernel, minimalize,
+                               hilbert_function, hom_module, kernel,
+                               kernel_with_inclusion, minimalize,
                                restrict_along, subquotient, vector_bidegree)
 from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
@@ -505,6 +507,41 @@ def test_homology_matches_two_step_reference(homology_library):
                 between += 1
                 nonzero += pres.rank > 0
     assert between and nonzero
+
+
+def test_kernel_from_columns_matches_unit_vector_images(homology_library):
+    """Reading a map's stored columns gives the presentation and inclusion
+    vectors of applying the map to every unit vector: on the maps out of
+    the homology library's terms, modulo their boundaries, and on seeded
+    maps into free and presented targets and into the zero module."""
+    cases = []
+    for C in homology_library:
+        for i in range(C.length + 1):
+            out_map, in_map = C.map_out_of(i), C.map_into(i)
+            if out_map is not None:
+                cases.append((out_map, list(in_map.columns) if in_map else []))
+    for ring, cands, context, rank in homogeneous_span_instances(120, SEED + 17):
+        d0 = ring.degree_zero()
+        within = ModulePresentation(FreeModule(ring, (d0,) * rank), context)
+        degs = [vector_bidegree(v, within.free.bidegrees, ring) or d0 for v in cands]
+        source = ModulePresentation.free_of(ring, degs)
+        f = ModuleMap(source, within, cands)
+        ker = reference_kernel(f)[1]
+        g = ring.var(0)
+        cases += [(f, []), (f, [tuple(g * p for p in v) for v in ker[:2]]),
+                  (ModuleMap(source, ModulePresentation.zero(ring),
+                             [()] * source.rank), [])]
+    kinds = set()
+    for f, modulo in cases:
+        pres, incl = kernel_with_inclusion(f, modulo)
+        ref, ref_incl = reference_kernel(f, modulo)
+        assert same_presentation(pres, ref)
+        assert incl == ref_incl
+        kinds.add((bool(f.ring.ideal), bool(f.target.relations),
+                   f.target.rank > 0, bool(modulo)))
+    assert {(q, r, True, m) for q in (False, True) for r in (False, True)
+            for m in (False, True)} <= kinds
+    assert (False, False, False, False) in kinds
 
 
 def ungraded_ring(rng):
