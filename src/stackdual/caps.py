@@ -2,9 +2,9 @@
 
 The kernels poll these at cheap points so a runaway Groebner computation
 fails fast instead of hanging a session.  Caps are off by default;
-`run_session` installs them around each command from the environment
-variables STACKDUAL_MAX_TERMS and STACKDUAL_TIME_LIMIT_S, or the defaults
-below when those are unset.
+`run_session` installs them around each command, and `parse_session` around
+the parse, from the environment variables STACKDUAL_MAX_TERMS and
+STACKDUAL_TIME_LIMIT_S, or the defaults below when those are unset.
 """
 
 from __future__ import annotations

@@ -3,10 +3,14 @@ computation commands.
 
 Statements are newline- or semicolon-terminated; `#` starts a comment.
 Polynomials are written infix with explicit `*` and `^` (integers only;
-rational coefficients enter through division, e.g. (1/2)*x).  References
-must resolve to earlier declarations, so the parser keeps a symbol table
-and produces fully resolved statements.  On error it recovers at the next
-statement terminator and reports every diagnostic with line and column.
+rational coefficients enter through division, e.g. (1/2)*x).  One
+recursive-descent parser reads every statement, expressions included, from
+a single token stream: an expression ends at the first token that cannot
+continue it (`,`, `)`, `}` or the end of the statement), so any declared
+variable or generator name may appear in it.  References must resolve to
+earlier declarations, so the parser keeps a symbol table and produces fully
+resolved statements.  On error it recovers at the next statement terminator
+and reports every diagnostic with line and column.
 
     ring B = Q[x,y]/(x*y) group 3 weights {x:1, y:2} degrees {x:1, y:1}
     map f : A -> B { u = x^3, v = y^3 }
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
+from .caps import ResourceCapError, command_caps
 from .gmodule import FreeModule, ModulePresentation, RingMorphism
 from .poly import Bidegree, GradedRing, MonomialOrder, Polynomial
 
@@ -201,6 +206,11 @@ class SessionAst:
 # the parser
 
 
+class _Bail(Exception):
+    def __init__(self, diagnostic: Diagnostic):
+        self.diagnostic = diagnostic
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], default_order: str = "degrevlex"):
         self.tokens = tokens
@@ -211,6 +221,9 @@ class _Parser:
         self.maps: dict[str, RingMorphism] = {}
         self.modules: dict[str, tuple[ModulePresentation, str]] = {}
         self.names: set[str] = set()
+        # the ring and module generators of the expression being read
+        self.expr_ring: Optional[GradedRing] = None
+        self.expr_gens: dict[str, int] = {}
 
     # -- token plumbing ------------------------------------------------------
 
@@ -227,11 +240,11 @@ class _Parser:
         t = self.peek()
         return t.kind == "SYMBOL" and t.value == sym
 
-    def accept_symbol(self, sym: str) -> bool:
-        if self.at_symbol(sym):
-            self.advance()
-            return True
-        return False
+    def accept_symbol(self, *syms: str) -> Optional[Token]:
+        t = self.peek()
+        if t.kind == "SYMBOL" and t.value in syms:
+            return self.advance()
+        return None
 
     def expect_symbol(self, sym: str) -> Token:
         t = self.peek()
@@ -251,25 +264,35 @@ class _Parser:
             self.fail(f"unexpected {t.value or t.kind!r}", expected=(word,))
         self.advance()
 
+    def accept_keyword(self, *words: str) -> Optional[str]:
+        t = self.peek()
+        if t.kind == "IDENT" and t.value in words:
+            return self.advance().value
+        return None
+
     def expect_int(self) -> int:
-        neg = False
-        if self.at_symbol("-"):
-            self.advance()
-            neg = True
+        neg = bool(self.accept_symbol("-"))
         t = self.peek()
         if t.kind != "INT":
             self.fail("expected an integer", expected=("integer",))
         self.advance()
         return -int(t.value) if neg else int(t.value)
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()):
-        t = self.peek()
-        raise _Bail(Diagnostic(t.line, t.col, message, expected))
+    def comma_list(self, item) -> list:
+        out = [item()]
+        while self.accept_symbol(","):
+            out.append(item())
+        return out
+
+    def fail(self, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
+        self.fail_at(self.peek(), message, expected)
+
+    def fail_at(self, tok: Token, message: str,
+                expected: tuple[str, ...] = ()) -> NoReturn:
+        raise _Bail(Diagnostic(tok.line, tok.col, message, expected))
 
     def skip_to_terminator(self):
-        while self.peek().kind not in ("NEWLINE", "EOF"):
-            if self.at_symbol(";"):
-                break
+        while self.peek().kind not in ("NEWLINE", "EOF") and not self.at_symbol(";"):
             self.advance()
 
     # -- entry ----------------------------------------------------------------
@@ -277,15 +300,17 @@ class _Parser:
     def parse(self) -> SessionAst:
         statements: list[Statement] = []
         while self.peek().kind != "EOF":
-            if self.peek().kind == "NEWLINE":
+            if self.peek().kind == "NEWLINE" or self.at_symbol(";"):
                 self.advance()
                 continue
-            if self.accept_symbol(";"):
-                continue
+            start = self.peek()
             try:
                 statements.append(self.statement())
             except _Bail as bail:
                 self.diagnostics.append(bail.diagnostic)
+                self.skip_to_terminator()
+            except ResourceCapError as exc:
+                self.diagnostics.append(Diagnostic(start.line, start.col, str(exc)))
                 self.skip_to_terminator()
         if self.diagnostics:
             raise ParseError(self.diagnostics)
@@ -307,17 +332,14 @@ class _Parser:
 
     def end_statement(self):
         t = self.peek()
-        if t.kind in ("NEWLINE", "EOF"):
-            return
-        if self.at_symbol(";"):
+        if t.kind in ("NEWLINE", "EOF") or self.at_symbol(";"):
             return
         self.fail(f"unexpected {t.value!r} after a complete statement",
                   expected=("newline", ";"))
 
-    def declare(self, name: str, tok_like: Token):
+    def declare(self, name: str, tok: Token):
         if name in self.names:
-            raise _Bail(Diagnostic(tok_like.line, tok_like.col,
-                                   f"duplicate name {name!r}"))
+            self.fail_at(tok, f"duplicate name {name!r}")
         self.names.add(name)
 
     # -- declarations -----------------------------------------------------------
@@ -328,21 +350,29 @@ class _Parser:
         name = self.expect_ident("ring name")
         self.declare(name, tok)
         self.expect_symbol("=")
-        field_tok = self.expect_ident("Q")
-        if field_tok != "Q":
+        if self.expect_ident("Q") != "Q":
             self.fail("only the rational field Q is supported", expected=("Q",))
         self.expect_symbol("[")
-        variables = [self.expect_ident("variable")]
-        while self.accept_symbol(","):
-            variables.append(self.expect_ident("variable"))
+        variables: list[str] = []
+        while True:
+            var_tok = self.peek()
+            v = self.expect_ident("variable")
+            if v in variables:
+                self.fail_at(var_tok, f"duplicate variable {v!r}")
+            variables.append(v)
+            if not self.accept_symbol(","):
+                break
         self.expect_symbol("]")
 
-        quotient_src: list[list[Token]] = []
+        # The ideal comes before the grading and order it lives in.  Sums and
+        # products do not depend on either, so it is read over the ungraded
+        # ring on the same variables and regraded once the options are known.
+        ungraded = GradedRing(variables)
+        quotient: list[tuple[Token, Polynomial]] = []
         if self.accept_symbol("/"):
             self.expect_symbol("(")
-            quotient_src.append(self.collect_expr_tokens())
-            while self.accept_symbol(","):
-                quotient_src.append(self.collect_expr_tokens())
+            quotient = self.comma_list(
+                lambda: (self.peek(), self.polynomial(ungraded)))
             self.expect_symbol(")")
 
         group = 1
@@ -350,9 +380,7 @@ class _Parser:
         degrees = {v: 1 for v in variables}
         weight_toks: dict[str, Token] = {}
         order_kind = self.default_order
-        while self.peek().kind == "IDENT" and self.peek().value in (
-                "group", "weights", "degrees", "order"):
-            word = self.advance().value
+        while word := self.accept_keyword("group", "weights", "degrees", "order"):
             if word == "group":
                 group = self.expect_int()
                 if group < 1:
@@ -368,8 +396,7 @@ class _Parser:
                     var_tok = self.peek()
                     v = self.expect_ident("variable")
                     if v not in variables:
-                        raise _Bail(Diagnostic(var_tok.line, var_tok.col,
-                                               f"unknown variable {v!r}"))
+                        self.fail_at(var_tok, f"unknown variable {v!r}")
                     self.expect_symbol(":")
                     table[v] = self.expect_int()
                     if table is weights:
@@ -387,12 +414,10 @@ class _Parser:
         ambient = GradedRing(variables, [degrees[v] for v in variables],
                              [weights[v] for v in variables], group,
                              order=MonomialOrder(order_kind), name=name)
-        gens = [self.eval_poly_tokens(toks, ambient) for toks in quotient_src]
-        for g, toks in zip(gens, quotient_src):
+        gens = [ambient.reinterpret(g) for _, g in quotient]
+        for g, (first, _) in zip(gens, quotient):
             if g.bidegree() is None and not g.is_zero():
-                t0 = toks[0]
-                raise _Bail(Diagnostic(t0.line, t0.col,
-                                       f"ideal generator {g} is not bihomogeneous"))
+                self.fail_at(first, f"ideal generator {g} is not bihomogeneous")
         ring = ambient.quotient(gens, name=name) if gens else ambient
         self.rings[name] = ring
         return RingDecl(name, ring)
@@ -404,8 +429,7 @@ class _Parser:
         self.declare(name, tok)
         self.expect_symbol(":")
         source, src = self.ring_ref()
-        t = self.peek()
-        if t.kind != "ARROW":
+        if self.peek().kind != "ARROW":
             self.fail("expected ->", expected=("->",))
         self.advance()
         target, tgt = self.ring_ref()
@@ -415,24 +439,22 @@ class _Parser:
             var_tok = self.peek()
             v = self.expect_ident("source variable")
             if v not in source.variables:
-                raise _Bail(Diagnostic(var_tok.line, var_tok.col,
-                                       f"{v!r} is not a variable of {src}"))
+                self.fail_at(var_tok, f"{v!r} is not a variable of {src}")
             self.expect_symbol("=")
-            images[v] = self.eval_poly_tokens(self.collect_expr_tokens(), target)
+            images[v] = self.polynomial(target)
             if not self.accept_symbol(","):
                 break
         self.expect_symbol("}")
         self.end_statement()
         missing = [v for v in source.variables if v not in images]
         if missing:
-            raise _Bail(Diagnostic(tok.line, tok.col,
-                                   f"map {name} is missing images for {missing}"))
+            self.fail_at(tok, f"map {name} is missing images for {missing}")
         try:
             morphism = RingMorphism(source, target,
                                     [images[v] for v in source.variables],
                                     name=name)
         except ValueError as exc:
-            raise _Bail(Diagnostic(tok.line, tok.col, str(exc)))
+            self.fail_at(tok, str(exc))
         self.maps[name] = morphism
         return MapDecl(name, morphism, src, tgt)
 
@@ -450,8 +472,7 @@ class _Parser:
             gtok = self.peek()
             g = self.expect_ident("generator name")
             if g in gen_names or g in ring.variables:
-                raise _Bail(Diagnostic(gtok.line, gtok.col,
-                                       f"generator name {g!r} clashes"))
+                self.fail_at(gtok, f"generator name {g!r} clashes")
             self.expect_symbol(":")
             self.expect_symbol("(")
             z = self.expect_int()
@@ -463,18 +484,13 @@ class _Parser:
             if not self.accept_symbol(","):
                 break
         rels: list[tuple[Polynomial, ...]] = []
-        if self.peek().kind == "IDENT" and self.peek().value == "rels":
-            self.advance()
-            while True:
-                rels.append(self.eval_relation_tokens(
-                    self.collect_expr_tokens(), ring, gen_names))
-                if not self.accept_symbol(","):
-                    break
+        if self.accept_keyword("rels"):
+            rels = self.comma_list(lambda: self.relation(ring, gen_names))
         self.end_statement()
         try:
             module = ModulePresentation(FreeModule(ring, tuple(bidegrees)), rels)
         except ValueError as exc:
-            raise _Bail(Diagnostic(tok.line, tok.col, str(exc)))
+            self.fail_at(tok, str(exc))
         self.modules[name] = (module, ring_name)
         return ModuleDecl(name, ring_name, module, tuple(gen_names))
 
@@ -487,37 +503,33 @@ class _Parser:
             return self.modules[name][0], name
         if name in self.rings:
             return ModulePresentation.structure(self.rings[name]), name
-        raise _Bail(Diagnostic(tok.line, tok.col,
-                               f"unknown module or ring {name!r}"))
+        self.fail_at(tok, f"unknown module or ring {name!r}")
 
     def ring_ref(self) -> tuple[GradedRing, str]:
         tok = self.peek()
         name = self.expect_ident("ring name")
         if name not in self.rings:
-            raise _Bail(Diagnostic(tok.line, tok.col, f"unknown ring {name!r}"))
+            self.fail_at(tok, f"unknown ring {name!r}")
         return self.rings[name], name
 
     def map_ref(self) -> tuple[RingMorphism, str]:
         tok = self.peek()
         name = self.expect_ident("map name")
         if name not in self.maps:
-            raise _Bail(Diagnostic(tok.line, tok.col, f"unknown map {name!r}"))
+            self.fail_at(tok, f"unknown map {name!r}")
         return self.maps[name], name
 
     def poly_list(self, ring: GradedRing) -> list[Polynomial]:
         self.expect_symbol("(")
-        out = [self.eval_poly_tokens(self.collect_expr_tokens(), ring)]
-        while self.accept_symbol(","):
-            out.append(self.eval_poly_tokens(self.collect_expr_tokens(), ring))
+        out = self.comma_list(lambda: self.polynomial(ring))
         self.expect_symbol(")")
         return out
 
-    def int_option(self, *names: str) -> dict[str, int]:
-        opts: dict[str, int] = {}
-        while self.peek().kind == "IDENT" and self.peek().value in names:
-            key = self.advance().value
-            opts[key] = self.expect_int()
-        return opts
+    def int_option(self, name: str, default: Optional[int]) -> Optional[int]:
+        value = default
+        while self.accept_keyword(name):
+            value = self.expect_int()
+        return value
 
     def command(self) -> Command:
         tok = self.peek()
@@ -527,8 +539,7 @@ class _Parser:
             sub = self.expect_ident("finite|lci")
             head = f"dualize-{sub}"
         if head not in COMMAND_KINDS:
-            raise _Bail(Diagnostic(tok.line, tok.col,
-                                   f"unknown command {head!r}", COMMAND_KINDS))
+            self.fail_at(tok, f"unknown command {head!r}", COMMAND_KINDS)
         method = getattr(self, "cmd_" + head.replace("-", "_"))
         cmd = method()
         self.end_statement()
@@ -546,17 +557,14 @@ class _Parser:
         gens = self.poly_list(ring.ambient())
         self.expect_keyword("omega")
         omega, oname = self.omega_ref(ring)
-        opts = self.int_option("max")
-        imax = opts.get("max", max(2, ring.nvars))
+        imax = self.int_option("max", max(2, ring.nvars))
         gens_txt = ", ".join(str(g) for g in gens)
         return Command("ext", args={"ring": ring, "ideal": gens, "omega": omega},
                        options={"max": imax},
                        text=f"ext {rname} ideal ({gens_txt}) omega {oname} max {imax}")
 
     def omega_ref(self, ring: GradedRing) -> tuple[Optional[ModulePresentation], str]:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "canonical":
-            self.advance()
+        if self.accept_keyword("canonical"):
             return None, "canonical"  # resolved against the ring at run time
         return self.module_ref()
 
@@ -572,11 +580,9 @@ class _Parser:
         f, fname = self.map_ref()
         omega = None
         oname = None
-        if self.peek().kind == "IDENT" and self.peek().value == "omega":
-            self.advance()
+        if self.accept_keyword("omega"):
             omega, oname = self.module_ref()
-        opts = self.int_option("depth")
-        depth = opts.get("depth", 4)
+        depth = self.int_option("depth", 4)
         text = f"dualize-finite {fname}"
         if oname:
             text += f" omega {oname}"
@@ -590,8 +596,7 @@ class _Parser:
         seq = self.poly_list(ring)
         self.expect_keyword("omega")
         omega, oname = self.omega_ref(ring)
-        opts = self.int_option("depth")
-        depth = opts.get("depth")
+        depth = self.int_option("depth", None)
         seq_txt = ", ".join(str(g) for g in seq)
         text = f"dualize-lci {rname} seq ({seq_txt}) omega {oname}"
         if depth is not None:
@@ -607,8 +612,7 @@ class _Parser:
             ring, rname = self.ring_ref()
             self.expect_keyword("ideal")
             gens = self.poly_list(ring.ambient())
-            opts = self.int_option("max")
-            imax = opts.get("max", max(2, ring.nvars))
+            imax = self.int_option("max", max(2, ring.nvars))
             gens_txt = ", ".join(str(g) for g in gens)
             return Command("check", subkind="gorenstein",
                            args={"ring": ring, "ideal": gens},
@@ -618,213 +622,133 @@ class _Parser:
             f, fname = self.map_ref()
             mb, mbn = self.module_ref()
             ma, man = self.module_ref()
-            opts = self.int_option("bound")
-            bound = opts.get("bound", 8)
+            bound = self.int_option("bound", 8)
             return Command("check", subkind="pushforward",
                            args={"map": f, "omega_b": mb, "omega_a": ma},
                            options={"bound": bound},
                            text=f"check pushforward {fname} {mbn} {man} bound {bound}")
-        raise _Bail(Diagnostic(tok.line, tok.col, f"unknown check {sub!r}",
-                               ("gorenstein", "pushforward")))
+        self.fail_at(tok, f"unknown check {sub!r}", ("gorenstein", "pushforward"))
 
     def cmd_hilbert(self) -> Command:
         m, mn = self.module_ref()
-        opts = self.int_option("max")
-        zmax = opts.get("max", 12)
+        zmax = self.int_option("max", 12)
         return Command("hilbert", args={"M": m}, options={"max": zmax},
                        text=f"hilbert {mn} max {zmax}")
 
     def cmd_invariants(self) -> Command:
         m, mn = self.module_ref()
-        opts = self.int_option("bound")
-        bound = opts.get("bound", 12)
+        bound = self.int_option("bound", 12)
         return Command("invariants", args={"M": m}, options={"bound": bound},
                        text=f"invariants {mn} bound {bound}")
 
     def cmd_compare(self) -> Command:
         m, mn = self.module_ref()
         n, nn = self.module_ref()
-        opts = self.int_option("bound")
-        bound = opts.get("bound", 8)
+        bound = self.int_option("bound", 8)
         return Command("compare", args={"M": m, "N": n},
                        options={"bound": bound},
                        text=f"compare {mn} {nn} bound {bound}")
 
     # -- polynomial expressions --------------------------------------------------
+    # An expression is read in place and ends at the first token that cannot
+    # continue it: `,`, `)`, `}` or the end of the statement.  Its value is a
+    # polynomial, or {generator index: coefficient} for an expression linear
+    # in the module generators of a relation.
 
-    def collect_expr_tokens(self) -> list[Token]:
-        """Grab the tokens of one expression, up to a delimiter at depth 0."""
-        depth = 0
-        out: list[Token] = []
-        while True:
-            t = self.peek()
-            if t.kind in ("NEWLINE", "EOF"):
-                break
-            if t.kind == "SYMBOL":
-                if t.value == "(":
-                    depth += 1
-                elif t.value == ")":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif depth == 0 and t.value in (",", ";", "}"):
-                    break
-            if t.kind == "IDENT" and depth == 0 and t.value in (
-                    "group", "weights", "degrees", "order", "rels",
-                    "max", "depth", "bound", "omega", "seq", "ideal"):
-                break
-            out.append(self.advance())
-        if not out:
-            self.fail("expected an expression", expected=("polynomial",))
-        return out
+    def polynomial(self, ring: GradedRing) -> Polynomial:
+        self.expr_ring, self.expr_gens = ring, {}
+        return self.expr()
 
-    def eval_poly_tokens(self, toks: list[Token], ring: GradedRing) -> Polynomial:
-        p = _ExprEval(toks, ring, {}).parse()
-        if isinstance(p, dict):
-            raise _Bail(Diagnostic(toks[0].line, toks[0].col,
-                                   "module generators are not allowed here"))
-        return p
-
-    def eval_relation_tokens(self, toks: list[Token], ring: GradedRing,
-                             gen_names: list[str]) -> tuple[Polynomial, ...]:
-        gens = {g: i for i, g in enumerate(gen_names)}
-        value = _ExprEval(toks, ring, gens).parse()
+    def relation(self, ring: GradedRing,
+                 gen_names: list[str]) -> tuple[Polynomial, ...]:
+        first = self.peek()
+        self.expr_ring = ring
+        self.expr_gens = {g: i for i, g in enumerate(gen_names)}
+        value = self.expr()
         if not isinstance(value, dict):
-            raise _Bail(Diagnostic(toks[0].line, toks[0].col,
-                                   "relation does not involve any generator"))
+            self.fail_at(first, "relation does not involve any generator")
         return tuple(value.get(i, ring.zero()) for i in range(len(gen_names)))
 
-
-class _Bail(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-
-
-class _ExprEval:
-    """Evaluate an infix expression over a ring, optionally with module
-    generator symbols.  Values are either polynomials or dicts
-    {generator index: coefficient} for expressions linear in the generators."""
-
-    def __init__(self, tokens: list[Token], ring: GradedRing,
-                 gens: dict[str, int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
-        self.gens = gens
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def bail(self, message: str, tok: Optional[Token] = None):
-        tok = tok or (self.tokens[-1] if self.tokens else None)
-        line, col = (tok.line, tok.col) if tok else (1, 1)
-        raise _Bail(Diagnostic(line, col, message))
-
-    def parse(self):
-        value = self.expr()
-        if self.peek() is not None:
-            self.bail(f"unexpected {self.peek().value!r} in expression", self.peek())
+    def expr(self):
+        value = self.term()
+        while op := self.accept_symbol("+", "-"):
+            value = self.add(value, self.term(), op)
         return value
 
-    # values: Polynomial | dict[int, Polynomial]
+    def term(self):
+        value = self.unary()
+        while op := self.accept_symbol("*", "/"):
+            rhs = self.unary()
+            if op.value == "/":
+                if isinstance(rhs, dict) or not rhs.is_constant() or rhs.is_zero():
+                    self.fail_at(op, "division only by a nonzero constant")
+                rhs = self.expr_ring.constant(Fraction(1) / rhs.constant_value())
+            value = self.mul(value, rhs, op)
+        return value
 
-    def _add(self, a, b, sign=1):
-        if isinstance(a, dict) or isinstance(b, dict):
-            a = a if isinstance(a, dict) else ({} if a.is_zero() else self.bail(
-                "cannot add a bare polynomial to a generator combination"))
-            b = b if isinstance(b, dict) else ({} if b.is_zero() else self.bail(
-                "cannot add a bare polynomial to a generator combination"))
-            out = dict(a)
-            for k, v in b.items():
-                out[k] = out.get(k, self.ring.zero()) + sign * v
-            return out
-        return a + sign * b
+    def unary(self):
+        # a sign binds looser than `^`: -x^2 and 2*-x^2 both negate x^2
+        if op := self.accept_symbol("+", "-"):
+            value = self.unary()
+            if op.value == "-":
+                value = self.mul(self.expr_ring.constant(-1), value, op)
+            return value
+        return self.power()
 
-    def _mul(self, a, b, tok):
+    def power(self):
+        value = self.atom()
+        if op := self.accept_symbol("^"):
+            if self.peek().kind != "INT":
+                self.fail_at(op, "exponent must be a nonnegative integer")
+            if isinstance(value, dict):
+                self.fail_at(op, "cannot raise a generator to a power")
+            value = value ** int(self.advance().value)
+        return value
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "INT":
+            self.advance()
+            return self.expr_ring.constant(int(t.value))
+        if t.kind == "IDENT":
+            if t.value in self.expr_ring.variables:
+                self.advance()
+                return self.expr_ring.var(t.value)
+            if t.value in self.expr_gens:
+                self.advance()
+                return {self.expr_gens[t.value]: self.expr_ring.one()}
+            self.fail(f"unknown symbol {t.value!r}")
+        if self.accept_symbol("("):
+            value = self.expr()
+            if not self.accept_symbol(")"):
+                self.fail_at(t, "missing closing parenthesis")
+            return value
+        self.fail("expected an expression", expected=("polynomial",))
+
+    def add(self, a, b, op: Token):
+        if not isinstance(a, dict) and not isinstance(b, dict):
+            return a + b if op.value == "+" else a - b
+        out = dict(self.combination(a, op))
+        for k, v in self.combination(b, op).items():
+            v = v if op.value == "+" else -v
+            out[k] = out[k] + v if k in out else v
+        return out
+
+    def combination(self, value, op: Token) -> dict:
+        if isinstance(value, dict):
+            return value
+        if not value.is_zero():
+            self.fail_at(op, "cannot add a bare polynomial to a generator combination")
+        return {}
+
+    def mul(self, a, b, op: Token):
         if isinstance(a, dict) and isinstance(b, dict):
-            self.bail("relations must be linear in the generators", tok)
+            self.fail_at(op, "relations must be linear in the generators")
         if isinstance(a, dict):
             return {k: v * b for k, v in a.items()}
         if isinstance(b, dict):
             return {k: a * v for k, v in b.items()}
         return a * b
-
-    def expr(self):
-        t = self.peek()
-        negate = False
-        if t and t.kind == "SYMBOL" and t.value in ("+", "-"):
-            self.advance()
-            negate = t.value == "-"
-        value = self.term()
-        if negate:
-            value = self._mul(self.ring.constant(-1), value, t)
-        while (t := self.peek()) is not None and t.kind == "SYMBOL" and t.value in ("+", "-"):
-            self.advance()
-            rhs = self.term()
-            value = self._add(value, rhs, -1 if t.value == "-" else 1)
-        return value
-
-    def term(self):
-        value = self.factor()
-        while (t := self.peek()) is not None and t.kind == "SYMBOL" and t.value in ("*", "/"):
-            self.advance()
-            rhs = self.factor()
-            if t.value == "*":
-                value = self._mul(value, rhs, t)
-            else:
-                if isinstance(rhs, dict) or not rhs.is_constant() or rhs.is_zero():
-                    self.bail("division only by a nonzero constant", t)
-                value = self._mul(value, self.ring.constant(
-                    Fraction(1) / rhs.constant_value()), t)
-        return value
-
-    def factor(self):
-        value = self.atom()
-        t = self.peek()
-        if t is not None and t.kind == "SYMBOL" and t.value == "^":
-            self.advance()
-            e = self.peek()
-            if e is None or e.kind != "INT":
-                self.bail("exponent must be a nonnegative integer", t)
-            self.advance()
-            if isinstance(value, dict):
-                self.bail("cannot raise a generator to a power", t)
-            value = value ** int(e.value)
-        return value
-
-    def atom(self):
-        t = self.peek()
-        if t is None:
-            self.bail("unexpected end of expression")
-        if t.kind == "INT":
-            self.advance()
-            return self.ring.constant(int(t.value))
-        if t.kind == "IDENT":
-            self.advance()
-            if t.value in self.ring.variables:
-                return self.ring.var(t.value)
-            if t.value in self.gens:
-                return {self.gens[t.value]: self.ring.one()}
-            self.bail(f"unknown symbol {t.value!r}", t)
-        if t.kind == "SYMBOL" and t.value == "(":
-            self.advance()
-            value = self.expr()
-            close = self.peek()
-            if close is None or close.kind != "SYMBOL" or close.value != ")":
-                self.bail("missing closing parenthesis", t)
-            self.advance()
-            return value
-        if t.kind == "SYMBOL" and t.value in ("+", "-"):
-            self.advance()
-            inner = self.atom()
-            return self._mul(self.ring.constant(-1 if t.value == "-" else 1),
-                             inner, t)
-        self.bail(f"unexpected {t.value!r} in expression", t)
 
 
 # ---------------------------------------------------------------------------
@@ -832,15 +756,24 @@ class _ExprEval:
 
 
 def parse_session(text: str, default_order: str = "degrevlex") -> SessionAst:
-    """Parse a session; raises ParseError carrying all diagnostics."""
-    return _Parser(tokenize(text), default_order).parse()
+    """Parse a session; raises ParseError carrying all diagnostics.  The
+    resource caps of a command hold for the arithmetic done while parsing."""
+    with command_caps():
+        return _Parser(tokenize(text), default_order).parse()
 
 
 def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
-    toks = [t for t in tokenize(text) if t.kind not in ("NEWLINE", "EOF")]
-    if not toks:
+    """Parse one polynomial over `ring`; it may span several lines."""
+    tokens = tokenize(text)
+    body = [t for t in tokens if t.kind not in ("NEWLINE", "EOF")]
+    if not body:
         return ring.zero()
+    end = tokens[-2]  # the last line's end, so diagnostics stay in the text
+    parser = _Parser(body + [Token("EOF", "", end.line, end.col)])
     try:
-        return _ExprEval(toks, ring, {}).parse()
+        p = parser.polynomial(ring)
+        if parser.peek().kind != "EOF":
+            parser.fail(f"unexpected {parser.peek().value!r} in expression")
     except _Bail as bail:
         raise ParseError([bail.diagnostic])
+    return p

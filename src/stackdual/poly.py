@@ -428,9 +428,14 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative exponent")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        # repeated squaring: about log2(n) products instead of n
+        out, square = self.ring.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def scale_monomial(self, mono: Monomial, coeff: Fraction) -> "Polynomial":

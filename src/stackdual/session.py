@@ -223,9 +223,7 @@ def _run_dualize_lci(cmd: Command, default_depth, _b) -> CommandOutcome:
     omega = cmd.args["omega"]
     if omega is None:
         omega = canonical_module(ring)
-    imax = cmd.options.get("depth")
-    if imax is None and default_depth is not None:
-        imax = default_depth
+    imax = cmd.options["depth"] if default_depth is None else default_depth
     rep = lci_dualizing(ring, cmd.args["seq"], omega, imax)
     failed = any("FAILED" in n for n in rep.notes)
     return CommandOutcome(

@@ -1,0 +1,77 @@
+"""Fingerprint the reports of a fixed session matrix, for byte-identity checks.
+
+    python3 tests/report_matrix.py SRC > matrix.txt
+
+SRC is the `src` directory of the checkout under test; the matrix itself
+(presets, session goldens and the benchmark's seeded sessions, expanded
+with perfbench/workloads.py) comes from the checkout this script lives in.
+Each output line is tab-separated:
+
+    name  sha256(RunReport.to_json())  exit code  sha256(print_canonical())
+
+Run it on two checkouts and `diff` the outputs: equal lines mean the same
+report bytes, the same exit code and the same parse.  The matrix holds 151
+reports: the ten presets; `node --i 2 --j 3` at a = 5, 7, 11, 13 and
+`node --a 13 --i 5 --j 7`; `node --a 5` at depth 10 and 20; the
+`rnc4-ext-1` and `command-tour` goldens; every session of `finite-node`,
+`lci-ext` and `staircase` at seeds 1-3.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SESSION_GOLDENS = ("rnc4-ext-1", "command-tour")
+SEEDS = (1, 2, 3)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def matrix():
+    """(name, session text, default depth) for every report of the matrix."""
+    from stackdual.presets import list_presets, preset_session
+    from workloads import WORKLOADS, expand
+
+    for name, _desc, _expect in list_presets():
+        yield f"preset/{name}", preset_session(name), None
+    for a, i, j in ((5, 2, 3), (7, 2, 3), (11, 2, 3), (13, 2, 3), (13, 5, 7)):
+        yield f"node/a{a}-i{i}-j{j}", preset_session("node", a=a, i=i, j=j), None
+    for depth in (10, 20):
+        yield f"node/a5-depth{depth}", preset_session("node", a=5), depth
+    for name in SESSION_GOLDENS:
+        path = ROOT / "tests" / "golden" / f"{name}.session"
+        yield f"golden/{name}", path.read_text(encoding="utf-8"), None
+    for wname, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            for k, session in enumerate(workload.generate(seed)):
+                yield (f"{wname}/{seed}/{k}-{session.name}", expand(session.spec),
+                       session.spec.get("depth"))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    sys.path[:0] = [str(Path(argv[0]).resolve()), str(ROOT / "perfbench")]
+    from stackdual.dsl import ParseError, parse_session
+    from stackdual.session import EXIT_INPUT_ERROR, run_session
+
+    for name, text, depth in matrix():
+        try:
+            ast = parse_session(text)
+        except ParseError as exc:
+            print(f"{name}\t-\t{EXIT_INPUT_ERROR}\t{_sha(str(exc))}", flush=True)
+            continue
+        report = run_session(ast, default_depth=depth)
+        print(f"{name}\t{_sha(report.to_json())}\t{report.exit_code()}\t"
+              f"{_sha(ast.print_canonical())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -299,7 +299,7 @@ def test_large_basis_reports_match_goldens():
 
 # Ext of the degree-4 rational normal curve: its Ext^3 relations come from
 # tracked module bases, so they pin the S-pairs those bases process
-SESSION_GOLDENS = ("rnc4-ext-1", "command-tour")
+SESSION_GOLDENS = ("rnc4-ext-1", "command-tour", "dsl-expressions")
 
 
 def test_session_reports_match_goldens():

@@ -146,3 +146,39 @@ def test_every_preset_parses_and_lists_expectations():
         ast = parse_session(text)
         assert ast.commands(), name
         assert expect
+
+
+def test_repeated_ring_variable_exits_2(capsys, tmp_path):
+    session = tmp_path / "repeat.sdl"
+    session.write_text("ring R = Q[x,x]\n")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert code == 2
+    assert err == "error: 1:14: duplicate variable 'x'\n" and out == ""
+
+
+def test_depth_flag_overrides_every_duality_command(capsys, tmp_path):
+    lci = ("ring C = Q[x,y,z] degrees {x:1, y:4, z:6}\n"
+           "dualize-lci C seq (z*x^2 - y^2) omega canonical depth 2\n")
+    finite = preset_session("node", a=3).replace("depth 4", "depth 2")
+    for text in (lci, finite):
+        session = tmp_path / "duality.sdl"
+        session.write_text(text)
+        json_path = tmp_path / "duality.json"
+        code, out, _ = run_cli(["run", str(session), "--depth", "5",
+                                "--json", str(json_path)], capsys)
+        assert code == 0
+        [command] = json.loads(json_path.read_text())["commands"]
+        assert command["result"]["depth"] == 5
+        assert "checked to depth 5" in out
+
+
+def test_parse_time_arithmetic_obeys_the_term_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("STACKDUAL_MAX_TERMS", "50")
+    session = tmp_path / "big.sdl"
+    session.write_text("ring S = Q[x]\nring R = Q[x,y]/((x+y)^300)\n")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert code == 2
+    assert err == "error: 2:1: polynomial exceeds 50 terms\n" and out == ""
+    monkeypatch.setenv("STACKDUAL_MAX_TERMS", "301")
+    code, _, _ = run_cli(["run", str(session)], capsys)
+    assert code == 0

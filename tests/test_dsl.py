@@ -1,9 +1,13 @@
 """Session language: parsing, resolution, diagnostics, round trips."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from stackdual.dsl import ParseError, parse_polynomial, parse_session
-from stackdual.poly import Bidegree, GradedRing
+from stackdual.gmodule import FreeModule, ModulePresentation
+from stackdual.poly import Bidegree, GradedRing, MonomialOrder
 
 
 def test_ring_declaration_with_group_and_weights():
@@ -170,3 +174,129 @@ ring R = Q[x]  # trailing comment
 hilbert R max 2
 """)
     assert len(ast.statements) == 2
+
+
+# -- expressions are read in place from the statement ----------------------
+
+TWO_GENS = "ring C = Q[x,y]\nmodule M over C gens a:(0,0), b:(0,0) rels "
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("ring A = Q[x,y]/(x*w)", "1:20: unknown symbol 'w'"),
+    ("ring A = Q[x,y]/(x/y)", "1:19: division only by a nonzero constant"),
+    ("ring A = Q[x,y]/(x/(1 - 1))", "1:19: division only by a nonzero constant"),
+    ("ring A = Q[x,y]/(x^y)", "1:19: exponent must be a nonnegative integer"),
+    (TWO_GENS + "x*a + y^2*b^2", "2:55: cannot raise a generator to a power"),
+    (TWO_GENS + "x*a*b", "2:47: relations must be linear in the generators"),
+    (TWO_GENS + "x*a + y",
+     "2:48: cannot add a bare polynomial to a generator combination"),
+    ("ring C = Q[x,y]\nkoszul C seq ((x, y)", "2:15: missing closing parenthesis"),
+    ("ring C = Q[x,y]\nkoszul C seq (x, )",
+     "2:18: expected an expression (expected polynomial)"),
+    (TWO_GENS + "x*a, x*y", "2:49: relation does not involve any generator"),
+])
+def test_each_expression_diagnostic(text, diagnostic):
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
+def test_an_expression_ends_where_it_cannot_continue():
+    with pytest.raises(ParseError) as err:
+        parse_session(TWO_GENS + "x*a foo\nring C2 = Q[x,y]/(x*y, max 2")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "2:48: unexpected 'foo' after a complete statement (expected newline, ;)",
+        "3:24: unknown symbol 'max'"]
+
+
+def test_polynomial_diagnostics_stay_inside_the_text():
+    R = GradedRing(["x", "y"])
+    for text, diagnostic in (
+            ("x + ", "1:5: expected an expression (expected polynomial)"),
+            ("x +\n y*", "2:4: expected an expression (expected polynomial)"),
+            ("x y", "1:3: unexpected 'y' in expression")):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, R)
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+    assert parse_polynomial("x +\n y", R) == R.var("x") + R.var("y")
+
+
+@pytest.mark.parametrize("word", ["group", "weights", "degrees", "order", "rels",
+                                  "max", "depth", "bound", "omega", "seq", "ideal"])
+def test_former_stop_words_are_ordinary_names(word):
+    text = (f"ring R = Q[{word},y]/({word}*y) group 2 weights {{{word}:1, y:1}}\n"
+            f"ring P = Q[{word},y] degrees {{{word}:2, y:2}}\n"
+            f"map f : P -> R {{ {word} = {word}^2, y = -({word}*y) + y^2 }}\n"
+            f"module M over P gens {word}2:(0,0), e:(0,0) rels y*{word}2 - {word}*e\n"
+            f"koszul P seq ({word}, y)\n"
+            f"ext P ideal ({word}*y) omega canonical max 1\n"
+            f"dualize-lci P seq ({word}) omega canonical depth 1")
+    ast = parse_session(text)
+    assert [str(g) for g in ast.rings["R"].ideal] == [f"{word}*y"]
+    assert [str(p) for p in ast.maps["f"].images] == [f"{word}^2", "y^2"]
+    assert [str(p) for p in ast.modules["M"].relations[0]] == ["-y", word]
+    cmds = ast.commands()
+    assert [str(g) for g in cmds[0].args["seq"]] == [word, "y"]
+    assert [str(g) for g in cmds[1].args["ideal"]] == [f"{word}*y"]
+    assert cmds[2].options["depth"] == 1
+    printed = ast.print_canonical()
+    assert parse_session(printed).print_canonical() == printed
+
+
+def test_a_sign_binds_looser_than_a_power():
+    R = GradedRing(["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    assert parse_polynomial("-x^2", R) == -(x ** 2)
+    assert parse_polynomial("2*-y^2", R) == -2 * y ** 2
+    assert parse_polynomial("x - -y^2", R) == x + y ** 2
+    assert parse_polynomial("-(x + y)^2", R) == -((x + y) ** 2)
+    assert parse_polynomial("x*y/2/3 - 1/2*x*y", R) == Fraction(-1, 3) * x * y
+    assert parse_polynomial("- +x", R) == -x
+
+
+def _random_poly(rng, ring, degree=None):
+    out = ring.zero()
+    for _ in range(rng.randint(1, 4)):
+        if degree is None:
+            mono = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+        else:
+            cuts = sorted(rng.randint(0, degree) for _ in range(ring.nvars - 1))
+            mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        coeff = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        out = out + ring.monomial(mono, coeff)
+    return out
+
+
+def test_printed_polynomials_parse_back():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        ring = GradedRing(["x", "y", "z"][:nvars],
+                          order=MonomialOrder(rng.choice(["degrevlex", "lex"])))
+        p = _random_poly(rng, ring)
+        assert parse_polynomial(str(p), ring) == p, str(p)
+
+
+def test_printed_module_relations_parse_back():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        names = ["x", "y", "z"][:nvars]
+        ring_text = f"ring R = Q[{','.join(names)}]"
+        ring = parse_session(ring_text).rings["R"]
+        zdegs = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        cols = []
+        for _ in range(rng.randint(1, 3)):
+            top = max(zdegs) + rng.randint(0, 2)
+            cols.append(tuple(_random_poly(rng, ring, top - d) if rng.random() < 0.8
+                              else ring.zero() for d in zdegs))
+        expected = ModulePresentation(
+            FreeModule(ring, tuple(Bidegree(d, 0, 1) for d in zdegs)), cols)
+        gens = ", ".join(f"g{i}:({d},0)" for i, d in enumerate(zdegs))
+        ast = parse_session(f"{ring_text}\nmodule M over R gens {gens}")
+        decl = ast.statements[1]
+        decl.module = expected
+        printed = ast.print_canonical()
+        reparsed = parse_session(printed)
+        assert reparsed.modules["M"].relations == expected.relations, printed
+        assert reparsed.print_canonical() == printed

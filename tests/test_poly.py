@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stackdual.poly import (Bidegree, GradedRing, MonomialOrder,
+from stackdual.poly import (Bidegree, GradedRing, MonomialOrder, Polynomial,
                             RingMismatchError, _EliminationOrder, leading_term,
                             multiply)
 
@@ -135,3 +135,18 @@ def test_substitute_power_cache(qxy):
     u = R.var("u")
     x = qxy.var("x")
     assert substitute(u ** 3 + u, qxy, [x ** 2]) == x ** 6 + x ** 2
+
+
+def test_powers_square_repeatedly(qxy, monkeypatch):
+    p = qxy.var("x") + 2 * qxy.var("y") - 1
+    expected = [qxy.one()]
+    for _ in range(17):
+        expected.append(expected[-1] * p)
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for n, want in enumerate(expected):
+        calls.clear()
+        assert p ** n == want
+        assert len(calls) <= 2 * n.bit_length()
