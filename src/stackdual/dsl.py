@@ -62,7 +62,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str       # IDENT INT SYMBOL ARROW NEWLINE EOF
+    kind: str       # IDENT INT SYMBOL ARROW NEWLINE EOF, or ERROR for an
+                    # unreadable character, which the parser reports
     value: str
     line: int
     col: int
@@ -105,7 +106,8 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token("SYMBOL", ch, lineno, col))
                 i += 1
                 continue
-            raise ParseError([Diagnostic(lineno, col, f"unexpected character {ch!r}")])
+            tokens.append(Token("ERROR", ch, lineno, col))
+            i += 1
         tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
     tokens.append(Token("EOF", "", len(text.splitlines()) + 1, 1))
     return tokens
@@ -220,7 +222,6 @@ class _Parser:
         self.rings: dict[str, GradedRing] = {}
         self.maps: dict[str, RingMorphism] = {}
         self.modules: dict[str, tuple[ModulePresentation, str]] = {}
-        self.names: set[str] = set()
         # the ring and module generators of the expression being read
         self.expr_ring: Optional[GradedRing] = None
         self.expr_gens: dict[str, int] = {}
@@ -228,7 +229,10 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok.kind == "ERROR":
+            self.fail_at(tok, f"unexpected character {tok.value!r}")
+        return tok
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -291,19 +295,22 @@ class _Parser:
                 expected: tuple[str, ...] = ()) -> NoReturn:
         raise _Bail(Diagnostic(tok.line, tok.col, message, expected))
 
+    def at_terminator(self) -> bool:
+        t = self.tokens[self.pos]
+        return t.kind in ("NEWLINE", "EOF") or (t.kind == "SYMBOL" and t.value == ";")
+
     def skip_to_terminator(self):
-        while self.peek().kind not in ("NEWLINE", "EOF") and not self.at_symbol(";"):
+        while not self.at_terminator():
             self.advance()
 
     # -- entry ----------------------------------------------------------------
 
     def parse(self) -> SessionAst:
         statements: list[Statement] = []
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "NEWLINE" or self.at_symbol(";"):
+        while (start := self.tokens[self.pos]).kind != "EOF":
+            if self.at_terminator():
                 self.advance()
                 continue
-            start = self.peek()
             try:
                 statements.append(self.statement())
             except _Bail as bail:
@@ -332,15 +339,16 @@ class _Parser:
 
     def end_statement(self):
         t = self.peek()
-        if t.kind in ("NEWLINE", "EOF") or self.at_symbol(";"):
+        if self.at_terminator():
             return
         self.fail(f"unexpected {t.value!r} after a complete statement",
                   expected=("newline", ";"))
 
     def declare(self, name: str, tok: Token):
-        if name in self.names:
+        """Refuse a name an earlier declaration took.  A name is taken only
+        when its statement has parsed, so a failed one leaves none behind."""
+        if name in self.rings or name in self.maps or name in self.modules:
             self.fail_at(tok, f"duplicate name {name!r}")
-        self.names.add(name)
 
     # -- declarations -----------------------------------------------------------
 
@@ -763,7 +771,8 @@ def parse_session(text: str, default_order: str = "degrevlex") -> SessionAst:
 
 
 def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
-    """Parse one polynomial over `ring`; it may span several lines."""
+    """Parse one polynomial over `ring`; it may span several lines.  The
+    resource caps of a command hold for its arithmetic."""
     tokens = tokenize(text)
     body = [t for t in tokens if t.kind not in ("NEWLINE", "EOF")]
     if not body:
@@ -771,9 +780,12 @@ def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
     end = tokens[-2]  # the last line's end, so diagnostics stay in the text
     parser = _Parser(body + [Token("EOF", "", end.line, end.col)])
     try:
-        p = parser.polynomial(ring)
+        with command_caps():
+            p = parser.polynomial(ring)
         if parser.peek().kind != "EOF":
             parser.fail(f"unexpected {parser.peek().value!r} in expression")
     except _Bail as bail:
         raise ParseError([bail.diagnostic])
+    except ResourceCapError as exc:
+        raise ParseError([Diagnostic(body[0].line, body[0].col, str(exc))])
     return p

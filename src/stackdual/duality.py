@@ -115,17 +115,18 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
     """Twisted inverse image along a finite map: Hom_A(B, M) with its
     B-module structure, plus Ext^i_A(B, M) for i = 1..depth.
 
-    The Hom is computed from the start of a minimal A-resolution of B; the
-    B-action is reconstructed from staircase coordinates of x * b_k and the
-    result is presented and minimalized over B.
+    B is presented over A by `restrict_along`, its staircase monomials b_k
+    and the relations read off the graph basis.  The Hom is computed from
+    the start of a minimal A-resolution of B; the B-action is reconstructed
+    from staircase coordinates of x * b_k and the result is presented and
+    minimalized over B.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if M is None:
         M = ModulePresentation.structure(f.source)
-    ring_b = f.target
     m_g = f.transport_module(M)
-    ba = restrict_along(f, ModulePresentation.structure(ring_b))
+    ba = restrict_along(f)
     res = resolve(ba, depth + 1)
     if res.terms[0].rank != ba.rank:
         raise RuntimeError("staircase generators failed to stay minimal")

@@ -4,8 +4,8 @@ A module is presented by a free module with a bidegree per generator and a
 list of homogeneous relation columns; entries are kept reduced modulo the
 ring ideal.  On top of that sit the operations the duality recipes need:
 kernels, Hom, twists, minimal presentations,
-Hilbert tables, invariant (weight-zero) parts, and restriction of scalars
-along a module-finite ring map.
+Hilbert tables, invariant (weight-zero) parts, and the target of a
+module-finite ring map as a module over its source.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -586,12 +586,13 @@ class RingMorphism:
         self._gens_cache = (monos, degs)
         return self._gens_cache
 
-    # -- the mixed (elimination) ring ------------------------------------------
+    # -- the graph ideal -------------------------------------------------------
 
     def _mixed(self):
-        """Mixed ring Q[target vars, renamed source vars] with an order
-        eliminating the target block, plus the GB of the graph ideal
-        (target ideal, source_var - image)."""
+        """The reduced Groebner basis G of the graph ideal (target ideal,
+        source_var - image) in Q[target vars, renamed source vars] under an
+        order eliminating the target block, and the map widening a target
+        polynomial into that ring (both cached)."""
         if self._mixed_cache is not None:
             return self._mixed_cache
         tvars = list(self.target.variables)
@@ -614,15 +615,14 @@ class RingMorphism:
             mono = [0] * ring.nvars
             mono[nt + idx] = 1
             graph.append(ring.monomial(tuple(mono)) - widen_target(img))
-        gb = buchberger(graph, ring=ring)
-        self._mixed_cache = (ring, gb, widen_target)
+        self._mixed_cache = (buchberger(graph, ring=ring), widen_target)
         return self._mixed_cache
 
     def coordinates(self, p: Polynomial) -> tuple[Polynomial, ...]:
         """Write a target element over the staircase basis with source
         coefficients: p = sum_k a_k(source) * b_k in B."""
         monos, _ = self.module_generators()
-        ring, gb, widen = self._mixed()
+        gb, widen = self._mixed()
         nt = self.target.nvars
         nf = normal_form(widen(p), gb)
         coords = [dict() for _ in monos]
@@ -636,68 +636,34 @@ class RingMorphism:
         return tuple(source_ambient.poly(c) for c in coords)
 
 
-def restrict_along(f: RingMorphism, N: ModulePresentation) -> ModulePresentation:
-    """N, a module over the target, as a module over the (weighted) source.
+def restrict_along(f: RingMorphism) -> ModulePresentation:
+    """B, the target of f, as a module over the (weighted) source A.
 
-    Generators are b_k * n_j ordered with the target generator n_j major and
-    the staircase monomial b_k minor; relations are computed by syzygies in
-    the mixed ring followed by elimination of the target block.
+    The generators are the staircase monomials b_k.  A product y^e * b_k of
+    a source monomial and a generator is a standard monomial of the graph
+    ideal unless a lead x^g * y^e of its basis G has x^g | b_k; for each
+    such lead, y^e * e_k - coordinates(f(y^e) * b_k) is a relation, and a
+    minimal subset of these presents B.  Reducing a relation vector by
+    them lowers its largest non-standard term, and a vector of standard
+    terms alone is its own normal form, so they span every relation.
     """
-    if N.ring != f.target:
-        raise RingMismatchError("module is not over the morphism target")
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
-    mixed, graph_gb, widen = f._mixed()
+    gb, _ = f._mixed()
     nt = f.target.nvars
-    ns = f.source.nvars
-
-    def widen_vec(vec: Vector) -> Vector:
-        return tuple(widen(p) for p in vec)
-
-    # generators b_k e_j of the restriction, as vectors over the mixed ring
-    gen_vecs: list[Vector] = []
-    gen_degs: list[Bidegree] = []
-    for j in range(N.rank):
-        for k, mono in enumerate(monos):
-            vec = [mixed.zero()] * N.rank
-            vec[j] = mixed.monomial(mono + (0,) * ns)
-            gen_vecs.append(tuple(vec))
-            gen_degs.append(mono_degs[k] + N.free.bidegrees[j])
-
-    context: list[Vector] = [widen_vec(col) for col in N.relations]
-    for g in graph_gb.generators:
-        for pos in range(N.rank):
-            vec = [mixed.zero()] * N.rank
-            vec[pos] = g
-            context.append(tuple(vec))
-
-    projected = syzygies_over(mixed, gen_vecs, N.rank, context)
-    ngen = len(gen_vecs)
-
-    # eliminate the target block: Groebner basis of the projected module in
-    # the term-over-position elimination order, keep target-free elements
-    vecs = [groebner.vec_from_polys(v, mixed) for v in projected]
+    leads = [g.leading_term()[0] for g in gb.generators]
     rel_cols: list[Vector] = []
-    if vecs:
-        gb = groebner._TrackedGB(vecs, mixed)
-        source_ambient = ring_a.ambient()
-        seen = set()
-        for b in gb.basis:
-            if any(any(m[:nt]) for (_, m) in b):
+    for k, b in enumerate(monos):
+        for lead in leads:
+            if not monomial_divides(lead[:nt], b):
                 continue
-            comps = [dict() for _ in range(ngen)]
-            for (pos, m), c in b.items():
-                comps[pos][m[nt:]] = c
-            col = tuple(ring_a.reduce(source_ambient.poly(comp)) for comp in comps)
-            if all(p.is_zero() for p in col):
-                continue
-            if col not in seen:
-                seen.add(col)
-                rel_cols.append(col)
-
+            e = lead[nt:]
+            image = f.apply(f.source.monomial(e)) * f.target.monomial(b)
+            col = [-c for c in f.coordinates(image)]
+            col[k] = col[k] + ring_a.monomial(e)
+            rel_cols.append(tuple(ring_a.reduce(c) for c in col))
     keep = sorted(minimal_generating_vectors(
-        ring_a, rel_cols, ngen,
-        [vector_bidegree(c, tuple(gen_degs), ring_a) for c in rel_cols]))
-    pres = ModulePresentation(FreeModule(ring_a, tuple(gen_degs)),
+        ring_a, rel_cols, len(monos),
+        [vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
+    return ModulePresentation(FreeModule(ring_a, mono_degs),
                               [rel_cols[i] for i in keep])
-    return pres

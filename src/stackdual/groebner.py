@@ -54,9 +54,7 @@ def vector_bidegree(vec: Sequence[Polynomial], gen_bidegrees: Sequence[Bidegree]
 #
 # A module element of R^n is stored as dict[(position, monomial)] -> Fraction.
 # The module order is term-over-position: monomials compare by the ring
-# order first, lower positions win ties.  With an eliminating ring order
-# this makes the leading term of a vector x-free only if the whole vector
-# is, which is what restriction of scalars relies on.
+# order first, lower positions win ties.
 
 
 VecDict = dict[tuple[int, Monomial], Fraction]

@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +110,20 @@ class RunReport:
         if self.error == "resource-cap":
             return EXIT_RESOURCE_CAP
         if self.error is not None:
+            if self.error.startswith("internal: "):
+                return EXIT_INTERNAL_ERROR
             return EXIT_INPUT_ERROR
         if any(o.failed_check for o in self.outcomes):
             return EXIT_FAILED_CHECK
         return EXIT_OK
+
+    def abort(self, cmd: Command, error: str, message: str, human: str) -> None:
+        """Stop the session at `cmd`, flagging the report partial."""
+        self.partial = True
+        self.error = error
+        self.outcomes.append(CommandOutcome(
+            cmd.kind, cmd.text, {"error": message}, {"aborted": True},
+            [human], failed_check=False))
 
     def to_json(self, include_timings: bool = False) -> str:
         commands = []
@@ -146,18 +157,15 @@ def run_session(ast: SessionAst, default_depth: Optional[int] = None,
             with command_caps():
                 outcome = _execute(cmd, default_depth, default_bound)
         except ResourceCapError as exc:
-            report.partial = True
-            report.error = "resource-cap"
-            report.outcomes.append(CommandOutcome(
-                cmd.kind, cmd.text, {"error": str(exc)}, {"aborted": True},
-                [f"aborted: {exc}"], failed_check=False))
+            report.abort(cmd, "resource-cap", str(exc), f"aborted: {exc}")
             break
         except ValueError as exc:
-            report.partial = True
-            report.error = str(exc)
-            report.outcomes.append(CommandOutcome(
-                cmd.kind, cmd.text, {"error": str(exc)}, {"aborted": True},
-                [f"error: {exc}"], failed_check=False))
+            report.abort(cmd, str(exc), str(exc), f"error: {exc}")
+            break
+        except (RuntimeError, AssertionError) as exc:
+            # a broken engine invariant, not a fault of the input
+            error = f"internal: {exc}"
+            report.abort(cmd, error, error, f"internal error: {exc}")
             break
         outcome.timing_ms = int((time.monotonic() - started) * 1000)
         report.outcomes.append(outcome)

@@ -19,6 +19,11 @@ boundaries in a second subquotient, without the `modulo` argument of
 `kernel_with_inclusion`.  `reference_kernel` recomputes a map's images by
 applying it to every unit vector instead of reading its stored columns.
 `annihilates` checks relations by multiplying them out.
+
+`reference_restrict_along` presents B over A by elimination: the syzygies
+of the staircase monomials modulo the graph ideal in the mixed ring, then a
+module Groebner basis of those in the elimination order, keeping its
+target-free elements.
 """
 
 from fractions import Fraction
@@ -252,3 +257,43 @@ def reference_kernel(f, modulo=()):
         gens = syzygies_over(f.ring, [f.apply_to_vector(u) for u in units],
                              f.target.rank, f.target.relations)
     return subquotient(gens, modulo, f.source)
+
+
+def reference_restrict_along(f):
+    """B, the target of f, over the weighted source, by elimination.
+
+    The relations among the staircase monomials b_k modulo the graph ideal
+    are syzygies over the mixed ring; a module Groebner basis of them in the
+    term-over-position elimination order has a target-free element for
+    every relation with coefficients in the source alone.
+    """
+    from stackdual import groebner
+    from stackdual.gmodule import FreeModule, ModulePresentation
+    monos, mono_degs = f.module_generators()
+    ring_a = f.weighted_source()
+    graph_gb, _ = f._mixed()
+    mixed = graph_gb.ring
+    nt = f.target.nvars
+    ns = f.source.nvars
+    gen_vecs = [(mixed.monomial(m + (0,) * ns),) for m in monos]
+    context = [(g,) for g in graph_gb.generators]
+    projected = groebner.syzygies_over(mixed, gen_vecs, 1, context)
+    rel_cols = []
+    if projected:
+        gb = groebner._TrackedGB(
+            [groebner.vec_from_polys(v, mixed) for v in projected], mixed)
+        source_ambient = ring_a.ambient()
+        for b in gb.basis:
+            if any(any(m[:nt]) for (_, m) in b):
+                continue
+            comps = [dict() for _ in monos]
+            for (pos, m), c in b.items():
+                comps[pos][m[nt:]] = c
+            col = tuple(ring_a.reduce(source_ambient.poly(c)) for c in comps)
+            if any(not p.is_zero() for p in col) and col not in rel_cols:
+                rel_cols.append(col)
+    keep = sorted(groebner.minimal_generating_vectors(
+        ring_a, rel_cols, len(monos),
+        [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
+    return ModulePresentation(FreeModule(ring_a, mono_degs),
+                              [rel_cols[i] for i in keep])

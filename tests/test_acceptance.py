@@ -257,7 +257,7 @@ def test_criterion_9_kernel_property_suites():
                                           ring) is not None
 
     f = node_morphism(3, 1, 2)
-    ba = restrict_along(f, ModulePresentation.structure(f.target))
+    ba = restrict_along(f)
     res = resolve(ba, 4)
     res.check_composition()
     for col in ba.relations:

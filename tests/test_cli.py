@@ -140,6 +140,24 @@ def test_resource_cap_exits_3(capsys, tmp_path, monkeypatch):
     assert "aborted" in out
 
 
+def test_internal_error_exits_4_with_a_flagged_report(capsys, tmp_path, monkeypatch):
+    from stackdual import duality
+    session = tmp_path / "node.sdl"
+    session.write_text(preset_session("node", a=5, i=2, j=3))
+    json_path = tmp_path / "node.json"
+    for exc in (RuntimeError("B-action left the Hom module"), AssertionError("lost")):
+        def broken(f, exc=exc):
+            raise exc
+        monkeypatch.setattr(duality, "restrict_along", broken)
+        code, out, err = run_cli(["run", str(session), "--json", str(json_path)], capsys)
+        assert code == 4
+        assert "Traceback" not in out + err
+        doc = json.loads(json_path.read_text())
+        assert doc["partial"] is True
+        assert doc["error"] == f"internal: {exc}"
+        assert doc["commands"][-1]["verdicts"] == {"aborted": True}
+
+
 def test_every_preset_parses_and_lists_expectations():
     for name, _desc, expect in list_presets():
         text = preset_session(name)

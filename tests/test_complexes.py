@@ -73,7 +73,7 @@ ring B = Q[x,y]/(x*y) group 2 weights {x:1, y:1}
 map p : A -> B { u = x^2, v = y^2 }
 """)
     f = ast.maps["p"]
-    ba = restrict_along(f, ModulePresentation.structure(f.target))
+    ba = restrict_along(f)
     res = resolve(ba, 5)
     assert res.ranks() == [3, 2, 2, 2, 2, 2]
     assert not res.finite and res.truncated_at == 5
@@ -129,7 +129,7 @@ ring B = Q[x,y]/(x*y) group 2 weights {x:1, y:1}
 map p : A -> B { u = x^2, v = y^2 }
 """)
     f = ast.maps["p"]
-    ba = restrict_along(f, ModulePresentation.structure(f.target))
+    ba = restrict_along(f)
     res = resolve(ba, 4)
     hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
     for i in (1, 2, 3):

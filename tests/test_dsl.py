@@ -99,6 +99,30 @@ def test_duplicate_name_diagnostic():
     assert any("duplicate" in str(d) for d in err.value.diagnostics)
 
 
+def test_a_failed_declaration_takes_no_name():
+    with pytest.raises(ParseError) as err:
+        parse_session("ring R = Q[x]/(w)\nring R = Q[x]\nhilbert R max 2")
+    assert [str(d) for d in err.value.diagnostics] == ["1:16: unknown symbol 'w'"]
+    with pytest.raises(ParseError) as err:
+        parse_session("ring R = Q[x]\nring R = Q[x]/(w)\nring R = Q[y]")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "2:6: duplicate name 'R'", "3:6: duplicate name 'R'"]
+
+
+def test_an_unreadable_character_skips_only_its_statement():
+    with pytest.raises(ParseError) as err:
+        parse_session("ring R = Q[x]$\nring S = Q[y]@\nring T = Q[t]; hilbert T max 2")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "1:14: unexpected character '$'", "2:14: unexpected character '@'"]
+    with pytest.raises(ParseError) as err:
+        parse_session("ring R = Q[x]$ ; hilbert R max 2")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "1:14: unexpected character '$'", "1:26: unknown module or ring 'R'"]
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x + $y", GradedRing(["x", "y"]))
+    assert [str(d) for d in err.value.diagnostics] == ["1:5: unexpected character '$'"]
+
+
 def test_multiple_diagnostics_with_recovery():
     with pytest.raises(ParseError) as err:
         parse_session("ring A = Q[x,y]/(x*w)\nmap g : A -> Z { }\nring ok = Q[t]")
@@ -207,6 +231,15 @@ def test_an_expression_ends_where_it_cannot_continue():
     assert [str(d) for d in err.value.diagnostics] == [
         "2:48: unexpected 'foo' after a complete statement (expected newline, ;)",
         "3:24: unknown symbol 'max'"]
+
+
+def test_polynomial_parsing_obeys_the_term_cap(monkeypatch):
+    monkeypatch.setenv("STACKDUAL_MAX_TERMS", "50")
+    R = GradedRing(["x", "y"])
+    with pytest.raises(ParseError) as err:
+        R.parse("(x+y)^300")
+    assert [str(d) for d in err.value.diagnostics] == ["1:1: polynomial exceeds 50 terms"]
+    assert len(R.parse("(x+y)^49").terms) == 50
 
 
 def test_polynomial_diagnostics_stay_inside_the_text():

@@ -10,8 +10,9 @@ against a fresh oracle per candidate, relations modulo a context against
 the hand projection of the full syzygies, span-only module Groebner bases
 against tracked ones, homology in one subquotient against the two-step
 reference, kernels read from a map's stored columns against the images
-of the unit vectors, results that `minimalize` leaves unchanged, and the
-quotient-ring reduction fast path against the full normal form.
+of the unit vectors, results that `minimalize` leaves unchanged, the
+quotient-ring reduction fast path against the full normal form, and
+restriction of scalars by normal forms against the elimination reference.
 """
 
 import random
@@ -20,7 +21,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (annihilates, reference_buchberger, reference_homology,
-                     reference_kernel, reference_relations_modulo)
+                     reference_kernel, reference_relations_modulo,
+                     reference_restrict_along)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
 from stackdual.dsl import parse_session
@@ -231,7 +233,7 @@ ring B = Q[x,y]/(x*y) group 3 weights {x:1, y:2}
 map p : A -> B { u = x^3, v = y^3 }
 """)
     f = ast.maps["p"]
-    ba = restrict_along(f, ModulePresentation.structure(f.target))
+    ba = restrict_along(f)
     res = resolve(ba, 4)
     res.check_composition()
     hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
@@ -416,7 +418,7 @@ def test_span_only_basis_matches_tracked_on_span_instances():
 def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
     ast = parse_session(preset_session("node", a=5, i=2, j=3))
     (f,) = ast.maps.values()
-    mixed = f._mixed()[0]
+    mixed = f._mixed()[0].ring
     captured = []
 
     class Recording(groebner._TrackedGB):
@@ -426,11 +428,43 @@ def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
             super().__init__(vectors, ring, track)
 
     monkeypatch.setattr(groebner, "_TrackedGB", Recording)
-    restrict_along(f, ModulePresentation.structure(f.target))
+    reference_restrict_along(f)
     monkeypatch.undo()
-    (vecs,) = captured      # the one elimination basis of restrict_along
+    (vecs,) = captured      # the one elimination basis of the reference
     assert_same_span(groebner._TrackedGB(vecs, mixed),
                      groebner._TrackedGB(vecs, mixed, track=True))
+
+
+# ---------------------------------------------------------------------------
+# restriction of scalars by normal forms
+
+
+def restriction_maps(seed):
+    """Every preset map, and the node map at a = 2..13 with seeded weights."""
+    maps = []
+    for name in ("cusp-line", "root-cover", "tacnode-cusp", "tacnode-node"):
+        maps += parse_session(preset_session(name)).maps.values()
+    rng = random.Random(seed)
+    for a in range(2, 14):
+        i, j = rng.randint(1, a - 1), rng.randint(1, a - 1)
+        maps += parse_session(preset_session("node", a=a, i=i, j=j)).maps.values()
+    return maps
+
+
+def same_span(ring, rank, us, vs):
+    """Whether the relation columns us and vs span the same submodule."""
+    return (all(SubmoduleOracle(ring, vs, rank).contains(u) for u in us)
+            and all(SubmoduleOracle(ring, us, rank).contains(v) for v in vs))
+
+
+def test_restriction_matches_elimination_reference():
+    for f in restriction_maps(SEED + 15):
+        ba = restrict_along(f)
+        ref = reference_restrict_along(f)
+        assert ba.free == ref.free
+        assert same_span(ba.ring, ba.rank, ba.relations, ref.relations)
+        assert hilbert_function(ba, 12) == hilbert_function(
+            ModulePresentation.structure(f.target), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +513,7 @@ def homology_library(sequence_library):
     res = resolve(quotient_module(triple, [u * v - t * t, u * t - v * v, v * t - u * u]), 4)
     out.append(hom_complex(res, ModulePresentation.structure(triple)))
     f = parse_session(preset_session("node", a=3, i=1, j=2)).maps["p"]
-    res = resolve(restrict_along(f, ModulePresentation.structure(f.target)), 4)
+    res = resolve(restrict_along(f), 4)
     out.append(hom_complex(res, ModulePresentation.structure(f.weighted_source())))
     rng = random.Random(SEED + 14)
     for n in range(6):
