@@ -26,9 +26,13 @@ class ResourceCapError(RuntimeError):
 
 @contextmanager
 def command_caps():
-    """Install the environment's caps for the duration of one command."""
-    global _max_terms, _deadline
+    """Install the environment's caps for the duration of one command.
+
+    The deadline poll counter restarts too, so whether a short command
+    reads the clock does not depend on the commands before it."""
+    global _max_terms, _deadline, _tick
     old = (_max_terms, _deadline)
+    _tick = 0
     _max_terms = int(os.environ.get("STACKDUAL_MAX_TERMS", DEFAULT_MAX_TERMS))
     _deadline = time.monotonic() + float(
         os.environ.get("STACKDUAL_TIME_LIMIT_S", DEFAULT_TIME_LIMIT_S))

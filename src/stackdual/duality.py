@@ -115,11 +115,11 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
     """Twisted inverse image along a finite map: Hom_A(B, M) with its
     B-module structure, plus Ext^i_A(B, M) for i = 1..depth.
 
-    B is presented over A by `restrict_along`, its staircase monomials b_k
-    and the relations read off the graph basis.  The Hom is computed from
-    the start of a minimal A-resolution of B; the B-action is reconstructed
-    from staircase coordinates of x * b_k and the result is presented and
-    minimalized over B.
+    B is presented over A by `restrict_along`: the staircase monomials b_k
+    and the relations both come from the graph basis G.  The Hom is
+    computed from the start of a minimal A-resolution of B; the B-action is
+    reconstructed from the coordinates of x * b_k, normal forms modulo G,
+    and the result is presented and minimalized over B.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -184,7 +184,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
         for k in range(r0):
             mono = tuple(e + (1 if i == t else 0)
                          for i, e in enumerate(monos[k]))
-            rows.append(f.coordinates(ring_b.monomial(mono)))
+            rows.append(f.coordinates(mono))
         var_action.append(rows)
 
     oracle = SubmoduleOracle(ring_a, list(incl) + list(c0.relations), c0.rank,

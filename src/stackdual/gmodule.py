@@ -465,6 +465,8 @@ class RingMorphism:
         self.multiplier = target.group_order // source.group_order
         self.images = tuple(target.reduce(p) for p in images)
         for idx, img in enumerate(self.images):
+            if img.is_zero():
+                continue  # zero is homogeneous of every bidegree
             d = img.bidegree()
             if d is None:
                 raise ValueError(f"image of {source.variables[idx]} is not bihomogeneous")
@@ -481,7 +483,6 @@ class RingMorphism:
             if not target.reduce(self.apply(g)).is_zero():
                 raise ValueError(f"source ideal generator {g} does not map into the target ideal")
         self._gens_cache = None
-        self._contraction_cache = None
         self._mixed_cache = None
         self._wsrc_cache = None
         if not self.is_module_finite():
@@ -506,9 +507,10 @@ class RingMorphism:
     def weighted_source(self) -> GradedRing:
         """The source ring regraded by the target group: each variable picks
         up the weight of its image, so modules restricted along the map keep
-        the full equivariant bookkeeping."""
+        the full equivariant bookkeeping (the transported weight, so also
+        for a zero image)."""
         if self._wsrc_cache is None:
-            weights = tuple(img.bidegree().weight for img in self.images)
+            weights = [w * self.multiplier for w in self.source.weights]
             base = GradedRing(self.source.variables, self.source.zdegs, weights,
                               self.target.group_order, (), self.source.order,
                               self.source.name)
@@ -527,63 +529,38 @@ class RingMorphism:
 
     # -- finiteness and the staircase basis -------------------------------------
 
-    def _staircase_guard(self) -> int:
-        zmax = max([d for d in self.target.zdegs] +
-                   [img.bidegree().zdeg for img in self.images] +
-                   [g.bidegree().zdeg for g in self.target.ideal if g.bidegree()] + [1])
-        return 4 * zmax
-
-    def _contraction_gb(self):
-        """GB of (target ideal + variable images) in the target ambient (cached)."""
-        if self._contraction_cache is None:
-            gens = list(self.target.ideal) + list(self.images)
-            self._contraction_cache = buchberger(gens, ring=self.target.ambient())
-        return self._contraction_cache
-
-    def _pure_power_exponents(self) -> Optional[list[int]]:
-        """Least pure power of each variable in the contraction lead ideal;
-        None if some variable has none (the staircase is then infinite)."""
-        gb = self._contraction_gb()
-        if any(g.is_unit_scalar() for g in gb.generators):
-            return [0] * self.target.nvars
-        leads = [g.leading_term()[0] for g in gb.generators]
-        out: list[int] = []
-        for idx in range(self.target.nvars):
-            powers = [lm[idx] for lm in leads
-                      if lm[idx] > 0 and all(e == 0 for i, e in enumerate(lm) if i != idx)]
-            if not powers:
-                return None
-            out.append(min(powers))
-        return out
-
     def is_module_finite(self) -> bool:
         """The staircase is finite iff every variable has a pure power among
-        the contraction leading terms (checked exactly from the basis)."""
+        the leading terms of (target ideal + variable images), checked
+        exactly from its basis in the target order (finiteness does not
+        depend on the order)."""
         if any(d <= 0 for d in self.target.zdegs):
             raise ValueError("module-finiteness detection needs positive degrees")
-        return self._pure_power_exponents() is not None
+        gb = buchberger(list(self.target.ideal) + list(self.images),
+                        ring=self.target.ambient())
+        leads = [g.leading_term()[0] for g in gb.generators]
+        return _pure_powers(leads, self.target.nvars) is not None
 
     def module_generators(self) -> tuple[tuple[Monomial, ...], tuple[Bidegree, ...]]:
-        """Monomial basis of B over (images of) A: the standard monomials of
-        the contraction ideal, sorted by bidegree then order key."""
-        if self._gens_cache is not None:
-            return self._gens_cache
-        powers = self._pure_power_exponents()
-        if powers is None:
-            raise NotModuleFiniteError(f"{self.name}: infinite staircase")
-        gb = self._contraction_gb()
-        leads = [g.leading_term()[0] for g in gb.generators]
-        ambient = self.target.ambient()
-        # every standard monomial divides the corner prod x_i^(k_i - 1)
-        bound = sum(max(k - 1, 0) * d for k, d in zip(powers, self.target.zdegs))
-        bound = min(bound, self._staircase_guard() * max(1, self.target.nvars))
-        found = [mono for z in range(bound + 1)
-                 for mono in _standard_monomials(ambient, z, leads)]
-        found.sort(key=lambda m: (self.target.monomial_bidegree(m).zdeg,
-                                  self.target.order.key(m)))
-        monos = tuple(found)
-        degs = tuple(self.target.monomial_bidegree(m) for m in monos)
-        self._gens_cache = (monos, degs)
+        """Monomial basis of B over (images of) A: the target monomials that
+        no source-free lead of the graph basis G divides, sorted by bidegree
+        then order key.  The order of G grades its target block, so those
+        leads are the leads of (target ideal + images), and by graded
+        Nakayama the staircase minimally generates B over A."""
+        if self._gens_cache is None:
+            nt = self.target.nvars
+            heads = [g.leading_term()[0] for g in self._mixed().generators]
+            leads = [lm[:nt] for lm in heads if not any(lm[nt:])]
+            # every standard monomial divides the corner prod x_i^(k_i - 1);
+            # a unit lead (B = 0) leaves the staircase empty
+            powers = _pure_powers(leads, nt)
+            bound = sum(max(k - 1, 0) * d for k, d in zip(powers, self.target.zdegs))
+            found = [mono for z in range(bound + 1)
+                     for mono in _standard_monomials(self.target.ambient(), z, leads)]
+            found.sort(key=lambda m: (self.target.monomial_bidegree(m).zdeg,
+                                      self.target.order.key(m)))
+            self._gens_cache = (tuple(found),
+                                tuple(self.target.monomial_bidegree(m) for m in found))
         return self._gens_cache
 
     # -- the graph ideal -------------------------------------------------------
@@ -591,49 +568,59 @@ class RingMorphism:
     def _mixed(self):
         """The reduced Groebner basis G of the graph ideal (target ideal,
         source_var - image) in Q[target vars, renamed source vars] under an
-        order eliminating the target block, and the map widening a target
-        polynomial into that ring (both cached)."""
-        if self._mixed_cache is not None:
-            return self._mixed_cache
-        tvars = list(self.target.variables)
-        svars = [v + "~" for v in self.source.variables]
-        img_degs = [img.bidegree() for img in self.images]
-        ring = GradedRing(
-            tvars + svars,
-            list(self.target.zdegs) + [d.zdeg for d in img_degs],
-            list(self.target.weights) + [d.weight for d in img_degs],
-            self.target.group_order,
-            order=_EliminationOrder(len(tvars)),
-            name="mixed")
-        nt = self.target.nvars
+        order eliminating the target block, graded there by the target
+        Z-degrees (cached)."""
+        if self._mixed_cache is None:
+            svars = [v + "~" for v in self.source.variables]
+            ring = GradedRing(
+                self.target.variables + tuple(svars),
+                self.target.zdegs + self.source.zdegs,
+                self.target.weights + self.weighted_source().weights,
+                self.target.group_order,
+                order=_EliminationOrder(self.target.zdegs),
+                name="mixed")
+            pad = (0,) * len(svars)
 
-        def widen_target(p: Polynomial) -> Polynomial:
-            return ring.poly({m + (0,) * len(svars): c for m, c in p.terms.items()})
+            def widen(p: Polynomial) -> Polynomial:
+                return ring.poly({m + pad: c for m, c in p.terms.items()})
 
-        graph = [widen_target(g) for g in self.target.ideal]
-        for idx, img in enumerate(self.images):
-            mono = [0] * ring.nvars
-            mono[nt + idx] = 1
-            graph.append(ring.monomial(tuple(mono)) - widen_target(img))
-        self._mixed_cache = (buchberger(graph, ring=ring), widen_target)
+            graph = [widen(g) for g in self.target.ideal]
+            graph += [ring.var(v) - widen(img) for v, img in zip(svars, self.images)]
+            self._mixed_cache = buchberger(graph, ring=ring)
         return self._mixed_cache
 
-    def coordinates(self, p: Polynomial) -> tuple[Polynomial, ...]:
-        """Write a target element over the staircase basis with source
-        coefficients: p = sum_k a_k(source) * b_k in B."""
+    def coordinates(self, b: Monomial, e: Optional[Monomial] = None
+                    ) -> tuple[Polynomial, ...]:
+        """Write f(y^e) * x^b over the staircase basis with source
+        coefficients, f(y^e) * x^b = sum_k f(a_k) * b_k in B, from the
+        normal form of the graph monomial x^b * y~^e modulo G (e = None
+        reads x^b alone)."""
         monos, _ = self.module_generators()
-        gb, widen = self._mixed()
+        gb = self._mixed()
         nt = self.target.nvars
-        nf = normal_form(widen(p), gb)
+        if e is None:
+            e = (0,) * self.source.nvars
+        nf = normal_form(gb.ring.monomial(b + e), gb)
         coords = [dict() for _ in monos]
-        index = {m: i for i, m in enumerate(monos)}
         for mono, coeff in nf.terms.items():
-            tpart, spart = mono[:nt], mono[nt:]
-            if tpart not in index:
-                raise ValueError(f"normal form left a non-staircase monomial in {p}")
-            coords[index[tpart]][spart] = coeff
+            if mono[:nt] not in monos:
+                raise RuntimeError(f"normal form of x^{b} y~^{e} left the staircase")
+            coords[monos.index(mono[:nt])][mono[nt:]] = coeff
         source_ambient = self.weighted_source().ambient()
         return tuple(source_ambient.poly(c) for c in coords)
+
+
+def _pure_powers(leads: Sequence[Monomial], nvars: int) -> Optional[list[int]]:
+    """Least pure power of each variable among the lead monomials (a unit
+    lead counts as the zeroth power of all); None if some variable has
+    none (the staircase is then infinite)."""
+    out: list[int] = []
+    for idx in range(nvars):
+        powers = [lm[idx] for lm in leads if sum(lm) == lm[idx]]
+        if not powers:
+            return None
+        out.append(min(powers))
+    return out
 
 
 def restrict_along(f: RingMorphism) -> ModulePresentation:
@@ -642,24 +629,22 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
     The generators are the staircase monomials b_k.  A product y^e * b_k of
     a source monomial and a generator is a standard monomial of the graph
     ideal unless a lead x^g * y^e of its basis G has x^g | b_k; for each
-    such lead, y^e * e_k - coordinates(f(y^e) * b_k) is a relation, and a
+    such lead, y^e * e_k - coordinates(b_k, e) is a relation, and a
     minimal subset of these presents B.  Reducing a relation vector by
     them lowers its largest non-standard term, and a vector of standard
     terms alone is its own normal form, so they span every relation.
     """
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
-    gb, _ = f._mixed()
     nt = f.target.nvars
-    leads = [g.leading_term()[0] for g in gb.generators]
+    leads = [g.leading_term()[0] for g in f._mixed().generators]
     rel_cols: list[Vector] = []
     for k, b in enumerate(monos):
         for lead in leads:
             if not monomial_divides(lead[:nt], b):
                 continue
             e = lead[nt:]
-            image = f.apply(f.source.monomial(e)) * f.target.monomial(b)
-            col = [-c for c in f.coordinates(image)]
+            col = [-c for c in f.coordinates(b, e)]
             col[k] = col[k] + ring_a.monomial(e)
             rel_cols.append(tuple(ring_a.reduce(c) for c in col))
     keep = sorted(minimal_generating_vectors(

@@ -107,13 +107,13 @@ class MonomialOrder:
     `precedence` lists variable indices from most to least precedent; the
     default is declaration order.  Keys compare as Python tuples, larger key
     means larger monomial.  Keys are memoized per order instance (monomials
-    repeat heavily inside the kernels).  `split` is set only by the block
-    order that eliminates the first `split` variables.
+    repeat heavily inside the kernels).  `head_degrees` is set only by the
+    block order that eliminates the variables it gives degrees for.
     """
 
     kind: str = "degrevlex"
     precedence: Optional[tuple[int, ...]] = None
-    split: ClassVar[Optional[int]] = None
+    head_degrees: ClassVar[Optional[tuple[int, ...]]] = None
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
@@ -144,20 +144,24 @@ class MonomialOrder:
 
 
 class _EliminationOrder(MonomialOrder):
-    """Block order eliminating the first `split` variables (plumbing for
-    restriction of scalars; compares each block by degrevlex)."""
+    """Block order eliminating the first len(head_degrees) variables
+    (plumbing for restriction of scalars).  The head block compares by its
+    Z-degree sum e_i * head_degrees[i] and then by degrevlex, the tail
+    block by degrevlex; with equal head degrees this is plain degrevlex
+    per block."""
 
-    def __init__(self, split: int):
+    def __init__(self, head_degrees: Sequence[int]):
         object.__setattr__(self, "kind", "degrevlex")
         object.__setattr__(self, "precedence", None)
-        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "head_degrees", tuple(head_degrees))
         object.__setattr__(self, "_key_cache", {})
 
     def _compute_key(self, mono: Monomial):
-        split = self.split
-        head, tail = mono[:split], mono[split:]
+        degs = self.head_degrees
+        head, tail = mono[:len(degs)], mono[len(degs):]
         return (
-            (sum(head), tuple(-e for e in reversed(head))),
+            (sum(e * d for e, d in zip(head, degs)), sum(head),
+             tuple(-e for e in reversed(head))),
             (sum(tail), tuple(-e for e in reversed(tail))),
         )
 
@@ -193,7 +197,7 @@ class GradedRing:
         self.order = order if order is not None else MonomialOrder()
         self.signature = (self.variables, self.zdegs, self.weights, group_order,
                           self.order.kind, self.order.resolved_precedence(n),
-                          self.order.split)
+                          self.order.head_degrees)
         self.name = name or "Q[" + ",".join(self.variables) + "]"
         self.ideal: tuple[Polynomial, ...] = ()
         for g in ideal:

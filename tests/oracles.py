@@ -23,7 +23,9 @@ applying it to every unit vector instead of reading its stored columns.
 `reference_restrict_along` presents B over A by elimination: the syzygies
 of the staircase monomials modulo the graph ideal in the mixed ring, then a
 module Groebner basis of those in the elimination order, keeping its
-target-free elements.
+target-free elements.  `reference_module_generators` takes the staircase
+from the contraction ideal (target ideal + images) in the target's own
+order instead of from the graph basis.
 """
 
 from fractions import Fraction
@@ -271,7 +273,7 @@ def reference_restrict_along(f):
     from stackdual.gmodule import FreeModule, ModulePresentation
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
-    graph_gb, _ = f._mixed()
+    graph_gb = f._mixed()
     mixed = graph_gb.ring
     nt = f.target.nvars
     ns = f.source.nvars
@@ -297,3 +299,24 @@ def reference_restrict_along(f):
         [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
     return ModulePresentation(FreeModule(ring_a, mono_degs),
                               [rel_cols[i] for i in keep])
+
+
+def reference_module_generators(f):
+    """The staircase of the contraction ideal (target ideal + images) in
+    the target order: the target monomials no lead of its basis divides,
+    enumerated up to the corner of the pure powers and sorted like
+    `RingMorphism.module_generators`."""
+    from stackdual.gmodule import _standard_monomials
+    from stackdual.groebner import buchberger
+    target = f.target
+    ambient = target.ambient()
+    gb = buchberger(list(target.ideal) + list(f.images), ring=ambient)
+    leads = [g.leading_term()[0] for g in gb.generators]
+    corner = 0
+    for idx, d in enumerate(target.zdegs):
+        powers = [lm[idx] for lm in leads if sum(lm) == lm[idx]]
+        corner += max(min(powers) - 1, 0) * d
+    found = [m for z in range(corner + 1)
+             for m in _standard_monomials(ambient, z, leads)]
+    return sorted(found, key=lambda m: (target.monomial_bidegree(m).zdeg,
+                                        target.order.key(m)))

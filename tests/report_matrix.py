@@ -10,11 +10,13 @@ Each output line is tab-separated:
     name  sha256(RunReport.to_json())  exit code  sha256(print_canonical())
 
 Run it on two checkouts and `diff` the outputs: equal lines mean the same
-report bytes, the same exit code and the same parse.  The matrix holds 151
+report bytes, the same exit code and the same parse.  The matrix holds 157
 reports: the ten presets; `node --i 2 --j 3` at a = 5, 7, 11, 13 and
 `node --a 13 --i 5 --j 7`; `node --a 5` at depth 10 and 20; the
 `rnc4-ext-1` and `command-tour` goldens; every session of `finite-node`,
-`lci-ext` and `staircase` at seeds 1-3.
+`lci-ext` and `staircase` at seeds 1-3; the six presets with a map under
+`--order lex`, where the target order and the elimination order of the
+graph basis differ.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SESSION_GOLDENS = ("rnc4-ext-1", "command-tour")
 SEEDS = (1, 2, 3)
+MAP_PRESETS = ("node", "pushforward-node", "cusp-line", "tacnode-node",
+               "tacnode-cusp", "root-cover")
 
 
 def _sha(text: str) -> str:
@@ -33,24 +37,28 @@ def _sha(text: str) -> str:
 
 
 def matrix():
-    """(name, session text, default depth) for every report of the matrix."""
+    """(name, session text, default depth, default order) for every report
+    of the matrix."""
     from stackdual.presets import list_presets, preset_session
     from workloads import WORKLOADS, expand
 
     for name, _desc, _expect in list_presets():
-        yield f"preset/{name}", preset_session(name), None
+        yield f"preset/{name}", preset_session(name), None, "degrevlex"
     for a, i, j in ((5, 2, 3), (7, 2, 3), (11, 2, 3), (13, 2, 3), (13, 5, 7)):
-        yield f"node/a{a}-i{i}-j{j}", preset_session("node", a=a, i=i, j=j), None
+        yield (f"node/a{a}-i{i}-j{j}", preset_session("node", a=a, i=i, j=j), None,
+               "degrevlex")
     for depth in (10, 20):
-        yield f"node/a5-depth{depth}", preset_session("node", a=5), depth
+        yield f"node/a5-depth{depth}", preset_session("node", a=5), depth, "degrevlex"
     for name in SESSION_GOLDENS:
         path = ROOT / "tests" / "golden" / f"{name}.session"
-        yield f"golden/{name}", path.read_text(encoding="utf-8"), None
+        yield f"golden/{name}", path.read_text(encoding="utf-8"), None, "degrevlex"
     for wname, workload in WORKLOADS.items():
         for seed in SEEDS:
             for k, session in enumerate(workload.generate(seed)):
                 yield (f"{wname}/{seed}/{k}-{session.name}", expand(session.spec),
-                       session.spec.get("depth"))
+                       session.spec.get("depth"), "degrevlex")
+    for name in MAP_PRESETS:
+        yield f"lex/{name}", preset_session(name), None, "lex"
 
 
 def main(argv: list[str]) -> int:
@@ -61,9 +69,9 @@ def main(argv: list[str]) -> int:
     from stackdual.dsl import ParseError, parse_session
     from stackdual.session import EXIT_INPUT_ERROR, run_session
 
-    for name, text, depth in matrix():
+    for name, text, depth, order in matrix():
         try:
-            ast = parse_session(text)
+            ast = parse_session(text, default_order=order)
         except ParseError as exc:
             print(f"{name}\t-\t{EXIT_INPUT_ERROR}\t{_sha(str(exc))}", flush=True)
             continue

@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, reports, JSON round trips, determinism."""
 
 import json
+import time
 
+import pytest
+
+from stackdual import caps
 from stackdual.cli import main
 from stackdual.dsl import parse_session
 from stackdual.presets import list_presets, preset_session
@@ -140,6 +144,15 @@ def test_resource_cap_exits_3(capsys, tmp_path, monkeypatch):
     assert "aborted" in out
 
 
+def test_deadline_poll_does_not_depend_on_earlier_ticks(monkeypatch):
+    # ticks left behind by earlier work must not make a fresh command poll
+    monkeypatch.setenv("STACKDUAL_TIME_LIMIT_S", "0.000001")
+    monkeypatch.setattr(caps, "_tick", 63)
+    with caps.command_caps():
+        time.sleep(0.001)
+        caps.check_deadline()
+
+
 def test_internal_error_exits_4_with_a_flagged_report(capsys, tmp_path, monkeypatch):
     from stackdual import duality
     session = tmp_path / "node.sdl"
@@ -200,3 +213,35 @@ def test_parse_time_arithmetic_obeys_the_term_cap(capsys, tmp_path, monkeypatch)
     monkeypatch.setenv("STACKDUAL_MAX_TERMS", "301")
     code, _, _ = run_cli(["run", str(session)], capsys)
     assert code == 0
+
+
+def run_finite_map(capsys, tmp_path, rings, images):
+    session = tmp_path / "finite.sdl"
+    session.write_text(f"{rings}\nmap f : A -> B {{ {images} }}\n"
+                       "dualize-finite f depth 2\n")
+    return run_cli(["run", str(session)], capsys)
+
+
+def test_weighted_target_map_is_read_over_the_graded_staircase(capsys, tmp_path):
+    # B = Q[x,y] is free over A on 1 and x; the staircase of the graph
+    # basis must agree with its coordinates although deg x != deg y
+    code, out, _ = run_finite_map(
+        capsys, tmp_path,
+        "ring A = Q[u,v] degrees {u:2, v:3}\nring B = Q[x,y] degrees {x:1, y:3}",
+        "u = x^2, v = y - x^3")
+    assert code == 0
+    assert "free of rank one: O(1)" in out
+
+
+@pytest.mark.parametrize("rings, image, expected", [
+    ("ring A = Q[u]/(u) degrees {u:2}\nring B = Q[x]/(x^2)", "u = x^2",
+     ("free of rank one: O(1)",)),
+    ("ring A = Q[u] degrees {u:2}\nring B = Q[x]/(x^2)", "u = x^2",
+     ("module: <0>", "Ext^1=2 gens", "NOT a sheaf")),
+    ("ring A = Q[u] degrees {u:2}\nring B = Q[x]/(1)", "u = 0", ("module: <0>",)),
+])
+def test_zero_image_is_an_image(capsys, tmp_path, rings, image, expected):
+    # an image that reduces to zero is homogeneous of every bidegree
+    code, out, _ = run_finite_map(capsys, tmp_path, rings, image)
+    assert code == 0
+    assert all(text in out for text in expected)

@@ -45,7 +45,7 @@ def test_elimination_order_ring_differs_from_plain_ring():
     # y^2 + x*s leads with x*s when x is eliminated and with y^2 otherwise,
     # so the two rings must not accept each other's polynomials
     plain = GradedRing(["x", "y", "s"])
-    elim = GradedRing(["x", "y", "s"], order=_EliminationOrder(1))
+    elim = GradedRing(["x", "y", "s"], order=_EliminationOrder((1,)))
     assert elim != plain and not elim.same_ambient(plain)
     x, y, s = (elim.var(v) for v in "xys")
     assert leading_term(y * y + x * s) == ((1, 0, 1), 1)
@@ -54,8 +54,8 @@ def test_elimination_order_ring_differs_from_plain_ring():
         elim.reduce(plain.var("y"))
     with pytest.raises(RingMismatchError):
         plain.reduce(y)
-    assert GradedRing(["x", "y", "s"], order=_EliminationOrder(1)) == elim
-    assert GradedRing(["x", "y", "s"], order=_EliminationOrder(2)) != elim
+    assert GradedRing(["x", "y", "s"], order=_EliminationOrder((1,))) == elim
+    assert GradedRing(["x", "y", "s"], order=_EliminationOrder((1, 1))) != elim
 
 
 def test_leading_term_degrevlex_tie():

@@ -12,21 +12,26 @@ against tracked ones, homology in one subquotient against the two-step
 reference, kernels read from a map's stored columns against the images
 of the unit vectors, results that `minimalize` leaves unchanged, the
 quotient-ring reduction fast path against the full normal form, and
-restriction of scalars by normal forms against the elimination reference.
+restriction of scalars by normal forms against the elimination reference,
+its staircase against the contraction staircase and its coordinates
+against `RingMorphism.apply`, also into targets of unequal degrees.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (annihilates, reference_buchberger, reference_homology,
-                     reference_kernel, reference_relations_modulo,
-                     reference_restrict_along)
+                     reference_kernel, reference_module_generators,
+                     reference_relations_modulo, reference_restrict_along)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
 from stackdual.dsl import parse_session
+from stackdual.duality import finite_shriek
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
+                               NotModuleFiniteError, RingMorphism,
                                hilbert_function, hom_module, kernel,
                                kernel_with_inclusion, minimalize,
                                restrict_along, subquotient, vector_bidegree)
@@ -418,7 +423,7 @@ def test_span_only_basis_matches_tracked_on_span_instances():
 def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
     ast = parse_session(preset_session("node", a=5, i=2, j=3))
     (f,) = ast.maps.values()
-    mixed = f._mixed()[0].ring
+    mixed = f._mixed().ring
     captured = []
 
     class Recording(groebner._TrackedGB):
@@ -439,8 +444,57 @@ def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
 # restriction of scalars by normal forms
 
 
+WEIGHTED_TARGET_SESSIONS = (
+    # B = Q[x,y] is free over A on 1 and x
+    "ring A = Q[u,v] degrees {u:2, v:3}\nring B = Q[x,y] degrees {x:1, y:3}\n"
+    "map f : A -> B { u = x^2, v = y - x^3 }\n",
+    # the answer is O(3)
+    "ring A = Q[u0,u1] degrees {u0:3, u1:4}\n"
+    "ring B = Q[x0,x1] degrees {x0:1, x1:3}\n"
+    "map f : A -> B { u0 = -x0^3 + 3*x1, u1 = 2*x0^4 + 2*x0*x1 }\n",
+)
+
+
+def random_weighted_form(rng, ring, zdeg):
+    """A nonzero form of Z-degree `zdeg` with one to three terms, or None
+    if the ring has no monomial of that degree."""
+    monos = [m for m in itertools.product(range(zdeg + 1), repeat=ring.nvars)
+             if sum(e * d for e, d in zip(m, ring.zdegs)) == zdeg]
+    if not monos:
+        return None
+    out = ring.zero()
+    for mono in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
+        out = out + ring.monomial(mono, Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
+    return out
+
+
+def weighted_target_maps(seed, count=12):
+    """The maps of WEIGHTED_TARGET_SESSIONS and `count` seeded finite maps
+    Q[u0,u1] -> Q[x0,x1] or Q[x0,x1]/(r), with target degrees drawn from
+    {1, 2, 3}; draws that are not finite are skipped."""
+    maps = [f for text in WEIGHTED_TARGET_SESSIONS
+            for f in parse_session(text).maps.values()]
+    rng = random.Random(seed)
+    while len(maps) < len(WEIGHTED_TARGET_SESSIONS) + count:
+        target = GradedRing(["x0", "x1"], zdegs=[rng.choice([1, 2, 3]) for _ in "xx"])
+        if rng.random() < 0.5:
+            relation = random_weighted_form(rng, target, rng.randint(2, 6))
+            if relation is not None:
+                target = target.quotient([relation])
+        forms = [random_weighted_form(rng, target, rng.randint(2, 6)) for _ in "uu"]
+        if None in forms:
+            continue
+        source = GradedRing(["u0", "u1"], zdegs=[p.bidegree().zdeg for p in forms])
+        try:
+            maps.append(RingMorphism(source, target, forms))
+        except NotModuleFiniteError:
+            continue
+    return maps
+
+
 def restriction_maps(seed):
-    """Every preset map, and the node map at a = 2..13 with seeded weights."""
+    """Every preset map, the node map at a = 2..13 with seeded weights, and
+    maps into targets whose variables have different degrees."""
     maps = []
     for name in ("cusp-line", "root-cover", "tacnode-cusp", "tacnode-node"):
         maps += parse_session(preset_session(name)).maps.values()
@@ -448,7 +502,7 @@ def restriction_maps(seed):
     for a in range(2, 14):
         i, j = rng.randint(1, a - 1), rng.randint(1, a - 1)
         maps += parse_session(preset_session("node", a=a, i=i, j=j)).maps.values()
-    return maps
+    return maps + weighted_target_maps(seed)
 
 
 def same_span(ring, rank, us, vs):
@@ -465,6 +519,45 @@ def test_restriction_matches_elimination_reference():
         assert same_span(ba.ring, ba.rank, ba.relations, ref.relations)
         assert hilbert_function(ba, 12) == hilbert_function(
             ModulePresentation.structure(f.target), 12)
+
+
+def test_staircase_matches_the_contraction_staircase():
+    # the minimal number of generators of B over A does not depend on the
+    # order; the sets agree when the graph order's target block is the
+    # target's own order
+    for f in restriction_maps(SEED + 15):
+        monos, _ = f.module_generators()
+        ref = reference_module_generators(f)
+        assert len(monos) == len(ref)
+        if len(set(f.target.zdegs)) == 1 and f.target.order == MonomialOrder():
+            assert set(monos) == set(ref)
+
+
+def test_weighted_target_maps_dualize():
+    reports = [finite_shriek(f, depth=2) for f in weighted_target_maps(SEED + 15)]
+    # the two fixed maps give O(1) and O(3)
+    assert [(r.is_free_rank_one, r.generator_bidegrees[0].zdeg)
+            for r in reports[:2]] == [(True, -1), (True, -3)]
+
+
+def test_coordinates_satisfy_their_definition():
+    # sum_k f(a_k) * b_k = f(y^e) * x^b in B, checked by RingMorphism.apply
+    rng = random.Random(SEED + 16)
+    for f in restriction_maps(SEED + 15):
+        monos, _ = f.module_generators()
+        if not monos:
+            continue
+        target = f.target
+        for _ in range(4):
+            b = rng.choice(monos)
+            e = tuple(rng.randint(0, 2) for _ in range(f.source.nvars))
+            coords = f.coordinates(b, e)
+            total = target.zero()
+            for a_k, b_k in zip(coords, monos):
+                a_k = f.source.ambient().poly(a_k.terms)
+                total = total + f.apply(a_k) * target.monomial(b_k)
+            image = f.apply(f.source.monomial(e)) * target.monomial(b)
+            assert target.reduce(total - image).is_zero()
 
 
 # ---------------------------------------------------------------------------
