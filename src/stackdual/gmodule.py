@@ -14,15 +14,17 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import groebner
+from .caps import check_deadline
 from .groebner import (SubmoduleOracle, Vector, buchberger,
                        minimal_generating_vectors, normal_form, syzygies_over,
                        vector_bidegree)
 from .poly import (Bidegree, GradedRing, Monomial, Polynomial,
-                   RingMismatchError, _EliminationOrder, monomial_divides,
-                   substitute)
+                   RingMismatchError, _EliminationOrder, monomial_div,
+                   monomial_divides, monomial_lcm, substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +363,20 @@ def minimalize_with_tracking(M: ModulePresentation
 # Hilbert tables and invariants
 
 
+def _require_positive_degrees(ring: GradedRing) -> None:
+    if any(d <= 0 for d in ring.zdegs):
+        raise ValueError("Hilbert enumeration needs all variable degrees >= 1")
+
+
 def _monomials_of_zdeg(ring: GradedRing, z: int):
     """All monomials of exact Z-degree z; needs every variable of positive degree."""
     if z < 0:
         return
-    if any(d <= 0 for d in ring.zdegs):
-        raise ValueError("Hilbert enumeration needs all variable degrees >= 1")
+    _require_positive_degrees(ring)
     n = ring.nvars
 
     def rec(idx: int, remaining: int, current: list[int]):
+        check_deadline()
         if idx == n - 1:
             d = ring.zdegs[idx]
             if remaining % d == 0:
@@ -389,31 +396,95 @@ def _standard_monomials(ring: GradedRing, z: int, leads: Sequence[Monomial]):
             yield mono
 
 
-def _standard_basis(M: ModulePresentation, zmax: int):
-    """Yield (generator index, standard monomial, bidegree) for every basis
-    element of M up to zdeg `zmax`, generator-major, then by zdeg."""
+def _minimal_monomials(monos: Sequence[Monomial]) -> list[Monomial]:
+    """The minimal generators of the monomial ideal (monos), in ascending
+    total degree: a divisor never has a larger total degree."""
+    out: list[Monomial] = []
+    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
+        if not any(monomial_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _numerator(ring: GradedRing, gens: Sequence[Monomial], top: int
+               ) -> dict[tuple[int, int], int]:
+    """The numerator N of the bigraded Hilbert series of S/J, J = (gens),
+    as {(zdeg, weight): coefficient}, up to zdeg `top`.
+
+    N(0) = 1 and N(J + (m)) = N(J) - t^deg(m) w^wt(m) N(J : m), unrolled
+    over the minimal generators m_1, ..., m_r of J: N(J) = 1 - sum_i
+    t^deg(m_i) w^wt(m_i) N((m_1, ..., m_{i-1}) : m_i).  Generators above
+    `top` do not change S/J up to `top`, so they are dropped first.
+    """
+    check_deadline()
+    gens = _minimal_monomials(
+        [m for m in gens if ring.monomial_bidegree(m).zdeg <= top])
+    if gens and not any(gens[0]):
+        return {}                        # J is the unit ideal
+    out = {(0, 0): 1}
+    for i, m in enumerate(gens):
+        d = ring.monomial_bidegree(m)
+        colon = [monomial_div(monomial_lcm(g, m), m) for g in gens[:i]]
+        for (z, w), c in _numerator(ring, colon, top - d.zdeg).items():
+            key = (z + d.zdeg, (w + d.weight) % ring.group_order)
+            out[key] = out.get(key, 0) - c
+            if not out[key]:
+                del out[key]
+    return out
+
+
+def _series(ring: GradedRing, leads: Sequence[Monomial], top: int
+            ) -> list[list[int]]:
+    """dims[z][w]: the number of monomials of bidegree (z, w) outside the
+    monomial ideal (leads), for 0 <= z <= top, from its Hilbert series."""
+    a = ring.group_order
+    dims = [[0] * a for _ in range(top + 1)]
+    for (z, w), c in _numerator(ring, leads, top).items():
+        dims[z][w] = c
+    # multiply by 1/(1 - t^d w^wt) for each variable, one pass each
+    for d, wt in zip(ring.zdegs, ring.weights):
+        for z in range(d, top + 1):
+            row, src = dims[z], dims[z - d]
+            for w in range(a):
+                if src[w]:
+                    row[(w + wt) % a] += src[w]
+    return dims
+
+
+def _position_series(M: ModulePresentation, zmax: int):
+    """Yield (generator index, its bidegree, its leads, dims) for every
+    generator of zdeg <= zmax, where dims[z][w] counts the standard
+    monomials of that position of Z-degree z and weight w, up to the
+    bound."""
     ring = M.ring
+    live = [(k, g) for k, g in enumerate(M.free.bidegrees) if g.zdeg <= zmax]
+    if not live:
+        return
+    _require_positive_degrees(ring)
     by_pos = SubmoduleOracle(ring, M.relations, M.rank).gb.by_pos
-    zmin = min((d.zdeg for d in M.free.bidegrees), default=0)
-    for k, gdeg in enumerate(M.free.bidegrees):
+    for k, g in live:
         leads = [m for m, _ in by_pos.get(k, ())]
-        for z in range(min(zmin, 0), zmax + 1):
-            for mono in _standard_monomials(ring, z - gdeg.zdeg, leads):
-                yield k, mono, ring.monomial_bidegree(mono) + gdeg
+        yield k, g, leads, _series(ring, leads, zmax - g.zdeg)
 
 
 def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], int]:
     """Exact dimensions of the bigraded pieces for zdeg <= zmax.
 
-    Keys are (zdeg, weight residue); zero entries are omitted.  Raises on
-    rings with non-positive variable degrees, where pieces are infinite.
+    Keys are (zdeg, weight residue); zero entries are omitted.  Each
+    generator contributes the Hilbert series of its position's lead ideal,
+    shifted by its bidegree.  Raises on rings with non-positive variable
+    degrees, where pieces are infinite.
     """
     if zmax < 0:
         raise ValueError("zmax must be >= 0")
+    a = M.ring.group_order
     table: dict[tuple[int, int], int] = {}
-    for _, _, d in _standard_basis(M, zmax):
-        key = (d.zdeg, d.weight)
-        table[key] = table.get(key, 0) + 1
+    for _, g, _, dims in _position_series(M, zmax):
+        for z, row in enumerate(dims):
+            for w, dim in enumerate(row):
+                if dim:
+                    key = (g.zdeg + z, (g.weight + w) % a)
+                    table[key] = table.get(key, 0) + dim
     return table
 
 
@@ -421,19 +492,25 @@ def invariant_part(M: ModulePresentation, bound: int
                    ) -> tuple[dict[int, int], list[str]]:
     """The weight-zero part up to zdeg `bound`.
 
-    Returns the dimension table {zdeg: dim} and printable representatives
-    (standard monomials times generators) of the low-degree pieces.
+    Returns the dimension table {zdeg: dim}, read off the Hilbert series,
+    and the first 24 printable representatives (standard monomials times
+    generators), generator-major, then by zdeg; only the pieces they come
+    from are enumerated.
     """
     ring = M.ring
     dims: dict[int, int] = {}
     elements: list[str] = []
-    for k, mono, d in _standard_basis(M, bound):
-        if d.weight != 0:
-            continue
-        dims[d.zdeg] = dims.get(d.zdeg, 0) + 1
-        if len(elements) < 24:
-            mono_str = str(ring.monomial(mono)) if any(mono) else "1"
-            elements.append(f"{mono_str}*e{k + 1} (zdeg {d.zdeg})")
+    for k, g, leads, series in _position_series(M, bound):
+        w0 = -g.weight % ring.group_order
+        for z, row in enumerate(series):
+            if not row[w0]:
+                continue
+            dims[g.zdeg + z] = dims.get(g.zdeg + z, 0) + row[w0]
+            found = (mono for mono in _standard_monomials(ring, z, leads)
+                     if ring.monomial_bidegree(mono).weight == w0)
+            for mono in islice(found, min(row[w0], 24 - len(elements))):
+                mono_str = str(ring.monomial(mono)) if any(mono) else "1"
+                elements.append(f"{mono_str}*e{k + 1} (zdeg {g.zdeg + z})")
     return dims, elements
 
 

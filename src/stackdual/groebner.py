@@ -163,7 +163,10 @@ class _TrackedGB:
 
     Pair keys are computed once and kept in a heap; leads are cached and
     indexed per position (basis elements are monic and never mutated after
-    insertion).
+    insertion).  A span-only basis pops pairs by the Z-degree of their lcm
+    first, then by the order (the sugar strategy for homogeneous input), so
+    it completes degree by degree instead of growing large before it
+    reduces; a tracked basis pops them by the order alone.
     """
 
     def __init__(self, vectors: Sequence[VecDict], ring: GradedRing,
@@ -197,8 +200,10 @@ class _TrackedGB:
         same = self.by_pos.setdefault(npos, [])
         for kmono, k in same:
             lcm = monomial_lcm(kmono, nmono)
-            heapq.heappush(self._heap,
-                           (self.order.key(lcm), npos, k, new, lcm))
+            key = self.order.key(lcm)
+            if not self.track:
+                key = (sum(e * d for e, d in zip(lcm, self.ring.zdegs)), key)
+            heapq.heappush(self._heap, (key, npos, k, new, lcm))
             self._pending.add((k, new))
         same.append((nmono, new))
 

@@ -20,6 +20,11 @@ boundaries in a second subquotient, without the `modulo` argument of
 applying it to every unit vector instead of reading its stored columns.
 `annihilates` checks relations by multiplying them out.
 
+`reference_hilbert_function` and `reference_invariant_part` count the
+standard monomials of every position by testing every monomial up to the
+bound against the leads of the module Groebner basis, where the engine
+reads its tables off the Hilbert series of those lead ideals.
+
 `reference_restrict_along` presents B over A by elimination: the syzygies
 of the staircase monomials modulo the graph ideal in the mixed ring, then a
 module Groebner basis of those in the elimination order, keeping its
@@ -28,6 +33,7 @@ from the contraction ideal (target ideal + images) in the target's own
 order instead of from the graph basis.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -320,3 +326,63 @@ def reference_module_generators(f):
              for m in _standard_monomials(ambient, z, leads)]
     return sorted(found, key=lambda m: (target.monomial_bidegree(m).zdeg,
                                         target.order.key(m)))
+
+
+def _monomials_by_zdeg(ring, zmax):
+    """Every monomial of Z-degree <= zmax, grouped by Z-degree, each group in
+    ascending lexicographic order of exponents."""
+    out = {z: [] for z in range(zmax + 1)}
+    for m in itertools.product(range(zmax + 1), repeat=ring.nvars):
+        z = sum(e * d for e, d in zip(m, ring.zdegs))
+        if z <= zmax:
+            out[z].append(m)
+    return out
+
+
+def reference_standard_basis(M, zmax):
+    """(generator index, standard monomial, bidegree) for every basis element
+    of M up to Z-degree zmax, generator-major, then by Z-degree, then
+    lexicographic: every monomial is tested against every lead of its
+    position.  Raises ValueError if a generator is in range and some
+    variable has Z-degree <= 0, where the pieces are infinite."""
+    from stackdual.groebner import SubmoduleOracle
+    ring = M.ring
+    live = [(k, g) for k, g in enumerate(M.free.bidegrees) if g.zdeg <= zmax]
+    if not live:
+        return []
+    if any(d <= 0 for d in ring.zdegs):
+        raise ValueError("pieces are infinite-dimensional")
+    by_pos = SubmoduleOracle(ring, M.relations, M.rank).gb.by_pos
+    monos = _monomials_by_zdeg(ring, zmax - min(g.zdeg for _, g in live))
+    out = []
+    for k, g in live:
+        leads = [m for m, _ in by_pos.get(k, ())]
+        for z in range(zmax - g.zdeg + 1):
+            for mono in monos[z]:
+                if not any(monomial_divides(lm, mono) for lm in leads):
+                    out.append((k, mono, ring.monomial_bidegree(mono) + g))
+    return out
+
+
+def reference_hilbert_function(M, zmax):
+    """{(zdeg, weight): dim} up to zmax, by counting standard monomials."""
+    if zmax < 0:
+        raise ValueError("zmax must be >= 0")
+    table = {}
+    for _, _, d in reference_standard_basis(M, zmax):
+        table[(d.zdeg, d.weight)] = table.get((d.zdeg, d.weight), 0) + 1
+    return table
+
+
+def reference_invariant_part(M, bound):
+    """The weight-zero dimensions {zdeg: dim} up to the bound and the first
+    24 weight-zero basis elements, printed as `invariant_part` prints them."""
+    dims, elements = {}, []
+    for k, mono, d in reference_standard_basis(M, bound):
+        if d.weight:
+            continue
+        dims[d.zdeg] = dims.get(d.zdeg, 0) + 1
+        if len(elements) < 24:
+            text = str(M.ring.monomial(mono)) if any(mono) else "1"
+            elements.append(f"{text}*e{k + 1} (zdeg {d.zdeg})")
+    return dims, elements

@@ -245,3 +245,34 @@ def test_zero_image_is_an_image(capsys, tmp_path, rings, image, expected):
     code, out, _ = run_finite_map(capsys, tmp_path, rings, image)
     assert code == 0
     assert all(text in out for text in expected)
+
+
+def test_degree_first_pairs_finish_a_basis_that_grows_before_it_reduces(
+        capsys, tmp_path, monkeypatch):
+    # the graph basis of this map took 47 s when S-pairs were popped by the
+    # elimination order alone; by Z-degree first it takes well under a second
+    monkeypatch.setenv("STACKDUAL_TIME_LIMIT_S", "10")
+    code, out, _ = run_finite_map(
+        capsys, tmp_path,
+        "ring A = Q[u0,u1] degrees {u0:4, u1:5}\n"
+        "ring B = Q[x0,x1]/(3*x0^2*x1^2 + 2*x0*x1^3)",
+        "u0 = -3*x0^4, u1 = x0^5 - 4/9*x0*x1^4 - 3*x1^5")
+    assert code == 0
+    assert "Ext^1=14 gens Ext^2=0" in out
+
+
+def test_hilbert_table_to_a_large_bound_fits_a_short_cap(capsys, tmp_path, monkeypatch):
+    # the table comes from the Hilbert series of the lead ideals, not from
+    # enumerating the C(403, 2) monomials of each degree
+    monkeypatch.setenv("STACKDUAL_TIME_LIMIT_S", "3")
+    session = tmp_path / "hilbert.sdl"
+    session.write_text(
+        "ring R = Q[x,y,z] group 5 weights {x:1, y:2, z:3}\n"
+        "module M over R gens e1:(0,0), e2:(1,1) rels x^3*e1, y*z*e2\n"
+        "hilbert M max 400\n")
+    json_path = tmp_path / "hilbert.json"
+    code, _, _ = run_cli(["run", str(session), "--json", str(json_path)], capsys)
+    assert code == 0
+    table = json.loads(json_path.read_text())["commands"][0]["result"]["table"]
+    # degree 400: 401 + 400 + 399 monomials of R/(x^3), 2 * 400 - 1 of R/(yz)
+    assert sum(row["dim"] for row in table if row["zdeg"] == 400) == 1999

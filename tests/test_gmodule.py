@@ -2,11 +2,17 @@
 presentations, Hilbert tables, invariant parts, and restriction of
 scalars."""
 
+import itertools
+import time
+
 import pytest
 
+from stackdual import caps
+from stackdual.caps import ResourceCapError
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
+                               _monomials_of_zdeg, _numerator,
                                hilbert_function, hom_module, invariant_part,
                                kernel, minimalize, restrict_along, twist)
 from stackdual.groebner import SubmoduleOracle, syzygies_over
@@ -211,6 +217,28 @@ def test_hilbert_rejects_degree_zero_variables():
     C = GradedRing(["t", "u"], zdegs=[0, 0], weights=[1, 1], group_order=3)
     with pytest.raises(ValueError):
         hilbert_function(structure(C), 4)
+
+
+def test_hilbert_of_a_power_of_the_maximal_ideal():
+    # Q[x,y,z]/(x,y,z)^4 has every monomial below degree 4 and none above
+    R = GradedRing(["x", "y", "z"])
+    ideal = [R.monomial(m) for m in itertools.product(range(5), repeat=3)
+             if sum(m) == 4]
+    table = hilbert_function(ModulePresentation(
+        FreeModule(R, (R.degree_zero(),)), [(p,) for p in ideal]), 8)
+    assert table == {(0, 0): 1, (1, 0): 3, (2, 0): 6, (3, 0): 10}
+
+
+def test_expired_deadline_stops_the_staircase(monkeypatch):
+    R = GradedRing(["x", "y", "z"])
+    leads = [m for m in itertools.product(range(13), repeat=3) if sum(m) == 12]
+    monkeypatch.setenv("STACKDUAL_TIME_LIMIT_S", "0")
+    with caps.command_caps():
+        time.sleep(0.001)
+        with pytest.raises(ResourceCapError):
+            list(_monomials_of_zdeg(R, 60))
+        with pytest.raises(ResourceCapError):
+            _numerator(R, leads, 60)
 
 
 # -- invariant parts -------------------------------------------------------------------

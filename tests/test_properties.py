@@ -14,7 +14,9 @@ of the unit vectors, results that `minimalize` leaves unchanged, the
 quotient-ring reduction fast path against the full normal form, and
 restriction of scalars by normal forms against the elimination reference,
 its staircase against the contraction staircase and its coordinates
-against `RingMorphism.apply`, also into targets of unequal degrees.
+against `RingMorphism.apply`, also into targets of unequal degrees, and
+Hilbert tables and invariant parts read off the Hilbert series of the lead
+ideals against counting standard monomials.
 """
 
 import itertools
@@ -23,23 +25,25 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (annihilates, reference_buchberger, reference_homology,
-                     reference_kernel, reference_module_generators,
-                     reference_relations_modulo, reference_restrict_along)
+from oracles import (annihilates, reference_buchberger,
+                     reference_hilbert_function, reference_homology,
+                     reference_invariant_part, reference_kernel,
+                     reference_module_generators, reference_relations_modulo,
+                     reference_restrict_along)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
 from stackdual.dsl import parse_session
-from stackdual.duality import finite_shriek
+from stackdual.duality import compare_modules, finite_shriek
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
-                               hilbert_function, hom_module, kernel,
-                               kernel_with_inclusion, minimalize,
+                               hilbert_function, hom_module, invariant_part,
+                               kernel, kernel_with_inclusion, minimalize,
                                restrict_along, subquotient, vector_bidegree)
 from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
                                 syzygies_over)
-from stackdual.poly import GradedRing, MonomialOrder, monomial_divides
+from stackdual.poly import Bidegree, GradedRing, MonomialOrder, monomial_divides
 from stackdual.presets import preset_session
 
 SEED = 20260810
@@ -534,7 +538,8 @@ def test_staircase_matches_the_contraction_staircase():
 
 
 def test_weighted_target_maps_dualize():
-    reports = [finite_shriek(f, depth=2) for f in weighted_target_maps(SEED + 15)]
+    reports = [finite_shriek(f, depth=2)
+               for f in weighted_target_maps(SEED + 15, count=24)]
     # the two fixed maps give O(1) and O(3)
     assert [(r.is_free_rank_one, r.generator_bidegrees[0].zdeg)
             for r in reports[:2]] == [(True, -1), (True, -3)]
@@ -727,3 +732,87 @@ def test_ring_reduce_matches_normal_form():
                 got = ring.reduce(q)
                 assert got.ring is ring and got.terms == expected.terms
     assert kinds == {True, False}   # both reducible and reduced inputs
+
+
+HILBERT_BOUND = 12
+
+
+def staircase_modules(seed, count):
+    """`count` seeded modules over Q[x,y,z] or its quotient by one
+    bihomogeneous form, with Z-degrees drawn from {1, 2, 3} and group
+    orders 1, 5, 7 and 11 in turn.  Ranks run over 0-3; generator Z-degrees
+    reach below zero and above HILBERT_BOUND.  Relations are monomials
+    times a generator in half of the modules and sums of terms over up to
+    three positions in the other half."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        a = (1, 5, 7, 11)[n % 4]
+        ring = GradedRing(["x", "y", "z"],
+                          zdegs=[rng.choice([1, 2, 3]) for _ in "xyz"],
+                          weights=[rng.randrange(a) for _ in "xyz"], group_order=a)
+        by_bidegree = {}
+        for m in itertools.product(range(7), repeat=3):
+            d = ring.monomial_bidegree(m)
+            if d.zdeg <= 6:
+                by_bidegree.setdefault((d.zdeg, d.weight), []).append(m)
+        if n % 3 == 1:
+            monos = by_bidegree[rng.choice(sorted(k for k in by_bidegree if k[0] >= 2))]
+            ring = ring.quotient([sum((ring.monomial(m, rng.choice([-2, 1, 3]))
+                                       for m in rng.sample(monos, min(2, len(monos)))),
+                                      ring.zero())])
+        gens = [Bidegree(rng.randint(-3, HILBERT_BOUND + 2), rng.randrange(a), a)
+                for _ in range(n // 4 % 4)]
+        monomial = n % 2 == 0
+        rels = []
+        for _ in range(rng.randint(0, 5) if gens else 0):
+            # a pivot term fixes the column's bidegree; other terms match it
+            pivot = rng.randrange(len(gens))
+            lead = rng.choice([m for ms in by_bidegree.values() for m in ms
+                               if sum(m) <= 4])
+            d = ring.monomial_bidegree(lead) + gens[pivot]
+            col = [ring.zero() for _ in gens]
+            col[pivot] = ring.monomial(lead)
+            for k, g in enumerate(gens):
+                if monomial:
+                    break
+                e = d - g
+                monos = [m for m in by_bidegree.get((e.zdeg, e.weight), [])
+                         if (k, m) != (pivot, lead)]
+                if monos and rng.random() < 0.7:
+                    col[k] = col[k] + ring.monomial(rng.choice(monos),
+                                                    rng.choice([-1, 2]))
+            rels.append(tuple(col))
+        out.append(ModulePresentation(FreeModule(ring, tuple(gens)), rels))
+    return out
+
+
+def test_hilbert_series_matches_enumeration():
+    modules = staircase_modules(SEED + 20, 60)
+    assert {M.ring.group_order for M in modules} == {1, 5, 7, 11}
+    assert any(M.rank == 0 for M in modules)
+    assert any(M.ring.ideal for M in modules)
+    assert any(sum(len(p.terms) for p in col) > 1
+               for M in modules for col in M.relations)
+    gen_zdegs = [g.zdeg for M in modules for g in M.free.bidegrees]
+    assert min(gen_zdegs) < 0 < HILBERT_BOUND < max(gen_zdegs)
+    for M in modules:
+        assert hilbert_function(M, HILBERT_BOUND) == \
+            reference_hilbert_function(M, HILBERT_BOUND)
+        for bound in (-1, HILBERT_BOUND):
+            assert invariant_part(M, bound) == reference_invariant_part(M, bound)
+
+
+def test_degree_zero_variables_still_raise_and_compare_stays_inconclusive():
+    rng = random.Random(SEED + 21)
+    for zdegs in ([0, 1], [0, 0], [1, 0]):
+        ring = GradedRing(["t", "x"], zdegs=zdegs)
+        t, x = ring.var("t"), ring.var("x")
+        m = quotient_module(ring, [t * x])
+        n = quotient_module(ring, [t ** rng.randint(2, 3) * x])
+        for table in (hilbert_function, reference_hilbert_function):
+            with pytest.raises(ValueError):
+                table(m, 4)
+        with pytest.raises(ValueError):
+            invariant_part(m, 4)
+        assert compare_modules(m, n, 4) == "inconclusive"
