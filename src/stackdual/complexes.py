@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
                       kernel_with_inclusion, minimalize, precompose_columns,
                       subquotient)
-from .groebner import (SubmoduleOracle, Vector, minimal_generating_vectors,
-                       syzygies_over, vector_bidegree)
+from .groebner import (Column, minimal_generating_vectors, syzygies_over,
+                       vector_bidegree)
 from .poly import GradedRing, Polynomial
 
 DEFAULT_DEPTH = 6
@@ -61,12 +61,7 @@ class ChainComplex:
         the span of its target's relations."""
         for i, f in self.maps.items():
             nxt = self.maps.get(i - 1 if self.direction == "chain" else i + 1)
-            if nxt is None:
-                continue
-            oracle = SubmoduleOracle(self.ring, list(nxt.target.relations),
-                                     nxt.target.rank)
-            if not all(oracle.contains(nxt.apply_to_vector(col))
-                       for col in f.columns):
+            if nxt is not None and not nxt.sends_into_relations(f.columns):
                 raise ValueError(f"differentials at {i} do not compose to zero")
 
 
@@ -104,14 +99,13 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
     maps: dict[int, ModuleMap] = {}
     for i in range(1, r + 1):
         index = {S: pos for pos, S in enumerate(subsets[i - 1])}
-        cols: list[Vector] = []
+        cols: list[Column] = []
         for S in subsets[i]:
-            col = [ring.zero()] * len(subsets[i - 1])
+            col = {}
             for pos, k in enumerate(S):
                 rest = tuple(x for x in S if x != k)
-                sign = -1 if pos % 2 else 1
-                col[index[rest]] = col[index[rest]] + sign * seq[k]
-            cols.append(tuple(col))
+                col[index[rest]] = (-1 if pos % 2 else 1) * seq[k]
+            cols.append(col)
         maps[i] = ModuleMap(terms[i], terms[i - 1], cols, check=False)
     return ChainComplex(ring, terms, maps, direction="chain", finite=True)
 
@@ -136,7 +130,6 @@ def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
     M0 = minimalize(M)
     terms = [ModulePresentation.free_of(ring, M0.free.bidegrees)]
     maps: dict[int, ModuleMap] = {}
-    columns: list[tuple[Vector, ...]] = []
     current_cols = M0.relations
     current_degs = M0.relation_bidegrees
     finite = False
@@ -148,7 +141,6 @@ def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
         term = ModulePresentation.free_of(ring, current_degs)
         terms.append(term)
         maps[i] = ModuleMap(term, terms[i - 1], current_cols, check=False)
-        columns.append(current_cols)
         if i == depth:
             break
         syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
@@ -207,8 +199,8 @@ def homology(C: ChainComplex, i: int) -> ModulePresentation:
 
 
 def homology_with_inclusion(C: ChainComplex, i: int
-                            ) -> tuple[ModulePresentation, tuple[Vector, ...]]:
-    """Homology plus its generators as vectors in the free part of term i.
+                            ) -> tuple[ModulePresentation, tuple[Column, ...]]:
+    """Homology plus its generators as columns of the free part of term i.
 
     The cycles are presented once, modulo the boundaries: H_i is
     `kernel_with_inclusion(out, boundaries)`, or the subquotient of the

@@ -168,8 +168,7 @@ class ModuleDecl:
         out = f"module {self.name} over {self.ring_name} gens {gens}"
         if self.module.relations:
             rels = ", ".join(
-                " + ".join(f"({p})*{self.gen_names[i]}"
-                           for i, p in enumerate(col) if not p.is_zero())
+                " + ".join(f"({p})*{self.gen_names[i]}" for i, p in col.items())
                 for col in self.module.relations)
             out += f" rels {rels}"
         return out
@@ -491,7 +490,7 @@ class _Parser:
             bidegrees.append(Bidegree(z, w, ring.group_order))
             if not self.accept_symbol(","):
                 break
-        rels: list[tuple[Polynomial, ...]] = []
+        rels: list[dict[int, Polynomial]] = []
         if self.accept_keyword("rels"):
             rels = self.comma_list(lambda: self.relation(ring, gen_names))
         self.end_statement()
@@ -668,14 +667,14 @@ class _Parser:
         return self.expr()
 
     def relation(self, ring: GradedRing,
-                 gen_names: list[str]) -> tuple[Polynomial, ...]:
+                 gen_names: list[str]) -> dict[int, Polynomial]:
         first = self.peek()
         self.expr_ring = ring
         self.expr_gens = {g: i for i, g in enumerate(gen_names)}
         value = self.expr()
         if not isinstance(value, dict):
             self.fail_at(first, "relation does not involve any generator")
-        return tuple(value.get(i, ring.zero()) for i in range(len(gen_names)))
+        return value
 
     def expr(self):
         value = self.term()

@@ -10,6 +10,7 @@ residues and as signed powers of the group character.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,7 +18,7 @@ from .complexes import hom_complex, homology, homology_with_inclusion, koszul, r
 from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
                       hilbert_function, invariant_part, minimalize,
                       restrict_along)
-from .groebner import SubmoduleOracle, Vector
+from .groebner import Column, SubmoduleOracle, buchberger, column
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
 DEFAULT_DEPTH = 4
@@ -161,12 +162,13 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
 
 
 def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
-                          h0: ModulePresentation, incl: Sequence[Vector],
+                          h0: ModulePresentation, incl: Sequence[Column],
                           m_g: ModulePresentation) -> ModulePresentation:
     """Give Hom_A(B, M) its B-module structure ((b.phi)(b') = phi(b b')).
 
-    incl lists the Hom generators as vectors over the free part of
-    Hom(F_0, M); component (k, l) is the coefficient of the map e_k -> gen_l.
+    incl lists the Hom generators as columns over the free part of
+    Hom(F_0, M); position k * rank(M) + l is the coefficient of the map
+    e_k -> gen_l.
     """
     ring_a = h0.ring
     ring_b = f.target
@@ -177,49 +179,37 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
     if ngens == 0:
         return ModulePresentation.zero(ring_b)
 
-    # coordinates of x_t * b_k over the staircase, as weighted-source polys
-    var_action: list[list[tuple[Polynomial, ...]]] = []
-    for t in range(ring_b.nvars):
-        rows = []
-        for k in range(r0):
-            mono = tuple(e + (1 if i == t else 0)
-                         for i, e in enumerate(monos[k]))
-            rows.append(f.coordinates(mono))
-        var_action.append(rows)
-
     oracle = SubmoduleOracle(ring_a, list(incl) + list(c0.relations), c0.rank,
                              liftable=True)
-    zero_b = ring_b.zero()
-    relations: list[Vector] = []
 
     # relations of the A-presentation, pushed through the images
-    for col in h0.relations:
-        relations.append(tuple(f.apply(p) for p in col))
+    relations: list[Column] = [{pos: f.apply(p) for pos, p in col.items()}
+                               for col in h0.relations]
 
-    # linearization: x_t * kappa_i = sum_j a_j kappa_j
+    # linearization: x_t * kappa_i = sum_j a_j kappa_j, where
+    # (x_t * kappa_i)(e_k -> gen_l) = sum_s c_ks * kappa_i(e_s -> gen_l)
     for t in range(ring_b.nvars):
+        # x_t * b_k = sum_s c_ks * b_s; acting[s] lists the (k, c_ks) with
+        # c_ks != 0, read over the weighted source
+        acting: list[list[tuple[int, Polynomial]]] = [[] for _ in range(r0)]
+        for k, b in enumerate(monos):
+            xb = tuple(e + (i == t) for i, e in enumerate(b))
+            for s, c in f.coordinates(xb).items():
+                acting[s].append((k, ring_a.reinterpret(c)))
         xt = ring_b.var(t)
-        for i in range(ngens):
-            moved = [ring_a.zero()] * (r0 * nm)
-            for k in range(r0):
-                for l in range(nm):
-                    acc = ring_a.zero()
-                    for s in range(r0):
-                        c = var_action[t][k][s]
-                        if c.is_zero():
-                            continue
-                        entry = incl[i][s * nm + l]
-                        if not entry.is_zero():
-                            acc = acc + ring_a.reinterpret(c) * entry
-                    moved[k * nm + l] = ring_a.reduce(acc)
-            coords = oracle.lift(tuple(moved))
+        for i, gen in enumerate(incl):
+            moved: dict[int, Polynomial] = {}
+            for pos, entry in gen.items():
+                s, l = divmod(pos, nm)
+                for k, c in acting[s]:
+                    key = k * nm + l
+                    moved[key] = moved[key] + c * entry if key in moved else c * entry
+            coords = oracle.lift(column(ring_a, moved, r0 * nm))
             if coords is None:
                 raise RuntimeError("B-action left the Hom module")
-            col = [zero_b] * ngens
-            for j in range(ngens):
-                col[j] = -f.apply(coords[j])
-            col[i] = col[i] + xt
-            relations.append(tuple(col))
+            col = {j: -f.apply(a) for j, a in coords.items() if j < ngens}
+            col[i] = col[i] + xt if i in col else xt
+            relations.append(col)
 
     free = FreeModule(ring_b, tuple(h0.free.bidegrees))
     return ModulePresentation(free, relations)
@@ -243,7 +233,7 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
     gens = [g for g in gens if not g.is_zero()]
     ring_b = C.quotient(gens, name=f"{C.name}/I") if gens else C
     pres = ModulePresentation(FreeModule(C, (C.degree_zero(),)),
-                              [(g,) for g in gens])
+                              [{0: g} for g in gens])
     res = resolve(pres, imax + 1)
     hc = hom_complex(res, omega)
     out = []
@@ -313,7 +303,6 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
 
 def _combinatorial_dimension(C: GradedRing, ideal_gens: Sequence[Polynomial]) -> int:
     """Krull dimension of C/I from independent sets of the lead ideal."""
-    from .groebner import buchberger
     gens = [g for g in ideal_gens if not g.is_zero()]
     if not gens:
         return C.nvars
@@ -321,14 +310,12 @@ def _combinatorial_dimension(C: GradedRing, ideal_gens: Sequence[Polynomial]) ->
     leads = [g.leading_term()[0] for g in gb.generators]
     if any(all(e == 0 for e in lm) for lm in leads):
         return -1  # unit ideal
-    import itertools as it
-    best = 0
     for size in range(C.nvars, 0, -1):
-        for S in it.combinations(range(C.nvars), size):
+        for S in itertools.combinations(range(C.nvars), size):
             sset = set(S)
             if not any(all(i in sset for i, e in enumerate(lm) if e) for lm in leads):
                 return size
-    return best
+    return 0
 
 
 def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],

@@ -1,11 +1,13 @@
 """Finitely presented bigraded modules and their algebra.
 
 A module is presented by a free module with a bidegree per generator and a
-list of homogeneous relation columns; entries are kept reduced modulo the
-ring ideal.  On top of that sit the operations the duality recipes need:
-kernels, Hom, twists, minimal presentations,
-Hilbert tables, invariant (weight-zero) parts, and the target of a
-module-finite ring map as a module over its source.
+list of homogeneous relation columns.  Relations, map columns and kernel
+inclusions are `groebner.Column`s, {position: Polynomial} holding only the
+nonzero entries, reduced modulo the ring ideal, so every operation visits
+stored entries only.  On top of that sit the operations the duality recipes
+need: kernels, Hom, twists, minimal presentations, Hilbert tables, invariant
+(weight-zero) parts, and the target of a module-finite ring map as a module
+over its source.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
-from . import groebner
 from .caps import check_deadline
-from .groebner import (SubmoduleOracle, Vector, buchberger,
-                       minimal_generating_vectors, normal_form, syzygies_over,
-                       vector_bidegree)
+from .groebner import (Column, SubmoduleOracle, buchberger, column,
+                       lead_coefficient, minimal_generating_vectors,
+                       normal_form, syzygies_over, vector_bidegree)
 from .poly import (Bidegree, GradedRing, Monomial, Polynomial,
                    RingMismatchError, _EliminationOrder, monomial_div,
                    monomial_divides, monomial_lcm, substitute)
@@ -48,36 +49,32 @@ class FreeModule:
     def twist(self, d: Bidegree) -> "FreeModule":
         return FreeModule(self.ring, tuple(g - d for g in self.bidegrees))
 
-    def unit_vector(self, i: int) -> Vector:
-        return tuple(self.ring.one() if j == i else self.ring.zero()
-                     for j in range(self.rank))
+    def unit_vector(self, i: int) -> Column:
+        return {i: self.ring.one()}
 
 
 class ModulePresentation:
     """generators (a FreeModule) together with homogeneous relation columns."""
 
-    def __init__(self, free: FreeModule, relations: Sequence[Vector] = ()):
+    def __init__(self, free: FreeModule, relations: Sequence[Column] = ()):
         self.free = free
         self.ring = free.ring
-        cols: list[Vector] = []
+        cols: list[Column] = []
         degs: list[Bidegree] = []
         for col in relations:
-            if len(col) != free.rank:
-                raise ValueError("relation length differs from the rank")
-            reduced = tuple(self.ring.reduce(p) for p in col)
-            if all(p.is_zero() for p in reduced):
+            reduced = column(self.ring, col, free.rank)
+            if not reduced:
                 continue
             d = vector_bidegree(reduced, free.bidegrees, self.ring)
             if d is None:
                 raise ValueError("inhomogeneous relation column")
             # normalize the column monic in the term-over-position order
-            _, lc = groebner._vec_lead(groebner.vec_from_polys(reduced, self.ring),
-                                       self.ring.order)
+            lc = lead_coefficient(reduced, self.ring.order)
             if lc != 1:
-                reduced = tuple(p / lc for p in reduced)
+                reduced = {pos: p / lc for pos, p in reduced.items()}
             cols.append(reduced)
             degs.append(d)
-        self.relations: tuple[Vector, ...] = tuple(cols)
+        self.relations: tuple[Column, ...] = tuple(cols)
         self.relation_bidegrees: tuple[Bidegree, ...] = tuple(degs)
 
     # -- constructors --------------------------------------------------------
@@ -106,7 +103,7 @@ class ModulePresentation:
         if not self.relations:
             return f"<{gens or '0'}>"
         rels = ", ".join(
-            " + ".join(f"({p})*e{i + 1}" for i, p in enumerate(col) if not p.is_zero())
+            " + ".join(f"({p})*e{i + 1}" for i, p in col.items())
             for col in self.relations)
         return f"<{gens}> / ({rels})"
 
@@ -116,64 +113,65 @@ class ModulePresentation:
 class ModuleMap:
     """A homogeneous map between presented modules, given on generators.
 
-    columns[j] is the image of the j-th source generator, a vector over the
+    columns[j] is the image of the j-th source generator, a column of the
     target's free module; the map is homogeneous of degree `shift`.  The
     columns are the map's only stored form: kernels read them directly.
     """
 
     def __init__(self, source: ModulePresentation, target: ModulePresentation,
-                 columns: Sequence[Vector], shift: Bidegree | None = None,
+                 columns: Sequence[Column], shift: Bidegree | None = None,
                  check: bool = True):
         if source.ring != target.ring:
             raise RingMismatchError("module map across different rings")
         self.source = source
         self.target = target
         self.ring = source.ring
-        self.columns = tuple(
-            tuple(self.ring.reduce(p) for p in col)
-            for col in columns)
+        self.columns = tuple(column(self.ring, col, target.rank)
+                             for col in columns)
         if len(self.columns) != source.rank:
             raise ValueError("need one column per source generator")
         self.shift = shift if shift is not None else self.ring.degree_zero()
         for j, col in enumerate(self.columns):
-            if all(p.is_zero() for p in col):
+            if not col:
                 continue
             d = vector_bidegree(col, target.free.bidegrees, self.ring)
             if d is None or d != source.free.bidegrees[j] + self.shift:
                 raise ValueError(f"column {j} is not homogeneous of the declared shift")
-        if check and not self.is_well_defined():
+        if check and not self.sends_into_relations(source.relations):
             raise ValueError("map does not send relations into relations")
 
-    def is_well_defined(self) -> bool:
-        if not self.source.relations:
+    def sends_into_relations(self, vectors: Sequence[Column]) -> bool:
+        """Whether the image of every column of the source's free module in
+        `vectors` lies in the span of the target's relations (modulo the
+        ring ideal): well-definedness for the source's relations, d o d = 0
+        for the columns of a preceding differential."""
+        if not vectors:
             return True
-        oracle = SubmoduleOracle(self.ring, list(self.target.relations),
+        if not self.target.relations:
+            # images are reduced modulo the ideal, so only zero lies in the span
+            return not any(self.apply_to_vector(v) for v in vectors)
+        oracle = SubmoduleOracle(self.ring, self.target.relations,
                                  self.target.rank)
-        for rel in self.source.relations:
-            if not oracle.contains(self.apply_to_vector(rel)):
-                return False
-        return True
+        return all(oracle.contains(self.apply_to_vector(v)) for v in vectors)
 
-    def apply_to_vector(self, vec: Vector) -> Vector:
-        out = [self.ring.zero() for _ in range(self.target.rank)]
-        for j, coeff in enumerate(vec):
-            if coeff.is_zero():
-                continue
-            for i, entry in enumerate(self.columns[j]):
-                out[i] = out[i] + coeff * entry
-        return tuple(self.ring.reduce(p) for p in out)
+    def apply_to_vector(self, vec: Column) -> Column:
+        out: dict[int, Polynomial] = {}
+        for j, coeff in vec.items():
+            for i, entry in self.columns[j].items():
+                out[i] = out[i] + coeff * entry if i in out else coeff * entry
+        return column(self.ring, out, self.target.rank)
 
 
 # ---------------------------------------------------------------------------
 # kernels and subquotients
 
 
-def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Vector] = ()
-                          ) -> tuple[ModulePresentation, tuple[Vector, ...]]:
+def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Column] = ()
+                          ) -> tuple[ModulePresentation, tuple[Column, ...]]:
     """ker f modulo the span of `modulo`, plus its generators as vectors of
     the source's free module.
 
-    `modulo` lists vectors of the source's free module that must lie in
+    `modulo` lists columns of the source's free module that must lie in
     ker f, such as the boundaries of a complex; the result is the
     subquotient ker f / <modulo>, and ker f itself when `modulo` is empty.
     The presentation is minimal, as from `subquotient`.  The kernel
@@ -183,7 +181,7 @@ def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Vector] = ()
     if f.target.rank == 0:
         gens = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
     else:
-        gens = syzygies_over(f.ring, list(f.columns), f.target.rank,
+        gens = syzygies_over(f.ring, f.columns, f.target.rank,
                              f.target.relations)
     return subquotient(gens, modulo, f.source)
 
@@ -193,21 +191,21 @@ def kernel(f: ModuleMap) -> ModulePresentation:
     return kernel_with_inclusion(f)[0]
 
 
-def subquotient(gens: Sequence[Vector], subs: Sequence[Vector],
-                within: ModulePresentation) -> tuple[ModulePresentation, tuple[Vector, ...]]:
+def subquotient(gens: Sequence[Column], subs: Sequence[Column],
+                within: ModulePresentation) -> tuple[ModulePresentation, tuple[Column, ...]]:
     """The module (<gens> + rel)/(<subs> + rel) inside the presented `within`.
 
     Returns a minimal presentation together with the surviving generators as
-    vectors of the ambient free module: a subsequence of `gens`, kept
+    columns of the ambient free module: a subsequence of `gens`, kept
     greedily in ascending degree, then printed form.  Minimal means that
     `minimalize` returns it unchanged: no relation column has a unit entry
     or lies in the span of the others.
     """
     ring = within.ring
     free = within.free
-    gens = [tuple(ring.reduce(p) for p in g) for g in gens]
+    gens = [column(ring, g, free.rank) for g in gens]
     degs = [vector_bidegree(g, free.bidegrees, ring) for g in gens]
-    if any(d is None and any(not p.is_zero() for p in g) for g, d in zip(gens, degs)):
+    if any(d is None and g for g, d in zip(gens, degs)):
         raise ValueError("inhomogeneous subquotient generator")
 
     # drop generators already in the subs + relations span, minimally
@@ -261,32 +259,22 @@ def hom_free_into(F: FreeModule, N: ModulePresentation) -> ModulePresentation:
     for df in F.bidegrees:
         for dn in N.free.bidegrees:
             degs.append(dn - df)
-    rels: list[Vector] = []
-    zero = ring.zero()
-    for k in range(F.rank):
-        for col in N.relations:
-            vec = [zero] * (F.rank * N.rank)
-            for i, p in enumerate(col):
-                vec[k * N.rank + i] = p
-            rels.append(tuple(vec))
+    rels = [{k * N.rank + i: p for i, p in col.items()}
+            for k in range(F.rank) for col in N.relations]
     return ModulePresentation(FreeModule(ring, tuple(degs)), rels)
 
 
-def precompose_columns(columns: Sequence[Vector], rank: int,
-                       N: ModulePresentation) -> list[Vector]:
+def precompose_columns(columns: Sequence[Column], rank: int,
+                       N: ModulePresentation) -> list[Column]:
     """Columns of Hom(F0, N) -> Hom(F1, N), phi -> phi o d, for d: F1 -> F0
     given by its `columns` over F0 of rank `rank`; generators of both Hom
-    modules are ordered as in `hom_free_into`."""
-    zero = N.ring.zero()
-    cols: list[Vector] = []
-    for k in range(rank):                 # source index pair (k, l)
-        for l in range(N.rank):
-            vec = [zero] * (len(columns) * N.rank)
-            for t, col in enumerate(columns):
-                entry = col[k]
-                if not entry.is_zero():
-                    vec[t * N.rank + l] = entry
-            cols.append(tuple(vec))
+    modules are ordered as in `hom_free_into`.  The column of the source
+    index pair (k, l) holds entry k of column t at position (t, l)."""
+    cols: list[Column] = [{} for _ in range(rank * N.rank)]
+    for t, col in enumerate(columns):     # ascending t keeps positions sorted
+        for k, entry in col.items():
+            for l in range(N.rank):
+                cols[k * N.rank + l][t * N.rank + l] = entry
     return cols
 
 
@@ -315,45 +303,35 @@ def minimalize_with_tracking(M: ModulePresentation
     ring = M.ring
     gens = list(M.free.bidegrees)
     origin = list(range(len(gens)))
-    cols = [list(col) for col in M.relations]
+    cols = list(M.relations)
 
     while True:
-        pivot = None
-        for c, col in enumerate(cols):
-            for i, entry in enumerate(col):
-                if entry.is_unit_scalar():
-                    pivot = (c, i, entry.constant_value())
-                    break
-            if pivot:
-                break
+        pivot = next(((c, i, entry.constant_value())
+                      for c, col in enumerate(cols)
+                      for i, entry in col.items() if entry.is_unit_scalar()),
+                     None)
         if pivot is None:
             break
         c, i, unit = pivot
         pivot_col = cols.pop(c)
-        # gen_i = -1/unit * sum of the other entries; substitute everywhere
-        for col in cols:
-            factor = col[i]
-            if factor.is_zero():
-                continue
-            for k in range(len(gens)):
-                if k != i:
-                    col[k] = ring.reduce(col[k] - factor * pivot_col[k] / unit)
-            col[i] = ring.zero()
-        for col in cols:
-            del col[i]
+        # gen_i = -1/unit * sum of the other entries; substitute everywhere,
+        # then renumber the generators after i
+        for n, col in enumerate(cols):
+            col = dict(col)
+            factor = col.pop(i, None)
+            if factor is not None:
+                for k, p in pivot_col.items():
+                    if k != i:
+                        q = col.get(k, ring.zero()) - factor * p / unit
+                        col[k] = ring.reduce(q)
+            cols[n] = {k - (k > i): p for k, p in sorted(col.items())
+                       if not p.is_zero()}
         del gens[i]
         del origin[i]
 
     free = FreeModule(ring, tuple(gens))
-    live = [tuple(col) for col in cols
-            if any(not p.is_zero() for p in col)]
     # dedupe then prune columns expressible through the others
-    seen = set()
-    unique: list[Vector] = []
-    for col in live:
-        if col not in seen:
-            seen.add(col)
-            unique.append(col)
+    unique = list({tuple(col.items()): col for col in cols if col}.values())
     degs = [vector_bidegree(col, free.bidegrees, ring) for col in unique]
     keep = minimal_generating_vectors(ring, unique, free.rank, degs)
     return ModulePresentation(free, [unique[ix] for ix in keep]), tuple(origin)
@@ -601,7 +579,8 @@ class RingMorphism:
             raise RingMismatchError("module is not over the morphism source")
         ring = self.weighted_source()
         degs = tuple(self.transport_bidegree(d) for d in M.free.bidegrees)
-        rels = [tuple(ring.reinterpret(p) for p in col) for col in M.relations]
+        rels = [{pos: ring.reinterpret(p) for pos, p in col.items()}
+                for col in M.relations]
         return ModulePresentation(FreeModule(ring, degs), rels)
 
     # -- finiteness and the staircase basis -------------------------------------
@@ -666,25 +645,25 @@ class RingMorphism:
             self._mixed_cache = buchberger(graph, ring=ring)
         return self._mixed_cache
 
-    def coordinates(self, b: Monomial, e: Optional[Monomial] = None
-                    ) -> tuple[Polynomial, ...]:
+    def coordinates(self, b: Monomial, e: Optional[Monomial] = None) -> Column:
         """Write f(y^e) * x^b over the staircase basis with source
         coefficients, f(y^e) * x^b = sum_k f(a_k) * b_k in B, from the
         normal form of the graph monomial x^b * y~^e modulo G (e = None
-        reads x^b alone)."""
+        reads x^b alone).  The column {k: a_k} has its entries over the
+        ambient of the weighted source, not reduced modulo its ideal."""
         monos, _ = self.module_generators()
         gb = self._mixed()
         nt = self.target.nvars
         if e is None:
             e = (0,) * self.source.nvars
         nf = normal_form(gb.ring.monomial(b + e), gb)
-        coords = [dict() for _ in monos]
+        coords: dict[int, dict] = {}
         for mono, coeff in nf.terms.items():
             if mono[:nt] not in monos:
                 raise RuntimeError(f"normal form of x^{b} y~^{e} left the staircase")
-            coords[monos.index(mono[:nt])][mono[nt:]] = coeff
+            coords.setdefault(monos.index(mono[:nt]), {})[mono[nt:]] = coeff
         source_ambient = self.weighted_source().ambient()
-        return tuple(source_ambient.poly(c) for c in coords)
+        return {k: source_ambient.poly(coords[k]) for k in sorted(coords)}
 
 
 def _pure_powers(leads: Sequence[Monomial], nvars: int) -> Optional[list[int]]:
@@ -715,15 +694,15 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
     ring_a = f.weighted_source()
     nt = f.target.nvars
     leads = [g.leading_term()[0] for g in f._mixed().generators]
-    rel_cols: list[Vector] = []
+    rel_cols: list[Column] = []
     for k, b in enumerate(monos):
         for lead in leads:
             if not monomial_divides(lead[:nt], b):
                 continue
             e = lead[nt:]
-            col = [-c for c in f.coordinates(b, e)]
-            col[k] = col[k] + ring_a.monomial(e)
-            rel_cols.append(tuple(ring_a.reduce(c) for c in col))
+            col = {pos: -c for pos, c in f.coordinates(b, e).items()}
+            col[k] = col.get(k, ring_a.zero()) + ring_a.monomial(e)
+            rel_cols.append(column(ring_a, col, len(monos)))
     keep = sorted(minimal_generating_vectors(
         ring_a, rel_cols, len(monos),
         [vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))

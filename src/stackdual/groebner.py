@@ -1,9 +1,17 @@
 """Buchberger Groebner bases, normal forms, and syzygies.
 
-One engine works on vectors over a free module with a term-over-position
-order induced by the ring order, in one of two modes.  Tracked, it records
-how every basis element is expressed in the input generators and processes
-every S-pair, which makes Schreyer syzygies fall out of the S-pair
+A column, an element of a free module R^n, is {position: Polynomial}: only
+nonzero entries, each reduced modulo the ring ideal, in ascending position
+order; the rank lives on the free module.  Every module value outside this
+file is a column.  `column` builds one; `printed_column` is the one dense
+rendering, for report text and ordering keys.
+
+One engine, private to this file, works on flat vectors {(position,
+monomial): coefficient} with the term-over-position order induced by the
+ring order.  Columns are flattened where they enter `SubmoduleOracle` or
+`syzygies_over`, and results are projected straight back into columns.
+The engine has two modes.  Tracked, it records how every basis element is
+expressed in the input generators and processes every S-pair, which makes Schreyer syzygies fall out of the S-pair
 reductions and lets `lift` answer.  Span-only, it keeps no expressions and
 drops S-pairs by the chain criterion; the product criterion does not hold
 for module elements.  An ideal is a rank-1 submodule, so `buchberger` and
@@ -20,28 +28,60 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .caps import check_deadline
+from .caps import check_deadline, check_term_cap
 from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
                    RingMismatchError, monomial_div, monomial_divides,
                    monomial_lcm, monomial_mul)
 
-Vector = tuple[Polynomial, ...]
+Column = dict[int, Polynomial]
 
 
-def vector_bidegree(vec: Sequence[Polynomial], gen_bidegrees: Sequence[Bidegree],
+def column(ring: GradedRing, entries: Mapping[int, Polynomial],
+           rank: int) -> Column:
+    """The column of R^rank with the given entries: each reduced modulo the
+    ring ideal, zeros dropped, positions ascending.  Raises ValueError for
+    a position outside 0..rank-1 and RingMismatchError for an entry of
+    another ring."""
+    out: Column = {}
+    for pos in sorted(entries):
+        if not 0 <= pos < rank:
+            raise ValueError(f"column position {pos} outside rank {rank}")
+        p = entries[pos]
+        if not p.is_zero():
+            p = ring.reduce(p)
+            if not p.is_zero():
+                out[pos] = p
+    return out
+
+
+def printed_column(col: Column, rank: int) -> tuple[str, ...]:
+    """The printed entries of a column at every position 0..rank-1, "0"
+    where nothing is stored."""
+    return tuple(str(col[i]) if i in col else "0" for i in range(rank))
+
+
+def lead_coefficient(col: Column, order: MonomialOrder) -> Fraction:
+    """The coefficient of a nonzero column's lead term in the
+    term-over-position order: the largest monomial, lower positions winning
+    ties."""
+    _, p = max(col.items(),
+               key=lambda item: (order.key(item[1].leading_term(order)[0]),
+                                 -item[0]))
+    return p.leading_term(order)[1]
+
+
+def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree],
                     ring: GradedRing) -> Optional[Bidegree]:
-    """Common bidegree of a homogeneous vector (entry degree + generator
-    degree must agree across components); None if inhomogeneous or zero."""
+    """Common bidegree of a homogeneous column (entry degree + generator
+    degree must agree across entries); None if inhomogeneous or zero."""
     found: Optional[Bidegree] = None
-    for p, gdeg in zip(vec, gen_bidegrees):
-        if p.is_zero():
-            continue
+    for pos, p in vec.items():
         d = p.bidegree()
         if d is None:
             return None
-        total = d + gdeg
+        total = d + gen_bidegrees[pos]
         if found is None:
             found = total
         elif found != total:
@@ -60,10 +100,11 @@ def vector_bidegree(vec: Sequence[Polynomial], gen_bidegrees: Sequence[Bidegree]
 VecDict = dict[tuple[int, Monomial], Fraction]
 
 
-def vec_from_polys(polys: Sequence[Polynomial], ring: GradedRing) -> VecDict:
-    """The entries as one vector; each must share `ring`'s ambient signature."""
+def _flatten(col: Column, ring: GradedRing) -> VecDict:
+    """A column as one flat vector; each entry must share `ring`'s ambient
+    signature."""
     out: VecDict = {}
-    for pos, p in enumerate(polys):
+    for pos, p in col.items():
         if p.ring is not ring and not ring.same_ambient(p.ring):
             raise RingMismatchError(f"vector entry {p} does not live over {ring!r}")
         for m, c in p.terms.items():
@@ -71,11 +112,17 @@ def vec_from_polys(polys: Sequence[Polynomial], ring: GradedRing) -> VecDict:
     return out
 
 
-def vec_to_polys(vec: VecDict, rank: int, ring: GradedRing) -> Vector:
-    comps: list[dict] = [{} for _ in range(rank)]
-    for (pos, m), c in vec.items():
-        comps[pos][m] = c
-    return tuple(Polynomial(ring, comp) for comp in comps)
+def _project(vec: VecDict, ring: GradedRing, positions: Sequence[Optional[int]],
+             rank: int) -> Column:
+    """The column of R^rank whose entry at positions[k] is the part of vec
+    at engine position k; engine positions past the list, or mapped to
+    None, are dropped."""
+    terms: dict[int, dict] = {}
+    for (k, m), c in vec.items():
+        if k < len(positions) and positions[k] is not None:
+            terms.setdefault(positions[k], {})[m] = c
+    return column(ring, {pos: Polynomial(ring, t) for pos, t in terms.items()},
+                  rank)
 
 
 def _vec_key(order: MonomialOrder):
@@ -102,6 +149,7 @@ def _vec_axpy(target: VecDict, mono: Monomial, coeff: Fraction, src: VecDict) ->
     """target += coeff * mono * src"""
     for (pos, m), c in src.items():
         _vec_add_term(target, (pos, monomial_mul(m, mono)), c * coeff)
+    check_term_cap(len(target))
 
 
 def _vec_scale(vec: VecDict, coeff: Fraction) -> VecDict:
@@ -114,11 +162,11 @@ def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
     """Full reduction of vec by the monic basis.
 
     `by_pos` indexes the basis leads per position as (monomial, basis
-    index), in basis order.  Returns (remainder, quotients):
-    quotients[i] is a terms dict with vec = sum_i quotients[i]*basis[i] +
-    remainder; it is empty unless `track`.
+    index), in basis order.  Returns (remainder, quotients): quotients
+    maps the index i of each basis element used to a terms dict, with vec =
+    sum_i quotients[i]*basis[i] + remainder; it is empty unless `track`.
     """
-    quotients: list[dict] = [{} for _ in basis] if track else []
+    quotients: dict[int, dict] = {}
     remainder: VecDict = {}
     current = dict(vec)
     keyf = _vec_key(order)
@@ -132,7 +180,7 @@ def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
                 q = monomial_div(mono, bmono)
                 _vec_axpy(current, q, -coeff, basis[i])
                 if track:
-                    quotients[i][q] = quotients[i].get(q, Fraction(0)) + coeff
+                    quotients.setdefault(i, {})[q] = coeff
                 break
         else:
             remainder[key] = coeff
@@ -190,6 +238,7 @@ class _TrackedGB:
         self._complete()
 
     def _insert(self, vec: VecDict, rep: Optional[VecDict]) -> None:
+        check_term_cap(len(vec))
         (posmono, lc) = _vec_lead(vec, self.order)
         self.basis.append(_vec_scale(vec, 1 / lc))
         if self.track:
@@ -207,11 +256,11 @@ class _TrackedGB:
             self._pending.add((k, new))
         same.append((nmono, new))
 
-    def _add_reps(self, target: VecDict, quotients: list[dict],
+    def _add_reps(self, target: VecDict, quotients: dict[int, dict],
                   sign: Fraction) -> None:
         """target += sign * sum_t quotients[t] * reps[t]"""
-        for t, q in enumerate(quotients):
-            for mono, coeff in q.items():
+        for t in sorted(quotients):
+            for mono, coeff in quotients[t].items():
                 _vec_axpy(target, mono, sign * coeff, self.reps[t])
 
     def _chain(self, pos: int, i: int, j: int, lcm: Monomial) -> bool:
@@ -401,32 +450,31 @@ def _ideal_rows(ring: GradedRing, rank: int) -> list[VecDict]:
     return rows
 
 
-def syzygies_over(ring: GradedRing, vectors: Sequence[Vector], rank: int,
-                  context: Sequence[Vector] = ()) -> list[Vector]:
+def syzygies_over(ring: GradedRing, vectors: Sequence[Column], rank: int,
+                  context: Sequence[Column] = ()) -> list[Column]:
     """Relations among `vectors` modulo span(context) + I * R^rank, for I the
-    ideal of the (possibly quotient) ring and every vector of length `rank`.
+    ideal of the (possibly quotient) ring and every column of R^rank.
 
-    A relation is a tuple a, one entry per vector, with sum_i a_i *
-    vectors[i] in that submodule; the result generates all of them.  Entries
-    are reduced modulo I, zero and repeated relations are dropped, and the
-    rest are sorted by their printed entries.  No minimalization happens at
-    this level.
+    A relation is a column a of R^len(vectors), with sum_i a_i * vectors[i]
+    in that submodule; the result generates all of them.  Zero and repeated
+    relations are dropped, and the rest are sorted by their printed
+    entries.  No minimalization happens at this level.
     """
     if not vectors:
         return []
     ambient = ring.ambient()
-    rows = [vec_from_polys(v, ambient) for v in (*vectors, *context)]
-    nin = len(vectors)
-    out: list[Vector] = []
+    rows = [_flatten(v, ambient) for v in (*vectors, *context)]
+    heads = range(len(vectors))
+    out: list[Column] = []
     seen = set()
     for s in module_syzygies(rows + _ideal_rows(ring, rank), ambient):
-        head = vec_to_polys({k: c for k, c in s.items() if k[0] < nin}, nin, ambient)
-        reduced = tuple(ring.reduce(p) for p in head)
-        if reduced in seen or all(p.is_zero() for p in reduced):
+        col = _project(s, ring, heads, len(heads))
+        key = tuple(col.items())
+        if not col or key in seen:
             continue
-        seen.add(reduced)
-        out.append(reduced)
-    out.sort(key=lambda v: tuple(str(p) for p in v))
+        seen.add(key)
+        out.append(col)
+    out.sort(key=lambda v: printed_column(v, len(heads)))
     return out
 
 
@@ -439,50 +487,43 @@ class SubmoduleOracle:
     alone, which is all that `contains` and `extend` need.
     """
 
-    def __init__(self, ring: GradedRing, generators: Sequence[Vector], rank: int,
+    def __init__(self, ring: GradedRing, generators: Sequence[Column], rank: int,
                  liftable: bool = False):
         self.ring = ring
         self.rank = rank
         self.ngens = len(generators)
         self.ambient = ring.ambient()
         ideal_rows = _ideal_rows(ring, rank)
-        self.gb = _TrackedGB([self._vec(v) for v in generators] + ideal_rows,
-                             self.ambient, track=liftable)
+        self.gb = _TrackedGB([_flatten(v, self.ambient) for v in generators]
+                             + ideal_rows, self.ambient, track=liftable)
         # generator index of each GB input; None for the ideal rows
         self._gen_of: list[Optional[int]] = (list(range(self.ngens))
                                              + [None] * len(ideal_rows))
 
-    def _vec(self, v: Vector) -> VecDict:
-        return vec_from_polys(v, self.ambient)
+    def contains(self, v: Column) -> bool:
+        return self.gb.contains(_flatten(v, self.ambient))
 
-    def contains(self, v: Vector) -> bool:
-        return self.gb.contains(self._vec(v))
-
-    def extend(self, v: Vector) -> None:
+    def extend(self, v: Column) -> None:
         """Append v as generator number `ngens`."""
-        if self.gb.extend(self._vec(v)):
+        if self.gb.extend(_flatten(v, self.ambient)):
             self._gen_of.append(self.ngens)
         self.ngens += 1
 
-    def lift(self, v: Vector) -> Optional[Vector]:
-        """Coordinates a with v = sum a_i * gen_i modulo I * R^rank.
+    def lift(self, v: Column) -> Optional[Column]:
+        """Coordinates a, a column of R^ngens, with v = sum a_i * gen_i
+        modulo I * R^rank.
 
         Raises RuntimeError unless the oracle was built with liftable=True.
         """
-        expr = self.gb.express(self._vec(v))
+        expr = self.gb.express(_flatten(v, self.ambient))
         if expr is None:
             return None
-        coords = [self.ring.zero() for _ in range(self.ngens)]
-        for (pos, m), c in expr.items():
-            gen = self._gen_of[pos]
-            if gen is not None:
-                coords[gen] = coords[gen] + self.ring.monomial(m, c)
-        return tuple(self.ring.reduce(p) for p in coords)
+        return _project(expr, self.ring, self._gen_of, self.ngens)
 
 
-def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Vector],
+def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],
                                rank: int, bidegrees: Sequence | None = None,
-                               context: Sequence[Vector] = ()) -> list[int]:
+                               context: Sequence[Column] = ()) -> list[int]:
     """Indices of a minimal generating subset modulo `context`, in the
     greedy order: ascending degree, then printed form.
 
@@ -494,12 +535,11 @@ def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Vector],
     def zdeg_of(i):
         if bidegrees is not None and bidegrees[i] is not None:
             return bidegrees[i].zdeg
-        return min((min(ring.monomial_bidegree(m).zdeg for m in p.terms)
-                    for p in vectors[i] if not p.is_zero()), default=0)
+        return min(min(ring.monomial_bidegree(m).zdeg for m in p.terms)
+                   for p in vectors[i].values())
 
-    order = sorted((i for i, v in enumerate(vectors)
-                    if any(not p.is_zero() for p in v)),
-                   key=lambda i: (zdeg_of(i), tuple(str(p) for p in vectors[i])))
+    order = sorted((i for i, v in enumerate(vectors) if v),
+                   key=lambda i: (zdeg_of(i), printed_column(vectors[i], rank)))
     if not order:
         return []
     oracle = SubmoduleOracle(ring, context, rank)
@@ -509,4 +549,3 @@ def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Vector],
             oracle.extend(vectors[i])
             kept.append(i)
     return kept
-

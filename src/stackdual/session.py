@@ -21,6 +21,7 @@ from .duality import (CMReport, DualityReport, canonical_module,
                       finite_shriek, lci_dualizing, pushforward_check)
 from .gmodule import (ModulePresentation, hilbert_function, hom_module,
                       invariant_part)
+from .groebner import printed_column
 from .poly import Bidegree
 
 SCHEMA_VERSION = "1"
@@ -44,7 +45,7 @@ def module_json(M: ModulePresentation) -> dict:
     return {
         "ring": M.ring.name,
         "generators": [bidegree_json(d) for d in M.free.bidegrees],
-        "relations": [[str(p) for p in col] for col in M.relations],
+        "relations": [list(printed_column(col, M.rank)) for col in M.relations],
     }
 
 

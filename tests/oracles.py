@@ -31,6 +31,9 @@ module Groebner basis of those in the elimination order, keeping its
 target-free elements.  `reference_module_generators` takes the staircase
 from the contraction ideal (target ideal + images) in the target's own
 order instead of from the graph basis.
+
+Module elements are columns, {position: Polynomial} with nonzero entries
+only, as in `stackdual.groebner`; `col` writes one from dense entries.
 """
 
 import itertools
@@ -41,6 +44,11 @@ from stackdual.caps import check_deadline
 from stackdual.poly import (GradedRing, Monomial, MonomialOrder, Polynomial,
                             RingMismatchError, monomial_div, monomial_divides,
                             monomial_lcm, monomial_mul)
+
+
+def col(*entries: Polynomial) -> dict:
+    """The column with these dense entries: position i holds entries[i]."""
+    return {i: p for i, p in enumerate(entries) if not p.is_zero()}
 
 
 def node_hom_oracle(a, i, j, alpha, beta, zmax):
@@ -214,27 +222,28 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
 
 def reference_relations_modulo(ring: GradedRing, vectors, rank: int,
                                context) -> set:
-    """Relations among `vectors` modulo span(context) + I * R^rank, as a set:
-    the syzygies of vectors + context cut to their first len(vectors)
-    entries, reduced modulo the ring ideal, zero heads dropped."""
+    """Relations among `vectors` modulo span(context) + I * R^rank, as a set
+    of column item tuples: the syzygies of vectors + context cut to their
+    first len(vectors) positions, reduced modulo the ring ideal, zero heads
+    dropped."""
     from stackdual.groebner import syzygies_over
     heads = set()
     for syz in syzygies_over(ring, list(vectors) + list(context), rank):
-        head = tuple(ring.reduce(p) for p in syz[:len(vectors)])
-        if any(not p.is_zero() for p in head):
+        head = {i: ring.reduce(p) for i, p in syz.items() if i < len(vectors)}
+        head = tuple((i, p) for i, p in head.items() if not p.is_zero())
+        if head:
             heads.add(head)
     return heads
 
 
 def annihilates(ring: GradedRing, relations, rows) -> bool:
     """Whether sum_i a_i * rows[i] reduces to zero for every relation a."""
-    rank = len(rows[0]) if rows else 0
     for rel in relations:
-        acc = [ring.zero() for _ in range(rank)]
-        for coeff, row in zip(rel, rows):
-            for t in range(rank):
-                acc[t] = acc[t] + coeff * row[t]
-        if any(not ring.reduce(p).is_zero() for p in acc):
+        acc = {}
+        for i, coeff in rel.items():
+            for t, p in rows[i].items():
+                acc[t] = acc.get(t, ring.zero()) + coeff * p
+        if any(not ring.reduce(p).is_zero() for p in acc.values()):
             return False
     return True
 
@@ -283,23 +292,25 @@ def reference_restrict_along(f):
     mixed = graph_gb.ring
     nt = f.target.nvars
     ns = f.source.nvars
-    gen_vecs = [(mixed.monomial(m + (0,) * ns),) for m in monos]
-    context = [(g,) for g in graph_gb.generators]
+    gen_vecs = [{0: mixed.monomial(m + (0,) * ns)} for m in monos]
+    context = [{0: g} for g in graph_gb.generators]
     projected = groebner.syzygies_over(mixed, gen_vecs, 1, context)
     rel_cols = []
     if projected:
         gb = groebner._TrackedGB(
-            [groebner.vec_from_polys(v, mixed) for v in projected], mixed)
+            [groebner._flatten(v, mixed) for v in projected], mixed)
         source_ambient = ring_a.ambient()
         for b in gb.basis:
             if any(any(m[:nt]) for (_, m) in b):
                 continue
-            comps = [dict() for _ in monos]
+            comps = {}
             for (pos, m), c in b.items():
-                comps[pos][m[nt:]] = c
-            col = tuple(ring_a.reduce(source_ambient.poly(c)) for c in comps)
-            if any(not p.is_zero() for p in col) and col not in rel_cols:
-                rel_cols.append(col)
+                comps.setdefault(pos, {})[m[nt:]] = c
+            column = {pos: ring_a.reduce(source_ambient.poly(comps[pos]))
+                      for pos in sorted(comps)}
+            column = {pos: p for pos, p in column.items() if not p.is_zero()}
+            if column and column not in rel_cols:
+                rel_cols.append(column)
     keep = sorted(groebner.minimal_generating_vectors(
         ring_a, rel_cols, len(monos),
         [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))

@@ -10,7 +10,7 @@ import random
 from math import gcd
 from pathlib import Path
 
-from oracles import cusp_hom_oracle, root_hom_oracle
+from oracles import col, cusp_hom_oracle, root_hom_oracle
 from stackdual.complexes import homology, koszul, resolve
 from stackdual.dsl import parse_session
 from stackdual.duality import (canonical_module, cm_gorenstein_check,
@@ -95,7 +95,7 @@ def test_criterion_4_triple_point():
         I = [u * v - t * t, u * t - v * v, v * t - u * u]
 
         pres = ModulePresentation(FreeModule(C, (C.degree_zero(),)),
-                                  [(g,) for g in I])
+                                  [col(g) for g in I])
         res = resolve(pres, 3)
         ok &= res.ranks() == [1, 3, 2]
         ok &= [[d.zdeg for d in T.free.bidegrees] for T in res.terms] == \
@@ -111,7 +111,7 @@ def test_criterion_4_triple_point():
         B = ext2.ring
         u, v, t = B.var("u"), B.var("v"), B.var("t")
         displayed = ModulePresentation(FreeModule(B, (d, d)),
-                                       [(t, u), (v, t), (u, v)])
+                                       [col(t, u), col(v, t), col(u, v)])
         ok &= compare_modules(ext2, displayed, 8) == "isomorphic-up-to-bound"
 
         cm = cm_gorenstein_check(C, I, 3)
@@ -251,17 +251,17 @@ def test_criterion_9_kernel_property_suites():
         ok &= all(minimalize(homology(kc, i)).rank == 0
                   for i in range(1, len(seq) + 1))
         for f in kc.maps.values():
-            for col in f.columns:
-                if any(not p.is_zero() for p in col):
-                    ok &= vector_bidegree(col, f.target.free.bidegrees,
+            for c in f.columns:
+                if c:
+                    ok &= vector_bidegree(c, f.target.free.bidegrees,
                                           ring) is not None
 
     f = node_morphism(3, 1, 2)
     ba = restrict_along(f)
     res = resolve(ba, 4)
     res.check_composition()
-    for col in ba.relations:
-        ok &= vector_bidegree(col, ba.free.bidegrees, ba.ring) is not None
+    for c in ba.relations:
+        ok &= vector_bidegree(c, ba.free.bidegrees, ba.ring) is not None
 
     report(9, ok, "kernel properties: Koszul exactness, d o d = 0, "
                   "bihomogeneous matrices, NF idempotence, reduced-GB "

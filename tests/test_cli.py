@@ -215,6 +215,16 @@ def test_parse_time_arithmetic_obeys_the_term_cap(capsys, tmp_path, monkeypatch)
     assert code == 0
 
 
+def test_term_cap_bounds_the_module_vectors(capsys, monkeypatch):
+    # no polynomial product of this preset has more than 2 terms, but the
+    # module vectors of its Groebner bases have 6
+    for cap in ("2", "5"):
+        monkeypatch.setenv("STACKDUAL_MAX_TERMS", cap)
+        code, out, _ = run_cli(["preset", "triple-point"], capsys)
+        assert code == 3
+        assert f"exceeds {cap} terms" in out
+
+
 def run_finite_map(capsys, tmp_path, rings, images):
     session = tmp_path / "finite.sdl"
     session.write_text(f"{rings}\nmap f : A -> B {{ {images} }}\n"

@@ -1,6 +1,7 @@
 """Koszul complexes, free resolutions, Hom complexes, and homology."""
 
 import pytest
+from oracles import col
 
 from stackdual.complexes import (ChainComplex, hom_complex, homology, koszul,
                                  resolve)
@@ -61,7 +62,7 @@ def test_koszul_detects_nonregular(node_ring):
 def test_resolve_principal_ideal(qxy):
     x, y = qxy.var("x"), qxy.var("y")
     M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)),
-                           [(y ** 2 - x ** 2,)])
+                           [col(y ** 2 - x ** 2)])
     res = resolve(M, 2)
     assert res.ranks() == [1, 1] and res.finite
 
@@ -84,7 +85,7 @@ def test_resolve_triple_point(triple_ring):
     u, v, t = triple_ring.var("u"), triple_ring.var("v"), triple_ring.var("t")
     M = ModulePresentation(
         FreeModule(triple_ring, (triple_ring.degree_zero(),)),
-        [(u * v - t * t,), (u * t - v * v,), (v * t - u * u,)])
+        [col(u * v - t * t), col(u * t - v * v), col(v * t - u * u)])
     res = resolve(M, 3)
     assert res.ranks() == [1, 3, 2]
     assert res.finite
@@ -94,7 +95,7 @@ def test_resolve_triple_point(triple_ring):
 
 def test_hom_complex_of_trivial_complex(qxy):
     M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)),
-                           [(qxy.var("x"),)])
+                           [col(qxy.var("x"))])
     res = resolve(ModulePresentation.structure(qxy), 1)
     hc = hom_complex(res, M)
     assert hc.ranks() == [1]
@@ -115,7 +116,7 @@ def test_hom_complex_koszul_self_dual_ranks(qxy):
 
 def test_hom_complex_requires_free_terms(qxy):
     x = qxy.var("x")
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [(x,)])
+    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x)])
     kc = koszul(qxy, [x])
     kc.terms[0] = M
     with pytest.raises(ValueError):
@@ -147,7 +148,7 @@ def test_resolve_homology_vanishes_against_module(triple_ring):
     u, v, t = triple_ring.var("u"), triple_ring.var("v"), triple_ring.var("t")
     M = ModulePresentation(
         FreeModule(triple_ring, (triple_ring.degree_zero(),)),
-        [(u * v - t * t,), (u * t - v * v,), (v * t - u * u,)])
+        [col(u * v - t * t), col(u * t - v * v), col(v * t - u * u)])
     res = resolve(M, 3)
     for i in range(1, res.length + 1):
         assert minimalize(homology(res, i)).rank == 0
@@ -163,7 +164,7 @@ def pair_differentials(ring, sign):
     """Columns of F2 -> F1 -> F0 on (x, y): the Koszul complex for sign -1,
     and a map whose composite is 2xy for sign +1."""
     x, y = ring.var("x"), ring.var("y")
-    return [(x,), (y,)], [(y, sign * x)]
+    return [col(x), col(y)], [col(y, sign * x)]
 
 
 def pair_frees(ring):
@@ -198,8 +199,8 @@ def test_chain_complex_of_free_terms_must_compose_to_zero(qxy):
 
 def test_cochain_composite_is_read_modulo_target_relations(qxy):
     x = qxy.var("x")
-    modulo_x = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [(x,)])
-    modulo_x2 = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [(x * x,)])
+    modulo_x = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x)])
+    modulo_x2 = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x * x)])
     # the composite 2xy is nonzero in the free module but lies in x * Hom(F2, N)
     assert hom_pair_complex(qxy, 1, modulo_x).ranks() == [1, 2, 1]
     assert hom_pair_complex(qxy, -1, modulo_x2).ranks() == [1, 2, 1]

@@ -28,7 +28,7 @@ map p : A -> B {{ u = x^{alpha}, v = y^{beta} }}
     return ast.maps["p"], alpha, beta
 
 
-from oracles import cusp_hom_oracle, node_hom_oracle, root_hom_oracle
+from oracles import col, cusp_hom_oracle, node_hom_oracle, root_hom_oracle
 
 
 # -- finite duality -------------------------------------------------------------
@@ -152,10 +152,10 @@ def test_ext_dualizing_triple_point(triple_ring):
     B = ext2.ring
     u, v, t = B.var("u"), B.var("v"), B.var("t")
     displayed = ModulePresentation(
-        FreeModule(B, (d, d)), [(t, u), (v, t), (u, v)])
+        FreeModule(B, (d, d)), [col(t, u), col(v, t), col(u, v)])
     assert compare_modules(ext2, displayed, 8) == "isomorphic-up-to-bound"
     permuted = ModulePresentation(
-        FreeModule(B, (d, d)), [(u, t), (t, v), (v, u)])
+        FreeModule(B, (d, d)), [col(u, t), col(t, v), col(v, u)])
     assert compare_modules(ext2, permuted, 8) == "isomorphic-up-to-bound"
 
 
@@ -185,7 +185,7 @@ def test_moving_to_the_quotient_can_leave_a_redundant_relation():
     x, y = C.var("x"), C.var("y")
     degs = (C.degree_zero(), C.degree_zero())
     M = ModulePresentation(FreeModule(C, degs),
-                           [(x, -y), (C.zero(), x * y), (C.zero(), x * x)])
+                           [col(x, -y), col(C.zero(), x * y), col(C.zero(), x * x)])
     assert minimalize(M).relations == M.relations
     B = C.quotient([x * x])
     # (0, x^2) vanishes over B and (0, xy) = -x * (x, -y) there
@@ -399,7 +399,7 @@ dualize-finite f omega MA depth 2
 def test_compare_distinct_by_hilbert(qxy):
     x, y = qxy.var("x"), qxy.var("y")
     d = qxy.degree_zero()
-    M = ModulePresentation(FreeModule(qxy, (d,)), [(x,)])
-    N = ModulePresentation(FreeModule(qxy, (d,)), [(x ** 2 - y ** 2,)])
+    M = ModulePresentation(FreeModule(qxy, (d,)), [col(x)])
+    N = ModulePresentation(FreeModule(qxy, (d,)), [col(x ** 2 - y ** 2)])
     # same generator degrees, different Hilbert tables
     assert compare_modules(M, N, 8) == "distinct"

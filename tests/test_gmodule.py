@@ -6,6 +6,7 @@ import itertools
 import time
 
 import pytest
+from oracles import col
 
 from stackdual import caps
 from stackdual.caps import ResourceCapError
@@ -15,7 +16,7 @@ from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                _monomials_of_zdeg, _numerator,
                                hilbert_function, hom_module, invariant_part,
                                kernel, minimalize, restrict_along, twist)
-from stackdual.groebner import SubmoduleOracle, syzygies_over
+from stackdual.groebner import SubmoduleOracle, printed_column, syzygies_over
 from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 
 
@@ -41,17 +42,17 @@ def test_kernel_of_multiplication_by_x_on_node(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     R = structure(node_ring)
     shift = node_ring.variable_bidegree(0)
-    f = ModuleMap(R, R, [(x,)], shift=shift)
+    f = ModuleMap(R, R, [col(x)], shift=shift)
     ker = kernel(f)
     # the annihilator of x is (y), i.e. R/(x) shifted by the bidegree of y
     assert ker.rank == 1
     assert ker.free.bidegrees[0] == node_ring.variable_bidegree(1)
-    assert [[str(p) for p in col] for col in ker.relations] == [["x"]]
+    assert [list(printed_column(c, ker.rank)) for c in ker.relations] == [["x"]]
 
 
 def test_kernel_of_identity_is_zero(node_ring):
     R = structure(node_ring)
-    f = ModuleMap(R, R, [(node_ring.one(),)])
+    f = ModuleMap(R, R, [col(node_ring.one())])
     assert kernel(f).rank == 0
 
 
@@ -60,7 +61,7 @@ def test_kernel_koszul_map(qxy):
     d = qxy.degree_zero()
     src = ModulePresentation.free_of(qxy, (Bidegree(1, 0, 1), Bidegree(1, 0, 1)))
     tgt = structure(qxy)
-    f = ModuleMap(src, tgt, [(x,), (y,)])
+    f = ModuleMap(src, tgt, [col(x), col(y)])
     ker = kernel(f)
     assert ker.rank == 1 and not ker.relations
     # generated by the Koszul relation (-y, x) up to sign
@@ -71,7 +72,7 @@ def test_kernel_inclusion_composes_to_zero(node_ring):
     from stackdual.groebner import SubmoduleOracle
     x, y = node_ring.var("x"), node_ring.var("y")
     R = structure(node_ring)
-    f = ModuleMap(R, R, [(x,)], shift=node_ring.variable_bidegree(0))
+    f = ModuleMap(R, R, [col(x)], shift=node_ring.variable_bidegree(0))
     _, incl = kernel_with_inclusion(f)
     oracle = SubmoduleOracle(node_ring, list(f.target.relations), f.target.rank)
     for vec in incl:
@@ -80,14 +81,14 @@ def test_kernel_inclusion_composes_to_zero(node_ring):
 
 def test_ill_defined_map_rejected(node_ring, qxy):
     x, y = qxy.var("x"), qxy.var("y")
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [(x,)])
+    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x)])
     N = structure(qxy)
     with pytest.raises(ValueError):
-        ModuleMap(M, N, [(qxy.one(),)])  # does not kill x
+        ModuleMap(M, N, [col(qxy.one())])  # does not kill x
 
 
 def test_foreign_ring_entries_rejected(node_ring):
-    foreign = (GradedRing(["a", "b"]).var("a"),)
+    foreign = col(GradedRing(["a", "b"]).var("a"))
     M = structure(node_ring)
     with pytest.raises(RingMismatchError):
         ModulePresentation(M.free, [foreign])
@@ -96,9 +97,9 @@ def test_foreign_ring_entries_rejected(node_ring):
     with pytest.raises(RingMismatchError):
         SubmoduleOracle(node_ring, [foreign], 1)
     with pytest.raises(RingMismatchError):
-        SubmoduleOracle(node_ring, [(node_ring.var("x"),)], 1).contains(foreign)
+        SubmoduleOracle(node_ring, [col(node_ring.var("x"))], 1).contains(foreign)
     with pytest.raises(RingMismatchError):
-        syzygies_over(node_ring, [(node_ring.var("x"),)], 1, context=[foreign])
+        syzygies_over(node_ring, [col(node_ring.var("x"))], 1, context=[foreign])
 
 
 # -- hom ----------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_foreign_ring_entries_rejected(node_ring):
 def test_hom_torsion_into_domain_vanishes():
     R = GradedRing(["x"])
     x = R.var("x")
-    M = ModulePresentation(FreeModule(R, (R.degree_zero(),)), [(x,)])
+    M = ModulePresentation(FreeModule(R, (R.degree_zero(),)), [col(x)])
     assert minimalize(hom_module(M, structure(R))).rank == 0
 
 
@@ -116,7 +117,7 @@ def test_hom_from_ring_is_identity(node_ring):
     N = ModulePresentation(
         FreeModule(node_ring, (node_ring.degree_zero(),
                                node_ring.variable_bidegree(0))),
-        [(y, node_ring.zero())])
+        [col(y, node_ring.zero())])
     h = hom_module(structure(node_ring), N)
     assert hilbert_function(h, 8) == hilbert_function(N, 8)
 
@@ -152,7 +153,7 @@ def test_twist_conventions(node_ring):
 def test_minimalize_unit_entry(qxy):
     d = qxy.degree_zero()
     M = ModulePresentation(FreeModule(qxy, (d, d)),
-                           [(qxy.one(), qxy.constant(-1))])
+                           [col(qxy.one(), qxy.constant(-1))])
     m = minimalize(M)
     assert m.rank == 1 and not m.relations
 
@@ -164,14 +165,14 @@ def test_minimalize_keeps_triple_point_ext(triple_ring):
     d = Bidegree(-3, -3, 3)
     M = ModulePresentation(
         FreeModule(B, (d, d)),
-        [(t, u), (v, t), (u, v)])
+        [col(t, u), col(v, t), col(u, v)])
     m = minimalize(M)
     assert m.rank == 2 and len(m.relations) == 3
 
 
 def test_minimalize_kills_spurious_generator(qxy):
     M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)),
-                           [(qxy.one(),)])
+                           [col(qxy.one())])
     m = minimalize(M)
     assert m.rank == 0
 
@@ -181,7 +182,7 @@ def test_minimalize_preserves_hilbert_table(node_ring):
     d0 = node_ring.degree_zero()
     dx = node_ring.variable_bidegree(0)
     M = ModulePresentation(FreeModule(node_ring, (d0, dx)),
-                           [(x, node_ring.constant(-1)), (y * y, node_ring.zero())])
+                           [col(x, node_ring.constant(-1)), col(y * y, node_ring.zero())])
     assert hilbert_function(M, 8) == hilbert_function(minimalize(M), 8)
 
 
@@ -225,7 +226,7 @@ def test_hilbert_of_a_power_of_the_maximal_ideal():
     ideal = [R.monomial(m) for m in itertools.product(range(5), repeat=3)
              if sum(m) == 4]
     table = hilbert_function(ModulePresentation(
-        FreeModule(R, (R.degree_zero(),)), [(p,) for p in ideal]), 8)
+        FreeModule(R, (R.degree_zero(),)), [col(p) for p in ideal]), 8)
     assert table == {(0, 0): 1, (1, 0): 3, (2, 0): 6, (3, 0): 10}
 
 
@@ -274,7 +275,7 @@ def test_restrict_node_rank_and_relations():
     ba = restrict_along(f)
     assert ba.rank == 3  # alpha + beta - 1
     # generators are ordered 1, y, x; the relations are u*y = 0 and v*x = 0
-    rels = sorted(tuple(str(p) for p in col) for col in ba.relations)
+    rels = sorted(printed_column(c, ba.rank) for c in ba.relations)
     assert rels == [("0", "0", "v"), ("0", "u", "0")]
 
 

@@ -8,10 +8,10 @@ computer algebra system.
 
 import pytest
 
-from oracles import annihilates
+from oracles import annihilates, col
 from stackdual.groebner import (GroebnerBasis, SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
-                                syzygies_over)
+                                printed_column, syzygies_over)
 from stackdual.poly import GradedRing, MonomialOrder
 
 
@@ -88,22 +88,22 @@ def test_reduced_basis_invariant_under_permutation(uvt):
         assert [str(g) for g in permuted.generators] == base
 
 
-def minimal_syzygies(ring, rows):
-    """A minimal generating set of the relations among `rows`."""
-    syz = syzygies_over(ring, rows, len(rows[0]))
+def minimal_syzygies(ring, rows, rank):
+    """A minimal generating set of the relations among `rows` of R^rank."""
+    syz = syzygies_over(ring, rows, rank)
     return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, len(rows)))]
 
 
 def test_koszul_syzygy_of_regular_pair(qxy):
     x, y = qxy.var("x"), qxy.var("y")
-    syz = minimal_syzygies(qxy, [(x,), (y,)])
+    syz = minimal_syzygies(qxy, [col(x), col(y)], 1)
     assert len(syz) == 1
-    assert sorted(str(p) for p in syz[0]) in (["-x", "y"], ["-y", "x"])
-    assert annihilates(qxy, syz, [(x,), (y,)])
+    assert sorted(printed_column(syz[0], 2)) in (["-x", "y"], ["-y", "x"])
+    assert annihilates(qxy, syz, [col(x), col(y)])
 
 
 def test_unit_has_no_relations(qxy):
-    assert minimal_syzygies(qxy, [(qxy.one(),)]) == []
+    assert minimal_syzygies(qxy, [col(qxy.one())], 1) == []
 
 
 def test_syzygies_over_quotient_reproduce_node_relations():
@@ -111,24 +111,24 @@ def test_syzygies_over_quotient_reproduce_node_relations():
     B = GradedRing(["x", "y"]).quotient(
         [GradedRing(["x", "y"]).var("x") * GradedRing(["x", "y"]).var("y")])
     x = B.var("x")
-    syz = minimal_syzygies(B, [(x,)])
-    assert [[str(p) for p in v] for v in syz] in ([["-y"]], [["y"]])
+    syz = minimal_syzygies(B, [col(x)], 1)
+    assert [list(printed_column(v, 1)) for v in syz] in ([["-y"]], [["y"]])
 
 
 def test_syzygy_annihilation_over_quotient(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
-    rows = [(x, y), (y, x.ring.zero())]
-    syz = minimal_syzygies(node_ring, rows)
+    rows = [col(x, y), col(y, x.ring.zero())]
+    syz = minimal_syzygies(node_ring, rows, 2)
     assert syz and annihilates(node_ring, syz, rows)
 
 
 def test_submodule_oracle_membership_and_lift(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     z = node_ring.zero()
-    oracle = SubmoduleOracle(node_ring, [(x, z), (z, y)], 2, liftable=True)
-    assert oracle.contains((x * x, z))
-    assert not oracle.contains((y, z))
-    coords = oracle.lift((x * x, z))
+    oracle = SubmoduleOracle(node_ring, [col(x, z), col(z, y)], 2, liftable=True)
+    assert oracle.contains(col(x * x, z))
+    assert not oracle.contains(col(y, z))
+    coords = oracle.lift(col(x * x, z))
     assert coords is not None
     assert node_ring.reduce(coords[0] * x).terms == (x * x).terms
 
@@ -137,16 +137,16 @@ def test_submodule_oracle_extend_grows_the_span(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     z = node_ring.zero()
     oracle = SubmoduleOracle(node_ring, [], 2, liftable=True)
-    assert not oracle.contains((y, z)) and oracle.lift((y, z)) is None
-    oracle.extend((x, z))
-    oracle.extend((x * x, z))          # already in the span
-    oracle.extend((y, y))
+    assert not oracle.contains(col(y, z)) and oracle.lift(col(y, z)) is None
+    gens = [col(x, z), col(x * x, z), col(y, y)]
+    for g in gens:                     # the second is already in the span
+        oracle.extend(g)
     assert oracle.ngens == 3
-    assert oracle.contains((y * y, y * y))
-    coords = oracle.lift((x + y, y))
+    assert oracle.contains(col(y * y, y * y))
+    coords = oracle.lift(col(x + y, y))
     assert coords is not None
-    back = [sum((c * g[t] for c, g in zip(coords, [(x, z), (x * x, z), (y, y)])),
-                node_ring.zero()) for t in range(2)]
+    back = [sum((c * gens[i].get(t, z) for i, c in coords.items()), z)
+            for t in range(2)]
     assert [node_ring.reduce(p) for p in back] == [x + y, y]
 
 

@@ -16,7 +16,8 @@ restriction of scalars by normal forms against the elimination reference,
 its staircase against the contraction staircase and its coordinates
 against `RingMorphism.apply`, also into targets of unequal degrees, and
 Hilbert tables and invariant parts read off the Hilbert series of the lead
-ideals against counting standard monomials.
+ideals against counting standard monomials, and the column invariant: every
+stored module column holds nonzero reduced entries in position order.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (annihilates, reference_buchberger,
+from oracles import (annihilates, col, reference_buchberger,
                      reference_hilbert_function, reference_homology,
                      reference_invariant_part, reference_kernel,
                      reference_module_generators, reference_relations_modulo,
@@ -42,7 +43,7 @@ from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
 from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
-                                syzygies_over)
+                                printed_column, syzygies_over)
 from stackdual.poly import Bidegree, GradedRing, MonomialOrder, monomial_divides
 from stackdual.presets import preset_session
 
@@ -159,7 +160,7 @@ def test_syzygies_annihilate_rows(instances):
         rows = [p for p in polys[:2] if not p.is_zero() and p.bidegree()]
         if not rows:
             continue
-        rows = [(r,) for r in rows]
+        rows = [col(r) for r in rows]
         syz = syzygies_over(ring, rows, 1)
         keep = minimal_generating_vectors(ring, syz, len(rows))
         assert annihilates(ring, [syz[i] for i in keep], rows)
@@ -210,7 +211,7 @@ def test_koszul_exactness_for_regular_sequences(sequence_library):
         for i in range(1, len(seq) + 1):
             assert minimalize(homology(kc, i)).rank == 0
         quotient = ModulePresentation(
-            FreeModule(ring, (ring.degree_zero(),)), [(f,) for f in seq])
+            FreeModule(ring, (ring.degree_zero(),)), [col(f) for f in seq])
         h0 = homology(kc, 0)
         if all(d > 0 for d in ring.zdegs):
             assert hilbert_function(h0, 6) == hilbert_function(quotient, 6)
@@ -221,17 +222,17 @@ def test_composition_and_homogeneity_of_constructed_complexes(sequence_library):
         kc = koszul(ring, seq)
         kc.check_composition()
         quotient = ModulePresentation(
-            FreeModule(ring, (ring.degree_zero(),)), [(f,) for f in seq])
+            FreeModule(ring, (ring.degree_zero(),)), [col(f) for f in seq])
         res = resolve(quotient, 3)
         res.check_composition()
         hc = hom_complex(res, ModulePresentation.structure(ring))
         hc.check_composition()
         for cc in (kc, res, hc):
             for f in cc.maps.values():
-                for j, col in enumerate(f.columns):
-                    if any(not p.is_zero() for p in col):
+                for c in f.columns:
+                    if c:
                         assert vector_bidegree(
-                            col, f.target.free.bidegrees, ring) is not None
+                            c, f.target.free.bidegrees, ring) is not None
 
 
 def test_preset_complex_invariants():
@@ -247,8 +248,8 @@ map p : A -> B { u = x^3, v = y^3 }
     res.check_composition()
     hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
     hc.check_composition()
-    for col in ba.relations:
-        assert vector_bidegree(col, ba.free.bidegrees, ba.ring) is not None
+    for c in ba.relations:
+        assert vector_bidegree(c, ba.free.bidegrees, ba.ring) is not None
 
 
 def test_hom_from_ring_has_module_table(instances):
@@ -256,7 +257,7 @@ def test_hom_from_ring_has_module_table(instances):
         p = polys[0]
         if p.is_zero() or p.bidegree() is None or any(d <= 0 for d in ring.zdegs):
             continue
-        N = ModulePresentation(FreeModule(ring, (ring.degree_zero(),)), [(p,)])
+        N = ModulePresentation(FreeModule(ring, (ring.degree_zero(),)), [col(p)])
         h = hom_module(ModulePresentation.structure(ring), N)
         assert hilbert_function(h, 6) == hilbert_function(N, 6)
 
@@ -270,7 +271,7 @@ def test_minimalize_preserves_tables(instances):
         d0 = ring.degree_zero()
         M = ModulePresentation(
             FreeModule(ring, (d0, d0)),
-            [(ring.one(), ring.constant(-1)), (p, ring.zero())])
+            [col(ring.one(), ring.constant(-1)), col(p, ring.zero())])
         m = minimalize(M)
         assert m.rank == 1
         assert hilbert_function(M, 6) == hilbert_function(m, 6)
@@ -299,9 +300,10 @@ def random_form(rng, ring, d):
 
 
 def span_instances(count, seed, make_ring=random_ring):
-    """(ring, candidates, context, rank) with Z-homogeneous vectors;
-    candidates include multiples and sums of earlier ones, so the greedy
-    loop has something to drop."""
+    """(ring, candidates, context, rank) with Z-homogeneous columns;
+    candidates include multiples and sums of earlier ones, and the zero
+    column, so the greedy loop has something to drop.  Entries are not
+    reduced modulo the ring ideal."""
     rng = random.Random(seed)
     out = []
     for n in range(count):
@@ -323,7 +325,8 @@ def span_instances(count, seed, make_ring=random_ring):
         cands.append(cands[0])
         rng.shuffle(cands)
         context = [vec() for _ in range(rng.choice([0, 1, 2]))]
-        out.append((ring, cands, context, rank))
+        out.append((ring, [col(*v) for v in cands], [col(*v) for v in context],
+                    rank))
     return out
 
 
@@ -331,13 +334,13 @@ def fresh_oracle_greedy(ring, vectors, rank, context):
     """Reference: one new oracle over kept + context per candidate."""
     def zdeg_of(v):
         return min((min(ring.monomial_bidegree(m).zdeg for m in p.terms)
-                    for p in v if not p.is_zero()), default=0)
+                    for p in v.values()), default=0)
 
     order = sorted(range(len(vectors)),
-                   key=lambda i: (zdeg_of(vectors[i]), tuple(str(p) for p in vectors[i])))
+                   key=lambda i: (zdeg_of(vectors[i]), printed_column(vectors[i], rank)))
     kept = []
     for i in order:
-        if all(p.is_zero() for p in vectors[i]):
+        if not vectors[i]:
             continue
         oracle = SubmoduleOracle(ring, [vectors[k] for k in kept] + list(context), rank)
         if not oracle.contains(vectors[i]):
@@ -362,9 +365,10 @@ def test_syzygies_over_context_matches_hand_projection():
     assert any(context for _, _, context, _ in instances)
     for ring, cands, context, rank in instances:
         got = syzygies_over(ring, cands, rank, context=context)
-        assert len(set(got)) == len(got)
-        assert got == sorted(got, key=lambda v: tuple(str(p) for p in v))
-        assert set(got) == reference_relations_modulo(ring, cands, rank, context)
+        keys = {tuple(v.items()) for v in got}
+        assert len(keys) == len(got)
+        assert got == sorted(got, key=lambda v: printed_column(v, len(cands)))
+        assert keys == reference_relations_modulo(ring, cands, rank, context)
 
 
 def test_oracle_lift_after_extends():
@@ -378,13 +382,14 @@ def test_oracle_lift_after_extends():
         for _ in range(3):
             coeffs = [random_poly(rng, ring, max_terms=1, max_deg=1)
                       if rng.random() < 0.5 else ring.zero() for _ in gens]
-            target = tuple(sum((c * g[t] for c, g in zip(coeffs, gens)), ring.zero())
-                           for t in range(rank))
+            zero = ring.zero()
+            target = col(*(sum((c * g.get(t, zero) for c, g in zip(coeffs, gens)), zero)
+                           for t in range(rank)))
             coords = oracle.lift(target)
-            assert coords is not None and len(coords) == len(gens)
+            assert coords is not None and all(0 <= i < len(gens) for i in coords)
             for t in range(rank):
-                back = sum((c * g[t] for c, g in zip(coords, gens)), ring.zero())
-                assert ring.reduce(back - target[t]).is_zero()
+                back = sum((c * gens[i].get(t, zero) for i, c in coords.items()), zero)
+                assert ring.reduce(back - target.get(t, zero)).is_zero()
 
 
 def test_oracle_lift_needs_liftable():
@@ -558,9 +563,9 @@ def test_coordinates_satisfy_their_definition():
             e = tuple(rng.randint(0, 2) for _ in range(f.source.nvars))
             coords = f.coordinates(b, e)
             total = target.zero()
-            for a_k, b_k in zip(coords, monos):
+            for k, a_k in coords.items():
                 a_k = f.source.ambient().poly(a_k.terms)
-                total = total + f.apply(a_k) * target.monomial(b_k)
+                total = total + f.apply(a_k) * target.monomial(monos[k])
             image = f.apply(f.source.monomial(e)) * target.monomial(b)
             assert target.reduce(total - image).is_zero()
 
@@ -585,7 +590,7 @@ def bihomogeneous_forms(rng, ring, count):
 
 def quotient_module(ring, gens):
     return ModulePresentation(FreeModule(ring, (ring.degree_zero(),)),
-                              [(g,) for g in gens])
+                              [col(g) for g in gens])
 
 
 @pytest.fixture(scope="module")
@@ -660,9 +665,9 @@ def test_kernel_from_columns_matches_unit_vector_images(homology_library):
         f = ModuleMap(source, within, cands)
         ker = reference_kernel(f)[1]
         g = ring.var(0)
-        cases += [(f, []), (f, [tuple(g * p for p in v) for v in ker[:2]]),
+        cases += [(f, []), (f, [{i: g * p for i, p in v.items()} for v in ker[:2]]),
                   (ModuleMap(source, ModulePresentation.zero(ring),
-                             [()] * source.rank), [])]
+                             [{}] * source.rank), [])]
     kinds = set()
     for f, modulo in cases:
         pres, incl = kernel_with_inclusion(f, modulo)
@@ -687,8 +692,8 @@ def homogeneous_span_instances(count, seed):
     out = []
     for ring, cands, context, rank in span_instances(count, seed, ungraded_ring):
         degs = (ring.degree_zero(),) * rank
-        if all(vector_bidegree(v, degs, ring) is not None
-               or all(p.is_zero() for p in v) for v in cands + context):
+        if all(vector_bidegree(v, degs, ring) is not None or not v
+               for v in cands + context):
             out.append((ring, cands, context, rank))
     return out
 
@@ -712,6 +717,50 @@ def test_results_are_minimal_by_contract(homology_library):
     assert any(X.relations for X in results)
     for X in results:
         assert same_presentation(minimalize(X), X)
+
+
+def assert_columns(cols, rank, ring):
+    """The column invariant: nonzero entries, each reduced modulo the ring
+    ideal, at ascending positions below the rank."""
+    for c in cols:
+        assert list(c) == sorted(c) and all(0 <= k < rank for k in c)
+        for p in c.values():
+            assert not p.is_zero() and ring.reduce(p) == p
+
+
+def test_every_column_is_sparse_reduced_and_sorted(homology_library):
+    """Relations, map columns, syzygies, inclusions and lifted coordinates
+    store only nonzero reduced entries, in position order."""
+    for C in homology_library:
+        for i, T in enumerate(C.terms):
+            assert_columns(T.relations, T.rank, C.ring)
+            pres, incl = homology_with_inclusion(C, i)
+            assert_columns(pres.relations, pres.rank, C.ring)
+            assert_columns(incl, T.rank, C.ring)
+        for f in C.maps.values():
+            assert_columns(f.columns, f.target.rank, C.ring)
+    instances = homogeneous_span_instances(120, SEED + 17)
+    assert any(ring.ideal for ring, *_ in instances)
+    for ring, cands, context, rank in instances:
+        assert_columns(syzygies_over(ring, cands, rank, context), len(cands), ring)
+        oracle = SubmoduleOracle(ring, context + cands, rank, liftable=True)
+        assert_columns([oracle.lift(v) for v in cands], oracle.ngens, ring)
+        d0 = ring.degree_zero()
+        within = ModulePresentation(FreeModule(ring, (d0,) * rank), context)
+        degs = [vector_bidegree(v, within.free.bidegrees, ring) or d0 for v in cands]
+        f = ModuleMap(ModulePresentation.free_of(ring, degs), within, cands)
+        assert_columns(f.columns, rank, ring)
+        for (pres, incl), ambient_rank in ((subquotient(cands[:5], cands[5:], within), rank),
+                                           (kernel_with_inclusion(f), len(cands))):
+            assert_columns(pres.relations, pres.rank, ring)
+            assert_columns(incl, ambient_rank, ring)
+    for M in staircase_modules(SEED + 20, 60):
+        assert_columns(M.relations, M.rank, M.ring)
+    f = parse_session(preset_session("node", a=3, i=1, j=2)).maps["p"]
+    ba = restrict_along(f)
+    assert_columns(ba.relations, ba.rank, ba.ring)
+    omega = finite_shriek(f, depth=2).module
+    assert_columns(omega.relations, omega.rank, omega.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +820,8 @@ def staircase_modules(seed, count):
             lead = rng.choice([m for ms in by_bidegree.values() for m in ms
                                if sum(m) <= 4])
             d = ring.monomial_bidegree(lead) + gens[pivot]
-            col = [ring.zero() for _ in gens]
-            col[pivot] = ring.monomial(lead)
+            entries = [ring.zero() for _ in gens]
+            entries[pivot] = ring.monomial(lead)
             for k, g in enumerate(gens):
                 if monomial:
                     break
@@ -780,9 +829,9 @@ def staircase_modules(seed, count):
                 monos = [m for m in by_bidegree.get((e.zdeg, e.weight), [])
                          if (k, m) != (pivot, lead)]
                 if monos and rng.random() < 0.7:
-                    col[k] = col[k] + ring.monomial(rng.choice(monos),
-                                                    rng.choice([-1, 2]))
-            rels.append(tuple(col))
+                    entries[k] = entries[k] + ring.monomial(rng.choice(monos),
+                                                            rng.choice([-1, 2]))
+            rels.append(col(*entries))
         out.append(ModulePresentation(FreeModule(ring, tuple(gens)), rels))
     return out
 
@@ -792,8 +841,8 @@ def test_hilbert_series_matches_enumeration():
     assert {M.ring.group_order for M in modules} == {1, 5, 7, 11}
     assert any(M.rank == 0 for M in modules)
     assert any(M.ring.ideal for M in modules)
-    assert any(sum(len(p.terms) for p in col) > 1
-               for M in modules for col in M.relations)
+    assert any(sum(len(p.terms) for p in c.values()) > 1
+               for M in modules for c in M.relations)
     gen_zdegs = [g.zdeg for M in modules for g in M.free.bidegrees]
     assert min(gen_zdegs) < 0 < HILBERT_BOUND < max(gen_zdegs)
     for M in modules:
