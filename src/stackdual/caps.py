@@ -42,9 +42,9 @@ def command_caps():
         _max_terms, _deadline = old
 
 
-def check_term_cap(nterms: int) -> None:
+def check_term_cap(nterms: int, what: str = "polynomial") -> None:
     if _max_terms is not None and nterms > _max_terms:
-        raise ResourceCapError(f"polynomial exceeds {_max_terms} terms")
+        raise ResourceCapError(f"{what} exceeds {_max_terms} terms")
 
 
 _tick = 0

@@ -23,9 +23,9 @@ from .caps import check_deadline
 from .groebner import (Column, SubmoduleOracle, buchberger, column,
                        lead_coefficient, minimal_generating_vectors,
                        normal_form, syzygies_over, vector_bidegree)
-from .poly import (Bidegree, GradedRing, Monomial, Polynomial,
-                   RingMismatchError, _EliminationOrder, monomial_div,
-                   monomial_divides, monomial_lcm, substitute)
+from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
+                   RingMismatchError, monomial_div, monomial_divides,
+                   monomial_lcm, substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +633,7 @@ class RingMorphism:
                 self.target.zdegs + self.source.zdegs,
                 self.target.weights + self.weighted_source().weights,
                 self.target.group_order,
-                order=_EliminationOrder(self.target.zdegs),
+                order=MonomialOrder(head_degrees=self.target.zdegs),
                 name="mixed")
             pad = (0,) * len(svars)
 

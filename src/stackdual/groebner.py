@@ -149,7 +149,7 @@ def _vec_axpy(target: VecDict, mono: Monomial, coeff: Fraction, src: VecDict) ->
     """target += coeff * mono * src"""
     for (pos, m), c in src.items():
         _vec_add_term(target, (pos, monomial_mul(m, mono)), c * coeff)
-    check_term_cap(len(target))
+    check_term_cap(len(target), "module vector")
 
 
 def _vec_scale(vec: VecDict, coeff: Fraction) -> VecDict:
@@ -211,10 +211,9 @@ class _TrackedGB:
 
     Pair keys are computed once and kept in a heap; leads are cached and
     indexed per position (basis elements are monic and never mutated after
-    insertion).  A span-only basis pops pairs by the Z-degree of their lcm
-    first, then by the order (the sugar strategy for homogeneous input), so
-    it completes degree by degree instead of growing large before it
-    reduces; a tracked basis pops them by the order alone.
+    insertion).  Pairs pop by the Z-degree of their lcm first, then by the
+    order (the sugar strategy for homogeneous input), so a basis completes
+    degree by degree instead of growing large before it reduces.
     """
 
     def __init__(self, vectors: Sequence[VecDict], ring: GradedRing,
@@ -238,7 +237,7 @@ class _TrackedGB:
         self._complete()
 
     def _insert(self, vec: VecDict, rep: Optional[VecDict]) -> None:
-        check_term_cap(len(vec))
+        check_term_cap(len(vec), "module vector")
         (posmono, lc) = _vec_lead(vec, self.order)
         self.basis.append(_vec_scale(vec, 1 / lc))
         if self.track:
@@ -249,9 +248,8 @@ class _TrackedGB:
         same = self.by_pos.setdefault(npos, [])
         for kmono, k in same:
             lcm = monomial_lcm(kmono, nmono)
-            key = self.order.key(lcm)
-            if not self.track:
-                key = (sum(e * d for e, d in zip(lcm, self.ring.zdegs)), key)
+            key = (sum(e * d for e, d in zip(lcm, self.ring.zdegs)),
+                   self.order.key(lcm))
             heapq.heappush(self._heap, (key, npos, k, new, lcm))
             self._pending.add((k, new))
         same.append((nmono, new))

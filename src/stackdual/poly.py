@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 from .caps import check_term_cap
 
@@ -102,38 +102,39 @@ def monomial_lcm(m1: Monomial, m2: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A global monomial order: degrevlex or lex with a precedence list.
+    """A global monomial order: degrevlex or lex in declaration order, or,
+    with `head_degrees`, the block order that eliminates the first
+    len(head_degrees) variables (plumbing for restriction of scalars).
 
-    `precedence` lists variable indices from most to least precedent; the
-    default is declaration order.  Keys compare as Python tuples, larger key
-    means larger monomial.  Keys are memoized per order instance (monomials
-    repeat heavily inside the kernels).  `head_degrees` is set only by the
-    block order that eliminates the variables it gives degrees for.
+    The head block compares by its Z-degree sum e_i * head_degrees[i] and
+    then by degrevlex, the tail block by degrevlex; with equal head degrees
+    this is plain degrevlex per block.  Keys compare as Python tuples,
+    larger key means larger monomial.  Keys are memoized per order instance
+    (monomials repeat heavily inside the kernels).
     """
 
     kind: str = "degrevlex"
-    precedence: Optional[tuple[int, ...]] = None
-    head_degrees: ClassVar[Optional[tuple[int, ...]]] = None
+    head_degrees: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown monomial order kind {self.kind!r}")
         object.__setattr__(self, "_key_cache", {})
 
-    def resolved_precedence(self, nvars: int) -> tuple[int, ...]:
-        if self.precedence is None:
-            return tuple(range(nvars))
-        if sorted(self.precedence) != list(range(nvars)):
-            raise ValueError("precedence must be a permutation of the variables")
-        return self.precedence
-
     def _compute_key(self, mono: Monomial):
-        prec = self.resolved_precedence(len(mono))
         if self.kind == "lex":
-            return tuple(mono[p] for p in prec)
-        # degrevlex: total degree first, ties broken so that the monomial
-        # with the smaller exponent in the least precedent variable wins.
-        return (sum(mono), tuple(-mono[p] for p in reversed(prec)))
+            return mono
+        degs = self.head_degrees
+        if not degs:
+            # degrevlex: total degree first, ties broken so that the monomial
+            # with the smaller exponent in the last variable wins.
+            return (sum(mono), tuple(-e for e in reversed(mono)))
+        head, tail = mono[:len(degs)], mono[len(degs):]
+        return (
+            (sum(e * d for e, d in zip(head, degs)), sum(head),
+             tuple(-e for e in reversed(head))),
+            (sum(tail), tuple(-e for e in reversed(tail))),
+        )
 
     def key(self, mono: Monomial):
         cache = self._key_cache  # type: ignore[attr-defined]
@@ -141,29 +142,6 @@ class MonomialOrder:
         if k is None:
             k = cache[mono] = self._compute_key(mono)
         return k
-
-
-class _EliminationOrder(MonomialOrder):
-    """Block order eliminating the first len(head_degrees) variables
-    (plumbing for restriction of scalars).  The head block compares by its
-    Z-degree sum e_i * head_degrees[i] and then by degrevlex, the tail
-    block by degrevlex; with equal head degrees this is plain degrevlex
-    per block."""
-
-    def __init__(self, head_degrees: Sequence[int]):
-        object.__setattr__(self, "kind", "degrevlex")
-        object.__setattr__(self, "precedence", None)
-        object.__setattr__(self, "head_degrees", tuple(head_degrees))
-        object.__setattr__(self, "_key_cache", {})
-
-    def _compute_key(self, mono: Monomial):
-        degs = self.head_degrees
-        head, tail = mono[:len(degs)], mono[len(degs):]
-        return (
-            (sum(e * d for e, d in zip(head, degs)), sum(head),
-             tuple(-e for e in reversed(head))),
-            (sum(tail), tuple(-e for e in reversed(tail))),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +174,7 @@ class GradedRing:
         self.group_order = group_order
         self.order = order if order is not None else MonomialOrder()
         self.signature = (self.variables, self.zdegs, self.weights, group_order,
-                          self.order.kind, self.order.resolved_precedence(n),
-                          self.order.head_degrees)
+                          self.order)
         self.name = name or "Q[" + ",".join(self.variables) + "]"
         self.ideal: tuple[Polynomial, ...] = ()
         for g in ideal:

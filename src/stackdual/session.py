@@ -163,8 +163,9 @@ def run_session(ast: SessionAst, default_depth: Optional[int] = None,
         except ValueError as exc:
             report.abort(cmd, str(exc), str(exc), f"error: {exc}")
             break
-        except (RuntimeError, AssertionError) as exc:
-            # a broken engine invariant, not a fault of the input
+        except Exception as exc:
+            # a broken engine invariant or any other fault of the program,
+            # not of the input; exit 1 stays reserved for failed verdicts
             error = f"internal: {exc}"
             report.abort(cmd, error, error, f"internal error: {exc}")
             break

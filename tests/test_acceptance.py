@@ -160,11 +160,14 @@ def test_criterion_5_lci_formula_equals_ext():
         omega = canonical_module(ring)
         rep = lci_dualizing(ring, seq, omega, imax=r + 1, compare_bound=8)
         ok &= "CROSS-CHECK FAILED" not in rep.notes
+        # the independent route: Ext from a minimal resolution of C/I
         exts = dict(ext_dualizing(ring, seq, omega, r + 1))
         ok &= all(e.rank == 0 for i, e in exts.items() if i != r)
         ok &= compare_modules(rep.module, exts[r], 8) == "isomorphic-up-to-bound"
-    report(5, ok, f"l.c.i. formula matches Ext^r (bound 8) and Ext vanishes "
-                  f"away from r over {len(lib)} regular sequences")
+        ok &= rep.ext_profile == {i: (e.rank == 0, e.rank) for i, e in exts.items()}
+    report(5, ok, f"l.c.i. formula matches Ext^r (bound 8), Ext vanishes "
+                  f"away from r and the Koszul Ext profile matches the "
+                  f"resolution's over {len(lib)} regular sequences")
 
 
 def test_criterion_6_root_covers():

@@ -80,6 +80,28 @@ def test_negative_ext_index_exits_2(capsys, tmp_path):
     assert "error: the largest Ext index must be >= 0" in out
 
 
+def test_nonregular_lci_sequence_exits_2(capsys, tmp_path):
+    session = tmp_path / "lci.sdl"
+    session.write_text("ring C = Q[x,y]\n"
+                       "dualize-lci C seq (x*y, x^2) omega canonical\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 2
+    assert "error: sequence is not regular: Koszul H_1 is nonzero" in out
+
+
+def test_pushforward_along_a_zero_image_compares(capsys, tmp_path):
+    # u = 0 is homogeneous of every bidegree, so it passes the weight-0 test
+    session = tmp_path / "zero.sdl"
+    session.write_text("ring A = Q[u]\nring B = Q[x]/(x^2)\n"
+                       "map f : A -> B { u = 0 }\n"
+                       "check pushforward f B A bound 3\n")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert "unequal" in out
+    assert "zdeg 2: invariants of omega_B have dim 0, omega_A has dim 1" in out
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(["run", "/nonexistent/session"], capsys)
     assert code == 2
@@ -158,7 +180,8 @@ def test_internal_error_exits_4_with_a_flagged_report(capsys, tmp_path, monkeypa
     session = tmp_path / "node.sdl"
     session.write_text(preset_session("node", a=5, i=2, j=3))
     json_path = tmp_path / "node.json"
-    for exc in (RuntimeError("B-action left the Hom module"), AssertionError("lost")):
+    for exc in (RuntimeError("B-action left the Hom module"), AssertionError("lost"),
+                KeyError("lost"), AttributeError("lost")):
         def broken(f, exc=exc):
             raise exc
         monkeypatch.setattr(duality, "restrict_along", broken)
@@ -222,7 +245,7 @@ def test_term_cap_bounds_the_module_vectors(capsys, monkeypatch):
         monkeypatch.setenv("STACKDUAL_MAX_TERMS", cap)
         code, out, _ = run_cli(["preset", "triple-point"], capsys)
         assert code == 3
-        assert f"exceeds {cap} terms" in out
+        assert f"module vector exceeds {cap} terms" in out
 
 
 def run_finite_map(capsys, tmp_path, rings, images):
