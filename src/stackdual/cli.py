@@ -8,9 +8,9 @@
 Exit codes: 0 success, 1 a computation verdict failed (distinct/unequal/
 inconclusive), 2 input error, 3 resource cap exceeded by a command, 4 an
 internal error (an engine invariant failed; the partial report is flagged
-"internal: <message>").  Caps can be set through STACKDUAL_MAX_TERMS and
-STACKDUAL_TIME_LIMIT_S; a cap exceeded while the session is parsed is an
-input error.
+"internal: <exception type>: <message>").  Caps can be set through
+STACKDUAL_MAX_TERMS and STACKDUAL_TIME_LIMIT_S; a cap exceeded while the
+session is parsed is an input error.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
 from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
-                      hilbert_function, invariant_part, minimalize,
-                      restrict_along)
-from .groebner import Column, SubmoduleOracle, buchberger, column
+                      hilbert_function, minimalize, restrict_along)
+from .groebner import Column, SubmoduleOracle, column
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
 DEFAULT_DEPTH = 4
@@ -27,6 +26,11 @@ COMPARE_BOUND = 8
 
 # ---------------------------------------------------------------------------
 # report types
+
+
+def _ext_profile_line(profile: dict[int, tuple[bool, int]]) -> str:
+    return " ".join(f"Ext^{i}={'0' if z else f'{n} gens'}"
+                    for i, (z, n) in sorted(profile.items()))
 
 
 @dataclass
@@ -61,9 +65,7 @@ class DualityReport:
             for d in self.generator_bidegrees)
         lines.append(f"fiber representation at the origin: {fib}")
         if self.ext_profile:
-            ext = " ".join(f"Ext^{i}={'0' if z else f'{n} gens'}"
-                           for i, (z, n) in sorted(self.ext_profile.items()))
-            lines.append(ext)
+            lines.append(_ext_profile_line(self.ext_profile))
         if self.is_sheaf is not None:
             verdict = "a sheaf" if self.is_sheaf else "NOT a sheaf"
             lines.append(f"dualizing complex is {verdict} (checked to depth {self.depth})")
@@ -81,9 +83,8 @@ class CMReport:
     notes: list[str] = field(default_factory=list)
 
     def summary_lines(self) -> list[str]:
-        ext = " ".join(f"Ext^{i}={'0' if z else f'{n} gens'}"
-                       for i, (z, n) in sorted(self.ext_profile.items()))
-        lines = [f"codimension: {self.codimension}", ext,
+        lines = [f"codimension: {self.codimension}",
+                 _ext_profile_line(self.ext_profile),
                  f"Cohen-Macaulay: {self.cohen_macaulay}",
                  f"Gorenstein: {self.gorenstein}"]
         if self.inconclusive:
@@ -316,21 +317,14 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
 # Cohen-Macaulay / Gorenstein verdicts
 
 
-def _combinatorial_dimension(C: GradedRing, ideal_gens: Sequence[Polynomial]) -> int:
-    """Krull dimension of C/I from independent sets of the lead ideal."""
-    gens = [g for g in ideal_gens if not g.is_zero()]
-    if not gens:
-        return C.nvars
-    gb = buchberger(gens, ring=C.ambient())
-    leads = [g.leading_term()[0] for g in gb.generators]
-    if any(all(e == 0 for e in lm) for lm in leads):
-        return -1  # unit ideal
-    for size in range(C.nvars, 0, -1):
-        for S in itertools.combinations(range(C.nvars), size):
-            sset = set(S)
-            if not any(all(i in sset for i, e in enumerate(lm) if e) for lm in leads):
-                return size
-    return 0
+def _combinatorial_dimension(B: GradedRing) -> int:
+    """Krull dimension of B = C/I, read off the cached basis of B: the size
+    of a largest set of variables holding the support of no lead of I; -1
+    for the unit ideal, whose lead 1 has empty support."""
+    supports = [{i for i, e in enumerate(lm) if e} for lm in B.ideal_groebner().leads]
+    return next((size for size in range(B.nvars, -1, -1)
+                 for S in itertools.combinations(range(B.nvars), size)
+                 if not any(s <= set(S) for s in supports)), -1)
 
 
 def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
@@ -346,7 +340,7 @@ def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
         return CMReport(None, profile, False, False, inconclusive=True,
                         notes=["every computed Ext vanishes"])
     r = nonzero[0]
-    dim = _combinatorial_dimension(C, ideal_gens)
+    dim = _combinatorial_dimension(exts[0][1].ring)
     codim_by_dim = C.nvars - dim
     inconclusive = False
     if codim_by_dim != r:
@@ -365,7 +359,8 @@ def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
 def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
                       omega_a: ModulePresentation, bound: int
                       ) -> tuple[str, Optional[str]]:
-    """Compare the invariant part of omega_B with omega_A degree by degree.
+    """Compare the weight-0 Hilbert table of omega_B, its invariant part,
+    with the Hilbert table of omega_A degree by degree.
 
     Returns ("equal", None) or ("unequal", first-discrepancy description).
     """
@@ -378,10 +373,10 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
         raise RingMismatchError("omega_B must live over the map's target ring")
     if omega_a.ring != f.source:
         raise RingMismatchError("omega_A must live over the map's source ring")
-    dims_b, _ = invariant_part(omega_b, bound)
-    table_a = hilbert_function(f.transport_module(omega_a), bound)
+    dims_b = {z: d for (z, w), d in hilbert_function(omega_b, bound).items()
+              if w == 0}
     dims_a: dict[int, int] = {}
-    for (z, _w), d in table_a.items():
+    for (z, _w), d in hilbert_function(f.transport_module(omega_a), bound).items():
         dims_a[z] = dims_a.get(z, 0) + d
     zmin = min(list(dims_a) + list(dims_b) + [0])
     for z in range(zmin, bound + 1):

@@ -505,7 +505,9 @@ class RingMorphism:
 
     Weights are compared through the canonical index map Z/a_A -> Z/a_B
     (multiplication by a_B/a_A, requiring a_A | a_B); Z-degrees must match
-    exactly.  The source ideal must map into the target ideal.
+    exactly.  The source ideal must map into the target ideal.  Declaring
+    the map builds the graph basis G, which decides finiteness and presents
+    B over A.
     """
 
     def __init__(self, source: GradedRing, target: GradedRing,
@@ -586,30 +588,24 @@ class RingMorphism:
     # -- finiteness and the staircase basis -------------------------------------
 
     def is_module_finite(self) -> bool:
-        """The staircase is finite iff every variable has a pure power among
-        the leading terms of (target ideal + variable images), checked
-        exactly from its basis in the target order (finiteness does not
-        depend on the order)."""
+        """Whether every target variable has a pure power among the
+        source-free leads of G, which eliminates the target block (the
+        Finiteness Theorem of Cox, Little & O'Shea, 5.3, over the source);
+        sound also where a source variable of degree 0 maps to a unit."""
         if any(d <= 0 for d in self.target.zdegs):
             raise ValueError("module-finiteness detection needs positive degrees")
-        gb = buchberger(list(self.target.ideal) + list(self.images),
-                        ring=self.target.ambient())
-        leads = [g.leading_term()[0] for g in gb.generators]
-        return _pure_powers(leads, self.target.nvars) is not None
+        return _pure_powers(self._staircase_leads(), self.target.nvars) is not None
 
     def module_generators(self) -> tuple[tuple[Monomial, ...], tuple[Bidegree, ...]]:
         """Monomial basis of B over (images of) A: the target monomials that
         no source-free lead of the graph basis G divides, sorted by bidegree
-        then order key.  The order of G grades its target block, so those
-        leads are the leads of (target ideal + images), and by graded
-        Nakayama the staircase minimally generates B over A."""
+        then order key.  By graded Nakayama the staircase minimally
+        generates B over A when every source variable has positive degree."""
         if self._gens_cache is None:
-            nt = self.target.nvars
-            heads = [g.leading_term()[0] for g in self._mixed().generators]
-            leads = [lm[:nt] for lm in heads if not any(lm[nt:])]
+            leads = self._staircase_leads()
             # every standard monomial divides the corner prod x_i^(k_i - 1);
             # a unit lead (B = 0) leaves the staircase empty
-            powers = _pure_powers(leads, nt)
+            powers = _pure_powers(leads, self.target.nvars)
             bound = sum(max(k - 1, 0) * d for k, d in zip(powers, self.target.zdegs))
             found = [mono for z in range(bound + 1)
                      for mono in _standard_monomials(self.target.ambient(), z, leads)]
@@ -618,6 +614,11 @@ class RingMorphism:
             self._gens_cache = (tuple(found),
                                 tuple(self.target.monomial_bidegree(m) for m in found))
         return self._gens_cache
+
+    def _staircase_leads(self) -> list[Monomial]:
+        """The source-free leads of G, cut to the target block."""
+        nt = self.target.nvars
+        return [lm[:nt] for lm in self._mixed().leads if not any(lm[nt:])]
 
     # -- the graph ideal -------------------------------------------------------
 
@@ -693,10 +694,9 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
     nt = f.target.nvars
-    leads = [g.leading_term()[0] for g in f._mixed().generators]
     rel_cols: list[Column] = []
     for k, b in enumerate(monos):
-        for lead in leads:
+        for lead in f._mixed().leads:
             if not monomial_divides(lead[:nt], b):
                 continue
             e = lead[nt:]

@@ -367,8 +367,10 @@ def module_syzygies(vectors: Sequence[VecDict], ring: GradedRing) -> list[VecDic
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A reduced Groebner basis; leads[i] is the lead monomial of generators[i]."""
     ring: GradedRing
     generators: tuple[Polynomial, ...]
+    leads: tuple[Monomial, ...]
 
     def __iter__(self):
         return iter(self.generators)
@@ -417,7 +419,8 @@ def buchberger(gens: Sequence[Polynomial],
         remainder, _ = gb.reduce(tail)
         remainder[gb.leads[i]] = Fraction(1)
         final.append(Polynomial(ring, {m: c for (_, m), c in remainder.items()}))
-    return GroebnerBasis(ring, tuple(final))
+    return GroebnerBasis(ring, tuple(final),
+                         tuple(gb.leads[i][1] for i in reversed(minimal)))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis | Sequence[Polynomial]) -> Polynomial:
@@ -426,11 +429,12 @@ def normal_form(p: Polynomial, gb: GroebnerBasis | Sequence[Polynomial]) -> Poly
         if not p.ring.same_ambient(gb.ring):
             raise RingMismatchError("polynomial and basis live in different rings")
         order = gb.ring.order
-        gens = gb.generators
+        gens, leads = gb.generators, gb.leads
     else:
         order = p.ring.order
         gens = [g.monic(order) for g in gb if not g.is_zero()]
-    by_pos = {0: [(g.leading_term(order)[0], i) for i, g in enumerate(gens)]}
+        leads = [g.leading_term(order)[0] for g in gens]
+    by_pos = {0: [(lm, i) for i, lm in enumerate(leads)]}
     remainder, _ = _vec_reduce(_rank1(p), [_rank1(g) for g in gens], order, by_pos)
     return Polynomial(p.ring, {m: c for (_, m), c in remainder.items()})
 

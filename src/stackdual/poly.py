@@ -186,7 +186,6 @@ class GradedRing:
                 raise ValueError(f"ideal generator {g} is not bihomogeneous")
             self.ideal += (Polynomial(self, dict(g.terms)),)
         self._gb_cache = None
-        self._gb_leads: tuple[Monomial, ...] = ()
 
     # -- identity ----------------------------------------------------------
 
@@ -286,8 +285,6 @@ class GradedRing:
         if self._gb_cache is None:
             from .groebner import buchberger
             self._gb_cache = buchberger(list(self.ideal), ring=self.ambient())
-            self._gb_leads = tuple(g.leading_term(self.order)[0]
-                                   for g in self._gb_cache.generators)
         return self._gb_cache
 
     def reduce(self, p: "Polynomial") -> "Polynomial":
@@ -299,7 +296,7 @@ class GradedRing:
         if self.ideal:
             gb = self.ideal_groebner()
             # a polynomial with no reducible term is its own normal form
-            if any(monomial_divides(lm, m) for m in p.terms for lm in self._gb_leads):
+            if any(monomial_divides(lm, m) for m in p.terms for lm in gb.leads):
                 from .groebner import normal_form
                 return Polynomial(self, dict(normal_form(p, gb).terms))
         return p if p.ring is self else Polynomial(self, dict(p.terms))

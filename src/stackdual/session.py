@@ -56,6 +56,11 @@ def table_json(table: dict) -> list:
     return out
 
 
+def _ext_profile_json(profile: dict[int, tuple[bool, int]]) -> dict:
+    return {str(i): {"zero": z, "min_generators": n}
+            for i, (z, n) in sorted(profile.items())}
+
+
 def duality_report_json(rep: DualityReport) -> dict:
     return {
         "description": rep.description,
@@ -67,8 +72,7 @@ def duality_report_json(rep: DualityReport) -> dict:
         "fiber_representation": [
             {"residue": d.weight, "modulus": d.modulus,
              "lambda": d.lambda_exponent()} for d in rep.generator_bidegrees],
-        "ext_profile": {str(i): {"zero": z, "min_generators": n}
-                        for i, (z, n) in sorted(rep.ext_profile.items())},
+        "ext_profile": _ext_profile_json(rep.ext_profile),
         "depth": rep.depth,
         "notes": rep.notes,
     }
@@ -77,8 +81,7 @@ def duality_report_json(rep: DualityReport) -> dict:
 def cm_report_json(rep: CMReport) -> dict:
     return {
         "codimension": rep.codimension,
-        "ext_profile": {str(i): {"zero": z, "min_generators": n}
-                        for i, (z, n) in sorted(rep.ext_profile.items())},
+        "ext_profile": _ext_profile_json(rep.ext_profile),
         "cohen_macaulay": rep.cohen_macaulay,
         "gorenstein": rep.gorenstein,
         "inconclusive": rep.inconclusive,
@@ -166,8 +169,8 @@ def run_session(ast: SessionAst, default_depth: Optional[int] = None,
         except Exception as exc:
             # a broken engine invariant or any other fault of the program,
             # not of the input; exit 1 stays reserved for failed verdicts
-            error = f"internal: {exc}"
-            report.abort(cmd, error, error, f"internal error: {exc}")
+            error = f"internal: {type(exc).__name__}: {exc}"
+            report.abort(cmd, error, error, f"internal error: {type(exc).__name__}: {exc}")
             break
         outcome.timing_ms = int((time.monotonic() - started) * 1000)
         report.outcomes.append(outcome)

@@ -28,9 +28,11 @@ reads its tables off the Hilbert series of those lead ideals.
 `reference_restrict_along` presents B over A by elimination: the syzygies
 of the staircase monomials modulo the graph ideal in the mixed ring, then a
 module Groebner basis of those in the elimination order, keeping its
-target-free elements.  `reference_module_generators` takes the staircase
+target-free elements.  `reference_module_generators` and
+`reference_is_module_finite` take the staircase and the finiteness verdict
 from the contraction ideal (target ideal + images) in the target's own
-order instead of from the graph basis.
+order instead of from the graph basis.  `reference_krull_dimension` reads
+the dimension of a quotient off the reference basis of its ideal.
 
 Module elements are columns, {position: Polynomial} with nonzero entries
 only, as in `stackdual.groebner`; `col` writes one from dense entries.
@@ -318,25 +320,52 @@ def reference_restrict_along(f):
                               [rel_cols[i] for i in keep])
 
 
+def _contraction_leads(target, images):
+    """The leads of the basis of the contraction ideal (target ideal +
+    images) in the target order."""
+    from stackdual.groebner import buchberger
+    gb = buchberger(list(target.ideal) + list(images), ring=target.ambient())
+    return [g.leading_term()[0] for g in gb.generators]
+
+
+def reference_is_module_finite(target, images):
+    """Whether every target variable has a pure power among the leads of
+    the contraction ideal: the finiteness criterion of a map whose source
+    variables all have positive degree."""
+    leads = _contraction_leads(target, images)
+    return all(any(sum(lm) == lm[idx] for lm in leads)
+               for idx in range(target.nvars))
+
+
 def reference_module_generators(f):
     """The staircase of the contraction ideal (target ideal + images) in
     the target order: the target monomials no lead of its basis divides,
     enumerated up to the corner of the pure powers and sorted like
     `RingMorphism.module_generators`."""
     from stackdual.gmodule import _standard_monomials
-    from stackdual.groebner import buchberger
     target = f.target
-    ambient = target.ambient()
-    gb = buchberger(list(target.ideal) + list(f.images), ring=ambient)
-    leads = [g.leading_term()[0] for g in gb.generators]
+    leads = _contraction_leads(target, f.images)
     corner = 0
     for idx, d in enumerate(target.zdegs):
         powers = [lm[idx] for lm in leads if sum(lm) == lm[idx]]
         corner += max(min(powers) - 1, 0) * d
     found = [m for z in range(corner + 1)
-             for m in _standard_monomials(ambient, z, leads)]
+             for m in _standard_monomials(target.ambient(), z, leads)]
     return sorted(found, key=lambda m: (target.monomial_bidegree(m).zdeg,
                                         target.order.key(m)))
+
+
+def reference_krull_dimension(ring, gens):
+    """Krull dimension of ring/(gens): the size of a largest set of
+    variables that holds the support of no lead of `reference_buchberger`'s
+    basis; -1 for the unit ideal."""
+    leads = [g.leading_term()[0] for g in reference_buchberger(gens, ring=ring)]
+    if any(not any(lm) for lm in leads):
+        return -1
+    return max(size for size in range(ring.nvars + 1)
+               for S in itertools.combinations(range(ring.nvars), size)
+               if not any(all(i in S for i, e in enumerate(lm) if e)
+                          for lm in leads))
 
 
 def _monomials_by_zdeg(ring, zmax):

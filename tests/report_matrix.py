@@ -10,13 +10,14 @@ Each output line is tab-separated:
     name  sha256(RunReport.to_json())  exit code  sha256(print_canonical())
 
 Run it on two checkouts and `diff` the outputs: equal lines mean the same
-report bytes, the same exit code and the same parse.  The matrix holds 157
+report bytes, the same exit code and the same parse.  The matrix holds 158
 reports: the ten presets; `node --i 2 --j 3` at a = 5, 7, 11, 13 and
 `node --a 13 --i 5 --j 7`; `node --a 5` at depth 10 and 20; the
 `rnc4-ext-1` and `command-tour` goldens; every session of `finite-node`,
 `lci-ext` and `staircase` at seeds 1-3; the six presets with a map under
 `--order lex`, where the target order and the elimination order of the
-graph basis differ.
+graph basis differ; a map that is not module-finite, whose diagnostic is
+fingerprinted in place of a report.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ SESSION_GOLDENS = ("rnc4-ext-1", "command-tour")
 SEEDS = (1, 2, 3)
 MAP_PRESETS = ("node", "pushforward-node", "cusp-line", "tacnode-node",
                "tacnode-cusp", "root-cover")
+NOT_FINITE = ("ring A = Q[u]\nring B = Q[x,y]\nmap f : A -> B { u = x }\n"
+              "dualize-finite f depth 2\n")
 
 
 def _sha(text: str) -> str:
@@ -59,6 +62,7 @@ def matrix():
                        session.spec.get("depth"), "degrevlex")
     for name in MAP_PRESETS:
         yield f"lex/{name}", preset_session(name), None, "lex"
+    yield "diagnostic/not-module-finite", NOT_FINITE, None, "degrevlex"
 
 
 def main(argv: list[str]) -> int:

@@ -190,8 +190,19 @@ def test_internal_error_exits_4_with_a_flagged_report(capsys, tmp_path, monkeypa
         assert "Traceback" not in out + err
         doc = json.loads(json_path.read_text())
         assert doc["partial"] is True
-        assert doc["error"] == f"internal: {exc}"
+        assert doc["error"] == f"internal: {type(exc).__name__}: {exc}"
         assert doc["commands"][-1]["verdicts"] == {"aborted": True}
+
+
+def test_unit_image_of_a_degree_zero_variable_is_not_module_finite(capsys, tmp_path):
+    # u acts as 1, and Q[x] is not finitely generated over Q[u]
+    session = tmp_path / "unit.sdl"
+    session.write_text("ring A = Q[u] degrees {u:0}\nring B = Q[x]\n"
+                       "map f : A -> B { u = 1 }\ndualize-finite f depth 2\n")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "error: 3:5: f: target is not module-finite over the source images\n")
 
 
 def test_every_preset_parses_and_lists_expectations():

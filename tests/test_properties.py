@@ -3,7 +3,8 @@
 Fifty seeded random small cases exercise the kernel invariants: ring
 axioms, leading-term multiplicativity, bidegree additivity, normal-form
 idempotence and linearity, reduced-basis uniqueness under permutation,
-the module-engine ideal basis against a ring-level reference Buchberger,
+the module-engine ideal basis against a ring-level reference Buchberger
+and its stored leads against its generators,
 Koszul exactness for regular sequences, d o d = 0 with bihomogeneous
 matrices on every constructed complex, the incremental span oracle
 against a fresh oracle per candidate, relations modulo a context against
@@ -14,10 +15,12 @@ of the unit vectors, results that `minimalize` leaves unchanged, the
 quotient-ring reduction fast path against the full normal form, and
 restriction of scalars by normal forms against the elimination reference,
 its staircase against the contraction staircase and its coordinates
-against `RingMorphism.apply`, also into targets of unequal degrees, and
+against `RingMorphism.apply`, also into targets of unequal degrees, the
+finiteness verdict of a map declaration against the contraction basis,
 Hilbert tables and invariant parts read off the Hilbert series of the lead
-ideals against counting standard monomials, and the column invariant: every
-stored module column holds nonzero reduced entries in position order.
+ideals against counting standard monomials, the column invariant: every
+stored module column holds nonzero reduced entries in position order, and
+the codimension of `check gorenstein` against the reference dimension.
 """
 
 import itertools
@@ -28,13 +31,14 @@ import pytest
 
 from oracles import (annihilates, col, reference_buchberger,
                      reference_hilbert_function, reference_homology,
-                     reference_invariant_part, reference_kernel,
+                     reference_invariant_part, reference_is_module_finite,
+                     reference_kernel, reference_krull_dimension,
                      reference_module_generators, reference_relations_modulo,
                      reference_restrict_along)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
 from stackdual.dsl import parse_session
-from stackdual.duality import compare_modules, finite_shriek
+from stackdual.duality import cm_gorenstein_check, compare_modules, finite_shriek
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
                                hilbert_function, hom_module, invariant_part,
@@ -153,6 +157,18 @@ def test_buchberger_matches_reference(instances):
                 gens = [target.reinterpret(g) for g in gens]
                 assert (buchberger(gens, ring=target).generators
                         == reference_buchberger(gens, ring=target))
+
+
+def test_basis_leads_are_the_generator_leads(instances):
+    """`GroebnerBasis.leads` holds the lead monomial of each generator under
+    degrevlex, lex and a block order with head degrees."""
+    for ring, polys in instances:
+        for order in (MonomialOrder(), MonomialOrder("lex"),
+                      MonomialOrder(head_degrees=(2,) + (1,) * (ring.nvars - 2))):
+            target = GradedRing(ring.variables, weights=ring.weights,
+                                group_order=ring.group_order, order=order)
+            gb = buchberger([target.reinterpret(g) for g in polys], ring=target)
+            assert gb.leads == tuple(g.leading_term()[0] for g in gb.generators)
 
 
 def test_syzygies_annihilate_rows(instances):
@@ -514,6 +530,41 @@ def restriction_maps(seed):
     return maps + weighted_target_maps(seed)
 
 
+def test_declaring_a_map_decides_finiteness_like_the_contraction_basis():
+    """A map is declared exactly when the contraction basis finds a pure
+    power of every target variable: on every restriction map, and on
+    seeded maps from one or two source variables of positive degree, half
+    of whose images share the factor x0."""
+    for f in restriction_maps(SEED + 15):
+        assert reference_is_module_finite(f.target, f.images)
+    rng = random.Random(SEED + 16)
+    verdicts = []
+    while len(verdicts) < 24:
+        target = GradedRing(["x0", "x1"], zdegs=[rng.choice([1, 2, 3]) for _ in "xx"])
+        if rng.random() < 0.5:
+            relation = random_weighted_form(rng, target, rng.randint(2, 6))
+            if relation is not None:
+                target = target.quotient([relation])
+        shared = rng.random() < 0.5
+        factor = target.var("x0") if shared else target.one()
+        forms = [random_weighted_form(
+                     rng, target, rng.randint(2, 6) - shared * target.zdegs[0])
+                 for _ in range(rng.choice([1, 2]))]
+        if None in forms:
+            continue
+        forms = [p * factor for p in forms]
+        source = GradedRing(["u0", "u1"][:len(forms)],
+                            zdegs=[p.bidegree().zdeg for p in forms])
+        try:
+            RingMorphism(source, target, forms)
+            declared = True
+        except NotModuleFiniteError:
+            declared = False
+        assert declared == reference_is_module_finite(target, forms)
+        verdicts.append(declared)
+    assert set(verdicts) == {True, False}
+
+
 def same_span(ring, rank, us, vs):
     """Whether the relation columns us and vs span the same submodule."""
     return (all(SubmoduleOracle(ring, vs, rank).contains(u) for u in us)
@@ -865,3 +916,29 @@ def test_degree_zero_variables_still_raise_and_compare_stays_inconclusive():
         with pytest.raises(ValueError):
             invariant_part(m, 4)
         assert compare_modules(m, n, 4) == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# the combinatorial codimension of `check gorenstein`
+
+
+def test_cm_codimension_matches_the_reference_dimension():
+    """The codimension of `cm_gorenstein_check`, whose cross-check reads the
+    lead ideal off the quotient ring's basis, is the number of variables
+    minus the dimension read off the reference basis: on the triple point
+    and on seeded ideals of Q[x,y,z]."""
+    C = GradedRing(["u", "v", "t"], weights=[1, 1, 1], group_order=3)
+    u, v, t = C.var("u"), C.var("v"), C.var("t")
+    ideals = [(C, [u * v - t * t, u * t - v * v, v * t - u * u])]
+    c3 = GradedRing(["x", "y", "z"], name="C3")
+    rng = random.Random(SEED + 17)
+    for _ in range(8):
+        ideals.append((c3, [random_poly(rng, c3, homogeneous=True)
+                            for _ in range(rng.randint(1, 3))]))
+    codims = set()
+    for ring, gens in ideals:
+        rep = cm_gorenstein_check(ring, gens, ring.nvars)
+        assert not rep.inconclusive
+        assert rep.codimension == ring.nvars - reference_krull_dimension(ring, gens)
+        codims.add(rep.codimension)
+    assert len(codims) > 1
