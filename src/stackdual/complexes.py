@@ -12,7 +12,7 @@ see the sign convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
@@ -34,7 +34,6 @@ class ChainComplex:
     truncated_at: Optional[int] = None  # homological degree, if truncated
     finite: bool = False                # a zero syzygy module was reached
     periodic: Optional[int] = None      # detected period of a resolution
-    notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.direction not in ("chain", "cochain"):
@@ -74,12 +73,13 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
 
     Term i is free of rank C(r, i); the generator for a subset S carries the
     sum of the bidegrees of the chosen elements, and the differential is the
-    standard contraction with alternating signs.
+    standard contraction with alternating signs.  A zero entry has
+    bidegree zero.
     """
     seq = [ring.reduce(f) for f in seq]
     degs = []
     for f in seq:
-        d = f.bidegree()
+        d = ring.degree_zero() if f.is_zero() else f.bidegree()
         if d is None:
             raise ValueError(f"Koszul entry {f} is not bihomogeneous")
         degs.append(d)
@@ -106,7 +106,7 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
                 rest = tuple(x for x in S if x != k)
                 col[index[rest]] = (-1 if pos % 2 else 1) * seq[k]
             cols.append(col)
-        maps[i] = ModuleMap(terms[i], terms[i - 1], cols, check=False)
+        maps[i] = ModuleMap(terms[i], terms[i - 1], cols)
     return ChainComplex(ring, terms, maps, direction="chain", finite=True)
 
 
@@ -140,7 +140,7 @@ def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
             break
         term = ModulePresentation.free_of(ring, current_degs)
         terms.append(term)
-        maps[i] = ModuleMap(term, terms[i - 1], current_cols, check=False)
+        maps[i] = ModuleMap(term, terms[i - 1], current_cols)
         if i == depth:
             break
         syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
@@ -188,7 +188,7 @@ def hom_complex(C: ChainComplex, N: ModulePresentation) -> ChainComplex:
     for i in range(1, C.length + 1):
         # C_i -> C_{i-1} dualizes to Hom(C_{i-1}, N) -> Hom(C_i, N)
         cols = precompose_columns(C.maps[i].columns, C.terms[i - 1].rank, N)
-        maps[i - 1] = ModuleMap(terms[i - 1], terms[i], cols, check=False)
+        maps[i - 1] = ModuleMap(terms[i - 1], terms[i], cols)
     return ChainComplex(C.ring, terms, maps, direction="cochain",
                         truncated_at=C.truncated_at, finite=C.finite)
 

@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
 from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
-                      hilbert_function, minimalize, restrict_along)
-from .groebner import Column, SubmoduleOracle, column
+                      apply_columns, hilbert_function, minimalize,
+                      precompose_columns, restrict_along)
+from .groebner import Column, SubmoduleOracle
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
 DEFAULT_DEPTH = 4
@@ -39,11 +40,21 @@ class DualityReport:
     module: ModulePresentation
     depth: int
     is_sheaf: Optional[bool]
-    is_free_rank_one: bool
-    generator_bidegrees: tuple[Bidegree, ...]
-    fiber_representation: tuple[int, ...]   # weight residues of minimal generators
     ext_profile: dict[int, tuple[bool, int]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def generator_bidegrees(self) -> tuple[Bidegree, ...]:
+        return self.module.free.bidegrees
+
+    @property
+    def is_free_rank_one(self) -> bool:
+        return self.module.rank == 1 and not self.module.relations
+
+    @property
+    def fiber_representation(self) -> tuple[int, ...]:
+        """Weight residues of the minimal generators."""
+        return tuple(d.weight for d in self.generator_bidegrees)
 
     def twist_label(self) -> Optional[str]:
         """O(-n) when the module is free of rank one at Z-degree n."""
@@ -145,8 +156,6 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
     module = _hom_as_target_module(f, hc.terms[0], h0, incl, m_g)
     module = minimalize(module)
 
-    gen_degs = module.free.bidegrees
-    is_free = module.rank == 1 and not module.relations
     is_sheaf = all(z for z, _ in ext_profile.values())
     notes = []
     if res.finite:
@@ -157,8 +166,6 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
     return DualityReport(
         description=f"finite twisted inverse image along {f.name}",
         module=module, depth=depth, is_sheaf=is_sheaf,
-        is_free_rank_one=is_free, generator_bidegrees=gen_degs,
-        fiber_representation=tuple(d.weight for d in gen_degs),
         ext_profile=ext_profile, notes=notes)
 
 
@@ -168,14 +175,12 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
     """Give Hom_A(B, M) its B-module structure ((b.phi)(b') = phi(b b')).
 
     incl lists the Hom generators as columns over the free part of
-    Hom(F_0, M); position k * rank(M) + l is the coefficient of the map
-    e_k -> gen_l.
+    c0 = Hom(F_0, M), laid out as in `hom_free_into`.  x_t acts by
+    precomposition with its multiplication map on the staircase F_0.
     """
     ring_a = h0.ring
     ring_b = f.target
     monos, _ = f.module_generators()
-    r0 = len(monos)
-    nm = m_g.rank
     ngens = len(incl)
     if ngens == 0:
         return ModulePresentation.zero(ring_b)
@@ -187,25 +192,17 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
     relations: list[Column] = [{pos: f.apply(p) for pos, p in col.items()}
                                for col in h0.relations]
 
-    # linearization: x_t * kappa_i = sum_j a_j kappa_j, where
-    # (x_t * kappa_i)(e_k -> gen_l) = sum_s c_ks * kappa_i(e_s -> gen_l)
+    # linearization: x_t * kappa_i = sum_j a_j kappa_j
     for t in range(ring_b.nvars):
-        # x_t * b_k = sum_s c_ks * b_s; acting[s] lists the (k, c_ks) with
-        # c_ks != 0, read over the weighted source
-        acting: list[list[tuple[int, Polynomial]]] = [[] for _ in range(r0)]
-        for k, b in enumerate(monos):
+        # x_t * b_k = sum_s c_ks * b_s, read over the weighted source
+        mult: list[Column] = []
+        for b in monos:
             xb = tuple(e + (i == t) for i, e in enumerate(b))
-            for s, c in f.coordinates(xb).items():
-                acting[s].append((k, ring_a.reinterpret(c)))
+            mult.append({s: ring_a.reinterpret(c) for s, c in f.coordinates(xb).items()})
+        acting = precompose_columns(mult, len(monos), m_g)
         xt = ring_b.var(t)
         for i, gen in enumerate(incl):
-            moved: dict[int, Polynomial] = {}
-            for pos, entry in gen.items():
-                s, l = divmod(pos, nm)
-                for k, c in acting[s]:
-                    key = k * nm + l
-                    moved[key] = moved[key] + c * entry if key in moved else c * entry
-            coords = oracle.lift(column(ring_a, moved, r0 * nm))
+            coords = oracle.lift(apply_columns(ring_a, acting, gen, c0.rank))
             if coords is None:
                 raise RuntimeError("B-action left the Hom module")
             col = {j: -f.apply(a) for j, a in coords.items() if j < ngens}
@@ -308,8 +305,6 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     return DualityReport(
         description=f"l.c.i. dualizing module over {ring_b!r}",
         module=module, depth=imax, is_sheaf=True,
-        is_free_rank_one=True, generator_bidegrees=(gen_deg,),
-        fiber_representation=(gen_deg.weight,),
         ext_profile=profile, notes=notes)
 
 
@@ -395,8 +390,12 @@ def compare_modules(M: ModulePresentation, N: ModulePresentation,
     (a) equal minimal-generator bidegree multisets, (b) equal bigraded
     Hilbert tables up to the bound; two relation-free presentations with
     equal generators are isomorphic outright.  Returns one of
-    "isomorphic-up-to-bound", "distinct", "inconclusive".
+    "isomorphic-up-to-bound", "distinct", "inconclusive".  Unequal
+    generator degrees prove nothing when a variable has Z-degree <= 0,
+    where Nakayama's lemma fails, so the verdict is then "inconclusive".
     """
+    if bound < 0:
+        raise ValueError("zmax must be >= 0")
     if M.ring != N.ring:
         raise RingMismatchError("cannot compare modules over different rings")
     m = minimalize(M)
@@ -404,7 +403,7 @@ def compare_modules(M: ModulePresentation, N: ModulePresentation,
     degs_m = sorted((d.zdeg, d.weight) for d in m.free.bidegrees)
     degs_n = sorted((d.zdeg, d.weight) for d in n.free.bidegrees)
     if degs_m != degs_n:
-        return "distinct"
+        return "inconclusive" if any(d <= 0 for d in M.ring.zdegs) else "distinct"
     if not m.relations and not n.relations:
         return "isomorphic-up-to-bound"
     try:

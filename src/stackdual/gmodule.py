@@ -116,11 +116,12 @@ class ModuleMap:
     columns[j] is the image of the j-th source generator, a column of the
     target's free module; the map is homogeneous of degree `shift`.  The
     columns are the map's only stored form: kernels read them directly.
+    Every map is checked to send the source's relations into the span of
+    the target's; a free source has none, so its check costs nothing.
     """
 
     def __init__(self, source: ModulePresentation, target: ModulePresentation,
-                 columns: Sequence[Column], shift: Bidegree | None = None,
-                 check: bool = True):
+                 columns: Sequence[Column], shift: Bidegree | None = None):
         if source.ring != target.ring:
             raise RingMismatchError("module map across different rings")
         self.source = source
@@ -137,7 +138,7 @@ class ModuleMap:
             d = vector_bidegree(col, target.free.bidegrees, self.ring)
             if d is None or d != source.free.bidegrees[j] + self.shift:
                 raise ValueError(f"column {j} is not homogeneous of the declared shift")
-        if check and not self.sends_into_relations(source.relations):
+        if not self.sends_into_relations(source.relations):
             raise ValueError("map does not send relations into relations")
 
     def sends_into_relations(self, vectors: Sequence[Column]) -> bool:
@@ -155,11 +156,18 @@ class ModuleMap:
         return all(oracle.contains(self.apply_to_vector(v)) for v in vectors)
 
     def apply_to_vector(self, vec: Column) -> Column:
-        out: dict[int, Polynomial] = {}
-        for j, coeff in vec.items():
-            for i, entry in self.columns[j].items():
-                out[i] = out[i] + coeff * entry if i in out else coeff * entry
-        return column(self.ring, out, self.target.rank)
+        return apply_columns(self.ring, self.columns, vec, self.target.rank)
+
+
+def apply_columns(ring: GradedRing, columns: Sequence[Column], vec: Column,
+                  rank: int) -> Column:
+    """sum_j vec[j] * columns[j], a column of R^rank: the image of `vec`
+    under the map whose columns are `columns`."""
+    out: dict[int, Polynomial] = {}
+    for j, coeff in vec.items():
+        for i, entry in columns[j].items():
+            out[i] = out[i] + coeff * entry if i in out else coeff * entry
+    return column(ring, out, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +254,7 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
         return minimalize(hom0)
     hom1 = hom_free_into(FreeModule(M.ring, M.relation_bidegrees), N)
     return kernel(ModuleMap(hom0, hom1,
-                            precompose_columns(M.relations, M.rank, N),
-                            check=False))
+                            precompose_columns(M.relations, M.rank, N)))
 
 
 def hom_free_into(F: FreeModule, N: ModulePresentation) -> ModulePresentation:
@@ -686,10 +693,11 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
     The generators are the staircase monomials b_k.  A product y^e * b_k of
     a source monomial and a generator is a standard monomial of the graph
     ideal unless a lead x^g * y^e of its basis G has x^g | b_k; for each
-    such lead, y^e * e_k - coordinates(b_k, e) is a relation, and a
-    minimal subset of these presents B.  Reducing a relation vector by
-    them lowers its largest non-standard term, and a vector of standard
-    terms alone is its own normal form, so they span every relation.
+    such lead, y^e * e_k - coordinates(b_k, e) is a relation.  These
+    relations span every relation, but need not be minimal: reducing a
+    relation vector by them lowers its largest non-standard term, and a
+    vector of standard terms alone is its own normal form.  `resolve`
+    prunes them once, with its opening `minimalize`.
     """
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
@@ -702,9 +710,5 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
             e = lead[nt:]
             col = {pos: -c for pos, c in f.coordinates(b, e).items()}
             col[k] = col.get(k, ring_a.zero()) + ring_a.monomial(e)
-            rel_cols.append(column(ring_a, col, len(monos)))
-    keep = sorted(minimal_generating_vectors(
-        ring_a, rel_cols, len(monos),
-        [vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
-    return ModulePresentation(FreeModule(ring_a, mono_degs),
-                              [rel_cols[i] for i in keep])
+            rel_cols.append(col)
+    return ModulePresentation(FreeModule(ring_a, mono_degs), rel_cols)

@@ -423,19 +423,13 @@ def buchberger(gens: Sequence[Polynomial],
                          tuple(gb.leads[i][1] for i in reversed(minimal)))
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis | Sequence[Polynomial]) -> Polynomial:
-    """Unique remainder of p modulo a (Groebner) basis; zero iff p is in the ideal."""
-    if isinstance(gb, GroebnerBasis):
-        if not p.ring.same_ambient(gb.ring):
-            raise RingMismatchError("polynomial and basis live in different rings")
-        order = gb.ring.order
-        gens, leads = gb.generators, gb.leads
-    else:
-        order = p.ring.order
-        gens = [g.monic(order) for g in gb if not g.is_zero()]
-        leads = [g.leading_term(order)[0] for g in gens]
-    by_pos = {0: [(lm, i) for i, lm in enumerate(leads)]}
-    remainder, _ = _vec_reduce(_rank1(p), [_rank1(g) for g in gens], order, by_pos)
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """Unique remainder of p modulo a Groebner basis; zero iff p is in the ideal."""
+    if not p.ring.same_ambient(gb.ring):
+        raise RingMismatchError("polynomial and basis live in different rings")
+    by_pos = {0: [(lm, i) for i, lm in enumerate(gb.leads)]}
+    remainder, _ = _vec_reduce(_rank1(p), [_rank1(g) for g in gb.generators],
+                               gb.ring.order, by_pos)
     return Polynomial(p.ring, {m: c for (_, m), c in remainder.items()})
 
 

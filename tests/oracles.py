@@ -25,6 +25,13 @@ standard monomials of every position by testing every monomial up to the
 bound against the leads of the module Groebner basis, where the engine
 reads its tables off the Hilbert series of those lead ideals.
 
+`reference_pruned_restriction` prunes the staircase relations of
+`restrict_along` to a minimal subset with `minimal_generating_vectors`, so
+the pruning of `resolve`'s opening `minimalize` has a span to match.
+`reference_precomposition` applies phi -> phi o d to a vector of
+Hom(F_0, N) by walking the (F_0-generator, N-generator) positions by hand,
+without `precompose_columns`.
+
 `reference_restrict_along` presents B over A by elimination: the syzygies
 of the staircase monomials modulo the graph ideal in the mixed ring, then a
 module Groebner basis of those in the elimination order, keeping its
@@ -318,6 +325,48 @@ def reference_restrict_along(f):
         [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
     return ModulePresentation(FreeModule(ring_a, mono_degs),
                               [rel_cols[i] for i in keep])
+
+
+def reference_pruned_restriction(f):
+    """B over the weighted source, its staircase relations pruned by
+    `minimal_generating_vectors` in the greedy order."""
+    from stackdual import groebner
+    from stackdual.gmodule import FreeModule, ModulePresentation
+    monos, mono_degs = f.module_generators()
+    ring_a = f.weighted_source()
+    nt = f.target.nvars
+    rel_cols = []
+    for k, b in enumerate(monos):
+        for lead in f._mixed().leads:
+            if not monomial_divides(lead[:nt], b):
+                continue
+            e = lead[nt:]
+            column = {pos: -c for pos, c in f.coordinates(b, e).items()}
+            column[k] = column.get(k, ring_a.zero()) + ring_a.monomial(e)
+            rel_cols.append(groebner.column(ring_a, column, len(monos)))
+    keep = sorted(groebner.minimal_generating_vectors(
+        ring_a, rel_cols, len(monos),
+        [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
+    return ModulePresentation(FreeModule(ring_a, mono_degs),
+                              [rel_cols[i] for i in keep])
+
+
+def reference_precomposition(ring, d, nm, vec):
+    """phi o d for phi = vec, a vector of Hom(F_0, N) = N^rank(F_0) at
+    positions s * nm + l, and d: F_1 -> F_0 given by its columns over F_0;
+    the result is a vector of Hom(F_1, N) at positions k * nm + l."""
+    from stackdual.groebner import column
+    acting = {}                 # s -> [(k, entry s of column k)]
+    for k, dcol in enumerate(d):
+        for s, c in dcol.items():
+            acting.setdefault(s, []).append((k, c))
+    moved = {}
+    for pos, entry in vec.items():
+        s, l = divmod(pos, nm)
+        for k, c in acting.get(s, ()):
+            key = k * nm + l
+            moved[key] = moved[key] + c * entry if key in moved else c * entry
+    return column(ring, moved, len(d) * nm)
 
 
 def _contraction_leads(target, images):

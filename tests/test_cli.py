@@ -89,6 +89,43 @@ def test_nonregular_lci_sequence_exits_2(capsys, tmp_path):
     assert "error: sequence is not regular: Koszul H_1 is nonzero" in out
 
 
+def test_zero_koszul_entry_is_homogeneous(capsys, tmp_path):
+    # a zero entry has bidegree zero, so (x, 0) is a sequence that is not
+    # regular: its Koszul H_1 holds the zero entry's generator
+    session = tmp_path / "koszul.sdl"
+    session.write_text("ring R = Q[x,y]\nkoszul R seq (x, 0)\n")
+    code, out, _ = run_cli(["run", str(session), "--json", str(tmp_path / "k.json")],
+                           capsys)
+    assert code == 1
+    doc = json.loads((tmp_path / "k.json").read_text())
+    assert doc["commands"][0]["verdicts"] == {"regular_sequence": False}
+    session.write_text("ring R = Q[x,y]\ndualize-lci R seq (x, 0) omega canonical\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 2
+    assert "error: sequence is not regular: Koszul H_1 is nonzero" in out
+
+
+def test_compare_checks_its_bound_and_needs_positive_degrees_to_separate(
+        capsys, tmp_path):
+    session = tmp_path / "cmp.sdl"
+    session.write_text("ring R = Q[x,y]\n"
+                       "module M over R gens e:(0,0) rels x*e\n"
+                       "compare M M bound -1\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 2
+    assert "error: zmax must be >= 0" in out
+    # M = 0, but only Nakayama's lemma, which fails over degree-0
+    # variables, would drop its generator: unequal generator counts prove
+    # nothing there
+    session.write_text("ring R = Q[t,u] degrees {t:0, u:0}\n"
+                       "module M over R gens e:(0,0) rels (t^3+1)*e, (t^3-1)*e\n"
+                       "module Z over R gens f:(0,0) rels f\n"
+                       "compare M Z bound 3\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 1
+    assert "comparison verdict: inconclusive" in out
+
+
 def test_pushforward_along_a_zero_image_compares(capsys, tmp_path):
     # u = 0 is homogeneous of every bidegree, so it passes the weight-0 test
     session = tmp_path / "zero.sdl"

@@ -186,8 +186,8 @@ def hom_pair_complex(ring, sign, N):
     `hom_complex` builds it: `hom_complex` only takes a complex."""
     d1, d2 = pair_differentials(ring, sign)
     terms = [hom_free_into(F, N) for F in pair_frees(ring)]
-    maps = {0: ModuleMap(terms[0], terms[1], precompose_columns(d1, 1, N), check=False),
-            1: ModuleMap(terms[1], terms[2], precompose_columns(d2, 2, N), check=False)}
+    maps = {0: ModuleMap(terms[0], terms[1], precompose_columns(d1, 1, N)),
+            1: ModuleMap(terms[1], terms[2], precompose_columns(d2, 2, N))}
     return ChainComplex(ring, terms, maps, direction="cochain")
 
 

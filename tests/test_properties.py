@@ -33,7 +33,8 @@ from oracles import (annihilates, col, reference_buchberger,
                      reference_hilbert_function, reference_homology,
                      reference_invariant_part, reference_is_module_finite,
                      reference_kernel, reference_krull_dimension,
-                     reference_module_generators, reference_relations_modulo,
+                     reference_module_generators, reference_precomposition,
+                     reference_pruned_restriction, reference_relations_modulo,
                      reference_restrict_along)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
@@ -41,9 +42,10 @@ from stackdual.dsl import parse_session
 from stackdual.duality import cm_gorenstein_check, compare_modules, finite_shriek
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
-                               hilbert_function, hom_module, invariant_part,
-                               kernel, kernel_with_inclusion, minimalize,
-                               restrict_along, subquotient, vector_bidegree)
+                               apply_columns, hilbert_function, hom_module,
+                               invariant_part, kernel, kernel_with_inclusion,
+                               minimalize, precompose_columns, restrict_along,
+                               subquotient, vector_bidegree)
 from stackdual import groebner
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
@@ -579,6 +581,43 @@ def test_restriction_matches_elimination_reference():
         assert same_span(ba.ring, ba.rank, ba.relations, ref.relations)
         assert hilbert_function(ba, 12) == hilbert_function(
             ModulePresentation.structure(f.target), 12)
+
+
+def test_resolve_alone_prunes_the_restriction():
+    # the staircase stays the minimal generating set, and resolve's
+    # minimalize spans what pruning inside restrict_along kept
+    for f in restriction_maps(SEED + 15):
+        monos, _ = f.module_generators()
+        ba = restrict_along(f)
+        assert resolve(ba, 2).terms[0].rank == len(monos)
+        pruned = reference_pruned_restriction(f)
+        assert same_span(ba.ring, ba.rank, minimalize(ba).relations,
+                         pruned.relations)
+
+
+def test_precompose_columns_act_as_the_hand_written_position_loop():
+    rng = random.Random(SEED + 22)
+
+    def seeded_column(ring, rank):
+        entries = {pos: ring.reduce(random_poly(rng, ring)) for pos in range(rank)
+                   if rng.random() < 0.6}
+        return {pos: p for pos, p in entries.items() if not p.is_zero()}
+
+    nonzero = 0
+    for n in range(12):
+        ring = random_ring(rng)
+        if n % 2:
+            ring = random_quotient(rng, ring)
+        nm, r0, r1 = rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 3)
+        N = ModulePresentation.free_of(ring, [ring.degree_zero()] * nm)
+        d = [seeded_column(ring, r0) for _ in range(r1)]
+        cols = precompose_columns(d, r0, N)
+        for _ in range(3):
+            vec = seeded_column(ring, r0 * nm)
+            got = apply_columns(ring, cols, vec, r1 * nm)
+            assert got == reference_precomposition(ring, d, nm, vec)
+            nonzero += bool(got)
+    assert nonzero
 
 
 def test_staircase_matches_the_contraction_staircase():
