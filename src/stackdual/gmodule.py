@@ -16,6 +16,7 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -54,7 +55,9 @@ class FreeModule:
 
 
 class ModulePresentation:
-    """generators (a FreeModule) together with homogeneous relation columns."""
+    """generators (a FreeModule) together with homogeneous relation columns.
+    `span`, the span-only oracle over the relations, is built on first use
+    and never extended: every query of one presentation shares its basis."""
 
     def __init__(self, free: FreeModule, relations: Sequence[Column] = ()):
         self.free = free
@@ -97,6 +100,10 @@ class ModulePresentation:
     @property
     def rank(self) -> int:
         return self.free.rank
+
+    @cached_property
+    def span(self) -> SubmoduleOracle:
+        return SubmoduleOracle(self.ring, self.relations, self.rank)
 
     def __str__(self) -> str:
         gens = ", ".join(f"e{i + 1}:{d}" for i, d in enumerate(self.free.bidegrees))
@@ -151,9 +158,8 @@ class ModuleMap:
         if not self.target.relations:
             # images are reduced modulo the ideal, so only zero lies in the span
             return not any(self.apply_to_vector(v) for v in vectors)
-        oracle = SubmoduleOracle(self.ring, self.target.relations,
-                                 self.target.rank)
-        return all(oracle.contains(self.apply_to_vector(v)) for v in vectors)
+        span = self.target.span
+        return all(span.contains(self.apply_to_vector(v)) for v in vectors)
 
     def apply_to_vector(self, vec: Column) -> Column:
         return apply_columns(self.ring, self.columns, vec, self.target.rank)
@@ -440,13 +446,15 @@ def _position_series(M: ModulePresentation, zmax: int):
     """Yield (generator index, its bidegree, its leads, dims) for every
     generator of zdeg <= zmax, where dims[z][w] counts the standard
     monomials of that position of Z-degree z and weight w, up to the
-    bound."""
+    bound.  Raises ValueError for a negative bound."""
+    if zmax < 0:
+        raise ValueError("zmax must be >= 0")
     ring = M.ring
     live = [(k, g) for k, g in enumerate(M.free.bidegrees) if g.zdeg <= zmax]
     if not live:
         return
     _require_positive_degrees(ring)
-    by_pos = SubmoduleOracle(ring, M.relations, M.rank).gb.by_pos
+    by_pos = M.span.gb.by_pos
     for k, g in live:
         leads = [m for m, _ in by_pos.get(k, ())]
         yield k, g, leads, _series(ring, leads, zmax - g.zdeg)
@@ -460,8 +468,6 @@ def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], 
     shifted by its bidegree.  Raises on rings with non-positive variable
     degrees, where pieces are infinite.
     """
-    if zmax < 0:
-        raise ValueError("zmax must be >= 0")
     a = M.ring.group_order
     table: dict[tuple[int, int], int] = {}
     for _, g, _, dims in _position_series(M, zmax):

@@ -8,16 +8,17 @@ rendering, for report text and ordering keys.
 
 One engine, private to this file, works on flat vectors {(position,
 monomial): coefficient} with the term-over-position order induced by the
-ring order.  Columns are flattened where they enter `SubmoduleOracle` or
-`syzygies_over`, and results are projected straight back into columns.
-The engine has two modes.  Tracked, it records how every basis element is
-expressed in the input generators and processes every S-pair, which makes Schreyer syzygies fall out of the S-pair
-reductions and lets `lift` answer.  Span-only, it keeps no expressions and
-drops S-pairs by the chain criterion; the product criterion does not hold
-for module elements.  An ideal is a rank-1 submodule, so `buchberger` and
-`normal_form` run on the same engine.  Quotient rings B = C/I are handled
-by lifting to the ambient ring and adjoining I times the unit vectors,
-then projecting back.
+ring order.  Every module basis starts in `SubmoduleOracle`, the one door:
+columns are flattened where they enter it and projected straight back.  A
+span-only oracle (`contains`, `extend`: presentation spans and
+`minimal_generating_vectors`) keeps no expressions and drops S-pairs by the
+chain criterion; the product criterion does not hold for module elements.
+A liftable one (`lift`, `syzygies`, and so `syzygies_over`) records how
+every basis element is expressed in the inputs and processes every S-pair,
+so Schreyer syzygies fall out of the S-pair reductions.  An ideal is a
+rank-1 submodule, so `buchberger` and `normal_form` run on the same engine.
+Quotient rings B = C/I are handled by lifting to the ambient ring and
+adjoining I times the unit vectors, then projecting back.
 
 Everything is deterministic: pair selection, generator order and the final
 bases do not depend on dict iteration order.
@@ -189,7 +190,8 @@ def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
 
 
 class _TrackedGB:
-    """Module Groebner basis of the span of the input vectors.
+    """Module Groebner basis of the span of the input vectors; only
+    `SubmoduleOracle` and `buchberger` build one.
 
     Input vector i carries the index i (zero inputs keep their index and
     contribute nothing); `extend` grows the span by one more input at the
@@ -333,34 +335,6 @@ class _TrackedGB:
         return out
 
 
-def module_syzygies(vectors: Sequence[VecDict], ring: GradedRing) -> list[VecDict]:
-    """Generators of the syzygy module over the ambient (non-quotient) ring.
-
-    Schreyer: the S-pair relations of the tracked basis, completed with the
-    discrepancy columns e_i - (expression of input i through the basis).
-    """
-    unit = (0,) * ring.nvars
-    syz: list[VecDict] = []
-    for i, v in enumerate(vectors):
-        if not v:
-            syz.append({(i, unit): Fraction(1)})  # zero rows are pure relations
-    if len(syz) == len(vectors):
-        return syz
-    gb = _TrackedGB(vectors, ring, track=True)
-    syz.extend(gb.syzygies)
-    for i, v in enumerate(vectors):
-        if not v:
-            continue
-        expr = gb.express(dict(v))
-        assert expr is not None
-        delta: VecDict = {(i, unit): Fraction(1)}
-        for k, c in expr.items():
-            _vec_add_term(delta, k, -c)
-        if delta:
-            syz.append(delta)
-    return syz
-
-
 # ---------------------------------------------------------------------------
 # ideals: rank-1 modules on the same engine
 
@@ -452,35 +426,25 @@ def syzygies_over(ring: GradedRing, vectors: Sequence[Column], rank: int,
     ideal of the (possibly quotient) ring and every column of R^rank.
 
     A relation is a column a of R^len(vectors), with sum_i a_i * vectors[i]
-    in that submodule; the result generates all of them.  Zero and repeated
-    relations are dropped, and the rest are sorted by their printed
-    entries.  No minimalization happens at this level.
+    in that submodule; the result generates all of them, as read off one
+    liftable oracle by `SubmoduleOracle.syzygies`.
     """
     if not vectors:
         return []
-    ambient = ring.ambient()
-    rows = [_flatten(v, ambient) for v in (*vectors, *context)]
-    heads = range(len(vectors))
-    out: list[Column] = []
-    seen = set()
-    for s in module_syzygies(rows + _ideal_rows(ring, rank), ambient):
-        col = _project(s, ring, heads, len(heads))
-        key = tuple(col.items())
-        if not col or key in seen:
-            continue
-        seen.add(key)
-        out.append(col)
-    out.sort(key=lambda v: printed_column(v, len(heads)))
-    return out
+    oracle = SubmoduleOracle(ring, [*vectors, *context], rank, liftable=True)
+    return oracle.syzygies(len(vectors))
 
 
 class SubmoduleOracle:
-    """Membership and lifting for a growing tuple of generators over a ring.
+    """Membership, lifting and syzygies for a growing tuple of generators
+    over a ring: the one door into the module engine.
 
     Over a quotient ring the span implicitly includes I times the free
-    module, so `lift` returns coordinates valid modulo the ideal.  Only an
-    oracle built with `liftable=True` can lift; the default builds the span
-    alone, which is all that `contains` and `extend` need.
+    module, so `lift` returns coordinates valid modulo the ideal.  The
+    default builds the span alone, which is all that `contains` and
+    `extend` need: presentation spans and `minimal_generating_vectors` use
+    it.  An oracle built with `liftable=True` tracks representations, so it
+    can also `lift`, and, until it is extended, read off `syzygies`.
     """
 
     def __init__(self, ring: GradedRing, generators: Sequence[Column], rank: int,
@@ -489,21 +453,44 @@ class SubmoduleOracle:
         self.rank = rank
         self.ngens = len(generators)
         self.ambient = ring.ambient()
-        ideal_rows = _ideal_rows(ring, rank)
-        self.gb = _TrackedGB([_flatten(v, self.ambient) for v in generators]
-                             + ideal_rows, self.ambient, track=liftable)
+        rows = ([_flatten(v, self.ambient) for v in generators]
+                + _ideal_rows(ring, rank))
+        self.gb = _TrackedGB(rows, self.ambient, track=liftable)
+        # the GB inputs that `syzygies` reads: liftable and not yet extended
+        self._inputs: Optional[list[VecDict]] = rows if liftable else None
         # generator index of each GB input; None for the ideal rows
         self._gen_of: list[Optional[int]] = (list(range(self.ngens))
-                                             + [None] * len(ideal_rows))
+                                             + [None] * (len(rows) - self.ngens))
 
     def contains(self, v: Column) -> bool:
         return self.gb.contains(_flatten(v, self.ambient))
 
     def extend(self, v: Column) -> None:
         """Append v as generator number `ngens`."""
+        self._inputs = None     # a skipped v would drop its relations
         if self.gb.extend(_flatten(v, self.ambient)):
             self._gen_of.append(self.ngens)
         self.ngens += 1
+
+    def syzygies(self, heads: int) -> list[Column]:
+        """Generators of the relations among the first `heads` generators
+        modulo the others and I * R^rank, as columns of R^heads: Schreyer's
+        S-pair relations plus e_i minus the expression of input i (e_i for
+        a zero input), projected, deduplicated and sorted by printed column,
+        not minimalized.  Raises RuntimeError unless the oracle is liftable
+        and was never extended."""
+        if self._inputs is None:
+            raise RuntimeError("syzygies need a liftable oracle that was "
+                               "never extended")
+        relations = list(self.gb.syzygies)
+        for i, v in enumerate(self._inputs):
+            delta: VecDict = {(i, self.gb._unit): Fraction(1)}
+            for k, c in self.gb.express(v).items():
+                _vec_add_term(delta, k, -c)
+            relations.append(delta)
+        cols = (_project(s, self.ring, range(heads), heads) for s in relations)
+        unique = {tuple(col.items()): col for col in cols if col}
+        return sorted(unique.values(), key=lambda v: printed_column(v, heads))
 
     def lift(self, v: Column) -> Optional[Column]:
         """Coordinates a, a column of R^ngens, with v = sum a_i * gen_i

@@ -10,7 +10,7 @@ Each output line is tab-separated:
     name  sha256(RunReport.to_json())  exit code  sha256(print_canonical())
 
 Run it on two checkouts and `diff` the outputs: equal lines mean the same
-report bytes, the same exit code and the same parse.  The matrix holds 168
+report bytes, the same exit code and the same parse.  The matrix holds 169
 reports: the ten presets; `node --i 2 --j 3` at a = 5, 7, 11, 13 and
 `node --a 13 --i 5 --j 7`; `node --a 5` at depth 10 and 20; the
 `rnc4-ext-1` and `command-tour` goldens; every session of `finite-node`,
@@ -19,7 +19,8 @@ reports: the ten presets; `node --i 2 --j 3` at a = 5, 7, 11, 13 and
 graph basis differ; a map that is not module-finite, whose diagnostic is
 fingerprinted in place of a report; and, run with `--bound 20`, the eight
 seed-1 `staircase` sessions, `pushforward-node` and the `command-tour`
-golden.
+golden; and one session that dualizes the node into a module with a
+relation and reads its Hilbert table, invariants and endomorphisms.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ MAP_PRESETS = ("node", "pushforward-node", "cusp-line", "tacnode-node",
                "tacnode-cusp", "root-cover")
 NOT_FINITE = ("ring A = Q[u]\nring B = Q[x,y]\nmap f : A -> B { u = x }\n"
               "dualize-finite f depth 2\n")
+RELATION_TARGET = ("module W over A gens w:(0,0) rels u^2*w\n"
+                   "dualize-finite p omega W depth 3\nhilbert W max 10\n"
+                   "invariants W bound 10\nhom W W\n")
 
 
 def _sha(text: str) -> str:
@@ -73,6 +77,8 @@ def matrix():
            None, "degrevlex", BOUND)
     yield (f"bound{BOUND}/golden/command-tour", _golden("command-tour"), None,
            "degrevlex", BOUND)
+    yield ("relations/node-a3-W", preset_session("node", a=3) + RELATION_TARGET,
+           None, "degrevlex", None)
 
 
 def _golden(name: str) -> str:

@@ -126,6 +126,17 @@ def test_compare_checks_its_bound_and_needs_positive_degrees_to_separate(
     assert "comparison verdict: inconclusive" in out
 
 
+def test_hilbert_and_invariants_reject_a_negative_bound(capsys, tmp_path):
+    session = tmp_path / "tables.sdl"
+    for command in ("hilbert M max -1", "invariants M bound -1"):
+        session.write_text("ring R = Q[x,y]\n"
+                           "module M over R gens e:(0,0) rels x*e\n"
+                           f"{command}\n")
+        code, out, _ = run_cli(["run", str(session)], capsys)
+        assert code == 2, command
+        assert "error: zmax must be >= 0" in out
+
+
 def test_pushforward_along_a_zero_image_compares(capsys, tmp_path):
     # u = 0 is homogeneous of every bidegree, so it passes the weight-0 test
     session = tmp_path / "zero.sdl"

@@ -5,11 +5,13 @@ from oracles import col
 
 from stackdual.complexes import (ChainComplex, hom_complex, homology, koszul,
                                  resolve)
+from stackdual import groebner
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                hilbert_function, hom_free_into, minimalize,
                                precompose_columns, restrict_along)
 from stackdual.poly import GradedRing
+from stackdual.presets import preset_session
 
 
 def test_koszul_single_element(qxy):
@@ -135,6 +137,27 @@ map p : A -> B { u = x^2, v = y^2 }
     hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
     for i in (1, 2, 3):
         assert homology(hc, i).rank == 0
+
+
+def test_hom_complex_builds_one_span_per_target(monkeypatch):
+    # Hom(F_i, W) carries W's relations, so well-definedness and d o d = 0
+    # both ask for the span of each term's relations: one basis serves both
+    ast = parse_session(preset_session("node", a=3)
+                        + "module W over A gens w:(0,0) rels u^2*w\n")
+    p = ast.maps["p"]
+    W = p.transport_module(ast.modules["W"])
+    res = resolve(restrict_along(p), 4)
+    built = []
+    init = groebner.SubmoduleOracle.__init__
+
+    def recording(self, ring, generators, rank, liftable=False):
+        built.append(id(generators))
+        init(self, ring, generators, rank, liftable)
+
+    monkeypatch.setattr(groebner.SubmoduleOracle, "__init__", recording)
+    hc = hom_complex(res, W)
+    counts = [built.count(id(t.relations)) for t in hc.terms]
+    assert all(t.relations for t in hc.terms) and max(counts) == 1
 
 
 def test_homology_index_out_of_range(qxy):

@@ -122,6 +122,29 @@ def test_syzygy_annihilation_over_quotient(node_ring):
     assert syz and annihilates(node_ring, syz, rows)
 
 
+def test_zero_inputs_contribute_their_unit_relations(qxy):
+    x, y = qxy.var("x"), qxy.var("y")
+    one = qxy.one()
+    assert syzygies_over(qxy, [{}, {}], 1) == [{1: one}, {0: one}]
+    assert syzygies_over(qxy, [{}, col(x)], 1) == [{0: one}]
+    rows = [col(x), {}, col(y)]
+    syz = syzygies_over(qxy, rows, 1)
+    assert len(syz) == 2 and {1: one} in syz
+    assert annihilates(qxy, syz, rows)
+
+
+def test_syzygies_need_a_liftable_oracle_never_extended(node_ring):
+    x, y = node_ring.var("x"), node_ring.var("y")
+    with pytest.raises(RuntimeError):
+        SubmoduleOracle(node_ring, [col(x)], 1).syzygies(1)
+    oracle = SubmoduleOracle(node_ring, [col(x)], 1, liftable=True)
+    syz = oracle.syzygies(1)
+    assert syz == syzygies_over(node_ring, [col(x)], 1) and col(y) in syz
+    oracle.extend(col(x * x))           # already in the span, still an extend
+    with pytest.raises(RuntimeError):
+        oracle.syzygies(1)
+
+
 def test_submodule_oracle_membership_and_lift(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     z = node_ring.zero()
