@@ -33,8 +33,8 @@ from typing import Mapping, Optional, Sequence
 
 from .caps import check_deadline, check_term_cap
 from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
-                   RingMismatchError, monomial_div, monomial_divides,
-                   monomial_lcm, monomial_mul)
+                   RingMismatchError, Scalar, coefficient, monomial_div,
+                   monomial_divides, monomial_lcm, monomial_mul)
 
 Column = dict[int, Polynomial]
 
@@ -63,7 +63,7 @@ def printed_column(col: Column, rank: int) -> tuple[str, ...]:
     return tuple(str(col[i]) if i in col else "0" for i in range(rank))
 
 
-def lead_coefficient(col: Column, order: MonomialOrder) -> Fraction:
+def lead_coefficient(col: Column, order: MonomialOrder) -> Scalar:
     """The coefficient of a nonzero column's lead term in the
     term-over-position order: the largest monomial, lower positions winning
     ties."""
@@ -93,12 +93,15 @@ def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree],
 # ---------------------------------------------------------------------------
 # module engine
 #
-# A module element of R^n is stored as dict[(position, monomial)] -> Fraction.
-# The module order is term-over-position: monomials compare by the ring
-# order first, lower positions win ties.
+# A module element of R^n is stored as dict[(position, monomial)] -> scalar,
+# each scalar an `int` when it is integral, else a `Fraction` (the canonical
+# form of `poly.coefficient`; floats are refused), the same representation
+# as `Polynomial.terms`, so flattening and projecting convert nothing.  The
+# module order is term-over-position: monomials compare by the ring order
+# first, lower positions win ties.
 
 
-VecDict = dict[tuple[int, Monomial], Fraction]
+VecDict = dict[tuple[int, Monomial], Scalar]
 
 
 def _flatten(col: Column, ring: GradedRing) -> VecDict:
@@ -138,23 +141,23 @@ def _vec_lead(vec: VecDict, order: MonomialOrder):
     return k, vec[k]
 
 
-def _vec_add_term(vec: VecDict, key, coeff: Fraction) -> None:
-    s = vec.get(key, Fraction(0)) + coeff
+def _vec_add_term(vec: VecDict, key, coeff: Scalar) -> None:
+    s = vec.get(key, 0) + coeff
     if s == 0:
         vec.pop(key, None)
     else:
-        vec[key] = s
+        vec[key] = s if type(s) is int or s.denominator != 1 else s.numerator
 
 
-def _vec_axpy(target: VecDict, mono: Monomial, coeff: Fraction, src: VecDict) -> None:
+def _vec_axpy(target: VecDict, mono: Monomial, coeff: Scalar, src: VecDict) -> None:
     """target += coeff * mono * src"""
     for (pos, m), c in src.items():
         _vec_add_term(target, (pos, monomial_mul(m, mono)), c * coeff)
     check_term_cap(len(target), "module vector")
 
 
-def _vec_scale(vec: VecDict, coeff: Fraction) -> VecDict:
-    return {k: c * coeff for k, c in vec.items()}
+def _vec_scale(vec: VecDict, coeff: Scalar) -> VecDict:
+    return {k: coefficient(c * coeff) for k, c in vec.items()}
 
 
 def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
@@ -235,15 +238,21 @@ class _TrackedGB:
         self._unit = (0,) * ring.nvars
         for i, v in enumerate(vectors):
             if v:
-                self._insert(dict(v), {(i, self._unit): Fraction(1)})
+                self._insert(dict(v), {(i, self._unit): 1})
         self._complete()
 
     def _insert(self, vec: VecDict, rep: Optional[VecDict]) -> None:
         check_term_cap(len(vec), "module vector")
         (posmono, lc) = _vec_lead(vec, self.order)
-        self.basis.append(_vec_scale(vec, 1 / lc))
+        if lc != 1:
+            # -1 is its own inverse, and 1 / lc would be a float for an int lc
+            inverse = -1 if lc == -1 else coefficient(Fraction(1) / lc)
+            vec = _vec_scale(vec, inverse)
+            if self.track:
+                rep = _vec_scale(rep, inverse)
+        self.basis.append(vec)
         if self.track:
-            self.reps.append(_vec_scale(rep, 1 / lc))
+            self.reps.append(rep)
         self.leads.append(posmono)
         new = len(self.basis) - 1
         npos, nmono = posmono
@@ -257,7 +266,7 @@ class _TrackedGB:
         same.append((nmono, new))
 
     def _add_reps(self, target: VecDict, quotients: dict[int, dict],
-                  sign: Fraction) -> None:
+                  sign: Scalar) -> None:
         """target += sign * sum_t quotients[t] * reps[t]"""
         for t in sorted(quotients):
             for mono, coeff in quotients[t].items():
@@ -282,18 +291,18 @@ class _TrackedGB:
             mi = self.leads[i][1]
             mj = self.leads[j][1]
             s: VecDict = {}
-            _vec_axpy(s, monomial_div(lcm, mi), Fraction(1), self.basis[i])
-            _vec_axpy(s, monomial_div(lcm, mj), Fraction(-1), self.basis[j])
+            _vec_axpy(s, monomial_div(lcm, mi), 1, self.basis[i])
+            _vec_axpy(s, monomial_div(lcm, mj), -1, self.basis[j])
             if not self.track:
                 remainder, _ = self.reduce(s)
                 if remainder:
                     self._insert(remainder, None)
                 continue
             srep: VecDict = {}
-            _vec_axpy(srep, monomial_div(lcm, mi), Fraction(1), self.reps[i])
-            _vec_axpy(srep, monomial_div(lcm, mj), Fraction(-1), self.reps[j])
+            _vec_axpy(srep, monomial_div(lcm, mi), 1, self.reps[i])
+            _vec_axpy(srep, monomial_div(lcm, mj), -1, self.reps[j])
             remainder, quotients = self.reduce(s, track=True)
-            self._add_reps(srep, quotients, Fraction(-1))
+            self._add_reps(srep, quotients, -1)
             if remainder:
                 self._insert(remainder, srep)
             elif srep:
@@ -304,9 +313,9 @@ class _TrackedGB:
         remainder, quotients = self.reduce(vec, track=self.track)
         if not remainder:
             return False
-        rep: VecDict = {(self.ninputs, self._unit): Fraction(1)}
+        rep: VecDict = {(self.ninputs, self._unit): 1}
         if self.track:
-            self._add_reps(rep, quotients, Fraction(-1))
+            self._add_reps(rep, quotients, -1)
         self.ninputs += 1
         self._insert(remainder, rep)
         self._complete()
@@ -331,7 +340,7 @@ class _TrackedGB:
         if remainder:
             return None
         out: VecDict = {}
-        self._add_reps(out, quotients, Fraction(1))
+        self._add_reps(out, quotients, 1)
         return out
 
 
@@ -391,7 +400,7 @@ def buchberger(gens: Sequence[Polynomial],
         tail = dict(gb.basis[i])
         del tail[gb.leads[i]]
         remainder, _ = gb.reduce(tail)
-        remainder[gb.leads[i]] = Fraction(1)
+        remainder[gb.leads[i]] = 1
         final.append(Polynomial(ring, {m: c for (_, m), c in remainder.items()}))
     return GroebnerBasis(ring, tuple(final),
                          tuple(gb.leads[i][1] for i in reversed(minimal)))
@@ -484,7 +493,7 @@ class SubmoduleOracle:
                                "never extended")
         relations = list(self.gb.syzygies)
         for i, v in enumerate(self._inputs):
-            delta: VecDict = {(i, self.gb._unit): Fraction(1)}
+            delta: VecDict = {(i, self.gb._unit): 1}
             for k, c in self.gb.express(v).items():
                 _vec_add_term(delta, k, -c)
             relations.append(delta)

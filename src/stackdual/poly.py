@@ -1,23 +1,41 @@
 """Exact bigraded polynomial arithmetic over Q.
 
-Coefficients are `fractions.Fraction`: every operation is exact, nothing is
-ever rounded.  A monomial is a tuple of nonnegative exponents, one per ring
-variable; a polynomial is a mapping monomial -> coefficient with no zero
-entries.  Each variable of a ring carries a *bidegree* (a Z-degree together
-with a Z/a-weight, where a is the order of the acting cyclic group; a = 1
-means no group), so homogeneity can be tracked in both gradings at once.
+A coefficient is an `int` when it is integral, else a `fractions.Fraction`
+(`coefficient` states the rule once); floats are refused, so every
+operation is exact and nothing is ever rounded.  A monomial is a tuple of
+nonnegative exponents, one per ring variable; a polynomial is a mapping
+monomial -> coefficient with no zero entries.  Each variable of a ring
+carries a *bidegree* (a Z-degree together with a Z/a-weight, where a is the
+order of the acting cyclic group; a = 1 means no group), so homogeneity can
+be tracked in both gradings at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Sequence
 
 from .caps import check_term_cap
 
 Monomial = tuple[int, ...]
-Scalar = Fraction
+Scalar = int | Fraction
+
+
+def coefficient(c) -> Scalar:
+    """The canonical form of an exact rational scalar: an `int` when it is
+    integral, else a `Fraction`.  Raises TypeError for anything that is not
+    an exact rational, such as a float.
+
+    The hot add loops of this file and of the module engine inline the same
+    test on a sum s of canonical scalars:
+    `s if type(s) is int or s.denominator != 1 else s.numerator`."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient {c!r} is not an exact rational")
+    return c.numerator if c.denominator == 1 else Fraction(c)
 
 
 class RingMismatchError(ValueError):
@@ -239,7 +257,7 @@ class GradedRing:
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -249,17 +267,17 @@ class GradedRing:
                else self.variables.index(name_or_index))
         exp = [0] * self.nvars
         exp[idx] = 1
-        return Polynomial(self, {tuple(exp): Fraction(1)})
+        return Polynomial(self, {tuple(exp): 1})
 
     def monomial(self, mono: Monomial, coeff=1) -> "Polynomial":
-        coeff = Fraction(coeff)
+        coeff = coefficient(coeff)
         if coeff == 0:
             return self.zero()
         return Polynomial(self, {tuple(mono): coeff})
 
     def poly(self, terms: dict) -> "Polynomial":
-        return Polynomial(self, {tuple(m): Fraction(c) for m, c in terms.items()
-                                 if Fraction(c) != 0})
+        canonical = ((tuple(m), coefficient(c)) for m, c in terms.items())
+        return Polynomial(self, {m: c for m, c in canonical if c != 0})
 
     def parse(self, text: str) -> "Polynomial":
         from . import dsl
@@ -313,7 +331,8 @@ class GradedRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, each
+    in the canonical form of `coefficient`."""
 
     __slots__ = ("ring", "terms")
 
@@ -329,9 +348,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant")
         return next(iter(self.terms.values()))
@@ -365,11 +384,11 @@ class Polynomial:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
-                out[m] = s
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -385,23 +404,24 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = monomial_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s == 0:
                     out.pop(m, None)
                 else:
-                    out[m] = s
+                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
         check_term_cap(len(out))
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Polynomial":
-        scalar = Fraction(scalar)
-        return Polynomial(self.ring, {m: c / scalar for m, c in self.terms.items()})
+        inverse = Fraction(1) / coefficient(scalar)
+        return Polynomial(self.ring, {m: coefficient(c * inverse)
+                                      for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -416,20 +436,21 @@ class Polynomial:
                 square = square * square
         return out
 
-    def scale_monomial(self, mono: Monomial, coeff: Fraction) -> "Polynomial":
-        """coeff * mono * self (a single-term product, used by the kernels)."""
+    def scale_monomial(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
+        """coeff * mono * self (a single-term product)."""
+        coeff = coefficient(coeff)
         if coeff == 0:
             return self.ring.zero()
-        return Polynomial(self.ring,
-                          {monomial_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        return Polynomial(self.ring, {monomial_mul(m, mono): coefficient(c * coeff)
+                                      for m, c in self.terms.items()})
 
     # -- order-dependent views ------------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, Scalar]]:
         order = order or self.ring.order
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
-    def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, Fraction]:
+    def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, Scalar]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
         order = order or self.ring.order
@@ -457,7 +478,7 @@ class Polynomial:
 
     # -- display ----------------------------------------------------------------
 
-    def _term_str(self, mono: Monomial, coeff: Fraction) -> str:
+    def _term_str(self, mono: Monomial, coeff: Scalar) -> str:
         factors = [f"{v}^{e}" if e > 1 else v
                    for v, e in zip(self.ring.variables, mono) if e]
         if not factors:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .caps import ResourceCapError, command_caps
@@ -35,6 +36,38 @@ EXIT_INTERNAL_ERROR = 4
 
 # ---------------------------------------------------------------------------
 # JSON helpers (deterministic, exact)
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    A non-None indent makes the standard library fall back to its
+    pure-Python encoder; this writer emits the report's dicts (with string
+    keys), lists, strings, ints, booleans and None itself and hands any
+    other value to `json.dumps`, re-indented to its depth."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if type(value) is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + json_text(value[k], inner)
+                 for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(value) in (list, tuple):
+        if not value:
+            return "[]"
+        items = (json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def bidegree_json(d: Bidegree) -> dict:
@@ -141,7 +174,7 @@ class RunReport:
         if self.partial:
             doc["partial"] = True
             doc["error"] = self.error
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc) + "\n"
 
     def human_text(self) -> str:
         blocks = []

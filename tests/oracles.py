@@ -137,7 +137,7 @@ def _reduce_poly(p: Polynomial, basis: Sequence[Polynomial],
         mono, coeff = current.leading_term(order)
         for lm, lc, g in leads:
             if monomial_divides(lm, mono):
-                current = current - g.scale_monomial(monomial_div(mono, lm), coeff / lc)
+                current = current - g.scale_monomial(monomial_div(mono, lm), Fraction(coeff) / lc)
                 break
         else:
             remainder = remainder + current.ring.monomial(mono, coeff)

@@ -183,10 +183,16 @@ def test_run_session_file(capsys, tmp_path):
 
 
 def test_json_round_trip_byte_identical(tmp_path):
-    ast = parse_session(preset_session("node"))
-    report = run_session(ast)
-    blob = report.to_json()
-    assert json.dumps(json.loads(blob), indent=2, sort_keys=True) + "\n" == blob
+    # the report writer emits the standard library's indented encoding
+    from stackdual.session import json_text
+    doc = {"b": [], "a": {}, "\u2603": "snow",
+           "c": [1, -2, True, False, None, "\u00e9\n\"x\"", 1.5, (3, "t")],
+           "d": {"z": {"y": [{}, [[]]]}, "k": {2: "int key", 1: [0.25, {}]}}}
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    for name, _, _ in list_presets():
+        report = run_session(parse_session(preset_session(name)))
+        for blob in (report.to_json(), report.to_json(include_timings=True)):
+            assert json.dumps(json.loads(blob), indent=2, sort_keys=True) + "\n" == blob
 
 
 def test_json_never_contains_floats():

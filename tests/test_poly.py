@@ -108,10 +108,33 @@ def test_bidegree_arithmetic():
 
 
 def test_exact_rational_coefficients(qxy):
-    x = qxy.var("x")
+    x, y = qxy.var("x"), qxy.var("y")
     p = x / 3 + x / 6
     assert p == x / 2
-    assert all(isinstance(c, Fraction) for c in p.terms.values())
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # an integral result is stored as an int, whatever made it
+    integral = [x / 3 + x / 3 + x / 3, (x / 2) * 4, (2 * x + y) / 2 * 2,
+                qxy.constant(Fraction(6, 3)), qxy.monomial((1, 0), Fraction(-4, 2)),
+                qxy.poly({(0, 1): Fraction(3, 1), (1, 0): True}),
+                (x / 3).scale_monomial((0, 1), 3), (3 * x).monic()]
+    for q in integral:
+        assert all(type(c) is int for c in q.terms.values()), q.terms
+    assert (x / 3 + x / 3 + x / 3).terms == {(1, 0): 1}
+    assert type(qxy.constant(Fraction(1, 2)).constant_value()) is Fraction
+    assert type(qxy.zero().constant_value()) is int
+
+
+def test_floats_are_refused(qxy):
+    x = qxy.var("x")
+    for make in (lambda: GradedRing(["x", "y"]).constant(0.1),
+                 lambda: qxy.poly({(1, 0): 0.5}),
+                 lambda: qxy.monomial((1, 1), 1e-3),
+                 lambda: x / 0.5,
+                 lambda: x + 0.25,
+                 lambda: 1.5 * x,
+                 lambda: x.scale_monomial((0, 1), 2.0)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            make()
 
 
 def test_canonical_string_roundtrip(qxy):

@@ -46,12 +46,12 @@ from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
                                invariant_part, kernel, kernel_with_inclusion,
                                minimalize, precompose_columns, restrict_along,
                                subquotient, vector_bidegree)
-from stackdual import groebner
+from stackdual import groebner, session
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
                                 printed_column, syzygies_over)
 from stackdual.poly import Bidegree, GradedRing, MonomialOrder, monomial_divides
-from stackdual.presets import preset_session
+from stackdual.presets import list_presets, preset_session
 
 SEED = 20260810
 N_INSTANCES = 50
@@ -182,6 +182,45 @@ def test_syzygies_annihilate_rows(instances):
         syz = syzygies_over(ring, rows, 1)
         keep = minimal_generating_vectors(ring, syz, len(rows))
         assert annihilates(ring, [syz[i] for i in keep], rows)
+
+
+def test_coefficients_are_canonical(instances, monkeypatch):
+    """Every coefficient is an int (not a bool) when it is integral and a
+    Fraction only when it is not, never a float: in the seeded buchberger,
+    normal_form and syzygies_over results, in every engine vector those
+    build, and in the module columns of every preset's report."""
+    built = []
+    init = groebner._TrackedGB.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(groebner._TrackedGB, "__init__", record)
+    polys = []
+    for ring, (p, q, r) in instances:
+        gens = [g for g in (p, q) if not g.is_zero()]
+        if gens:
+            gb = buchberger(gens, ring=ring)
+            polys += [*gb.generators, normal_form(r, gb)]
+        rows = [col(g) for g in (p, q, r) if not g.is_zero() and g.bidegree()]
+        if rows:
+            polys += [e for c in syzygies_over(ring, rows, 1) for e in c.values()]
+    columns = []
+    module_json = session.module_json
+    monkeypatch.setattr(session, "module_json",
+                        lambda M: columns.extend(M.relations) or module_json(M))
+    for name, _, _ in list_presets():
+        session.run_session(parse_session(preset_session(name)))
+    assert columns and polys and built
+    polys += [e for c in columns for e in c.values()]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    coeffs += [c for gb in built for vecs in (gb.basis, gb.reps, gb.syzygies)
+               for v in vecs for c in v.values()]
+    assert any(type(c) is Fraction for c in coeffs)
+    bad = [c for c in coeffs
+           if not (type(c) is int or type(c) is Fraction and c.denominator != 1)]
+    assert not bad, bad[:5]
 
 
 # -- Koszul exactness over a library of regular sequences -----------------------
