@@ -22,8 +22,6 @@ from .groebner import (Column, minimal_generating_vectors, syzygies_over,
                        vector_bidegree)
 from .poly import GradedRing, Polynomial
 
-DEFAULT_DEPTH = 6
-
 
 @dataclass
 class ChainComplex:
@@ -114,7 +112,7 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
 # free resolutions
 
 
-def resolve(M: ModulePresentation, depth: int = DEFAULT_DEPTH) -> ChainComplex:
+def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
     """Minimal free resolution of M to homological degree `depth`.
 
     Iterated minimal syzygies: F_0 covers the minimal generators, each next

@@ -21,7 +21,6 @@ from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
 from .groebner import Column, SubmoduleOracle
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
-DEFAULT_DEPTH = 4
 COMPARE_BOUND = 8
 
 
@@ -123,8 +122,8 @@ def canonical_module(C: GradedRing) -> ModulePresentation:
 # finite duality
 
 
-def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None,
-                  depth: int = DEFAULT_DEPTH) -> DualityReport:
+def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
+                  depth: int) -> DualityReport:
     """Twisted inverse image along a finite map: Hom_A(B, M) with its
     B-module structure, plus Ext^i_A(B, M) for i = 1..depth.
 
@@ -261,8 +260,7 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
 
 def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
                   omega: ModulePresentation,
-                  imax: int | None = None,
-                  compare_bound: int = COMPARE_BOUND) -> DualityReport:
+                  imax: int | None = None) -> DualityReport:
     """Dualizing module of B = C/(f_1..f_r) by the complete-intersection
     formula omega tensor top-wedge of (I/I^2) dual.
 
@@ -298,7 +296,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     profile = {i: (ext.rank == 0, ext.rank) for i, ext in exts}
     notes = []
     if imax >= r:
-        verdict = compare_modules(module, exts[r][1], compare_bound)
+        verdict = compare_modules(module, exts[r][1], COMPARE_BOUND)
         notes.append(f"cross-check against Ext^{r}: {verdict}")
         if verdict != "isomorphic-up-to-bound":
             notes.append("CROSS-CHECK FAILED")
@@ -384,15 +382,16 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
 
 
 def compare_modules(M: ModulePresentation, N: ModulePresentation,
-                    bound: int = COMPARE_BOUND) -> str:
+                    bound: int) -> str:
     """Desk-scale isomorphism certificate.
 
     (a) equal minimal-generator bidegree multisets, (b) equal bigraded
     Hilbert tables up to the bound; two relation-free presentations with
     equal generators are isomorphic outright.  Returns one of
-    "isomorphic-up-to-bound", "distinct", "inconclusive".  Unequal
-    generator degrees prove nothing when a variable has Z-degree <= 0,
-    where Nakayama's lemma fails, so the verdict is then "inconclusive".
+    "isomorphic-up-to-bound", "distinct", "inconclusive".  When a variable
+    has Z-degree <= 0, Nakayama's lemma fails and the pieces are infinite,
+    so neither generator degrees nor Hilbert tables decide: the verdict is
+    then "inconclusive" unless both are free on equal generator degrees.
     """
     if bound < 0:
         raise ValueError("zmax must be >= 0")
@@ -402,15 +401,13 @@ def compare_modules(M: ModulePresentation, N: ModulePresentation,
     n = minimalize(N)
     degs_m = sorted((d.zdeg, d.weight) for d in m.free.bidegrees)
     degs_n = sorted((d.zdeg, d.weight) for d in n.free.bidegrees)
+    positive = all(d > 0 for d in M.ring.zdegs)
     if degs_m != degs_n:
-        return "inconclusive" if any(d <= 0 for d in M.ring.zdegs) else "distinct"
+        return "distinct" if positive else "inconclusive"
     if not m.relations and not n.relations:
         return "isomorphic-up-to-bound"
-    try:
-        hm = hilbert_function(m, bound)
-        hn = hilbert_function(n, bound)
-    except ValueError:
+    if not positive:
         return "inconclusive"
-    if hm != hn:
+    if hilbert_function(m, bound) != hilbert_function(n, bound):
         return "distinct"
     return "isomorphic-up-to-bound"

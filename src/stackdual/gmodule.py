@@ -121,14 +121,15 @@ class ModuleMap:
     """A homogeneous map between presented modules, given on generators.
 
     columns[j] is the image of the j-th source generator, a column of the
-    target's free module; the map is homogeneous of degree `shift`.  The
-    columns are the map's only stored form: kernels read them directly.
+    target's free module; the map is homogeneous of degree zero, so column j
+    has the bidegree of source generator j.  The columns are the map's only
+    stored form: kernels read them directly.
     Every map is checked to send the source's relations into the span of
     the target's; a free source has none, so its check costs nothing.
     """
 
     def __init__(self, source: ModulePresentation, target: ModulePresentation,
-                 columns: Sequence[Column], shift: Bidegree | None = None):
+                 columns: Sequence[Column]):
         if source.ring != target.ring:
             raise RingMismatchError("module map across different rings")
         self.source = source
@@ -138,13 +139,10 @@ class ModuleMap:
                              for col in columns)
         if len(self.columns) != source.rank:
             raise ValueError("need one column per source generator")
-        self.shift = shift if shift is not None else self.ring.degree_zero()
         for j, col in enumerate(self.columns):
-            if not col:
-                continue
-            d = vector_bidegree(col, target.free.bidegrees, self.ring)
-            if d is None or d != source.free.bidegrees[j] + self.shift:
-                raise ValueError(f"column {j} is not homogeneous of the declared shift")
+            if col and (vector_bidegree(col, target.free.bidegrees, self.ring)
+                        != source.free.bidegrees[j]):
+                raise ValueError(f"column {j} is not homogeneous of degree zero")
         if not self.sends_into_relations(source.relations):
             raise ValueError("map does not send relations into relations")
 

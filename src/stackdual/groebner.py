@@ -11,11 +11,12 @@ monomial): coefficient} with the term-over-position order induced by the
 ring order.  Every module basis starts in `SubmoduleOracle`, the one door:
 columns are flattened where they enter it and projected straight back.  A
 span-only oracle (`contains`, `extend`: presentation spans and
-`minimal_generating_vectors`) keeps no expressions and drops S-pairs by the
-chain criterion; the product criterion does not hold for module elements.
-A liftable one (`lift`, `syzygies`, and so `syzygies_over`) records how
-every basis element is expressed in the inputs and processes every S-pair,
-so Schreyer syzygies fall out of the S-pair reductions.  An ideal is a
+`minimal_generating_vectors`) grows with `extend`, keeps no expressions and
+drops S-pairs by the chain criterion; the product criterion does not hold
+for module elements.  A liftable one (`lift`, `syzygies`, and so
+`syzygies_over`) is fixed at construction: it records how every basis
+element is expressed in the inputs and processes every S-pair, so Schreyer
+syzygies fall out of the S-pair reductions.  An ideal is a
 rank-1 submodule, so `buchberger` and `normal_form` run on the same engine.
 Quotient rings B = C/I are handled by lifting to the ambient ring and
 adjoining I times the unit vectors, then projecting back.
@@ -197,22 +198,21 @@ class _TrackedGB:
     `SubmoduleOracle` and `buchberger` build one.
 
     Input vector i carries the index i (zero inputs keep their index and
-    contribute nothing); `extend` grows the span by one more input at the
-    next free index, `ninputs`, when the new vector is not already in it,
-    and completes the basis.
+    contribute nothing).
 
     With `track=True` every basis element carries its representation over
-    the inputs (`reps`), so `express` writes any span element over every
-    input seen so far.  Every same-position S-pair is processed, and the
+    the inputs (`reps`), so `express` writes any span element over the
+    inputs.  Every same-position S-pair is processed, and the
     representations of those that reduce to zero are the Schreyer syzygies
-    (`syzygies`).
+    (`syzygies`).  Such a basis is fixed at construction.
 
     With `track=False` only the span is built: no representations, no
-    quotients, no syzygies.  A pair (i, j) is skipped by the chain criterion
-    (Gebauer-Moller): some same-position lead k divides lcm(i, j) and
-    neither (i, k) nor (j, k) is still pending.  The product criterion does
-    not hold for module elements: for f = x*e1 and g = y*e1 + e2 the
-    S-vector -x*e2 does not reduce to zero.
+    quotients, no syzygies; `extend` grows the span by a vector that is not
+    already in it and completes the basis.  A pair (i, j) is skipped by the
+    chain criterion (Gebauer-Moller): some same-position lead k divides
+    lcm(i, j) and neither (i, k) nor (j, k) is still pending.  The product
+    criterion does not hold for module elements: for f = x*e1 and
+    g = y*e1 + e2 the S-vector -x*e2 does not reduce to zero.
 
     Pair keys are computed once and kept in a heap; leads are cached and
     indexed per position (basis elements are monic and never mutated after
@@ -232,7 +232,6 @@ class _TrackedGB:
         self.by_pos: dict[int, list[tuple[Monomial, int]]] = {}
         self.reps: list[VecDict] = []          # over the input index space
         self.syzygies: list[VecDict] = []      # likewise
-        self.ninputs = len(vectors)
         self._heap: list = []
         self._pending: set[tuple[int, int]] = set()
         self._unit = (0,) * ring.nvars
@@ -308,18 +307,15 @@ class _TrackedGB:
             elif srep:
                 self.syzygies.append(srep)
 
-    def extend(self, vec: VecDict) -> bool:
-        """Add vec as input `ninputs` unless it is already in the span."""
-        remainder, quotients = self.reduce(vec, track=self.track)
-        if not remainder:
-            return False
-        rep: VecDict = {(self.ninputs, self._unit): 1}
+    def extend(self, vec: VecDict) -> None:
+        """Add vec to the span of a span-only basis unless it is already in
+        it."""
         if self.track:
-            self._add_reps(rep, quotients, -1)
-        self.ninputs += 1
-        self._insert(remainder, rep)
-        self._complete()
-        return True
+            raise RuntimeError("a tracked Groebner basis is fixed at construction")
+        remainder, _ = self.reduce(vec)
+        if remainder:
+            self._insert(remainder, None)
+            self._complete()
 
     # -- queries -------------------------------------------------------------
 
@@ -445,15 +441,16 @@ def syzygies_over(ring: GradedRing, vectors: Sequence[Column], rank: int,
 
 
 class SubmoduleOracle:
-    """Membership, lifting and syzygies for a growing tuple of generators
-    over a ring: the one door into the module engine.
+    """Membership, lifting and syzygies for a tuple of generators over a
+    ring: the one door into the module engine.
 
     Over a quotient ring the span implicitly includes I times the free
     module, so `lift` returns coordinates valid modulo the ideal.  The
     default builds the span alone, which is all that `contains` and
     `extend` need: presentation spans and `minimal_generating_vectors` use
-    it.  An oracle built with `liftable=True` tracks representations, so it
-    can also `lift`, and, until it is extended, read off `syzygies`.
+    it, and it grows with `extend`.  An oracle built with `liftable=True`
+    tracks representations, so it can also `lift` and read off
+    `syzygies`; it is fixed at construction, and `extend` refuses it.
     """
 
     def __init__(self, ring: GradedRing, generators: Sequence[Column], rank: int,
@@ -465,20 +462,16 @@ class SubmoduleOracle:
         rows = ([_flatten(v, self.ambient) for v in generators]
                 + _ideal_rows(ring, rank))
         self.gb = _TrackedGB(rows, self.ambient, track=liftable)
-        # the GB inputs that `syzygies` reads: liftable and not yet extended
-        self._inputs: Optional[list[VecDict]] = rows if liftable else None
-        # generator index of each GB input; None for the ideal rows
-        self._gen_of: list[Optional[int]] = (list(range(self.ngens))
-                                             + [None] * (len(rows) - self.ngens))
+        # the GB inputs, which `syzygies` expresses over themselves
+        self._inputs = rows
 
     def contains(self, v: Column) -> bool:
         return self.gb.contains(_flatten(v, self.ambient))
 
     def extend(self, v: Column) -> None:
-        """Append v as generator number `ngens`."""
-        self._inputs = None     # a skipped v would drop its relations
-        if self.gb.extend(_flatten(v, self.ambient)):
-            self._gen_of.append(self.ngens)
+        """Append v as generator number `ngens` of a span-only oracle.
+        Raises RuntimeError on a liftable one."""
+        self.gb.extend(_flatten(v, self.ambient))
         self.ngens += 1
 
     def syzygies(self, heads: int) -> list[Column]:
@@ -486,11 +479,10 @@ class SubmoduleOracle:
         modulo the others and I * R^rank, as columns of R^heads: Schreyer's
         S-pair relations plus e_i minus the expression of input i (e_i for
         a zero input), projected, deduplicated and sorted by printed column,
-        not minimalized.  Raises RuntimeError unless the oracle is liftable
-        and was never extended."""
-        if self._inputs is None:
-            raise RuntimeError("syzygies need a liftable oracle that was "
-                               "never extended")
+        not minimalized.  Raises RuntimeError unless the oracle is
+        liftable."""
+        if not self.gb.track:
+            raise RuntimeError("syzygies need a liftable oracle")
         relations = list(self.gb.syzygies)
         for i, v in enumerate(self._inputs):
             delta: VecDict = {(i, self.gb._unit): 1}
@@ -510,7 +502,7 @@ class SubmoduleOracle:
         expr = self.gb.express(_flatten(v, self.ambient))
         if expr is None:
             return None
-        return _project(expr, self.ring, self._gen_of, self.ngens)
+        return _project(expr, self.ring, range(self.ngens), self.ngens)
 
 
 def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],

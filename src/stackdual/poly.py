@@ -28,8 +28,9 @@ def coefficient(c) -> Scalar:
     integral, else a `Fraction`.  Raises TypeError for anything that is not
     an exact rational, such as a float.
 
-    The hot add loops of this file and of the module engine inline the same
-    test on a sum s of canonical scalars:
+    `Polynomial.__init__` keeps an `int` or a proper `Fraction` with no call
+    and sends anything else here; the module engine's add loop inlines the
+    same test on a sum s of canonical scalars:
     `s if type(s) is int or s.denominator != 1 else s.numerator`."""
     if type(c) is int:
         return c
@@ -332,13 +333,17 @@ class GradedRing:
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients, each
-    in the canonical form of `coefficient`."""
+    in the canonical form of `coefficient`: zero terms are dropped and the
+    others are brought to that form here, so a float raises TypeError."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms: dict):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c if type(c) is int
+                      or type(c) is Fraction and c.denominator != 1
+                      else coefficient(c)
+                      for m, c in terms.items() if c != 0}
 
     # -- basic queries -----------------------------------------------------
 
@@ -384,11 +389,7 @@ class Polynomial:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+            out[m] = out.get(m, 0) + c
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -412,7 +413,7 @@ class Polynomial:
                 if s == 0:
                     out.pop(m, None)
                 else:
-                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                    out[m] = s
         check_term_cap(len(out))
         return Polynomial(self.ring, out)
 
@@ -420,8 +421,7 @@ class Polynomial:
 
     def __truediv__(self, scalar) -> "Polynomial":
         inverse = Fraction(1) / coefficient(scalar)
-        return Polynomial(self.ring, {m: coefficient(c * inverse)
-                                      for m, c in self.terms.items()})
+        return Polynomial(self.ring, {m: c * inverse for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -441,7 +441,7 @@ class Polynomial:
         coeff = coefficient(coeff)
         if coeff == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, {monomial_mul(m, mono): coefficient(c * coeff)
+        return Polynomial(self.ring, {monomial_mul(m, mono): c * coeff
                                       for m, c in self.terms.items()})
 
     # -- order-dependent views ------------------------------------------------

@@ -256,7 +256,7 @@ def _run_koszul(cmd: Command, _d, _b) -> CommandOutcome:
 
 def _run_dualize_finite(cmd: Command, default_depth, _b) -> CommandOutcome:
     depth = cmd.options["depth"] if default_depth is None else default_depth
-    rep = finite_shriek(cmd.args["map"], cmd.args["omega"], depth)
+    rep = finite_shriek(cmd.args["map"], cmd.args["omega"], depth=depth)
     return CommandOutcome(
         "dualize-finite", cmd.text, duality_report_json(rep),
         {"is_sheaf": rep.is_sheaf, "is_free_rank_one": rep.is_free_rank_one,

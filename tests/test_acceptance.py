@@ -7,6 +7,8 @@ and the expected values are equalities.
 
 import json
 import random
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -158,7 +160,7 @@ def test_criterion_5_lci_formula_equals_ext():
     for ring, seq in lib:
         r = len(seq)
         omega = canonical_module(ring)
-        rep = lci_dualizing(ring, seq, omega, imax=r + 1, compare_bound=8)
+        rep = lci_dualizing(ring, seq, omega, imax=r + 1)
         ok &= "CROSS-CHECK FAILED" not in rep.notes
         # the independent route: Ext from a minimal resolution of C/I
         exts = dict(ext_dualizing(ring, seq, omega, r + 1))
@@ -310,3 +312,25 @@ def test_session_reports_match_goldens():
         text = (GOLDEN / f"{name}.session").read_text(encoding="utf-8")
         got = run_session(parse_session(text)).to_json()
         assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
+
+
+def test_report_matrix_matches_its_golden():
+    """Every report of `tests/report_matrix.py` is byte-identical to
+    tests/golden/report_matrix.txt.
+
+    Only a golden PR regenerates that file, with
+    `python tests/report_matrix.py src > tests/golden/report_matrix.txt`.
+    The rows drawn from perfbench/workloads.py (`finite-node/...`,
+    `lci-ext/...`, `staircase/...` and `bound20/staircase/...`) move only
+    when the benchmark's session generators do."""
+    root = GOLDEN.parents[1]
+    run = subprocess.run([sys.executable, str(root / "tests" / "report_matrix.py"),
+                          str(root / "src")], cwd=root, capture_output=True,
+                         text=True, check=True)
+    rows = dict(line.split("\t", 1) for line in run.stdout.splitlines())
+    golden = dict(line.split("\t", 1) for line in
+                  (GOLDEN / "report_matrix.txt").read_text(encoding="utf-8").splitlines())
+    differ = [name for name in golden.keys() | rows.keys()
+              if golden.get(name) != rows.get(name)]
+    assert not differ, f"report matrix rows differ from the golden: {sorted(differ)}"
+    assert list(rows) == list(golden)

@@ -369,6 +369,21 @@ def test_compare_modules_basics(node_ring):
     assert compare_modules(M, shifted, 8) == "distinct"
 
 
+def test_compare_does_not_turn_a_table_fault_into_a_verdict(qxy, monkeypatch):
+    import stackdual.duality
+
+    def broken(M, zmax):
+        raise ValueError("table fault")
+
+    x, y = qxy.var("x"), qxy.var("y")
+    d = qxy.degree_zero()
+    M = ModulePresentation(FreeModule(qxy, (d,)), [col(x)])
+    N = ModulePresentation(FreeModule(qxy, (d,)), [col(y)])
+    monkeypatch.setattr(stackdual.duality, "hilbert_function", broken)
+    with pytest.raises(ValueError, match="table fault"):
+        compare_modules(M, N, 8)
+
+
 def test_free_rank_one_reports_have_zero_annihilator():
     # a free-rank-one verdict means the module is B itself up to a twist:
     # the Hilbert tables must agree with the twisted ring up to the bound

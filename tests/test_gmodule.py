@@ -40,13 +40,13 @@ map p : A -> B {{ u = x^{alpha}, v = y^{beta} }}
 
 def test_kernel_of_multiplication_by_x_on_node(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
-    R = structure(node_ring)
-    shift = node_ring.variable_bidegree(0)
-    f = ModuleMap(R, R, [col(x)], shift=shift)
+    deg_x, deg_y = node_ring.variable_bidegree(0), node_ring.variable_bidegree(1)
+    f = ModuleMap(ModulePresentation.free_of(node_ring, (deg_x,)), structure(node_ring),
+                  [col(x)])
     ker = kernel(f)
-    # the annihilator of x is (y), i.e. R/(x) shifted by the bidegree of y
+    # the annihilator of x is (y), i.e. R/(x) on a generator of degree x*y
     assert ker.rank == 1
-    assert ker.free.bidegrees[0] == node_ring.variable_bidegree(1)
+    assert ker.free.bidegrees[0] == deg_x + deg_y
     assert [list(printed_column(c, ker.rank)) for c in ker.relations] == [["x"]]
 
 
@@ -71,8 +71,8 @@ def test_kernel_inclusion_composes_to_zero(node_ring):
     from stackdual.gmodule import kernel_with_inclusion
     from stackdual.groebner import SubmoduleOracle
     x, y = node_ring.var("x"), node_ring.var("y")
-    R = structure(node_ring)
-    f = ModuleMap(R, R, [col(x)], shift=node_ring.variable_bidegree(0))
+    f = ModuleMap(ModulePresentation.free_of(node_ring, (node_ring.variable_bidegree(0),)),
+                  structure(node_ring), [col(x)])
     _, incl = kernel_with_inclusion(f)
     oracle = SubmoduleOracle(node_ring, list(f.target.relations), f.target.rank)
     for vec in incl:

@@ -164,3 +164,13 @@ def test_powers_square_repeatedly(qxy, monkeypatch):
         calls.clear()
         assert p ** n == want
         assert len(calls) <= 2 * n.bit_length()
+
+
+def test_direct_construction_is_canonical(qxy):
+    # the constructor applies the coefficient rule, so a sum with zero keeps it
+    p = Polynomial(qxy, {(1, 0): Fraction(2), (0, 1): Fraction(1, 2), (1, 1): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    for q in (p, p + qxy.zero(), qxy.zero() + p, p - qxy.zero()):
+        assert type(q.terms[(1, 0)]) is int and type(q.terms[(0, 1)]) is Fraction
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Polynomial(qxy, {(1, 0): 0.5})
