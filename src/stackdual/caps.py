@@ -1,10 +1,17 @@
-"""Resource caps: maximum term counts and per-command deadlines.
+"""Resource caps and the per-command scope: maximum term counts,
+deadlines, and the table of liftable oracles.
 
-The kernels poll these at cheap points so a runaway Groebner computation
+The kernels poll the caps at cheap points so a runaway Groebner computation
 fails fast instead of hanging a session.  Caps are off by default;
 `run_session` installs them around each command, and `parse_session` around
 the parse, from the environment variables STACKDUAL_MAX_TERMS and
 STACKDUAL_TIME_LIMIT_S, or the defaults below when those are unset.
+
+The same scope holds one table, `command_table`, in which
+`groebner.liftable_oracle` keeps every liftable oracle the command builds,
+so equal syzygy and lifting problems are solved once per command.  The
+table is dropped when the command ends; outside a command every call gets
+a fresh, empty table, so library calls share nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ DEFAULT_TIME_LIMIT_S = 60.0
 
 _max_terms: int | None = None
 _deadline: float | None = None
+_table: dict | None = None
 
 
 class ResourceCapError(RuntimeError):
@@ -29,17 +37,24 @@ def command_caps():
     """Install the environment's caps for the duration of one command.
 
     The deadline poll counter restarts too, so whether a short command
-    reads the clock does not depend on the commands before it."""
-    global _max_terms, _deadline, _tick
-    old = (_max_terms, _deadline)
+    reads the clock does not depend on the commands before it, and the
+    command gets an empty `command_table`."""
+    global _max_terms, _deadline, _tick, _table
+    old = (_max_terms, _deadline, _table)
     _tick = 0
+    _table = {}
     _max_terms = int(os.environ.get("STACKDUAL_MAX_TERMS", DEFAULT_MAX_TERMS))
     _deadline = time.monotonic() + float(
         os.environ.get("STACKDUAL_TIME_LIMIT_S", DEFAULT_TIME_LIMIT_S))
     try:
         yield
     finally:
-        _max_terms, _deadline = old
+        _max_terms, _deadline, _table = old
+
+
+def command_table() -> dict:
+    """The current command's table; a fresh dict outside a command."""
+    return {} if _table is None else _table
 
 
 def check_term_cap(nterms: int, what: str = "polynomial") -> None:

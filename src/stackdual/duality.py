@@ -18,7 +18,7 @@ from .complexes import hom_complex, homology, homology_with_inclusion, koszul, r
 from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
                       apply_columns, hilbert_function, minimalize,
                       precompose_columns, restrict_along)
-from .groebner import Column, SubmoduleOracle
+from .groebner import Column, liftable_oracle
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
 COMPARE_BOUND = 8
@@ -184,8 +184,9 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
     if ngens == 0:
         return ModulePresentation.zero(ring_b)
 
-    oracle = SubmoduleOracle(ring_a, list(incl) + list(c0.relations), c0.rank,
-                             liftable=True)
+    # the oracle `subquotient` built for H^0's relations, when it kept every
+    # generator it was given
+    oracle = liftable_oracle(ring_a, [*incl, *c0.relations], c0.rank)
 
     # relations of the A-presentation, pushed through the images
     relations: list[Column] = [{pos: f.apply(p) for pos, p in col.items()}
@@ -268,7 +269,8 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     sequence.  K is self-dual, so H^j of it is H_{r-j}(K) up to a twist: a
     nonzero H^j below r means the sequence is not regular.  Otherwise K
     resolves B, H^i is Ext^i, and the formula is cross-checked against
-    Ext^r; the other Ext vanish because K has length r.
+    Ext^r whatever `imax`, the last index of the printed profile; the
+    other Ext vanish because K has length r.
     """
     if omega.rank != 1 or omega.relations:
         raise ValueError("omega must be free of rank one")
@@ -282,8 +284,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
         cohomology.insert(0, homology(hc, j))
         if cohomology[0].rank:
             raise ValueError(f"sequence is not regular: Koszul H_{r - j} is nonzero")
-    if imax >= r:
-        cohomology.append(homology(hc, r))
+    cohomology.append(homology(hc, r))
 
     ring_b = C.quotient(seq, name=f"{C.name}/I")
     total = C.degree_zero()
@@ -292,14 +293,12 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     gen_deg = omega.free.bidegrees[0] - total
     module = ModulePresentation.free_of(ring_b, (gen_deg,))
 
-    exts = _ext_over(ring_b, cohomology, imax)
-    profile = {i: (ext.rank == 0, ext.rank) for i, ext in exts}
-    notes = []
-    if imax >= r:
-        verdict = compare_modules(module, exts[r][1], COMPARE_BOUND)
-        notes.append(f"cross-check against Ext^{r}: {verdict}")
-        if verdict != "isomorphic-up-to-bound":
-            notes.append("CROSS-CHECK FAILED")
+    exts = _ext_over(ring_b, cohomology, max(imax, r))
+    profile = {i: (ext.rank == 0, ext.rank) for i, ext in exts[:imax + 1]}
+    verdict = compare_modules(module, exts[r][1], COMPARE_BOUND)
+    notes = [f"cross-check against Ext^{r}: {verdict}"]
+    if verdict != "isomorphic-up-to-bound":
+        notes.append("CROSS-CHECK FAILED")
     return DualityReport(
         description=f"l.c.i. dualizing module over {ring_b!r}",
         module=module, depth=imax, is_sheaf=True,

@@ -309,12 +309,18 @@ def minimalize_with_tracking(M: ModulePresentation
 
     Unit (nonzero scalar) entries are eliminated by graded Nakayama, then
     redundant relation columns are pruned in ascending degree so that both
-    the generator and the relation counts are minimal.
+    the generator and the relation counts are minimal.  Nakayama needs
+    every variable of positive Z-degree; otherwise each generator in the
+    span of the relations and of the generators kept before it is dropped
+    too, and the module is presented again on the kept ones, so the zero
+    module comes out with no generators.  The count is then an upper
+    bound, not a minimum.
     """
     ring = M.ring
     gens = list(M.free.bidegrees)
     origin = list(range(len(gens)))
     cols = list(M.relations)
+    positive = all(d > 0 for d in ring.zdegs)
 
     while True:
         pivot = next(((c, i, entry.constant_value())
@@ -322,7 +328,17 @@ def minimalize_with_tracking(M: ModulePresentation
                       for i, entry in col.items() if entry.is_unit_scalar()),
                      None)
         if pivot is None:
-            break
+            if positive or not gens:
+                break
+            units = [{i: ring.one()} for i in range(len(gens))]
+            keep = sorted(minimal_generating_vectors(ring, units, len(gens),
+                                                     gens, cols))
+            if len(keep) == len(gens):
+                break
+            cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
+            gens = [gens[i] for i in keep]
+            origin = [origin[i] for i in keep]
+            continue
         c, i, unit = pivot
         pivot_col = cols.pop(c)
         # gen_i = -1/unit * sum of the other entries; substitute everywhere,

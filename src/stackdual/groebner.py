@@ -16,7 +16,9 @@ drops S-pairs by the chain criterion; the product criterion does not hold
 for module elements.  A liftable one (`lift`, `syzygies`, and so
 `syzygies_over`) is fixed at construction: it records how every basis
 element is expressed in the inputs and processes every S-pair, so Schreyer
-syzygies fall out of the S-pair reductions.  An ideal is a
+syzygies fall out of the S-pair reductions.  Liftable oracles come from
+`liftable_oracle`, which builds each one once per command and hands the
+same oracle to every caller with equal inputs.  An ideal is a
 rank-1 submodule, so `buchberger` and `normal_form` run on the same engine.
 Quotient rings B = C/I are handled by lifting to the ambient ring and
 adjoining I times the unit vectors, then projecting back.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .caps import check_deadline, check_term_cap
+from .caps import check_deadline, check_term_cap, command_table
 from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
                    RingMismatchError, Scalar, coefficient, monomial_div,
                    monomial_divides, monomial_lcm, monomial_mul)
@@ -431,13 +433,29 @@ def syzygies_over(ring: GradedRing, vectors: Sequence[Column], rank: int,
     ideal of the (possibly quotient) ring and every column of R^rank.
 
     A relation is a column a of R^len(vectors), with sum_i a_i * vectors[i]
-    in that submodule; the result generates all of them, as read off one
-    liftable oracle by `SubmoduleOracle.syzygies`.
+    in that submodule; the result generates all of them, as read off the
+    command's liftable oracle over those inputs by `SubmoduleOracle.syzygies`.
     """
     if not vectors:
         return []
-    oracle = SubmoduleOracle(ring, [*vectors, *context], rank, liftable=True)
-    return oracle.syzygies(len(vectors))
+    return list(liftable_oracle(ring, [*vectors, *context], rank)
+                .syzygies(len(vectors)))
+
+
+def liftable_oracle(ring: GradedRing, generators: Sequence[Column],
+                    rank: int) -> "SubmoduleOracle":
+    """The liftable oracle over `generators` in R^rank, built once per
+    command: equal inputs (the same ring object, rank and columns) get the
+    same oracle from `caps.command_table`.  A liftable oracle never changes
+    after it is built, so sharing it changes no result."""
+    key = (id(ring), rank, tuple(tuple(v.items()) for v in generators))
+    table = command_table()
+    oracle = table.get(key)
+    if oracle is None:
+        # the oracle keeps `ring` alive, so its id is not reused in the table
+        oracle = table[key] = SubmoduleOracle(ring, generators, rank,
+                                              liftable=True)
+    return oracle
 
 
 class SubmoduleOracle:
@@ -448,9 +466,11 @@ class SubmoduleOracle:
     module, so `lift` returns coordinates valid modulo the ideal.  The
     default builds the span alone, which is all that `contains` and
     `extend` need: presentation spans and `minimal_generating_vectors` use
-    it, and it grows with `extend`.  An oracle built with `liftable=True`
-    tracks representations, so it can also `lift` and read off
-    `syzygies`; it is fixed at construction, and `extend` refuses it.
+    it, and it grows with `extend`, so it is never shared.  An oracle built
+    with `liftable=True` tracks representations, so it can also `lift` and
+    read off `syzygies`; it is fixed at construction, and `extend` refuses
+    it.  The pipeline takes liftable oracles from `liftable_oracle`, which
+    builds each one once per command.
     """
 
     def __init__(self, ring: GradedRing, generators: Sequence[Column], rank: int,
@@ -464,6 +484,7 @@ class SubmoduleOracle:
         self.gb = _TrackedGB(rows, self.ambient, track=liftable)
         # the GB inputs, which `syzygies` expresses over themselves
         self._inputs = rows
+        self._syzygies: dict[int, list[Column]] = {}
 
     def contains(self, v: Column) -> bool:
         return self.gb.contains(_flatten(v, self.ambient))
@@ -479,10 +500,13 @@ class SubmoduleOracle:
         modulo the others and I * R^rank, as columns of R^heads: Schreyer's
         S-pair relations plus e_i minus the expression of input i (e_i for
         a zero input), projected, deduplicated and sorted by printed column,
-        not minimalized.  Raises RuntimeError unless the oracle is
-        liftable."""
+        not minimalized.  The list is computed once per `heads` and kept on
+        the oracle, so callers must not change it.  Raises RuntimeError
+        unless the oracle is liftable."""
         if not self.gb.track:
             raise RuntimeError("syzygies need a liftable oracle")
+        if heads in self._syzygies:
+            return self._syzygies[heads]
         relations = list(self.gb.syzygies)
         for i, v in enumerate(self._inputs):
             delta: VecDict = {(i, self.gb._unit): 1}
@@ -491,7 +515,9 @@ class SubmoduleOracle:
             relations.append(delta)
         cols = (_project(s, self.ring, range(heads), heads) for s in relations)
         unique = {tuple(col.items()): col for col in cols if col}
-        return sorted(unique.values(), key=lambda v: printed_column(v, heads))
+        found = self._syzygies[heads] = sorted(
+            unique.values(), key=lambda v: printed_column(v, heads))
+        return found
 
     def lift(self, v: Column) -> Optional[Column]:
         """Coordinates a, a column of R^ngens, with v = sum a_i * gen_i

@@ -114,16 +114,43 @@ def test_compare_checks_its_bound_and_needs_positive_degrees_to_separate(
     code, out, _ = run_cli(["run", str(session)], capsys)
     assert code == 2
     assert "error: zmax must be >= 0" in out
-    # M = 0, but only Nakayama's lemma, which fails over degree-0
-    # variables, would drop its generator: unequal generator counts prove
-    # nothing there
+    # Nakayama's lemma fails over degree-0 variables, yet M = 0 loses its
+    # generator because the span of its relations holds the unit vector, so
+    # two zero modules compare equal
     session.write_text("ring R = Q[t,u] degrees {t:0, u:0}\n"
                        "module M over R gens e:(0,0) rels (t^3+1)*e, (t^3-1)*e\n"
                        "module Z over R gens f:(0,0) rels f\n"
+                       "hom R M\n"
                        "compare M Z bound 3\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 0
+    assert "Hom module: <0>" in out
+    assert "comparison verdict: isomorphic-up-to-bound" in out
+    # nonzero modules there: equal generator degrees and unequal relations
+    # prove nothing either way
+    session.write_text("ring R = Q[t,u] degrees {t:0, u:0}\n"
+                       "module M over R gens e:(0,0) rels t*e\n"
+                       "module N over R gens f:(0,0) rels u*f\n"
+                       "compare M N bound 3\n")
     code, out, _ = run_cli(["run", str(session)], capsys)
     assert code == 1
     assert "comparison verdict: inconclusive" in out
+
+
+def test_dualize_lci_cross_checks_below_the_codimension(capsys, tmp_path):
+    # the printed profile stops at the depth, the cross-check against
+    # Ext^r does not
+    session = tmp_path / "lci.sdl"
+    for depth in (1, 3):
+        session.write_text("ring C = Q[x,y,z]\n"
+                           "dualize-lci C seq (x^2, y^3) omega canonical "
+                           f"depth {depth}\n")
+        code, out, _ = run_cli(["run", str(session)], capsys)
+        assert code == 0
+        assert "cross-check against Ext^2: isomorphic-up-to-bound" in out
+        profile = " ".join(f"Ext^{i}={'1 gens' if i == 2 else '0'}"
+                           for i in range(depth + 1))
+        assert profile + "\n" in out
 
 
 def test_hilbert_and_invariants_reject_a_negative_bound(capsys, tmp_path):

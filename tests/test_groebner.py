@@ -9,10 +9,15 @@ computer algebra system.
 import pytest
 
 from oracles import annihilates, col
+from stackdual import caps, groebner
+from stackdual.caps import ResourceCapError
+from stackdual.dsl import parse_session
 from stackdual.groebner import (GroebnerBasis, SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
                                 printed_column, syzygies_over)
 from stackdual.poly import GradedRing, MonomialOrder
+from stackdual.presets import preset_session
+from stackdual.session import run_session
 
 
 @pytest.fixture
@@ -174,3 +179,84 @@ def test_empty_input_is_zero_ideal(qxy):
     gb = buchberger([], ring=qxy)
     assert isinstance(gb, GroebnerBasis) and len(gb) == 0
     assert normal_form(qxy.var("x"), gb) == qxy.var("x")
+
+
+# -- the command's table of liftable oracles ------------------------------------
+
+
+@pytest.fixture
+def gb_builds(monkeypatch):
+    """One entry per tracked `_TrackedGB` built while the test runs: the
+    bases of liftable oracles, not those of ideals or spans."""
+    built = []
+    init = groebner._TrackedGB.__init__
+
+    def recording(self, vectors, ring, track=False):
+        if track:
+            built.append(ring)
+        init(self, vectors, ring, track)
+
+    monkeypatch.setattr(groebner._TrackedGB, "__init__", recording)
+    return built
+
+
+def test_a_command_builds_each_liftable_oracle_once(qxy, gb_builds):
+    x, y = qxy.var("x"), qxy.var("y")
+    with caps.command_caps():
+        first = syzygies_over(qxy, [col(x), col(y)], 1)
+        again = syzygies_over(qxy, [col(x), col(y)], 1)
+        assert len(gb_builds) == 1 and again == first and again is not first
+        first.clear()                  # the caller's copy, not the oracle's
+        assert syzygies_over(qxy, [col(x), col(y)], 1) == again
+        assert len(gb_builds) == 1
+        # equal columns over another ring are another problem
+        quotient = qxy.quotient([x * x])
+        over_q = syzygies_over(quotient, [col(quotient.var("x")),
+                                          col(quotient.var("y"))], 1)
+        assert len(gb_builds) == 2 and over_q != again
+
+
+def test_the_table_lives_for_one_command(qxy, gb_builds):
+    x, y = qxy.var("x"), qxy.var("y")
+    syzygies_over(qxy, [col(x), col(y)], 1)
+    syzygies_over(qxy, [col(x), col(y)], 1)
+    assert len(gb_builds) == 2             # outside a command: nothing shared
+    for expected in (3, 4):
+        with caps.command_caps():
+            syzygies_over(qxy, [col(x), col(y)], 1)
+            syzygies_over(qxy, [col(x), col(y)], 1)
+        assert len(gb_builds) == expected
+
+
+def test_a_capped_build_leaves_no_entry(qxy, monkeypatch):
+    x, y = qxy.var("x"), qxy.var("y")
+    rows = [col(x + y + x * x + y * y), col(x * y)]
+    monkeypatch.setenv("STACKDUAL_MAX_TERMS", "3")
+    with caps.command_caps():
+        with pytest.raises(ResourceCapError):
+            syzygies_over(qxy, rows, 1)
+        assert caps.command_table() == {}
+    monkeypatch.delenv("STACKDUAL_MAX_TERMS")
+    with caps.command_caps():
+        syz = syzygies_over(qxy, rows, 1)
+    assert syz and annihilates(qxy, syz, rows)
+
+
+def test_dualize_finite_repeats_no_liftable_build(monkeypatch):
+    # the node's matrix factorization is self-dual and the B-action lifts
+    # through H^0's inputs, so equal problems recur: the table answers them
+    ast = parse_session(preset_session("node", a=7, i=2, j=3))
+    inputs = []
+    init = SubmoduleOracle.__init__
+
+    def recording(self, ring, generators, rank, liftable=False):
+        if liftable:
+            inputs.append((id(ring), rank, tuple(
+                frozenset((pos, m, c) for pos, p in v.items()
+                          for m, c in p.terms.items()) for v in generators)))
+        init(self, ring, generators, rank, liftable)
+
+    monkeypatch.setattr(SubmoduleOracle, "__init__", recording)
+    report = run_session(ast)
+    assert report.error is None and len(report.outcomes) == 1
+    assert inputs and len(set(inputs)) == len(inputs)

@@ -18,7 +18,9 @@ its staircase against the contraction staircase and its coordinates
 against `RingMorphism.apply`, also into targets of unequal degrees, the
 finiteness verdict of a map declaration against the contraction basis,
 Hilbert tables and invariant parts read off the Hilbert series of the lead
-ideals against counting standard monomials, the column invariant: every
+ideals against counting standard monomials, degree-0 quotients that
+`minimalize` leaves with no generator exactly when their relations span
+every unit vector, the column invariant: every
 stored module column holds nonzero reduced entries in position order, and
 the codimension of `check gorenstein` against the reference dimension.
 """
@@ -1001,6 +1003,29 @@ def test_degree_zero_variables_still_raise_and_compare_stays_inconclusive():
         n = ModulePresentation(high, [col(t)])
         for bound in (3, 6):
             assert compare_modules(m, n, bound) == "inconclusive"
+
+
+def test_degree_zero_quotients_lose_every_generator_exactly_when_zero():
+    # over degree-0 variables Nakayama's lemma fails: the relations
+    # (f*t)*e and (f*t + 1)*e kill e with no unit entry among them
+    rng = random.Random(SEED + 23)
+    ring = GradedRing(["t", "u"], zdegs=[0, 0])
+    t = ring.var("t")
+    kinds = set()
+    for _ in range(N_INSTANCES):
+        rank = rng.choice([1, 2])
+        rels = [{pos: random_poly(rng, ring) for pos in range(rank)
+                 if rng.random() < 0.7} for _ in range(rng.randint(0, 2))]
+        for pos in range(rank):
+            if rng.random() < 0.6:
+                f = random_poly(rng, ring) * t
+                rels += [{pos: f}, {pos: f + ring.one()}]
+        M = ModulePresentation(FreeModule(ring, (ring.degree_zero(),) * rank),
+                               rels)
+        zero = all(M.span.contains({pos: ring.one()}) for pos in range(rank))
+        assert (minimalize(M).rank == 0) == zero
+        kinds.add(zero)
+    assert kinds == {False, True}
 
 
 # ---------------------------------------------------------------------------
