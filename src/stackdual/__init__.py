@@ -2,7 +2,7 @@
 cyclic-quotient curve singularities and embedded quotient-stack charts."""
 
 from .poly import Bidegree, GradedRing, MonomialOrder, Polynomial
-from .gmodule import (FreeModule, ModuleMap, ModulePresentation, RingMorphism,
+from .gmodule import (ModuleMap, ModulePresentation, RingMorphism,
                       hilbert_function, hom_module, invariant_part, kernel,
                       minimalize, restrict_along, twist)
 from .groebner import GroebnerBasis, buchberger, normal_form

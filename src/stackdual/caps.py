@@ -4,8 +4,9 @@ deadlines, and the table of liftable oracles.
 The kernels poll the caps at cheap points so a runaway Groebner computation
 fails fast instead of hanging a session.  Caps are off by default;
 `run_session` installs them around each command, and `parse_session` around
-the parse, from the environment variables STACKDUAL_MAX_TERMS and
-STACKDUAL_TIME_LIMIT_S, or the defaults below when those are unset.
+the parse, from the environment variables STACKDUAL_MAX_TERMS (an integer)
+and STACKDUAL_TIME_LIMIT_S (finite seconds), or the defaults below when
+unset; any other value raises CapSettingError.
 
 The same scope holds one table, `command_table`, in which
 `groebner.liftable_oracle` keeps every liftable oracle the command builds,
@@ -16,6 +17,7 @@ a fresh, empty table, so library calls share nothing.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -32,6 +34,21 @@ class ResourceCapError(RuntimeError):
     """A configured resource cap was exceeded."""
 
 
+class CapSettingError(ValueError):
+    """A cap variable of the environment holds no valid value."""
+
+
+def _env_cap(name: str, default, parse, what: str):
+    text = os.environ.get(name)
+    try:
+        value = default if text is None else parse(text)
+    except ValueError:
+        value = math.nan
+    if value != value or abs(value) == math.inf:  # NaN turns the deadline off
+        raise CapSettingError(f"{name} must be {what}, got {text!r}")
+    return value
+
+
 @contextmanager
 def command_caps():
     """Install the environment's caps for the duration of one command.
@@ -43,10 +60,12 @@ def command_caps():
     old = (_max_terms, _deadline, _table)
     _tick = 0
     _table = {}
-    _max_terms = int(os.environ.get("STACKDUAL_MAX_TERMS", DEFAULT_MAX_TERMS))
-    _deadline = time.monotonic() + float(
-        os.environ.get("STACKDUAL_TIME_LIMIT_S", DEFAULT_TIME_LIMIT_S))
     try:
+        _max_terms = _env_cap("STACKDUAL_MAX_TERMS", DEFAULT_MAX_TERMS, int,
+                              "an integer")
+        _deadline = time.monotonic() + _env_cap(
+            "STACKDUAL_TIME_LIMIT_S", DEFAULT_TIME_LIMIT_S, float,
+            "a finite number of seconds")
         yield
     finally:
         _max_terms, _deadline, _table = old

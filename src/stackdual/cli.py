@@ -10,7 +10,8 @@ inconclusive), 2 input error, 3 resource cap exceeded by a command, 4 an
 internal error (an engine invariant failed; the partial report is flagged
 "internal: <exception type>: <message>").  Caps can be set through
 STACKDUAL_MAX_TERMS and STACKDUAL_TIME_LIMIT_S; a cap exceeded while the
-session is parsed is an input error.
+session is parsed is an input error, as are a cap variable with no valid
+value, an unreadable or non-UTF-8 session file and an unwritable --json path.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .caps import CapSettingError
 from .dsl import ParseError, parse_session
 from .presets import list_presets, preset_session
 from .session import EXIT_INPUT_ERROR, RunReport, run_session
@@ -60,13 +62,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(*messages) -> int:
+    for message in messages:
+        sys.stderr.write(f"error: {message}\n")
+    return EXIT_INPUT_ERROR
+
+
 def _finish(report: RunReport, args) -> int:
     sys.stdout.write(report.human_text())
     total_ms = sum(o.timing_ms or 0 for o in report.outcomes)
     sys.stderr.write(f"[{len(report.outcomes)} commands, {total_ms} ms]\n")
     if args.json:
-        Path(args.json).write_text(report.to_json(include_timings=args.timings),
-                                   encoding="utf-8")
+        try:
+            Path(args.json).write_text(
+                report.to_json(include_timings=args.timings), encoding="utf-8")
+        except OSError as exc:
+            return _input_error(f"cannot write {args.json}: {exc.strerror}")
     return report.exit_code()
 
 
@@ -74,9 +85,9 @@ def _run_text(text: str, args) -> int:
     try:
         ast = parse_session(text, default_order=args.order)
     except ParseError as exc:
-        for d in exc.diagnostics:
-            sys.stderr.write(f"error: {d}\n")
-        return EXIT_INPUT_ERROR
+        return _input_error(*exc.diagnostics)
+    except CapSettingError as exc:
+        return _input_error(exc)
     report = run_session(ast, default_depth=args.depth, default_bound=args.bound)
     return _finish(report, args)
 
@@ -98,18 +109,20 @@ def main(argv: list[str] | None = None) -> int:
         try:
             text = preset_session(args.name, **params)
         except KeyError as exc:
-            sys.stderr.write(f"error: {exc.args[0]}\n")
-            return EXIT_INPUT_ERROR
+            return _input_error(exc.args[0])
         if args.show_session:
             sys.stdout.write(text)
             return 0
         return _run_text(text, args)
 
     path = Path(args.file)
-    if not path.is_file():
-        sys.stderr.write(f"error: no such file {path}\n")
-        return EXIT_INPUT_ERROR
-    return _run_text(path.read_text(encoding="utf-8"), args)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return _input_error(f"{path} is not UTF-8 text")
+    except OSError as exc:
+        return _input_error(f"cannot read {path}: {exc.strerror}")
+    return _run_text(text, args)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,7 @@ class ChainComplex:
     terms: list[ModulePresentation]
     maps: dict[int, ModuleMap]          # keyed by the source index
     direction: str = "chain"            # "chain" or "cochain"
-    truncated_at: Optional[int] = None  # homological degree, if truncated
-    finite: bool = False                # a zero syzygy module was reached
+    finite: bool = False                # else truncated at `length`
     periodic: Optional[int] = None      # detected period of a resolution
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
             for k in S:
                 d = d + degs[k]
             gd.append(d)
-        terms.append(ModulePresentation.free_of(ring, gd))
+        terms.append(ModulePresentation(ring, gd))
     maps: dict[int, ModuleMap] = {}
     for i in range(1, r + 1):
         index = {S: pos for pos, S in enumerate(subsets[i - 1])}
@@ -118,15 +117,15 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
     Iterated minimal syzygies: F_0 covers the minimal generators, each next
     term covers a minimal generating set of the syzygies of the previous
     differential's columns.  Stops early (finite=True) when a zero syzygy
-    module appears; otherwise the complex is flagged truncated.  A period
-    (1 or 2) of the tail is reported when the differentials repeat up to a
-    bidegree shift.
+    module appears; otherwise the complex is truncated at length `depth`.
+    A period (1 or 2) of the tail is reported when the differentials repeat
+    up to a bidegree shift.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ring = M.ring
     M0 = minimalize(M)
-    terms = [ModulePresentation.free_of(ring, M0.free.bidegrees)]
+    terms = [ModulePresentation(ring, M0.bidegrees)]
     maps: dict[int, ModuleMap] = {}
     current_cols = M0.relations
     current_degs = M0.relation_bidegrees
@@ -136,20 +135,19 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
         if not current_cols:
             finite = True
             break
-        term = ModulePresentation.free_of(ring, current_degs)
+        term = ModulePresentation(ring, current_degs)
         terms.append(term)
         maps[i] = ModuleMap(term, terms[i - 1], current_cols)
         if i == depth:
             break
         syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
-        degs = [vector_bidegree(v, current_degs, ring) for v in syz]
+        degs = [vector_bidegree(v, current_degs) for v in syz]
         keep = sorted(minimal_generating_vectors(ring, syz, len(current_cols), degs))
         current_cols = tuple(syz[k] for k in keep)
         current_degs = tuple(degs[k] for k in keep)
         i += 1
 
-    cc = ChainComplex(ring, terms, maps, direction="chain",
-                      truncated_at=None if finite else depth, finite=finite)
+    cc = ChainComplex(ring, terms, maps, direction="chain", finite=finite)
     cc.periodic = _detect_period(cc)
     return cc
 
@@ -181,14 +179,14 @@ def hom_complex(C: ChainComplex, N: ModulePresentation) -> ChainComplex:
             raise ValueError("hom_complex needs a complex of free modules")
     if C.direction != "chain":
         raise ValueError("hom_complex expects a chain complex")
-    terms = [hom_free_into(t.free, N) for t in C.terms]
+    terms = [hom_free_into(t.bidegrees, N) for t in C.terms]
     maps: dict[int, ModuleMap] = {}
     for i in range(1, C.length + 1):
         # C_i -> C_{i-1} dualizes to Hom(C_{i-1}, N) -> Hom(C_i, N)
         cols = precompose_columns(C.maps[i].columns, C.terms[i - 1].rank, N)
         maps[i - 1] = ModuleMap(terms[i - 1], terms[i], cols)
     return ChainComplex(C.ring, terms, maps, direction="cochain",
-                        truncated_at=C.truncated_at, finite=C.finite)
+                        finite=C.finite)
 
 
 def homology(C: ChainComplex, i: int) -> ModulePresentation:
@@ -213,6 +211,6 @@ def homology_with_inclusion(C: ChainComplex, i: int
     in_map = C.map_into(i)
     boundaries = list(in_map.columns) if in_map is not None else []
     if out_map is None:
-        units = [term.free.unit_vector(j) for j in range(term.rank)]
+        units = [{j: C.ring.one()} for j in range(term.rank)]
         return subquotient(units, boundaries, term)
     return kernel_with_inclusion(out_map, boundaries)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
 
 from .caps import ResourceCapError, command_caps
-from .gmodule import FreeModule, ModulePresentation, RingMorphism
+from .gmodule import ModulePresentation, RingMorphism
 from .poly import Bidegree, GradedRing, MonomialOrder, Polynomial
 
 COMMAND_KINDS = ("hom", "ext", "koszul", "dualize-finite", "dualize-lci",
@@ -164,7 +164,7 @@ class ModuleDecl:
     def print_canonical(self) -> str:
         gens = ", ".join(
             f"{n}:({d.zdeg},{d.weight})"
-            for n, d in zip(self.gen_names, self.module.free.bidegrees))
+            for n, d in zip(self.gen_names, self.module.bidegrees))
         out = f"module {self.name} over {self.ring_name} gens {gens}"
         if self.module.relations:
             rels = ", ".join(
@@ -495,7 +495,7 @@ class _Parser:
             rels = self.comma_list(lambda: self.relation(ring, gen_names))
         self.end_statement()
         try:
-            module = ModulePresentation(FreeModule(ring, tuple(bidegrees)), rels)
+            module = ModulePresentation(ring, bidegrees, rels)
         except ValueError as exc:
             self.fail_at(tok, str(exc))
         self.modules[name] = (module, ring_name)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
-from .gmodule import (FreeModule, ModulePresentation, RingMorphism,
-                      apply_columns, hilbert_function, minimalize,
-                      precompose_columns, restrict_along)
+from .gmodule import (ModulePresentation, RingMorphism, apply_columns,
+                      hilbert_function, minimalize, precompose_columns,
+                      restrict_along)
 from .groebner import Column, liftable_oracle
 from .poly import Bidegree, GradedRing, Polynomial, RingMismatchError
 
@@ -44,7 +44,7 @@ class DualityReport:
 
     @property
     def generator_bidegrees(self) -> tuple[Bidegree, ...]:
-        return self.module.free.bidegrees
+        return self.module.bidegrees
 
     @property
     def is_free_rank_one(self) -> bool:
@@ -115,7 +115,7 @@ def canonical_module(C: GradedRing) -> ModulePresentation:
     total = C.degree_zero()
     for i in range(C.nvars):
         total = total + C.variable_bidegree(i)
-    return ModulePresentation.free_of(C, (total,))
+    return ModulePresentation(C, (total,))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
     if res.finite:
         notes.append(f"A-resolution of B is finite (length {res.length})")
     else:
-        notes.append(f"A-resolution truncated at depth {res.truncated_at}"
+        notes.append(f"A-resolution truncated at depth {res.length}"
                      + (f", periodic with period {res.periodic}" if res.periodic else ""))
     return DualityReport(
         description=f"finite twisted inverse image along {f.name}",
@@ -173,7 +173,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
                           m_g: ModulePresentation) -> ModulePresentation:
     """Give Hom_A(B, M) its B-module structure ((b.phi)(b') = phi(b b')).
 
-    incl lists the Hom generators as columns over the free part of
+    incl lists the Hom generators as columns over the generators of
     c0 = Hom(F_0, M), laid out as in `hom_free_into`.  x_t acts by
     precomposition with its multiplication map on the staircase F_0.
     """
@@ -182,7 +182,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
     monos, _ = f.module_generators()
     ngens = len(incl)
     if ngens == 0:
-        return ModulePresentation.zero(ring_b)
+        return ModulePresentation(ring_b, ())
 
     # the oracle `subquotient` built for H^0's relations, when it kept every
     # generator it was given
@@ -209,8 +209,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
             col[i] = col[i] + xt if i in col else xt
             relations.append(col)
 
-    free = FreeModule(ring_b, tuple(h0.free.bidegrees))
-    return ModulePresentation(free, relations)
+    return ModulePresentation(ring_b, h0.bidegrees, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +233,10 @@ def _ext_over(ring_b: GradedRing, cohomology: Sequence[ModulePresentation],
     out = []
     for i in range(imax + 1):
         if i >= len(cohomology):
-            out.append((i, ModulePresentation.zero(ring_b)))
+            out.append((i, ModulePresentation(ring_b, ())))
             continue
         h = cohomology[i]
-        over_b = ModulePresentation(FreeModule(ring_b, h.free.bidegrees),
-                                    h.relations)
+        over_b = ModulePresentation(ring_b, h.bidegrees, h.relations)
         out.append((i, minimalize(over_b)))
     return out
 
@@ -252,8 +250,7 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
     gens = [C.reduce(g) for g in ideal_gens]
     gens = [g for g in gens if not g.is_zero()]
     ring_b = C.quotient(gens, name=f"{C.name}/I") if gens else C
-    pres = ModulePresentation(FreeModule(C, (C.degree_zero(),)),
-                              [{0: g} for g in gens])
+    pres = ModulePresentation(C, (C.degree_zero(),), [{0: g} for g in gens])
     hc = hom_complex(resolve(pres, imax + 1), omega)
     return _ext_over(ring_b, [homology(hc, i)
                               for i in range(min(imax, hc.length) + 1)], imax)
@@ -290,8 +287,8 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     total = C.degree_zero()
     for g in seq:
         total = total + g.bidegree()
-    gen_deg = omega.free.bidegrees[0] - total
-    module = ModulePresentation.free_of(ring_b, (gen_deg,))
+    gen_deg = omega.bidegrees[0] - total
+    module = ModulePresentation(ring_b, (gen_deg,))
 
     exts = _ext_over(ring_b, cohomology, max(imax, r))
     profile = {i: (ext.rank == 0, ext.rank) for i, ext in exts[:imax + 1]}
@@ -398,8 +395,8 @@ def compare_modules(M: ModulePresentation, N: ModulePresentation,
         raise RingMismatchError("cannot compare modules over different rings")
     m = minimalize(M)
     n = minimalize(N)
-    degs_m = sorted((d.zdeg, d.weight) for d in m.free.bidegrees)
-    degs_n = sorted((d.zdeg, d.weight) for d in n.free.bidegrees)
+    degs_m = sorted((d.zdeg, d.weight) for d in m.bidegrees)
+    degs_n = sorted((d.zdeg, d.weight) for d in n.bidegrees)
     positive = all(d > 0 for d in M.ring.zdegs)
     if degs_m != degs_n:
         return "distinct" if positive else "inconclusive"

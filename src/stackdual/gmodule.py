@@ -1,7 +1,8 @@
 """Finitely presented bigraded modules and their algebra.
 
-A module is presented by a free module with a bidegree per generator and a
-list of homogeneous relation columns.  Relations, map columns and kernel
+A module is presented by its ring, one bidegree per generator and a list of
+homogeneous relation columns; a module with no relations is free, so there
+is no separate free-module type.  Relations, map columns and kernel
 inclusions are `groebner.Column`s, {position: Polynomial} holding only the
 nonzero entries, reduced modulo the ring ideal, so every operation visits
 stored entries only.  On top of that sit the operations the duality recipes
@@ -15,7 +16,6 @@ function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
@@ -30,49 +30,32 @@ from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
 
 
 # ---------------------------------------------------------------------------
-# free modules and presentations
-
-
-@dataclass(frozen=True)
-class FreeModule:
-    ring: GradedRing
-    bidegrees: tuple[Bidegree, ...]
-
-    def __post_init__(self):
-        for d in self.bidegrees:
-            if d.modulus != self.ring.group_order:
-                raise ValueError("generator bidegree modulus differs from the ring")
-
-    @property
-    def rank(self) -> int:
-        return len(self.bidegrees)
-
-    def twist(self, d: Bidegree) -> "FreeModule":
-        return FreeModule(self.ring, tuple(g - d for g in self.bidegrees))
-
-    def unit_vector(self, i: int) -> Column:
-        return {i: self.ring.one()}
+# presentations
 
 
 class ModulePresentation:
-    """generators (a FreeModule) together with homogeneous relation columns.
-    `span`, the span-only oracle over the relations, is built on first use
-    and never extended: every query of one presentation shares its basis."""
+    """Generators, one bidegree each, over `ring`, together with homogeneous
+    relation columns; a module with no relations is free.  `span`, the
+    span-only oracle over the relations, is built on first use and never
+    extended: every query of one presentation shares its basis."""
 
-    def __init__(self, free: FreeModule, relations: Sequence[Column] = ()):
-        self.free = free
-        self.ring = free.ring
+    def __init__(self, ring: GradedRing, bidegrees: Sequence[Bidegree],
+                 relations: Sequence[Column] = ()):
+        self.ring = ring
+        self.bidegrees: tuple[Bidegree, ...] = tuple(bidegrees)
+        if any(d.modulus != ring.group_order for d in self.bidegrees):
+            raise ValueError("generator bidegree modulus differs from the ring")
         cols: list[Column] = []
         degs: list[Bidegree] = []
         for col in relations:
-            reduced = column(self.ring, col, free.rank)
+            reduced = column(ring, col, self.rank)
             if not reduced:
                 continue
-            d = vector_bidegree(reduced, free.bidegrees, self.ring)
+            d = vector_bidegree(reduced, self.bidegrees)
             if d is None:
                 raise ValueError("inhomogeneous relation column")
             # normalize the column monic in the term-over-position order
-            lc = lead_coefficient(reduced, self.ring.order)
+            lc = lead_coefficient(reduced, ring.order)
             if lc != 1:
                 reduced = {pos: p / lc for pos, p in reduced.items()}
             cols.append(reduced)
@@ -83,30 +66,22 @@ class ModulePresentation:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def free_of(cls, ring: GradedRing, bidegrees: Sequence[Bidegree]) -> "ModulePresentation":
-        return cls(FreeModule(ring, tuple(bidegrees)))
-
-    @classmethod
     def structure(cls, ring: GradedRing) -> "ModulePresentation":
         """The ring itself as a module over itself."""
-        return cls(FreeModule(ring, (ring.degree_zero(),)))
-
-    @classmethod
-    def zero(cls, ring: GradedRing) -> "ModulePresentation":
-        return cls(FreeModule(ring, ()))
+        return cls(ring, (ring.degree_zero(),))
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def rank(self) -> int:
-        return self.free.rank
+        return len(self.bidegrees)
 
     @cached_property
     def span(self) -> SubmoduleOracle:
         return SubmoduleOracle(self.ring, self.relations, self.rank)
 
     def __str__(self) -> str:
-        gens = ", ".join(f"e{i + 1}:{d}" for i, d in enumerate(self.free.bidegrees))
+        gens = ", ".join(f"e{i + 1}:{d}" for i, d in enumerate(self.bidegrees))
         if not self.relations:
             return f"<{gens or '0'}>"
         rels = ", ".join(
@@ -140,8 +115,8 @@ class ModuleMap:
         if len(self.columns) != source.rank:
             raise ValueError("need one column per source generator")
         for j, col in enumerate(self.columns):
-            if col and (vector_bidegree(col, target.free.bidegrees, self.ring)
-                        != source.free.bidegrees[j]):
+            if col and (vector_bidegree(col, target.bidegrees)
+                        != source.bidegrees[j]):
                 raise ValueError(f"column {j} is not homogeneous of degree zero")
         if not self.sends_into_relations(source.relations):
             raise ValueError("map does not send relations into relations")
@@ -191,7 +166,7 @@ def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Column] = ()
     relations; a map into the zero module has the whole source as kernel.
     """
     if f.target.rank == 0:
-        gens = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
+        gens = [{j: f.ring.one()} for j in range(f.source.rank)]
     else:
         gens = syzygies_over(f.ring, f.columns, f.target.rank,
                              f.target.relations)
@@ -214,26 +189,24 @@ def subquotient(gens: Sequence[Column], subs: Sequence[Column],
     or lies in the span of the others.
     """
     ring = within.ring
-    free = within.free
-    gens = [column(ring, g, free.rank) for g in gens]
-    degs = [vector_bidegree(g, free.bidegrees, ring) for g in gens]
+    gens = [column(ring, g, within.rank) for g in gens]
+    degs = [vector_bidegree(g, within.bidegrees) for g in gens]
     if any(d is None and g for g, d in zip(gens, degs)):
         raise ValueError("inhomogeneous subquotient generator")
 
     # drop generators already in the subs + relations span, minimally
     context = list(subs) + list(within.relations)
-    keep = sorted(minimal_generating_vectors(ring, gens, free.rank, degs, context))
+    keep = sorted(minimal_generating_vectors(ring, gens, within.rank, degs, context))
     kept_gens = [gens[i] for i in keep]
     kept_degs = [degs[i] for i in keep]
 
-    out_free = FreeModule(ring, tuple(kept_degs))
     if not kept_gens:
-        return ModulePresentation(out_free), ()
+        return ModulePresentation(ring, kept_degs), ()
 
     # relations on the kept generators: the combinations landing in the
     # span of subs + ambient relations
-    pres = ModulePresentation(out_free,
-                              syzygies_over(ring, kept_gens, free.rank, context))
+    pres = ModulePresentation(ring, kept_degs,
+                              syzygies_over(ring, kept_gens, within.rank, context))
     pres, kept2 = minimalize_with_tracking(pres)
     return pres, tuple(kept_gens[i] for i in kept2)
 
@@ -253,26 +226,25 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
     """
     if M.ring != N.ring:
         raise RingMismatchError("hom across different rings")
-    hom0 = hom_free_into(M.free, N)
+    hom0 = hom_free_into(M.bidegrees, N)
     if not M.relations:
         return minimalize(hom0)
-    hom1 = hom_free_into(FreeModule(M.ring, M.relation_bidegrees), N)
+    hom1 = hom_free_into(M.relation_bidegrees, N)
     return kernel(ModuleMap(hom0, hom1,
                             precompose_columns(M.relations, M.rank, N)))
 
 
-def hom_free_into(F: FreeModule, N: ModulePresentation) -> ModulePresentation:
-    """Hom(F, N) = a direct sum of shifted copies of N.
+def hom_free_into(bidegrees: Sequence[Bidegree], N: ModulePresentation
+                  ) -> ModulePresentation:
+    """Hom(F, N) = a direct sum of shifted copies of N, for the free module
+    F on generators of the given `bidegrees` (a presentation with no
+    relations).
 
     Generators are ordered (F-generator major, N-generator minor)."""
-    ring = N.ring
-    degs = []
-    for df in F.bidegrees:
-        for dn in N.free.bidegrees:
-            degs.append(dn - df)
+    degs = [dn - df for df in bidegrees for dn in N.bidegrees]
     rels = [{k * N.rank + i: p for i, p in col.items()}
-            for k in range(F.rank) for col in N.relations]
-    return ModulePresentation(FreeModule(ring, tuple(degs)), rels)
+            for k in range(len(bidegrees)) for col in N.relations]
+    return ModulePresentation(N.ring, degs, rels)
 
 
 def precompose_columns(columns: Sequence[Column], rank: int,
@@ -291,8 +263,7 @@ def precompose_columns(columns: Sequence[Column], rank: int,
 
 def twist(M: ModulePresentation, d: Bidegree) -> ModulePresentation:
     """Shift the grading: twist(M, d) in degree e is M in degree d + e."""
-    free = M.free.twist(d)
-    return ModulePresentation(free, M.relations)
+    return ModulePresentation(M.ring, [g - d for g in M.bidegrees], M.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +288,7 @@ def minimalize_with_tracking(M: ModulePresentation
     bound, not a minimum.
     """
     ring = M.ring
-    gens = list(M.free.bidegrees)
+    gens = list(M.bidegrees)
     origin = list(range(len(gens)))
     cols = list(M.relations)
     positive = all(d > 0 for d in ring.zdegs)
@@ -356,12 +327,11 @@ def minimalize_with_tracking(M: ModulePresentation
         del gens[i]
         del origin[i]
 
-    free = FreeModule(ring, tuple(gens))
     # dedupe then prune columns expressible through the others
     unique = list({tuple(col.items()): col for col in cols if col}.values())
-    degs = [vector_bidegree(col, free.bidegrees, ring) for col in unique]
-    keep = minimal_generating_vectors(ring, unique, free.rank, degs)
-    return ModulePresentation(free, [unique[ix] for ix in keep]), tuple(origin)
+    degs = [vector_bidegree(col, gens) for col in unique]
+    keep = minimal_generating_vectors(ring, unique, len(gens), degs)
+    return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +434,7 @@ def _position_series(M: ModulePresentation, zmax: int):
     if zmax < 0:
         raise ValueError("zmax must be >= 0")
     ring = M.ring
-    live = [(k, g) for k, g in enumerate(M.free.bidegrees) if g.zdeg <= zmax]
+    live = [(k, g) for k, g in enumerate(M.bidegrees) if g.zdeg <= zmax]
     if not live:
         return
     _require_positive_degrees(ring)
@@ -607,10 +577,10 @@ class RingMorphism:
         if M.ring.ambient().signature != self.source.ambient().signature:
             raise RingMismatchError("module is not over the morphism source")
         ring = self.weighted_source()
-        degs = tuple(self.transport_bidegree(d) for d in M.free.bidegrees)
+        degs = [self.transport_bidegree(d) for d in M.bidegrees]
         rels = [{pos: ring.reinterpret(p) for pos, p in col.items()}
                 for col in M.relations]
-        return ModulePresentation(FreeModule(ring, degs), rels)
+        return ModulePresentation(ring, degs, rels)
 
     # -- finiteness and the staircase basis -------------------------------------
 
@@ -731,4 +701,4 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
             col = {pos: -c for pos, c in f.coordinates(b, e).items()}
             col[k] = col.get(k, ring_a.zero()) + ring_a.monomial(e)
             rel_cols.append(col)
-    return ModulePresentation(FreeModule(ring_a, mono_degs), rel_cols)
+    return ModulePresentation(ring_a, mono_degs, rel_cols)

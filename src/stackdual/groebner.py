@@ -2,7 +2,7 @@
 
 A column, an element of a free module R^n, is {position: Polynomial}: only
 nonzero entries, each reduced modulo the ring ideal, in ascending position
-order; the rank lives on the free module.  Every module value outside this
+order; the rank lives on the module presentation.  Every module value outside this
 file is a column.  `column` builds one; `printed_column` is the one dense
 rendering, for report text and ordering keys.
 
@@ -76,8 +76,8 @@ def lead_coefficient(col: Column, order: MonomialOrder) -> Scalar:
     return p.leading_term(order)[1]
 
 
-def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree],
-                    ring: GradedRing) -> Optional[Bidegree]:
+def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree]
+                    ) -> Optional[Bidegree]:
     """Common bidegree of a homogeneous column (entry degree + generator
     degree must agree across entries); None if inhomogeneous or zero."""
     found: Optional[Bidegree] = None

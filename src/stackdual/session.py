@@ -77,7 +77,7 @@ def bidegree_json(d: Bidegree) -> dict:
 def module_json(M: ModulePresentation) -> dict:
     return {
         "ring": M.ring.name,
-        "generators": [bidegree_json(d) for d in M.free.bidegrees],
+        "generators": [bidegree_json(d) for d in M.bidegrees],
         "relations": [list(printed_column(col, M.rank)) for col in M.relations],
     }
 
@@ -243,7 +243,7 @@ def _run_koszul(cmd: Command, _d, _b) -> CommandOutcome:
                         for i in range(1, kc.length + 1))
     result = {
         "ranks": kc.ranks(),
-        "generator_bidegrees": [[bidegree_json(d) for d in t.free.bidegrees]
+        "generator_bidegrees": [[bidegree_json(d) for d in t.bidegrees]
                                 for t in kc.terms],
         "regular_sequence": homology_zero,
     }

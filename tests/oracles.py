@@ -264,7 +264,7 @@ def reference_homology(C, i):
     term = C.terms[i]
     out_map, in_map = C.map_out_of(i), C.map_into(i)
     if out_map is None:
-        cycles = [term.free.unit_vector(j) for j in range(term.rank)]
+        cycles = [{j: C.ring.one()} for j in range(term.rank)]
     else:
         cycles = list(kernel_with_inclusion(out_map)[1])
     boundaries = list(in_map.columns) if in_map is not None else []
@@ -276,7 +276,7 @@ def reference_kernel(f, modulo=()):
     recomputed as f applied to each unit vector."""
     from stackdual.gmodule import subquotient
     from stackdual.groebner import syzygies_over
-    units = [f.source.free.unit_vector(j) for j in range(f.source.rank)]
+    units = [{j: f.ring.one()} for j in range(f.source.rank)]
     if f.target.rank == 0:
         gens = units
     else:
@@ -294,7 +294,7 @@ def reference_restrict_along(f):
     every relation with coefficients in the source alone.
     """
     from stackdual import groebner
-    from stackdual.gmodule import FreeModule, ModulePresentation
+    from stackdual.gmodule import ModulePresentation
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
     graph_gb = f._mixed()
@@ -322,8 +322,8 @@ def reference_restrict_along(f):
                 rel_cols.append(column)
     keep = sorted(groebner.minimal_generating_vectors(
         ring_a, rel_cols, len(monos),
-        [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
-    return ModulePresentation(FreeModule(ring_a, mono_degs),
+        [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
+    return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
 
 
@@ -331,7 +331,7 @@ def reference_pruned_restriction(f):
     """B over the weighted source, its staircase relations pruned by
     `minimal_generating_vectors` in the greedy order."""
     from stackdual import groebner
-    from stackdual.gmodule import FreeModule, ModulePresentation
+    from stackdual.gmodule import ModulePresentation
     monos, mono_degs = f.module_generators()
     ring_a = f.weighted_source()
     nt = f.target.nvars
@@ -346,8 +346,8 @@ def reference_pruned_restriction(f):
             rel_cols.append(groebner.column(ring_a, column, len(monos)))
     keep = sorted(groebner.minimal_generating_vectors(
         ring_a, rel_cols, len(monos),
-        [groebner.vector_bidegree(c, mono_degs, ring_a) for c in rel_cols]))
-    return ModulePresentation(FreeModule(ring_a, mono_degs),
+        [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
+    return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
 
 
@@ -436,7 +436,7 @@ def reference_standard_basis(M, zmax):
     variable has Z-degree <= 0, where the pieces are infinite."""
     from stackdual.groebner import SubmoduleOracle
     ring = M.ring
-    live = [(k, g) for k, g in enumerate(M.free.bidegrees) if g.zdeg <= zmax]
+    live = [(k, g) for k, g in enumerate(M.bidegrees) if g.zdeg <= zmax]
     if not live:
         return []
     if any(d <= 0 for d in ring.zdegs):

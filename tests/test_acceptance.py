@@ -18,7 +18,7 @@ from stackdual.dsl import parse_session
 from stackdual.duality import (canonical_module, cm_gorenstein_check,
                                compare_modules, ext_dualizing, finite_shriek,
                                lci_dualizing)
-from stackdual.gmodule import (FreeModule, ModulePresentation,
+from stackdual.gmodule import (ModulePresentation,
                                hilbert_function, minimalize, restrict_along,
                                vector_bidegree)
 from stackdual.groebner import buchberger, normal_form
@@ -96,23 +96,23 @@ def test_criterion_4_triple_point():
         u, v, t = C.var("u"), C.var("v"), C.var("t")
         I = [u * v - t * t, u * t - v * v, v * t - u * u]
 
-        pres = ModulePresentation(FreeModule(C, (C.degree_zero(),)),
+        pres = ModulePresentation(C, (C.degree_zero(),),
                                   [col(g) for g in I])
         res = resolve(pres, 3)
         ok &= res.ranks() == [1, 3, 2]
-        ok &= [[d.zdeg for d in T.free.bidegrees] for T in res.terms] == \
+        ok &= [[d.zdeg for d in T.bidegrees] for T in res.terms] == \
             [[0], [2, 2, 2], [3, 3]]
 
         exts = dict(ext_dualizing(C, I, ModulePresentation.structure(C), 3))
         ok &= exts[0].rank == 0 and exts[1].rank == 0 and exts[3].rank == 0
         ext2 = exts[2]
         ok &= ext2.rank == 2 and len(ext2.relations) == 3
-        ok &= all(d.weight == 3 % a for d in ext2.free.bidegrees)
+        ok &= all(d.weight == 3 % a for d in ext2.bidegrees)
 
-        d = ext2.free.bidegrees[0]
+        d = ext2.bidegrees[0]
         B = ext2.ring
         u, v, t = B.var("u"), B.var("v"), B.var("t")
-        displayed = ModulePresentation(FreeModule(B, (d, d)),
+        displayed = ModulePresentation(B, (d, d),
                                        [col(t, u), col(v, t), col(u, v)])
         ok &= compare_modules(ext2, displayed, 8) == "isomorphic-up-to-bound"
 
@@ -258,15 +258,14 @@ def test_criterion_9_kernel_property_suites():
         for f in kc.maps.values():
             for c in f.columns:
                 if c:
-                    ok &= vector_bidegree(c, f.target.free.bidegrees,
-                                          ring) is not None
+                    ok &= vector_bidegree(c, f.target.bidegrees) is not None
 
     f = node_morphism(3, 1, 2)
     ba = restrict_along(f)
     res = resolve(ba, 4)
     res.check_composition()
     for c in ba.relations:
-        ok &= vector_bidegree(c, ba.free.bidegrees, ba.ring) is not None
+        ok &= vector_bidegree(c, ba.bidegrees) is not None
 
     report(9, ok, "kernel properties: Koszul exactness, d o d = 0, "
                   "bihomogeneous matrices, NF idempotence, reduced-GB "

@@ -182,6 +182,39 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_session_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.sdl"
+    bad.write_bytes("ring A = Q[x] # caf\u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(["run", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad} is not UTF-8 text\n"
+
+
+def test_unwritable_json_path_exits_2_after_the_report(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["preset", "cusp-line", "--json", str(target)],
+                             capsys)
+    assert code == 2 and out
+    assert err.splitlines()[-1] == (f"error: cannot write {target}: "
+                                    "No such file or directory")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("STACKDUAL_MAX_TERMS", "abc"),
+    ("STACKDUAL_MAX_TERMS", "1e5"),
+    ("STACKDUAL_TIME_LIMIT_S", "soon"),
+    ("STACKDUAL_TIME_LIMIT_S", "nan"),
+    ("STACKDUAL_TIME_LIMIT_S", "inf"),
+])
+def test_cap_variable_with_no_valid_value_exits_2(capsys, monkeypatch, name, value):
+    # NaN would parse and silently switch the deadline off
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(["preset", "cusp-line"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+    assert repr(value) in err
+
+
 def test_unknown_preset_exits_2(capsys):
     code, _, err = run_cli(["preset", "no-such"], capsys)
     assert code == 2

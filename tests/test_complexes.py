@@ -7,7 +7,7 @@ from stackdual.complexes import (ChainComplex, hom_complex, homology, koszul,
                                  resolve)
 from stackdual import groebner
 from stackdual.dsl import parse_session
-from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
+from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                hilbert_function, hom_free_into, minimalize,
                                precompose_columns, restrict_along)
 from stackdual.poly import GradedRing
@@ -18,7 +18,7 @@ def test_koszul_single_element(qxy):
     x = qxy.var("x")
     kc = koszul(qxy, [x])
     assert kc.ranks() == [1, 1]
-    assert kc.terms[1].free.bidegrees[0] == qxy.variable_bidegree(0)
+    assert kc.terms[1].bidegrees[0] == qxy.variable_bidegree(0)
 
 
 def test_koszul_pair_binomial_ranks(qxy):
@@ -33,7 +33,7 @@ def test_koszul_weighted_hypersurface():
     x, y, z = C.var("x"), C.var("y"), C.var("z")
     kc = koszul(C, [z * x ** 2 - y ** 2])
     assert kc.ranks() == [1, 1]
-    assert kc.terms[1].free.bidegrees[0].zdeg == 8
+    assert kc.terms[1].bidegrees[0].zdeg == 8
 
 
 def test_koszul_rejects_inhomogeneous(qxy):
@@ -63,7 +63,7 @@ def test_koszul_detects_nonregular(node_ring):
 
 def test_resolve_principal_ideal(qxy):
     x, y = qxy.var("x"), qxy.var("y")
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)),
+    M = ModulePresentation(qxy, (qxy.degree_zero(),),
                            [col(y ** 2 - x ** 2)])
     res = resolve(M, 2)
     assert res.ranks() == [1, 1] and res.finite
@@ -79,24 +79,24 @@ map p : A -> B { u = x^2, v = y^2 }
     ba = restrict_along(f)
     res = resolve(ba, 5)
     assert res.ranks() == [3, 2, 2, 2, 2, 2]
-    assert not res.finite and res.truncated_at == 5
+    assert not res.finite and res.length == 5
     assert res.periodic == 2
 
 
 def test_resolve_triple_point(triple_ring):
     u, v, t = triple_ring.var("u"), triple_ring.var("v"), triple_ring.var("t")
     M = ModulePresentation(
-        FreeModule(triple_ring, (triple_ring.degree_zero(),)),
+        triple_ring, (triple_ring.degree_zero(),),
         [col(u * v - t * t), col(u * t - v * v), col(v * t - u * u)])
     res = resolve(M, 3)
     assert res.ranks() == [1, 3, 2]
     assert res.finite
-    assert [[d.zdeg for d in T.free.bidegrees] for T in res.terms] == \
+    assert [[d.zdeg for d in T.bidegrees] for T in res.terms] == \
         [[0], [2, 2, 2], [3, 3]]
 
 
 def test_hom_complex_of_trivial_complex(qxy):
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)),
+    M = ModulePresentation(qxy, (qxy.degree_zero(),),
                            [col(qxy.var("x"))])
     res = resolve(ModulePresentation.structure(qxy), 1)
     hc = hom_complex(res, M)
@@ -113,12 +113,12 @@ def test_hom_complex_koszul_self_dual_ranks(qxy):
     # top cohomology is R/(x, y) sitting at the dual of the sum of degrees
     top = homology(hc, 2)
     assert top.rank == 1
-    assert top.free.bidegrees[0].zdeg == -2
+    assert top.bidegrees[0].zdeg == -2
 
 
 def test_hom_complex_requires_free_terms(qxy):
     x = qxy.var("x")
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x)])
+    M = ModulePresentation(qxy, (qxy.degree_zero(),), [col(x)])
     kc = koszul(qxy, [x])
     kc.terms[0] = M
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_resolve_homology_vanishes_against_module(triple_ring):
     # resolve output is exact in degrees 1..depth-1 and H_0 recovers M
     u, v, t = triple_ring.var("u"), triple_ring.var("v"), triple_ring.var("t")
     M = ModulePresentation(
-        FreeModule(triple_ring, (triple_ring.degree_zero(),)),
+        triple_ring, (triple_ring.degree_zero(),),
         [col(u * v - t * t), col(u * t - v * v), col(v * t - u * u)])
     res = resolve(M, 3)
     for i in range(1, res.length + 1):
@@ -190,15 +190,14 @@ def pair_differentials(ring, sign):
     return [col(x), col(y)], [col(y, sign * x)]
 
 
-def pair_frees(ring):
+def pair_bidegrees(ring):
     deg = ring.variable_bidegree(0)
-    return [FreeModule(ring, (ring.degree_zero(),)), FreeModule(ring, (deg, deg)),
-            FreeModule(ring, (deg + deg,))]
+    return [(ring.degree_zero(),), (deg, deg), (deg + deg,)]
 
 
 def free_pair_complex(ring, sign):
     d1, d2 = pair_differentials(ring, sign)
-    terms = [ModulePresentation(F) for F in pair_frees(ring)]
+    terms = [ModulePresentation(ring, degs) for degs in pair_bidegrees(ring)]
     maps = {1: ModuleMap(terms[1], terms[0], d1),
             2: ModuleMap(terms[2], terms[1], d2)}
     return ChainComplex(ring, terms, maps)
@@ -208,7 +207,7 @@ def hom_pair_complex(ring, sign, N):
     """Hom(F_i, N) for the maps of `pair_differentials`, built by hand as
     `hom_complex` builds it: `hom_complex` only takes a complex."""
     d1, d2 = pair_differentials(ring, sign)
-    terms = [hom_free_into(F, N) for F in pair_frees(ring)]
+    terms = [hom_free_into(degs, N) for degs in pair_bidegrees(ring)]
     maps = {0: ModuleMap(terms[0], terms[1], precompose_columns(d1, 1, N)),
             1: ModuleMap(terms[1], terms[2], precompose_columns(d2, 2, N))}
     return ChainComplex(ring, terms, maps, direction="cochain")
@@ -222,8 +221,8 @@ def test_chain_complex_of_free_terms_must_compose_to_zero(qxy):
 
 def test_cochain_composite_is_read_modulo_target_relations(qxy):
     x = qxy.var("x")
-    modulo_x = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x)])
-    modulo_x2 = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x * x)])
+    modulo_x = ModulePresentation(qxy, (qxy.degree_zero(),), [col(x)])
+    modulo_x2 = ModulePresentation(qxy, (qxy.degree_zero(),), [col(x * x)])
     # the composite 2xy is nonzero in the free module but lies in x * Hom(F2, N)
     assert hom_pair_complex(qxy, 1, modulo_x).ranks() == [1, 2, 1]
     assert hom_pair_complex(qxy, -1, modulo_x2).ranks() == [1, 2, 1]

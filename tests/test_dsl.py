@@ -7,7 +7,7 @@ import pytest
 from oracles import col
 
 from stackdual.dsl import ParseError, parse_polynomial, parse_session
-from stackdual.gmodule import FreeModule, ModulePresentation
+from stackdual.gmodule import ModulePresentation
 from stackdual.groebner import printed_column
 from stackdual.poly import Bidegree, GradedRing, MonomialOrder
 
@@ -57,7 +57,7 @@ def test_module_with_negative_degrees():
 ring B = Q[x,y]/(y^2 - x^3) group 2 weights {x:0, y:1} degrees {x:2, y:3}
 module W over B gens w:(-3,1)
 """)
-    assert ast.modules["W"].free.bidegrees[0] == Bidegree(-3, 1, 2)
+    assert ast.modules["W"].bidegrees[0] == Bidegree(-3, 1, 2)
 
 
 def test_rational_coefficients_via_division():
@@ -326,7 +326,7 @@ def test_printed_module_relations_parse_back():
             cols.append(col(*(_random_poly(rng, ring, top - d) if rng.random() < 0.8
                               else ring.zero() for d in zdegs)))
         expected = ModulePresentation(
-            FreeModule(ring, tuple(Bidegree(d, 0, 1) for d in zdegs)), cols)
+            ring, tuple(Bidegree(d, 0, 1) for d in zdegs), cols)
         gens = ", ".join(f"g{i}:({d},0)" for i, d in enumerate(zdegs))
         ast = parse_session(f"{ring_text}\nmodule M over R gens {gens}")
         decl = ast.statements[1]

@@ -13,7 +13,7 @@ from stackdual.dsl import parse_session
 from stackdual.duality import (canonical_module, cm_gorenstein_check,
                                compare_modules, ext_dualizing, finite_shriek,
                                lci_dualizing, pushforward_check)
-from stackdual.gmodule import (FreeModule, ModulePresentation, RingMorphism,
+from stackdual.gmodule import (ModulePresentation, RingMorphism,
                                hilbert_function, minimalize, twist)
 from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 
@@ -109,7 +109,7 @@ def test_finite_shriek_scalar_rescaling_invariance():
     f, _, _ = node_setup(2, 1, 1)
     base = finite_shriek(f, depth=2)
     ring_a = f.source
-    m_scaled = ModulePresentation.free_of(ring_a, (ring_a.degree_zero(),))
+    m_scaled = ModulePresentation(ring_a, (ring_a.degree_zero(),))
     rep = finite_shriek(f, m_scaled, depth=2)
     assert rep.generator_bidegrees == base.generator_bidegrees
     assert rep.is_free_rank_one == base.is_free_rank_one
@@ -146,16 +146,16 @@ def test_ext_dualizing_triple_point(triple_ring):
     ext2 = by_i[2]
     assert ext2.rank == 2 and len(ext2.relations) == 3
     # weight 3 mod 3 with the engine's dual convention (-3 = 3 = 0 mod 3)
-    assert all(d.weight == (-3) % 3 for d in ext2.free.bidegrees)
+    assert all(d.weight == (-3) % 3 for d in ext2.bidegrees)
     # equivalent to the displayed matrix (t e1 + u e2, v e1 + t e2, u e1 + v e2)
-    d = ext2.free.bidegrees[0]
+    d = ext2.bidegrees[0]
     B = ext2.ring
     u, v, t = B.var("u"), B.var("v"), B.var("t")
     displayed = ModulePresentation(
-        FreeModule(B, (d, d)), [col(t, u), col(v, t), col(u, v)])
+        B, (d, d), [col(t, u), col(v, t), col(u, v)])
     assert compare_modules(ext2, displayed, 8) == "isomorphic-up-to-bound"
     permuted = ModulePresentation(
-        FreeModule(B, (d, d)), [col(u, t), col(t, v), col(v, u)])
+        B, (d, d), [col(u, t), col(t, v), col(v, u)])
     assert compare_modules(ext2, permuted, 8) == "isomorphic-up-to-bound"
 
 
@@ -163,7 +163,7 @@ def test_ext_dualizing_zero_ideal(qxy):
     omega = canonical_module(qxy)
     exts = ext_dualizing(qxy, [], omega, 2)
     assert exts[0][1].rank == 1
-    assert exts[0][1].free.bidegrees == omega.free.bidegrees
+    assert exts[0][1].bidegrees == omega.bidegrees
     assert exts[1][1].rank == 0 and exts[2][1].rank == 0
 
 
@@ -174,7 +174,7 @@ def test_ext_dualizing_plane_node_cancels_twist():
     exts = ext_dualizing(B0, [x * y], canonical_module(B0), 2)
     ext1 = dict(exts)[1]
     assert ext1.rank == 1 and not ext1.relations
-    assert ext1.free.bidegrees[0] == Bidegree(0, 0, 5)
+    assert ext1.bidegrees[0] == Bidegree(0, 0, 5)
     assert dict(exts)[0].rank == 0 and dict(exts)[2].rank == 0
 
 
@@ -184,12 +184,12 @@ def test_moving_to_the_quotient_can_leave_a_redundant_relation():
     C = GradedRing(["x", "y"], name="C")
     x, y = C.var("x"), C.var("y")
     degs = (C.degree_zero(), C.degree_zero())
-    M = ModulePresentation(FreeModule(C, degs),
+    M = ModulePresentation(C, degs,
                            [col(x, -y), col(C.zero(), x * y), col(C.zero(), x * x)])
     assert minimalize(M).relations == M.relations
     B = C.quotient([x * x])
     # (0, x^2) vanishes over B and (0, xy) = -x * (x, -y) there
-    over_b = ModulePresentation(FreeModule(B, degs), M.relations)
+    over_b = ModulePresentation(B, degs, M.relations)
     assert len(over_b.relations) == 2
     assert len(minimalize(over_b).relations) == 1
 
@@ -202,7 +202,7 @@ def test_ext_agrees_with_finite_shriek_on_node():
     x, y = B0.var("x"), B0.var("y")
     exts = ext_dualizing(B0, [x * y], canonical_module(B0), 2)
     ext1 = dict(exts)[1]
-    assert ext1.free.bidegrees[0].weight == rep.generator_bidegrees[0].weight == 0
+    assert ext1.bidegrees[0].weight == rep.generator_bidegrees[0].weight == 0
 
 
 # -- the complete intersection formula ---------------------------------------------
@@ -260,19 +260,19 @@ def test_lci_change_of_basis_covariance(qxy):
 def test_canonical_module_weighted_projective():
     C = GradedRing(["x", "y", "z", "w"], zdegs=[1, 1, 1, 5], name="C")
     omega = canonical_module(C)
-    assert omega.free.bidegrees[0].zdeg == 8  # O(-3-a) with a = 5
+    assert omega.bidegrees[0].zdeg == 8  # O(-3-a) with a = 5
 
 
 def test_canonical_module_single_variable():
     C = GradedRing(["x"], name="C")
     omega = canonical_module(C)
-    assert omega.free.bidegrees[0] == Bidegree(1, 0, 1)
+    assert omega.bidegrees[0] == Bidegree(1, 0, 1)
 
 
 def test_canonical_module_weights_add():
     C = GradedRing(["x", "y"], weights=[1, 2], group_order=5, name="C")
     omega = canonical_module(C)
-    assert omega.free.bidegrees[0].weight == 3
+    assert omega.bidegrees[0].weight == 3
 
 
 def test_canonical_module_rejects_quotient(node_ring):
@@ -377,8 +377,8 @@ def test_compare_does_not_turn_a_table_fault_into_a_verdict(qxy, monkeypatch):
 
     x, y = qxy.var("x"), qxy.var("y")
     d = qxy.degree_zero()
-    M = ModulePresentation(FreeModule(qxy, (d,)), [col(x)])
-    N = ModulePresentation(FreeModule(qxy, (d,)), [col(y)])
+    M = ModulePresentation(qxy, (d,), [col(x)])
+    N = ModulePresentation(qxy, (d,), [col(y)])
     monkeypatch.setattr(stackdual.duality, "hilbert_function", broken)
     with pytest.raises(ValueError, match="table fault"):
         compare_modules(M, N, 8)
@@ -414,7 +414,7 @@ dualize-finite f omega MA depth 2
 def test_compare_distinct_by_hilbert(qxy):
     x, y = qxy.var("x"), qxy.var("y")
     d = qxy.degree_zero()
-    M = ModulePresentation(FreeModule(qxy, (d,)), [col(x)])
-    N = ModulePresentation(FreeModule(qxy, (d,)), [col(x ** 2 - y ** 2)])
+    M = ModulePresentation(qxy, (d,), [col(x)])
+    N = ModulePresentation(qxy, (d,), [col(x ** 2 - y ** 2)])
     # same generator degrees, different Hilbert tables
     assert compare_modules(M, N, 8) == "distinct"

@@ -11,7 +11,7 @@ from oracles import col
 from stackdual import caps
 from stackdual.caps import ResourceCapError
 from stackdual.dsl import parse_session
-from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
+from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
                                _monomials_of_zdeg, _numerator,
                                hilbert_function, hom_module, invariant_part,
@@ -41,12 +41,12 @@ map p : A -> B {{ u = x^{alpha}, v = y^{beta} }}
 def test_kernel_of_multiplication_by_x_on_node(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     deg_x, deg_y = node_ring.variable_bidegree(0), node_ring.variable_bidegree(1)
-    f = ModuleMap(ModulePresentation.free_of(node_ring, (deg_x,)), structure(node_ring),
+    f = ModuleMap(ModulePresentation(node_ring, (deg_x,)), structure(node_ring),
                   [col(x)])
     ker = kernel(f)
     # the annihilator of x is (y), i.e. R/(x) on a generator of degree x*y
     assert ker.rank == 1
-    assert ker.free.bidegrees[0] == deg_x + deg_y
+    assert ker.bidegrees[0] == deg_x + deg_y
     assert [list(printed_column(c, ker.rank)) for c in ker.relations] == [["x"]]
 
 
@@ -59,7 +59,7 @@ def test_kernel_of_identity_is_zero(node_ring):
 def test_kernel_koszul_map(qxy):
     x, y = qxy.var("x"), qxy.var("y")
     d = qxy.degree_zero()
-    src = ModulePresentation.free_of(qxy, (Bidegree(1, 0, 1), Bidegree(1, 0, 1)))
+    src = ModulePresentation(qxy, (Bidegree(1, 0, 1), Bidegree(1, 0, 1)))
     tgt = structure(qxy)
     f = ModuleMap(src, tgt, [col(x), col(y)])
     ker = kernel(f)
@@ -71,7 +71,7 @@ def test_kernel_inclusion_composes_to_zero(node_ring):
     from stackdual.gmodule import kernel_with_inclusion
     from stackdual.groebner import SubmoduleOracle
     x, y = node_ring.var("x"), node_ring.var("y")
-    f = ModuleMap(ModulePresentation.free_of(node_ring, (node_ring.variable_bidegree(0),)),
+    f = ModuleMap(ModulePresentation(node_ring, (node_ring.variable_bidegree(0),)),
                   structure(node_ring), [col(x)])
     _, incl = kernel_with_inclusion(f)
     oracle = SubmoduleOracle(node_ring, list(f.target.relations), f.target.rank)
@@ -81,7 +81,7 @@ def test_kernel_inclusion_composes_to_zero(node_ring):
 
 def test_ill_defined_map_rejected(node_ring, qxy):
     x, y = qxy.var("x"), qxy.var("y")
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)), [col(x)])
+    M = ModulePresentation(qxy, (qxy.degree_zero(),), [col(x)])
     N = structure(qxy)
     with pytest.raises(ValueError):
         ModuleMap(M, N, [col(qxy.one())])  # does not kill x
@@ -91,7 +91,7 @@ def test_foreign_ring_entries_rejected(node_ring):
     foreign = col(GradedRing(["a", "b"]).var("a"))
     M = structure(node_ring)
     with pytest.raises(RingMismatchError):
-        ModulePresentation(M.free, [foreign])
+        ModulePresentation(node_ring, M.bidegrees, [foreign])
     with pytest.raises(RingMismatchError):
         ModuleMap(M, M, [foreign])
     with pytest.raises(RingMismatchError):
@@ -102,21 +102,28 @@ def test_foreign_ring_entries_rejected(node_ring):
         syzygies_over(node_ring, [col(node_ring.var("x"))], 1, context=[foreign])
 
 
+def test_generator_bidegree_modulus_must_match_the_ring(qxy):
+    assert qxy.group_order == 1
+    with pytest.raises(ValueError, match="modulus differs from the ring"):
+        ModulePresentation(qxy, (Bidegree(0, 0, 3),))
+    assert ModulePresentation(qxy, (Bidegree(0, 0, 1),)).rank == 1
+
+
 # -- hom ----------------------------------------------------------------------
 
 
 def test_hom_torsion_into_domain_vanishes():
     R = GradedRing(["x"])
     x = R.var("x")
-    M = ModulePresentation(FreeModule(R, (R.degree_zero(),)), [col(x)])
+    M = ModulePresentation(R, (R.degree_zero(),), [col(x)])
     assert minimalize(hom_module(M, structure(R))).rank == 0
 
 
 def test_hom_from_ring_is_identity(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     N = ModulePresentation(
-        FreeModule(node_ring, (node_ring.degree_zero(),
-                               node_ring.variable_bidegree(0))),
+        node_ring, (node_ring.degree_zero(),
+                               node_ring.variable_bidegree(0)),
         [col(y, node_ring.zero())])
     h = hom_module(structure(node_ring), N)
     assert hilbert_function(h, 8) == hilbert_function(N, 8)
@@ -140,11 +147,11 @@ def test_hom_node_module_matches_restriction():
 def test_twist_conventions(node_ring):
     R = structure(node_ring)
     d = Bidegree(2, 1, 2)
-    assert twist(R, node_ring.degree_zero()).free.bidegrees == R.free.bidegrees
-    assert twist(twist(R, d), -d).free.bidegrees == R.free.bidegrees
+    assert twist(R, node_ring.degree_zero()).bidegrees == R.bidegrees
+    assert twist(twist(R, d), -d).bidegrees == R.bidegrees
     # O(-n) means the generator sits at Z-degree n
     minus_n = twist(R, Bidegree(-3, 0, 2))
-    assert minus_n.free.bidegrees[0].zdeg == 3
+    assert minus_n.bidegrees[0].zdeg == 3
 
 
 # -- minimalize ------------------------------------------------------------------
@@ -152,7 +159,7 @@ def test_twist_conventions(node_ring):
 
 def test_minimalize_unit_entry(qxy):
     d = qxy.degree_zero()
-    M = ModulePresentation(FreeModule(qxy, (d, d)),
+    M = ModulePresentation(qxy, (d, d),
                            [col(qxy.one(), qxy.constant(-1))])
     m = minimalize(M)
     assert m.rank == 1 and not m.relations
@@ -164,14 +171,14 @@ def test_minimalize_keeps_triple_point_ext(triple_ring):
     u, v, t = B.var("u"), B.var("v"), B.var("t")
     d = Bidegree(-3, -3, 3)
     M = ModulePresentation(
-        FreeModule(B, (d, d)),
+        B, (d, d),
         [col(t, u), col(v, t), col(u, v)])
     m = minimalize(M)
     assert m.rank == 2 and len(m.relations) == 3
 
 
 def test_minimalize_kills_spurious_generator(qxy):
-    M = ModulePresentation(FreeModule(qxy, (qxy.degree_zero(),)),
+    M = ModulePresentation(qxy, (qxy.degree_zero(),),
                            [col(qxy.one())])
     m = minimalize(M)
     assert m.rank == 0
@@ -181,7 +188,7 @@ def test_minimalize_preserves_hilbert_table(node_ring):
     x, y = node_ring.var("x"), node_ring.var("y")
     d0 = node_ring.degree_zero()
     dx = node_ring.variable_bidegree(0)
-    M = ModulePresentation(FreeModule(node_ring, (d0, dx)),
+    M = ModulePresentation(node_ring, (d0, dx),
                            [col(x, node_ring.constant(-1)), col(y * y, node_ring.zero())])
     assert hilbert_function(M, 8) == hilbert_function(minimalize(M), 8)
 
@@ -197,7 +204,7 @@ def test_hilbert_node_counts():
 
 
 def test_hilbert_shifted_free(qxy):
-    M = ModulePresentation.free_of(qxy, (Bidegree(3, 0, 1),))
+    M = ModulePresentation(qxy, (Bidegree(3, 0, 1),))
     table = hilbert_function(M, 5)
     assert table.get((2, 0), 0) == 0
     assert table[(3, 0)] == 1 and table[(4, 0)] == 2
@@ -226,7 +233,7 @@ def test_hilbert_of_a_power_of_the_maximal_ideal():
     ideal = [R.monomial(m) for m in itertools.product(range(5), repeat=3)
              if sum(m) == 4]
     table = hilbert_function(ModulePresentation(
-        FreeModule(R, (R.degree_zero(),)), [col(p) for p in ideal]), 8)
+        R, (R.degree_zero(),), [col(p) for p in ideal]), 8)
     assert table == {(0, 0): 1, (1, 0): 3, (2, 0): 6, (3, 0): 10}
 
 
@@ -262,7 +269,7 @@ def test_invariant_part_cusp_dual():
     B = parse_session(
         "ring B = Q[x,y]/(y^2 - x^3) group 2 weights {x:0, y:1}"
         " degrees {x:2, y:3}").rings["B"]
-    M = ModulePresentation.free_of(B, (Bidegree(-3, 1, 2),))
+    M = ModulePresentation(B, (Bidegree(-3, 1, 2),))
     dims, _ = invariant_part(M, 8)
     assert dims == {0: 1, 2: 1, 4: 1, 6: 1, 8: 1}
 
@@ -301,7 +308,7 @@ def test_restrict_double_cover_of_line():
     f = RingMorphism(A, B, [x ** 2], name="f")
     ba = restrict_along(f)
     assert ba.rank == 2 and not ba.relations
-    assert [d.zdeg for d in ba.free.bidegrees] == [0, 1]
+    assert [d.zdeg for d in ba.bidegrees] == [0, 1]
 
 
 def test_restrict_preserves_bigraded_dimensions():

@@ -42,7 +42,7 @@ from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
 from stackdual.dsl import parse_session
 from stackdual.duality import cm_gorenstein_check, compare_modules, finite_shriek
-from stackdual.gmodule import (FreeModule, ModuleMap, ModulePresentation,
+from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
                                apply_columns, hilbert_function, hom_module,
                                invariant_part, kernel, kernel_with_inclusion,
@@ -270,7 +270,7 @@ def test_koszul_exactness_for_regular_sequences(sequence_library):
         for i in range(1, len(seq) + 1):
             assert minimalize(homology(kc, i)).rank == 0
         quotient = ModulePresentation(
-            FreeModule(ring, (ring.degree_zero(),)), [col(f) for f in seq])
+            ring, (ring.degree_zero(),), [col(f) for f in seq])
         h0 = homology(kc, 0)
         if all(d > 0 for d in ring.zdegs):
             assert hilbert_function(h0, 6) == hilbert_function(quotient, 6)
@@ -281,7 +281,7 @@ def test_composition_and_homogeneity_of_constructed_complexes(sequence_library):
         kc = koszul(ring, seq)
         kc.check_composition()
         quotient = ModulePresentation(
-            FreeModule(ring, (ring.degree_zero(),)), [col(f) for f in seq])
+            ring, (ring.degree_zero(),), [col(f) for f in seq])
         res = resolve(quotient, 3)
         res.check_composition()
         hc = hom_complex(res, ModulePresentation.structure(ring))
@@ -291,7 +291,7 @@ def test_composition_and_homogeneity_of_constructed_complexes(sequence_library):
                 for c in f.columns:
                     if c:
                         assert vector_bidegree(
-                            c, f.target.free.bidegrees, ring) is not None
+                            c, f.target.bidegrees) is not None
 
 
 def test_preset_complex_invariants():
@@ -308,7 +308,7 @@ map p : A -> B { u = x^3, v = y^3 }
     hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
     hc.check_composition()
     for c in ba.relations:
-        assert vector_bidegree(c, ba.free.bidegrees, ba.ring) is not None
+        assert vector_bidegree(c, ba.bidegrees) is not None
 
 
 def test_hom_from_ring_has_module_table(instances):
@@ -316,7 +316,7 @@ def test_hom_from_ring_has_module_table(instances):
         p = polys[0]
         if p.is_zero() or p.bidegree() is None or any(d <= 0 for d in ring.zdegs):
             continue
-        N = ModulePresentation(FreeModule(ring, (ring.degree_zero(),)), [col(p)])
+        N = ModulePresentation(ring, (ring.degree_zero(),), [col(p)])
         h = hom_module(ModulePresentation.structure(ring), N)
         assert hilbert_function(h, 6) == hilbert_function(N, 6)
 
@@ -329,7 +329,7 @@ def test_minimalize_preserves_tables(instances):
             continue
         d0 = ring.degree_zero()
         M = ModulePresentation(
-            FreeModule(ring, (d0, d0)),
+            ring, (d0, d0),
             [col(ring.one(), ring.constant(-1)), col(p, ring.zero())])
         m = minimalize(M)
         assert m.rank == 1
@@ -616,7 +616,7 @@ def test_restriction_matches_elimination_reference():
     for f in restriction_maps(SEED + 15):
         ba = restrict_along(f)
         ref = reference_restrict_along(f)
-        assert ba.free == ref.free
+        assert (ba.ring, ba.bidegrees) == (ref.ring, ref.bidegrees)
         assert same_span(ba.ring, ba.rank, ba.relations, ref.relations)
         assert hilbert_function(ba, 12) == hilbert_function(
             ModulePresentation.structure(f.target), 12)
@@ -648,7 +648,7 @@ def test_precompose_columns_act_as_the_hand_written_position_loop():
         if n % 2:
             ring = random_quotient(rng, ring)
         nm, r0, r1 = rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 3)
-        N = ModulePresentation.free_of(ring, [ring.degree_zero()] * nm)
+        N = ModulePresentation(ring, [ring.degree_zero()] * nm)
         d = [seeded_column(ring, r0) for _ in range(r1)]
         cols = precompose_columns(d, r0, N)
         for _ in range(3):
@@ -704,7 +704,7 @@ def test_coordinates_satisfy_their_definition():
 
 
 def same_presentation(a, b):
-    return a.free.bidegrees == b.free.bidegrees and a.relations == b.relations
+    return a.bidegrees == b.bidegrees and a.relations == b.relations
 
 
 def bihomogeneous_forms(rng, ring, count):
@@ -718,7 +718,7 @@ def bihomogeneous_forms(rng, ring, count):
 
 
 def quotient_module(ring, gens):
-    return ModulePresentation(FreeModule(ring, (ring.degree_zero(),)),
+    return ModulePresentation(ring, (ring.degree_zero(),),
                               [col(g) for g in gens])
 
 
@@ -788,14 +788,14 @@ def test_kernel_from_columns_matches_unit_vector_images(homology_library):
                 cases.append((out_map, list(in_map.columns) if in_map else []))
     for ring, cands, context, rank in homogeneous_span_instances(120, SEED + 17):
         d0 = ring.degree_zero()
-        within = ModulePresentation(FreeModule(ring, (d0,) * rank), context)
-        degs = [vector_bidegree(v, within.free.bidegrees, ring) or d0 for v in cands]
-        source = ModulePresentation.free_of(ring, degs)
+        within = ModulePresentation(ring, (d0,) * rank, context)
+        degs = [vector_bidegree(v, within.bidegrees) or d0 for v in cands]
+        source = ModulePresentation(ring, degs)
         f = ModuleMap(source, within, cands)
         ker = reference_kernel(f)[1]
         g = ring.var(0)
         cases += [(f, []), (f, [{i: g * p for i, p in v.items()} for v in ker[:2]]),
-                  (ModuleMap(source, ModulePresentation.zero(ring),
+                  (ModuleMap(source, ModulePresentation(ring, ()),
                              [{}] * source.rank), [])]
     kinds = set()
     for f, modulo in cases:
@@ -821,7 +821,7 @@ def homogeneous_span_instances(count, seed):
     out = []
     for ring, cands, context, rank in span_instances(count, seed, ungraded_ring):
         degs = (ring.degree_zero(),) * rank
-        if all(vector_bidegree(v, degs, ring) is not None or not v
+        if all(vector_bidegree(v, degs) is not None or not v
                for v in cands + context):
             out.append((ring, cands, context, rank))
     return out
@@ -836,10 +836,10 @@ def test_results_are_minimal_by_contract(homology_library):
     rng = random.Random(SEED + 16)
     for ring, cands, context, rank in instances:
         d0 = ring.degree_zero()
-        within = ModulePresentation(FreeModule(ring, (d0,) * rank), context)
+        within = ModulePresentation(ring, (d0,) * rank, context)
         results.append(subquotient(cands[:5], cands[5:], within)[0])
-        degs = [vector_bidegree(v, within.free.bidegrees, ring) or d0 for v in cands]
-        results.append(kernel(ModuleMap(ModulePresentation.free_of(ring, degs),
+        degs = [vector_bidegree(v, within.bidegrees) or d0 for v in cands]
+        results.append(kernel(ModuleMap(ModulePresentation(ring, degs),
                                         within, cands)))
         N = quotient_module(ring, bihomogeneous_forms(rng, ring, 1))
         results += [hom_module(within, N), hom_module(N, within)]
@@ -875,9 +875,9 @@ def test_every_column_is_sparse_reduced_and_sorted(homology_library):
         oracle = SubmoduleOracle(ring, context + cands, rank, liftable=True)
         assert_columns([oracle.lift(v) for v in cands], oracle.ngens, ring)
         d0 = ring.degree_zero()
-        within = ModulePresentation(FreeModule(ring, (d0,) * rank), context)
-        degs = [vector_bidegree(v, within.free.bidegrees, ring) or d0 for v in cands]
-        f = ModuleMap(ModulePresentation.free_of(ring, degs), within, cands)
+        within = ModulePresentation(ring, (d0,) * rank, context)
+        degs = [vector_bidegree(v, within.bidegrees) or d0 for v in cands]
+        f = ModuleMap(ModulePresentation(ring, degs), within, cands)
         assert_columns(f.columns, rank, ring)
         for (pres, incl), ambient_rank in ((subquotient(cands[:5], cands[5:], within), rank),
                                            (kernel_with_inclusion(f), len(cands))):
@@ -961,7 +961,7 @@ def staircase_modules(seed, count):
                     entries[k] = entries[k] + ring.monomial(rng.choice(monos),
                                                             rng.choice([-1, 2]))
             rels.append(col(*entries))
-        out.append(ModulePresentation(FreeModule(ring, tuple(gens)), rels))
+        out.append(ModulePresentation(ring, tuple(gens), rels))
     return out
 
 
@@ -972,7 +972,7 @@ def test_hilbert_series_matches_enumeration():
     assert any(M.ring.ideal for M in modules)
     assert any(sum(len(p.terms) for p in c.values()) > 1
                for M in modules for c in M.relations)
-    gen_zdegs = [g.zdeg for M in modules for g in M.free.bidegrees]
+    gen_zdegs = [g.zdeg for M in modules for g in M.bidegrees]
     assert min(gen_zdegs) < 0 < HILBERT_BOUND < max(gen_zdegs)
     for M in modules:
         assert hilbert_function(M, HILBERT_BOUND) == \
@@ -998,9 +998,9 @@ def test_degree_zero_variables_still_raise_and_compare_stays_inconclusive():
         assert compare_modules(m, n, 4) == "inconclusive"
         # every generator above the bound: the tables are empty there, which
         # proves nothing when the pieces are infinite
-        high = FreeModule(ring, (Bidegree(5, 0),))
-        m = ModulePresentation(high, [col(x)])
-        n = ModulePresentation(high, [col(t)])
+        high = (Bidegree(5, 0),)
+        m = ModulePresentation(ring, high, [col(x)])
+        n = ModulePresentation(ring, high, [col(t)])
         for bound in (3, 6):
             assert compare_modules(m, n, bound) == "inconclusive"
 
@@ -1020,7 +1020,7 @@ def test_degree_zero_quotients_lose_every_generator_exactly_when_zero():
             if rng.random() < 0.6:
                 f = random_poly(rng, ring) * t
                 rels += [{pos: f}, {pos: f + ring.one()}]
-        M = ModulePresentation(FreeModule(ring, (ring.degree_zero(),) * rank),
+        M = ModulePresentation(ring, (ring.degree_zero(),) * rank,
                                rels)
         zero = all(M.span.contains({pos: ring.one()}) for pos in range(rank))
         assert (minimalize(M).rank == 0) == zero
