@@ -4,7 +4,7 @@ cyclic-quotient curve singularities and embedded quotient-stack charts."""
 from .poly import Bidegree, GradedRing, MonomialOrder, Polynomial
 from .gmodule import (ModuleMap, ModulePresentation, RingMorphism,
                       hilbert_function, hom_module, invariant_part, kernel,
-                      minimalize, restrict_along, twist)
+                      minimalize, restrict_along)
 from .groebner import GroebnerBasis, buchberger, normal_form
 from .complexes import ChainComplex, hom_complex, homology, koszul, resolve
 from .duality import (CMReport, DualityReport, canonical_module,

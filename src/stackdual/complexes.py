@@ -118,8 +118,8 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
     term covers a minimal generating set of the syzygies of the previous
     differential's columns.  Stops early (finite=True) when a zero syzygy
     module appears; otherwise the complex is truncated at length `depth`.
-    A period (1 or 2) of the tail is reported when the differentials repeat
-    up to a bidegree shift.
+    A period (1 or 2) of the tail is reported when the last differential
+    repeats an earlier one exactly, up to one uniform bidegree shift.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -153,13 +153,21 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
 
 
 def _detect_period(cc: ChainComplex) -> Optional[int]:
+    """The least period p in (1, 2) with which the last differential d_L
+    repeats d_{L-p} exactly: equal columns, equal source and target ranks,
+    and one bidegree shift (its weight taken mod a) from every generator of
+    both terms of d_{L-p} to its counterpart.  L >= 3, so the repeat starts
+    at step L - p >= 1."""
     if cc.finite or cc.length < 3:
         return None
+    last = cc.maps[cc.length]
     for period in (1, 2):
-        i = cc.length
-        if i - period < 1:
-            continue
-        if cc.maps[i].columns == cc.maps[i - period].columns:
+        earlier = cc.maps[cc.length - period]
+        pairs = ((last.source, earlier.source), (last.target, earlier.target))
+        shifts = {d - e for new, old in pairs
+                  for d, e in zip(new.bidegrees, old.bidegrees)}
+        if (last.columns == earlier.columns and len(shifts) <= 1
+                and all(new.rank == old.rank for new, old in pairs)):
             return period
     return None
 

@@ -6,7 +6,7 @@ is no separate free-module type.  Relations, map columns and kernel
 inclusions are `groebner.Column`s, {position: Polynomial} holding only the
 nonzero entries, reduced modulo the ring ideal, so every operation visits
 stored entries only.  On top of that sit the operations the duality recipes
-need: kernels, Hom, twists, minimal presentations, Hilbert tables, invariant
+need: kernels, Hom, minimal presentations, Hilbert tables, invariant
 (weight-zero) parts, and the target of a module-finite ring map as a module
 over its source.
 
@@ -212,7 +212,7 @@ def subquotient(gens: Sequence[Column], subs: Sequence[Column],
 
 
 # ---------------------------------------------------------------------------
-# hom and twist
+# hom
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> ModulePresentation:
@@ -259,11 +259,6 @@ def precompose_columns(columns: Sequence[Column], rank: int,
             for l in range(N.rank):
                 cols[k * N.rank + l][t * N.rank + l] = entry
     return cols
-
-
-def twist(M: ModulePresentation, d: Bidegree) -> ModulePresentation:
-    """Shift the grading: twist(M, d) in degree e is M in degree d + e."""
-    return ModulePresentation(M.ring, [g - d for g in M.bidegrees], M.relations)
 
 
 # ---------------------------------------------------------------------------

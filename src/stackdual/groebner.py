@@ -13,13 +13,17 @@ columns are flattened where they enter it and projected straight back.  A
 span-only oracle (`contains`, `extend`: presentation spans and
 `minimal_generating_vectors`) grows with `extend`, keeps no expressions and
 drops S-pairs by the chain criterion; the product criterion does not hold
-for module elements.  A liftable one (`lift`, `syzygies`, and so
-`syzygies_over`) is fixed at construction: it records how every basis
-element is expressed in the inputs and processes every S-pair, so Schreyer
-syzygies fall out of the S-pair reductions.  Liftable oracles come from
-`liftable_oracle`, which builds each one once per command and hands the
-same oracle to every caller with equal inputs.  An ideal is a
-rank-1 submodule, so `buchberger` and `normal_form` run on the same engine.
+for module elements.  `contains` keeps the remainder of the column it was
+asked about, and an `extend` of that same column inserts that remainder
+instead of reducing the column again, so a greedy loop that asks and then
+keeps reduces each kept candidate once.  A liftable one (`lift`,
+`syzygies`, and so `syzygies_over`) is fixed at construction: it records
+how every basis element is expressed in the inputs and processes every
+S-pair, so Schreyer syzygies fall out of the S-pair reductions.  Liftable
+oracles come from `liftable_oracle`, which builds each one once per
+command and hands the same oracle to every caller with equal inputs.  An
+ideal is a rank-1 submodule, so `buchberger` and `normal_form` run on the
+same engine.
 Quotient rings B = C/I are handled by lifting to the ambient ring and
 adjoining I times the unit vectors, then projecting back.
 
@@ -309,15 +313,11 @@ class _TrackedGB:
             elif srep:
                 self.syzygies.append(srep)
 
-    def extend(self, vec: VecDict) -> None:
-        """Add vec to the span of a span-only basis unless it is already in
-        it."""
-        if self.track:
-            raise RuntimeError("a tracked Groebner basis is fixed at construction")
-        remainder, _ = self.reduce(vec)
-        if remainder:
-            self._insert(remainder, None)
-            self._complete()
+    def extend(self, remainder: VecDict) -> None:
+        """Grow a span-only basis by `remainder`, a nonzero vector that this
+        basis already reduces to itself, and complete it."""
+        self._insert(remainder, None)
+        self._complete()
 
     # -- queries -------------------------------------------------------------
 
@@ -327,10 +327,6 @@ class _TrackedGB:
                                "keeps no representations")
         return _vec_reduce(vec, self.basis, self.order, self.by_pos,
                            track=track)
-
-    def contains(self, vec: VecDict) -> bool:
-        remainder, _ = self.reduce(vec)
-        return not remainder
 
     def express(self, vec: VecDict) -> Optional[VecDict]:
         """Write vec over the input vectors; None if vec is not in the span."""
@@ -352,9 +348,6 @@ class GroebnerBasis:
     ring: GradedRing
     generators: tuple[Polynomial, ...]
     leads: tuple[Monomial, ...]
-
-    def __iter__(self):
-        return iter(self.generators)
 
     def __len__(self):
         return len(self.generators)
@@ -485,14 +478,25 @@ class SubmoduleOracle:
         # the GB inputs, which `syzygies` expresses over themselves
         self._inputs = rows
         self._syzygies: dict[int, list[Column]] = {}
+        # the last column `contains` answered and its remainder, which
+        # `extend` of that same column inserts instead of reducing again
+        self._last: tuple[Column, VecDict] | None = None
 
     def contains(self, v: Column) -> bool:
-        return self.gb.contains(_flatten(v, self.ambient))
+        remainder, _ = self.gb.reduce(_flatten(v, self.ambient))
+        self._last = (v, remainder)
+        return not remainder
 
     def extend(self, v: Column) -> None:
         """Append v as generator number `ngens` of a span-only oracle.
         Raises RuntimeError on a liftable one."""
-        self.gb.extend(_flatten(v, self.ambient))
+        if self.gb.track:
+            raise RuntimeError("a liftable oracle is fixed at construction")
+        last, self._last = self._last, None
+        remainder = (last[1] if last is not None and last[0] is v
+                     else self.gb.reduce(_flatten(v, self.ambient))[0])
+        if remainder:
+            self.gb.extend(remainder)
         self.ngens += 1
 
     def syzygies(self, heads: int) -> list[Column]:

@@ -280,10 +280,6 @@ class GradedRing:
         canonical = ((tuple(m), coefficient(c)) for m, c in terms.items())
         return Polynomial(self, {m: c for m, c in canonical if c != 0})
 
-    def parse(self, text: str) -> "Polynomial":
-        from . import dsl
-        return dsl.parse_polynomial(text, self)
-
     # -- grading -------------------------------------------------------------
 
     def degree_zero(self) -> Bidegree:
@@ -309,7 +305,10 @@ class GradedRing:
     def reduce(self, p: "Polynomial") -> "Polynomial":
         """Normal form of p modulo the defining ideal, as an element of this
         ring.  This is where a polynomial enters a ring: p must share the
-        ambient signature, or RingMismatchError is raised."""
+        ambient signature, or RingMismatchError is raised.  What it returns
+        is marked reduced, so reducing it again over this ring is free."""
+        if p.ring is self and p._reduced:
+            return p
         if p.ring is not self and not self.same_ambient(p.ring):
             raise RingMismatchError(f"{p} does not live in {self!r}")
         if self.ideal:
@@ -317,8 +316,11 @@ class GradedRing:
             # a polynomial with no reducible term is its own normal form
             if any(monomial_divides(lm, m) for m in p.terms for lm in gb.leads):
                 from .groebner import normal_form
-                return Polynomial(self, dict(normal_form(p, gb).terms))
-        return p if p.ring is self else Polynomial(self, dict(p.terms))
+                p = normal_form(p, gb)
+        if p.ring is not self:
+            p = Polynomial(self, p.terms)
+        p._reduced = True
+        return p
 
     def reinterpret(self, p: "Polynomial") -> "Polynomial":
         """Reinterpret by raw terms only (for regrading along a ring map)."""
@@ -331,12 +333,21 @@ class GradedRing:
 # polynomials
 
 
+_UNKNOWN = object()     # a bidegree not computed yet (None is an answer)
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients, each
     in the canonical form of `coefficient`: zero terms are dropped and the
-    others are brought to that form here, so a float raises TypeError."""
+    others are brought to that form here, so a float raises TypeError.
 
-    __slots__ = ("ring", "terms")
+    Three facts about a polynomial are computed once and kept on it: its
+    `bidegree()`, its printed form `str(p)`, and whether it is in normal
+    form modulo its ring's ideal (set by `GradedRing.reduce` on what it
+    returns).  They hold only because `terms` is never mutated after
+    construction; build a new polynomial instead."""
+
+    __slots__ = ("ring", "terms", "_bidegree", "_str", "_reduced")
 
     def __init__(self, ring: GradedRing, terms: dict):
         self.ring = ring
@@ -344,6 +355,9 @@ class Polynomial:
                       or type(c) is Fraction and c.denominator != 1
                       else coefficient(c)
                       for m, c in terms.items() if c != 0}
+        self._bidegree = _UNKNOWN
+        self._str = None
+        self._reduced = False
 
     # -- basic queries -----------------------------------------------------
 
@@ -436,14 +450,6 @@ class Polynomial:
                 square = square * square
         return out
 
-    def scale_monomial(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
-        """coeff * mono * self (a single-term product)."""
-        coeff = coefficient(coeff)
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(self.ring, {monomial_mul(m, mono): c * coeff
-                                      for m, c in self.terms.items()})
-
     # -- order-dependent views ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, Scalar]]:
@@ -457,12 +463,6 @@ class Polynomial:
         mono = max(self.terms, key=order.key)
         return mono, self.terms[mono]
 
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, c = self.leading_term(order)
-        return self / c
-
     # -- grading ---------------------------------------------------------------
 
     def bidegree(self) -> Optional[Bidegree]:
@@ -471,10 +471,10 @@ class Polynomial:
         Returns None both for the zero polynomial (whose degree is "any";
         test is_zero() to tell the cases apart) and for inhomogeneous input.
         """
-        degs = {self.ring.monomial_bidegree(m) for m in self.terms}
-        if len(degs) != 1:
-            return None
-        return next(iter(degs))
+        if self._bidegree is _UNKNOWN:
+            degs = {self.ring.monomial_bidegree(m) for m in self.terms}
+            self._bidegree = degs.pop() if len(degs) == 1 else None
+        return self._bidegree
 
     # -- display ----------------------------------------------------------------
 
@@ -491,34 +491,25 @@ class Polynomial:
         return f"{coeff}*{body}"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            s = self._term_str(m, c)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(f"- {s[1:]}")
-            else:
-                parts.append(f"+ {s}")
-        return " ".join(parts)
+        if self._str is None:
+            parts = []
+            for i, (m, c) in enumerate(self.sorted_terms()):
+                s = self._term_str(m, c)
+                if i == 0:
+                    parts.append(s)
+                elif s.startswith("-"):
+                    parts.append(f"- {s[1:]}")
+                else:
+                    parts.append(f"+ {s}")
+            self._str = " ".join(parts) or "0"
+        return self._str
 
     def __repr__(self):
         return f"<{self}>"
 
 
 # ---------------------------------------------------------------------------
-# free operations of the spec surface
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product; raises RingMismatchError across different ambients."""
-    return p * q
-
-
-def leading_term(p: Polynomial, order: MonomialOrder | None = None) -> tuple[Monomial, Scalar]:
-    return p.leading_term(order)
+# substitution
 
 
 def substitute(p: Polynomial, target: GradedRing, images: Sequence[Polynomial]) -> Polynomial:

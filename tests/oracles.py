@@ -60,6 +60,24 @@ def col(*entries: Polynomial) -> dict:
     return {i: p for i, p in enumerate(entries) if not p.is_zero()}
 
 
+def scale_monomial(p: Polynomial, mono: Monomial, coeff) -> Polynomial:
+    """coeff * mono * p, a single-term product."""
+    return p * p.ring.monomial(mono, coeff)
+
+
+def monic(p: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
+    """p divided by its lead coefficient under `order`; zero stays zero."""
+    return p / p.leading_term(order)[1] if p.terms else p
+
+
+def twist(M, d):
+    """M with its grading shifted: twist(M, d) in degree e is M in degree
+    d + e."""
+    from stackdual.gmodule import ModulePresentation
+    return ModulePresentation(M.ring, [g - d for g in M.bidegrees],
+                              M.relations)
+
+
 def node_hom_oracle(a, i, j, alpha, beta, zmax):
     """Bigraded dimensions of Hom_A(B, A) for the orbifold node.
 
@@ -137,7 +155,8 @@ def _reduce_poly(p: Polynomial, basis: Sequence[Polynomial],
         mono, coeff = current.leading_term(order)
         for lm, lc, g in leads:
             if monomial_divides(lm, mono):
-                current = current - g.scale_monomial(monomial_div(mono, lm), Fraction(coeff) / lc)
+                current = current - scale_monomial(g, monomial_div(mono, lm),
+                                                   Fraction(coeff) / lc)
                 break
         else:
             remainder = remainder + current.ring.monomial(mono, coeff)
@@ -149,8 +168,8 @@ def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lmf, lcf = f.leading_term(order)
     lmg, lcg = g.leading_term(order)
     lcm = monomial_lcm(lmf, lmg)
-    return (f.scale_monomial(monomial_div(lcm, lmf), Fraction(1) / lcf)
-            - g.scale_monomial(monomial_div(lcm, lmg), Fraction(1) / lcg))
+    return (scale_monomial(f, monomial_div(lcm, lmf), Fraction(1) / lcf)
+            - scale_monomial(g, monomial_div(lcm, lmg), Fraction(1) / lcg))
 
 
 def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None,
@@ -177,7 +196,7 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
     for g in sorted(gens, key=lambda q: (order.key(q.leading_term(order)[0]), str(q))):
         r = _reduce_poly(g, basis, order)
         if not r.is_zero():
-            basis.append(r.monic(order))
+            basis.append(monic(r, order))
 
     def lead(i: int) -> Monomial:
         return basis[i].leading_term(order)[0]
@@ -203,7 +222,7 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
             continue
         r = _reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
-            basis.append(r.monic(order))
+            basis.append(monic(r, order))
             pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     # minimalize: a global order makes every proper divisor strictly smaller,
@@ -220,7 +239,7 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
     final = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        final.append(_reduce_poly(g, others, order).monic(order))
+        final.append(monic(_reduce_poly(g, others, order), order))
     final.sort(key=lambda q: order.key(q.leading_term(order)[0]), reverse=True)
     return tuple(final)
 

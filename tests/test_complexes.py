@@ -3,14 +3,14 @@
 import pytest
 from oracles import col
 
-from stackdual.complexes import (ChainComplex, hom_complex, homology, koszul,
-                                 resolve)
+from stackdual.complexes import (ChainComplex, _detect_period, hom_complex,
+                                 homology, koszul, resolve)
 from stackdual import groebner
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                hilbert_function, hom_free_into, minimalize,
                                precompose_columns, restrict_along)
-from stackdual.poly import GradedRing
+from stackdual.poly import Bidegree, GradedRing
 from stackdual.presets import preset_session
 
 
@@ -81,6 +81,27 @@ map p : A -> B { u = x^2, v = y^2 }
     assert res.ranks() == [3, 2, 2, 2, 2, 2]
     assert not res.finite and res.length == 5
     assert res.periodic == 2
+
+
+def diagonal_complex(y_zdeg):
+    """x, y on the diagonal of rank-2 terms F_0..F_3 over Q[x,y]/(x^2, y^2):
+    generator 0 of F_k sits in Z-degree k and generator 1 in k * y_zdeg, so
+    every differential has the same columns, and consecutive terms differ by
+    one uniform shift only when y has Z-degree 1."""
+    R = GradedRing(["x", "y"], zdegs=[1, y_zdeg])
+    x, y = R.var("x"), R.var("y")
+    R = R.quotient([x * x, y * y])
+    x, y = R.var("x"), R.var("y")
+    terms = [ModulePresentation(R, (Bidegree(k, 0), Bidegree(k * y_zdeg, 0)))
+             for k in range(4)]
+    maps = {k: ModuleMap(terms[k], terms[k - 1], [col(x), col(R.zero(), y)])
+            for k in range(1, 4)}
+    return ChainComplex(R, terms, maps)
+
+
+def test_repeated_columns_without_a_uniform_shift_are_not_a_period():
+    assert _detect_period(diagonal_complex(1)) == 1
+    assert _detect_period(diagonal_complex(2)) is None
 
 
 def test_resolve_triple_point(triple_ring):

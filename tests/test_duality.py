@@ -14,7 +14,7 @@ from stackdual.duality import (canonical_module, cm_gorenstein_check,
                                compare_modules, ext_dualizing, finite_shriek,
                                lci_dualizing, pushforward_check)
 from stackdual.gmodule import (ModulePresentation, RingMorphism,
-                               hilbert_function, minimalize, twist)
+                               hilbert_function, minimalize)
 from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 
 
@@ -28,7 +28,8 @@ map p : A -> B {{ u = x^{alpha}, v = y^{beta} }}
     return ast.maps["p"], alpha, beta
 
 
-from oracles import col, cusp_hom_oracle, node_hom_oracle, root_hom_oracle
+from oracles import (col, cusp_hom_oracle, node_hom_oracle, root_hom_oracle,
+                     twist)
 
 
 # -- finite duality -------------------------------------------------------------

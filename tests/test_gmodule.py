@@ -6,7 +6,7 @@ import itertools
 import time
 
 import pytest
-from oracles import col
+from oracles import col, twist
 
 from stackdual import caps
 from stackdual.caps import ResourceCapError
@@ -15,7 +15,7 @@ from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
                                _monomials_of_zdeg, _numerator,
                                hilbert_function, hom_module, invariant_part,
-                               kernel, minimalize, restrict_along, twist)
+                               kernel, minimalize, restrict_along)
 from stackdual.groebner import SubmoduleOracle, printed_column, syzygies_over
 from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 

@@ -6,6 +6,9 @@ v^2 under degrevlex u>v>t) and cross-checked against an independent
 computer algebra system.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
 from oracles import annihilates, col
@@ -173,6 +176,28 @@ def test_submodule_oracle_extend_grows_the_span(node_ring):
     assert all(oracle.contains(g) for g in gens)
     assert oracle.contains(col(y * y, y * y)) and oracle.contains(col(x + y, y))
     assert not oracle.contains(col(y, z))
+
+
+def test_a_kept_candidate_is_reduced_once(uvt, monkeypatch):
+    """`minimal_generating_vectors` reduces each candidate once, in
+    `contains`; `extend` inserts the remainder `contains` kept, so every
+    other reduction is an S-vector of a basis completion."""
+    by_caller = Counter()
+    vec_reduce = groebner._vec_reduce
+
+    def counting(*args, **kwargs):
+        # frame 1 is _TrackedGB.reduce, frame 2 the one that asked it
+        by_caller[sys._getframe(2).f_code.co_name] += 1
+        return vec_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_vec_reduce", counting)
+    g0, g1, g2 = triple_gens(uvt)
+    u = uvt.var("u")
+    cands = [col(g) for g in (g0, g1, u * g0, g0 + g1, g2, g1 * g2)]
+    kept = minimal_generating_vectors(uvt, cands, 1)
+    assert len(kept) == 3
+    assert set(by_caller) == {"contains", "_complete"}
+    assert by_caller["contains"] == len(cands) and by_caller["_complete"] > 0
 
 
 def test_empty_input_is_zero_ideal(qxy):

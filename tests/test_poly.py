@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from oracles import monic, scale_monomial
 
+from stackdual.dsl import parse_polynomial
 from stackdual.poly import (Bidegree, GradedRing, MonomialOrder, Polynomial,
-                            RingMismatchError, leading_term, multiply)
+                            RingMismatchError)
 
 
 def test_difference_of_squares(qxy):
@@ -16,7 +18,7 @@ def test_difference_of_squares(qxy):
 def test_multiply_by_one_is_identity(qxy):
     x, y = qxy.var("x"), qxy.var("y")
     p = 3 * x * y - y ** 2 + qxy.constant(Fraction(1, 2))
-    assert multiply(p, qxy.one()) == p
+    assert p * qxy.one() == p
 
 
 def test_multiply_uvt_expansion():
@@ -29,7 +31,7 @@ def test_multiply_uvt_expansion():
 def test_ring_mismatch_raises(qxy):
     other = GradedRing(["a", "b"])
     with pytest.raises(RingMismatchError):
-        multiply(qxy.var("x"), other.var("a"))
+        qxy.var("x") * other.var("a")
 
 
 def test_reduce_rejects_a_foreign_polynomial():
@@ -47,8 +49,9 @@ def test_elimination_order_ring_differs_from_plain_ring():
     elim = GradedRing(["x", "y", "s"], order=MonomialOrder(head_degrees=(1,)))
     assert elim != plain and not elim.same_ambient(plain)
     x, y, s = (elim.var(v) for v in "xys")
-    assert leading_term(y * y + x * s) == ((1, 0, 1), 1)
-    assert leading_term(plain.var("y") ** 2 + plain.var("x") * plain.var("s")) == ((0, 2, 0), 1)
+    assert (y * y + x * s).leading_term() == ((1, 0, 1), 1)
+    yp, xp, sp = (plain.var(v) for v in "yxs")
+    assert (yp ** 2 + xp * sp).leading_term() == ((0, 2, 0), 1)
     with pytest.raises(RingMismatchError):
         elim.reduce(plain.var("y"))
     with pytest.raises(RingMismatchError):
@@ -60,13 +63,13 @@ def test_elimination_order_ring_differs_from_plain_ring():
 def test_leading_term_degrevlex_tie():
     R = GradedRing(["u", "v", "t"])
     u, v, t = R.var("u"), R.var("v"), R.var("t")
-    mono, coeff = leading_term(u * v - t * t)
+    mono, coeff = (u * v - t * t).leading_term()
     assert mono == (1, 1, 0) and coeff == 1
 
 
 def test_leading_term_degree_wins(qxy):
     x, y = qxy.var("x"), qxy.var("y")
-    mono, coeff = leading_term(x ** 3 - y ** 2)
+    mono, coeff = (x ** 3 - y ** 2).leading_term()
     assert mono == (3, 0) and coeff == 1
 
 
@@ -116,7 +119,7 @@ def test_exact_rational_coefficients(qxy):
     integral = [x / 3 + x / 3 + x / 3, (x / 2) * 4, (2 * x + y) / 2 * 2,
                 qxy.constant(Fraction(6, 3)), qxy.monomial((1, 0), Fraction(-4, 2)),
                 qxy.poly({(0, 1): Fraction(3, 1), (1, 0): True}),
-                (x / 3).scale_monomial((0, 1), 3), (3 * x).monic()]
+                scale_monomial(x / 3, (0, 1), 3), monic(3 * x)]
     for q in integral:
         assert all(type(c) is int for c in q.terms.values()), q.terms
     assert (x / 3 + x / 3 + x / 3).terms == {(1, 0): 1}
@@ -132,7 +135,7 @@ def test_floats_are_refused(qxy):
                  lambda: x / 0.5,
                  lambda: x + 0.25,
                  lambda: 1.5 * x,
-                 lambda: x.scale_monomial((0, 1), 2.0)):
+                 lambda: scale_monomial(x, (0, 1), 2.0)):
         with pytest.raises(TypeError, match="not an exact rational"):
             make()
 
@@ -140,7 +143,7 @@ def test_floats_are_refused(qxy):
 def test_canonical_string_roundtrip(qxy):
     x, y = qxy.var("x"), qxy.var("y")
     p = Fraction(-1, 2) * x ** 2 * y + y ** 3 - 7
-    assert qxy.parse(str(p)) == p
+    assert parse_polynomial(str(p), qxy) == p
 
 
 def test_substitute_power_cache(qxy):

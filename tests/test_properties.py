@@ -52,7 +52,8 @@ from stackdual import groebner, session
 from stackdual.groebner import (SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
                                 printed_column, syzygies_over)
-from stackdual.poly import Bidegree, GradedRing, MonomialOrder, monomial_divides
+from stackdual.poly import (Bidegree, GradedRing, MonomialOrder, Polynomial,
+                            monomial_divides)
 from stackdual.presets import list_presets, preset_session
 
 SEED = 20260810
@@ -186,11 +187,25 @@ def test_syzygies_annihilate_rows(instances):
         assert annihilates(ring, [syz[i] for i in keep], rows)
 
 
+def preset_modules(monkeypatch):
+    """Every module that a preset's report prints, over all presets."""
+    modules = []
+    module_json = session.module_json
+    monkeypatch.setattr(session, "module_json",
+                        lambda M: modules.append(M) or module_json(M))
+    for name, _, _ in list_presets():
+        session.run_session(parse_session(preset_session(name)))
+    assert modules
+    return modules
+
+
 def test_coefficients_are_canonical(instances, monkeypatch):
     """Every coefficient is an int (not a bool) when it is integral and a
     Fraction only when it is not, never a float: in the seeded buchberger,
     normal_form and syzygies_over results, in every engine vector those
-    build, and in the module columns of every preset's report."""
+    build, and in the module columns of every preset's report.  Each of
+    those columns is also reduced, checked on a fresh copy of every entry
+    so that no kept normal-form mark answers, and homogeneous."""
     built = []
     init = groebner._TrackedGB.__init__
 
@@ -200,6 +215,7 @@ def test_coefficients_are_canonical(instances, monkeypatch):
 
     monkeypatch.setattr(groebner._TrackedGB, "__init__", record)
     polys = []
+    engine_built = []       # (ring, columns, generator bidegrees)
     for ring, (p, q, r) in instances:
         gens = [g for g in (p, q) if not g.is_zero()]
         if gens:
@@ -207,15 +223,13 @@ def test_coefficients_are_canonical(instances, monkeypatch):
             polys += [*gb.generators, normal_form(r, gb)]
         rows = [col(g) for g in (p, q, r) if not g.is_zero() and g.bidegree()]
         if rows:
-            polys += [e for c in syzygies_over(ring, rows, 1) for e in c.values()]
-    columns = []
-    module_json = session.module_json
-    monkeypatch.setattr(session, "module_json",
-                        lambda M: columns.extend(M.relations) or module_json(M))
-    for name, _, _ in list_presets():
-        session.run_session(parse_session(preset_session(name)))
-    assert columns and polys and built
-    polys += [e for c in columns for e in c.values()]
+            syz = syzygies_over(ring, rows, 1)
+            engine_built.append((ring, syz, [v[0].bidegree() for v in rows]))
+            polys += [e for c in syz for e in c.values()]
+    modules = preset_modules(monkeypatch)
+    assert polys and built
+    engine_built += [(M.ring, M.relations, M.bidegrees) for M in modules]
+    polys += [e for M in modules for c in M.relations for e in c.values()]
     coeffs = [c for p in polys for c in p.terms.values()]
     coeffs += [c for gb in built for vecs in (gb.basis, gb.reps, gb.syzygies)
                for v in vecs for c in v.values()]
@@ -223,6 +237,43 @@ def test_coefficients_are_canonical(instances, monkeypatch):
     bad = [c for c in coeffs
            if not (type(c) is int or type(c) is Fraction and c.denominator != 1)]
     assert not bad, bad[:5]
+    assert any(cols for _, cols, _ in engine_built)
+    for ring, cols, degs in engine_built:
+        for c in cols:
+            assert all(ring.reduce(Polynomial(ring, e.terms)) == e
+                       for e in c.values())
+            assert vector_bidegree(c, degs) is not None
+
+
+def assert_memo_sound(p):
+    """The facts kept on p, asked twice, agree with those of a fresh copy
+    that has none kept: its bidegree, printed form and normal form over its
+    own ring."""
+    def facts(q):
+        return q.bidegree(), str(q), q.ring.reduce(q).terms
+
+    first = facts(p)
+    assert first == facts(p) == facts(Polynomial(p.ring, dict(p.terms)))
+
+
+def test_kept_polynomial_facts_match_a_fresh_computation(monkeypatch):
+    rng = random.Random(SEED + 21)
+    rings = set()
+    for n in range(60):
+        ring = random_ring(rng)
+        if n % 2:
+            ring = random_quotient(rng, ring)
+        rings.add(bool(ring.ideal))
+        p, q = (random_poly(rng, ring, max_terms=4) for _ in range(2))
+        reduced = ring.reduce(p)
+        for r in (p, q, reduced, -reduced, reduced / 2, reduced * q,
+                  reduced + q, ring.reduce(reduced * q), ring.zero()):
+            assert_memo_sound(r)
+    assert rings == {True, False}
+    for M in preset_modules(monkeypatch):
+        for c in M.relations:
+            for e in c.values():
+                assert_memo_sound(e)
 
 
 # -- Koszul exactness over a library of regular sequences -----------------------
@@ -471,8 +522,8 @@ def minimal_leads(gb):
 def assert_same_span(untracked, tracked):
     assert not untracked.track and tracked.track
     assert minimal_leads(untracked) == minimal_leads(tracked)
-    assert all(tracked.contains(b) for b in untracked.basis)
-    assert all(untracked.contains(b) for b in tracked.basis)
+    assert not any(tracked.reduce(b)[0] for b in untracked.basis)
+    assert not any(untracked.reduce(b)[0] for b in tracked.basis)
 
 
 def test_span_only_basis_matches_tracked_on_span_instances():
@@ -854,7 +905,9 @@ def assert_columns(cols, rank, ring):
     for c in cols:
         assert list(c) == sorted(c) and all(0 <= k < rank for k in c)
         for p in c.values():
-            assert not p.is_zero() and ring.reduce(p) == p
+            # a fresh copy keeps no normal-form mark, so reduce checks it
+            assert not p.is_zero()
+            assert ring.reduce(Polynomial(ring, p.terms)) == p
 
 
 def test_every_column_is_sparse_reduced_and_sorted(homology_library):
