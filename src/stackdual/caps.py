@@ -1,5 +1,6 @@
-"""Resource caps and the per-command scope: maximum term counts,
-deadlines, and the table of liftable oracles.
+"""Resource caps, the per-command scope and the error taxonomy: a
+`ResourceCapError` exits 3, an `InputError` (a value the session wrote) 2,
+and `run_session` reports every other exception as internal, exit 4.
 
 The kernels poll the caps at cheap points so a runaway Groebner computation
 fails fast instead of hanging a session.  Caps are off by default;
@@ -34,7 +35,11 @@ class ResourceCapError(RuntimeError):
     """A configured resource cap was exceeded."""
 
 
-class CapSettingError(ValueError):
+class InputError(ValueError):
+    """A value the session (or its environment) wrote is not valid input."""
+
+
+class CapSettingError(InputError):
     """A cap variable of the environment holds no valid value."""
 
 

@@ -7,8 +7,8 @@
 
 Exit codes: 0 success, 1 a computation verdict failed (distinct/unequal/
 inconclusive), 2 input error, 3 resource cap exceeded by a command, 4 an
-internal error (an engine invariant failed; the partial report is flagged
-"internal: <exception type>: <message>").  Caps can be set through
+internal error: any other exception, while parsing too (a partial report is
+flagged "internal: <exception type>: <message>").  Caps can be set through
 STACKDUAL_MAX_TERMS and STACKDUAL_TIME_LIMIT_S; a cap exceeded while the
 session is parsed is an input error, as are a cap variable with no valid
 value, an unreadable or non-UTF-8 session file and an unwritable --json path.
@@ -20,10 +20,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .caps import CapSettingError
+from .caps import InputError
 from .dsl import ParseError, parse_session
 from .presets import list_presets, preset_session
-from .session import EXIT_INPUT_ERROR, RunReport, run_session
+from .session import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, run_session
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -68,7 +68,17 @@ def _input_error(*messages) -> int:
     return EXIT_INPUT_ERROR
 
 
-def _finish(report: RunReport, args) -> int:
+def _run_text(text: str, args) -> int:
+    try:
+        ast = parse_session(text, default_order=args.order)
+    except ParseError as exc:
+        return _input_error(*exc.diagnostics)
+    except InputError as exc:
+        return _input_error(exc)
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL_ERROR
+    report = run_session(ast, default_depth=args.depth, default_bound=args.bound)
     sys.stdout.write(report.human_text())
     total_ms = sum(o.timing_ms or 0 for o in report.outcomes)
     sys.stderr.write(f"[{len(report.outcomes)} commands, {total_ms} ms]\n")
@@ -79,17 +89,6 @@ def _finish(report: RunReport, args) -> int:
         except OSError as exc:
             return _input_error(f"cannot write {args.json}: {exc.strerror}")
     return report.exit_code()
-
-
-def _run_text(text: str, args) -> int:
-    try:
-        ast = parse_session(text, default_order=args.order)
-    except ParseError as exc:
-        return _input_error(*exc.diagnostics)
-    except CapSettingError as exc:
-        return _input_error(exc)
-    report = run_session(ast, default_depth=args.depth, default_bound=args.bound)
-    return _finish(report, args)
 
 
 def main(argv: list[str] | None = None) -> int:

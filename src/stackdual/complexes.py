@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .caps import InputError
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
                       kernel_with_inclusion, minimalize, precompose_columns,
                       subquotient)
@@ -78,7 +79,7 @@ def koszul(ring: GradedRing, seq: Sequence[Polynomial]) -> ChainComplex:
     for f in seq:
         d = ring.degree_zero() if f.is_zero() else f.bidegree()
         if d is None:
-            raise ValueError(f"Koszul entry {f} is not bihomogeneous")
+            raise InputError(f"Koszul entry {f} is not bihomogeneous")
         degs.append(d)
     r = len(seq)
     subsets: list[list[tuple[int, ...]]] = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
 
-from .caps import ResourceCapError, command_caps
+from .caps import InputError, ResourceCapError, command_caps
 from .gmodule import ModulePresentation, RingMorphism
 from .poly import Bidegree, GradedRing, MonomialOrder, Polynomial
 
@@ -50,7 +50,7 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {self.message}{exp}"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, diagnostics: Sequence[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
@@ -639,7 +639,7 @@ class _Parser:
     def cmd_hilbert(self) -> Command:
         m, mn = self.module_ref()
         zmax = self.int_option("max", 12)
-        return Command("hilbert", args={"M": m}, options={"max": zmax},
+        return Command("hilbert", args={"M": m}, options={"bound": zmax},
                        text=f"hilbert {mn} max {zmax}")
 
     def cmd_invariants(self) -> Command:
@@ -768,23 +768,3 @@ def parse_session(text: str, default_order: str = "degrevlex") -> SessionAst:
     with command_caps():
         return _Parser(tokenize(text), default_order).parse()
 
-
-def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
-    """Parse one polynomial over `ring`; it may span several lines.  The
-    resource caps of a command hold for its arithmetic."""
-    tokens = tokenize(text)
-    body = [t for t in tokens if t.kind not in ("NEWLINE", "EOF")]
-    if not body:
-        return ring.zero()
-    end = tokens[-2]  # the last line's end, so diagnostics stay in the text
-    parser = _Parser(body + [Token("EOF", "", end.line, end.col)])
-    try:
-        with command_caps():
-            p = parser.polynomial(ring)
-        if parser.peek().kind != "EOF":
-            parser.fail(f"unexpected {parser.peek().value!r} in expression")
-    except _Bail as bail:
-        raise ParseError([bail.diagnostic])
-    except ResourceCapError as exc:
-        raise ParseError([Diagnostic(body[0].line, body[0].col, str(exc))])
-    return p

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .caps import InputError
 from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
 from .gmodule import (ModulePresentation, RingMorphism, apply_columns,
                       hilbert_function, minimalize, precompose_columns,
@@ -111,7 +112,7 @@ def canonical_module(C: GradedRing) -> ModulePresentation:
     """Canonical module of a regular ambient ring: the top wedge of the
     differentials, free of rank one at the sum of the variable bidegrees."""
     if C.ideal:
-        raise ValueError("canonical_module needs a regular ambient ring (empty ideal)")
+        raise InputError("canonical_module needs a regular ambient ring (empty ideal)")
     total = C.degree_zero()
     for i in range(C.nvars):
         total = total + C.variable_bidegree(i)
@@ -134,7 +135,7 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
     and the result is presented and minimalized over B.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     if M is None:
         M = ModulePresentation.structure(f.source)
     m_g = f.transport_module(M)
@@ -218,9 +219,9 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
 
 def _check_ext_inputs(C: GradedRing, omega: ModulePresentation, imax: int) -> None:
     if C.ideal:
-        raise ValueError("Ext needs a regular ambient ring (empty ideal)")
+        raise InputError("Ext needs a regular ambient ring (empty ideal)")
     if imax < 0:
-        raise ValueError("the largest Ext index must be >= 0")
+        raise InputError("the largest Ext index must be >= 0")
     if omega.ring != C:
         raise RingMismatchError("omega must live over the ambient ring")
 
@@ -270,7 +271,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     other Ext vanish because K has length r.
     """
     if omega.rank != 1 or omega.relations:
-        raise ValueError("omega must be free of rank one")
+        raise InputError("omega must be free of rank one")
     seq = [C.reduce(g) for g in seq]
     r = len(seq)
     imax = imax if imax is not None else max(r + 1, 2)
@@ -280,7 +281,7 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     for j in range(r - 1, -1, -1):
         cohomology.insert(0, homology(hc, j))
         if cohomology[0].rank:
-            raise ValueError(f"sequence is not regular: Koszul H_{r - j} is nonzero")
+            raise InputError(f"sequence is not regular: Koszul H_{r - j} is nonzero")
     cohomology.append(homology(hc, r))
 
     ring_b = C.quotient(seq, name=f"{C.name}/I")
@@ -356,7 +357,7 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
     for idx, img in enumerate(f.images):
         # zero is homogeneous of every bidegree, weight 0 included
         if not img.is_zero() and img.bidegree().weight != 0:
-            raise ValueError(
+            raise InputError(
                 f"image of {f.source.variables[idx]} has nonzero weight")
     if omega_b.ring != f.target:
         raise RingMismatchError("omega_B must live over the map's target ring")
@@ -390,7 +391,7 @@ def compare_modules(M: ModulePresentation, N: ModulePresentation,
     then "inconclusive" unless both are free on equal generator degrees.
     """
     if bound < 0:
-        raise ValueError("zmax must be >= 0")
+        raise InputError("zmax must be >= 0")
     if M.ring != N.ring:
         raise RingMismatchError("cannot compare modules over different rings")
     m = minimalize(M)

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
 
-from .caps import check_deadline
+from .caps import InputError, check_deadline
 from .groebner import (Column, SubmoduleOracle, buchberger, column,
                        lead_coefficient, minimal_generating_vectors,
                        normal_form, syzygies_over, vector_bidegree)
@@ -335,7 +335,7 @@ def minimalize_with_tracking(M: ModulePresentation
 
 def _require_positive_degrees(ring: GradedRing) -> None:
     if any(d <= 0 for d in ring.zdegs):
-        raise ValueError("Hilbert enumeration needs all variable degrees >= 1")
+        raise InputError("Hilbert enumeration needs all variable degrees >= 1")
 
 
 def _monomials_of_zdeg(ring: GradedRing, z: int):
@@ -425,9 +425,9 @@ def _position_series(M: ModulePresentation, zmax: int):
     """Yield (generator index, its bidegree, its leads, dims) for every
     generator of zdeg <= zmax, where dims[z][w] counts the standard
     monomials of that position of Z-degree z and weight w, up to the
-    bound.  Raises ValueError for a negative bound."""
+    bound.  Raises InputError for a negative bound."""
     if zmax < 0:
-        raise ValueError("zmax must be >= 0")
+        raise InputError("zmax must be >= 0")
     ring = M.ring
     live = [(k, g) for k, g in enumerate(M.bidegrees) if g.zdeg <= zmax]
     if not live:
@@ -488,7 +488,7 @@ def invariant_part(M: ModulePresentation, bound: int
 # ring morphisms and restriction of scalars
 
 
-class NotModuleFiniteError(ValueError):
+class NotModuleFiniteError(InputError):
     """The target is not finite over the image of the source."""
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
 
-from .caps import check_term_cap
+from .caps import InputError, check_term_cap
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
@@ -39,7 +39,7 @@ def coefficient(c) -> Scalar:
     return c.numerator if c.denominator == 1 else Fraction(c)
 
 
-class RingMismatchError(ValueError):
+class RingMismatchError(InputError):
     """Operands live in rings with different ambient signatures."""
 
 
@@ -202,7 +202,7 @@ class GradedRing:
             if g.is_zero():
                 continue
             if g.bidegree() is None:
-                raise ValueError(f"ideal generator {g} is not bihomogeneous")
+                raise InputError(f"ideal generator {g} is not bihomogeneous")
             self.ideal += (Polynomial(self, dict(g.terms)),)
         self._gb_cache = None
 
@@ -344,8 +344,9 @@ class Polynomial:
     Three facts about a polynomial are computed once and kept on it: its
     `bidegree()`, its printed form `str(p)`, and whether it is in normal
     form modulo its ring's ideal (set by `GradedRing.reduce` on what it
-    returns).  They hold only because `terms` is never mutated after
-    construction; build a new polynomial instead."""
+    returns); `-p` and `p / c` keep the first and the last.  They hold only
+    because `terms` is never mutated after construction; build a new
+    polynomial instead."""
 
     __slots__ = ("ring", "terms", "_bidegree", "_str", "_reduced")
 
@@ -409,7 +410,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        p = Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        p._bidegree, p._reduced = self._bidegree, self._reduced  # same monomials
+        return p
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -435,7 +438,9 @@ class Polynomial:
 
     def __truediv__(self, scalar) -> "Polynomial":
         inverse = Fraction(1) / coefficient(scalar)
-        return Polynomial(self.ring, {m: c * inverse for m, c in self.terms.items()})
+        p = Polynomial(self.ring, {m: c * inverse for m, c in self.terms.items()})
+        p._bidegree, p._reduced = self._bidegree, self._reduced  # same monomials
+        return p
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

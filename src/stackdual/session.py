@@ -3,18 +3,19 @@
 Every numeric field in the machine-readable report is an integer or an
 exact rational string, never floating point, and two runs of the same
 session produce byte-identical JSON.  Wall-clock timings therefore go to
-the human output only unless explicitly requested.
+the human output only unless explicitly requested.  A failed command ends
+the session, and the failure's type alone sets the exit code (see `caps`).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .caps import ResourceCapError, command_caps
+from .caps import InputError, ResourceCapError, command_caps
 from .complexes import homology, koszul
 from .dsl import Command, SessionAst
 from .duality import (CMReport, DualityReport, canonical_module,
@@ -140,27 +141,22 @@ class CommandOutcome:
 @dataclass
 class RunReport:
     outcomes: list[CommandOutcome] = field(default_factory=list)
-    partial: bool = False
-    error: Optional[str] = None
+    error: Optional[str] = None  # set when a failure aborted the session
+    error_exit: int = EXIT_OK    # and the exit code its type sets
 
     def exit_code(self) -> int:
-        if self.error == "resource-cap":
-            return EXIT_RESOURCE_CAP
         if self.error is not None:
-            if self.error.startswith("internal: "):
-                return EXIT_INTERNAL_ERROR
-            return EXIT_INPUT_ERROR
+            return self.error_exit
         if any(o.failed_check for o in self.outcomes):
             return EXIT_FAILED_CHECK
         return EXIT_OK
 
-    def abort(self, cmd: Command, error: str, message: str, human: str) -> None:
-        """Stop the session at `cmd`, flagging the report partial."""
-        self.partial = True
-        self.error = error
+    def abort(self, cmd: Command, code: int, error: str, message: str,
+              human: str) -> None:
+        """Stop the session at `cmd` with exit `code`, flagging the report partial."""
+        self.error, self.error_exit = error, code
         self.outcomes.append(CommandOutcome(
-            cmd.kind, cmd.text, {"error": message}, {"aborted": True},
-            [human], failed_check=False))
+            cmd.kind, cmd.text, {"error": message}, {"aborted": True}, [human]))
 
     def to_json(self, include_timings: bool = False) -> str:
         commands = []
@@ -171,7 +167,7 @@ class RunReport:
                 entry["timing_ms"] = o.timing_ms
             commands.append(entry)
         doc = {"schema_version": SCHEMA_VERSION, "commands": commands}
-        if self.partial:
+        if self.error is not None:
             doc["partial"] = True
             doc["error"] = self.error
         return json_text(doc) + "\n"
@@ -187,44 +183,47 @@ class RunReport:
 
 def run_session(ast: SessionAst, default_depth: Optional[int] = None,
                 default_bound: Optional[int] = None) -> RunReport:
+    """Run each command under its caps.  `default_depth` and
+    `default_bound` replace every `depth` and `bound` option; a handler gets
+    that command and returns (result, verdicts, human lines, failed_check).
+    A failure stops the session, and its type alone sets the exit code:
+    ResourceCapError 3, InputError 2, any other exception (a fault of the
+    program, not of the input) 4."""
+    overrides = {k: v for k, v in (("depth", default_depth),
+                                   ("bound", default_bound)) if v is not None}
     report = RunReport()
     for cmd in ast.commands():
+        handler = _HANDLERS[(cmd.kind, cmd.subkind)]
+        cmd = replace(cmd, options={k: overrides.get(k, v)
+                                    for k, v in cmd.options.items()})
         started = time.monotonic()
         try:
             with command_caps():
-                outcome = _execute(cmd, default_depth, default_bound)
+                result, verdicts, human, failed = handler(cmd)
         except ResourceCapError as exc:
-            report.abort(cmd, "resource-cap", str(exc), f"aborted: {exc}")
+            report.abort(cmd, EXIT_RESOURCE_CAP, "resource-cap", str(exc), f"aborted: {exc}")
             break
-        except ValueError as exc:
-            report.abort(cmd, str(exc), str(exc), f"error: {exc}")
+        except InputError as exc:
+            report.abort(cmd, EXIT_INPUT_ERROR, str(exc), str(exc), f"error: {exc}")
             break
         except Exception as exc:
-            # a broken engine invariant or any other fault of the program,
-            # not of the input; exit 1 stays reserved for failed verdicts
             error = f"internal: {type(exc).__name__}: {exc}"
-            report.abort(cmd, error, error, f"internal error: {type(exc).__name__}: {exc}")
+            report.abort(cmd, EXIT_INTERNAL_ERROR, error, error,
+                         f"internal error: {type(exc).__name__}: {exc}")
             break
-        outcome.timing_ms = int((time.monotonic() - started) * 1000)
-        report.outcomes.append(outcome)
+        report.outcomes.append(CommandOutcome(
+            cmd.kind, cmd.text, result, verdicts, human, failed,
+            int((time.monotonic() - started) * 1000)))
     return report
 
 
-def _execute(cmd: Command, default_depth: Optional[int],
-             default_bound: Optional[int]) -> CommandOutcome:
-    handler = _HANDLERS[(cmd.kind, cmd.subkind)]
-    return handler(cmd, default_depth, default_bound)
-
-
-def _run_hom(cmd: Command, _d, _b) -> CommandOutcome:
+def _run_hom(cmd: Command):
     h = hom_module(cmd.args["M"], cmd.args["N"])
-    return CommandOutcome(
-        "hom", cmd.text, {"module": module_json(h)},
-        {"min_generators": h.rank},
-        [f"Hom module: {h}"])
+    return ({"module": module_json(h)}, {"min_generators": h.rank},
+            [f"Hom module: {h}"], False)
 
 
-def _run_ext(cmd: Command, _d, _b) -> CommandOutcome:
+def _run_ext(cmd: Command):
     ring = cmd.args["ring"]
     omega = cmd.args["omega"]
     if omega is None:
@@ -233,11 +232,10 @@ def _run_ext(cmd: Command, _d, _b) -> CommandOutcome:
     result = {"ext": [{"i": i, "module": module_json(e)} for i, e in exts]}
     human = [f"Ext^{i}: {e if e.rank else '0'}" for i, e in exts]
     nonzero = [i for i, e in exts if e.rank]
-    return CommandOutcome("ext", cmd.text, result,
-                          {"nonvanishing_indices": nonzero}, human)
+    return result, {"nonvanishing_indices": nonzero}, human, False
 
 
-def _run_koszul(cmd: Command, _d, _b) -> CommandOutcome:
+def _run_koszul(cmd: Command):
     kc = koszul(cmd.args["ring"], cmd.args["seq"])
     homology_zero = all(homology(kc, i).rank == 0
                         for i in range(1, kc.length + 1))
@@ -249,88 +247,73 @@ def _run_koszul(cmd: Command, _d, _b) -> CommandOutcome:
     }
     human = [f"Koszul ranks: {kc.ranks()}",
              f"higher homology vanishes (regular sequence): {homology_zero}"]
-    return CommandOutcome("koszul", cmd.text, result,
-                          {"regular_sequence": homology_zero}, human,
-                          failed_check=not homology_zero)
+    return (result, {"regular_sequence": homology_zero}, human,
+            not homology_zero)
 
 
-def _run_dualize_finite(cmd: Command, default_depth, _b) -> CommandOutcome:
-    depth = cmd.options["depth"] if default_depth is None else default_depth
-    rep = finite_shriek(cmd.args["map"], cmd.args["omega"], depth=depth)
-    return CommandOutcome(
-        "dualize-finite", cmd.text, duality_report_json(rep),
-        {"is_sheaf": rep.is_sheaf, "is_free_rank_one": rep.is_free_rank_one,
-         "fiber_weights": list(rep.fiber_representation)},
-        rep.summary_lines())
+def _run_dualize_finite(cmd: Command):
+    rep = finite_shriek(cmd.args["map"], cmd.args["omega"],
+                        depth=cmd.options["depth"])
+    return (duality_report_json(rep),
+            {"is_sheaf": rep.is_sheaf, "is_free_rank_one": rep.is_free_rank_one,
+             "fiber_weights": list(rep.fiber_representation)},
+            rep.summary_lines(), False)
 
 
-def _run_dualize_lci(cmd: Command, default_depth, _b) -> CommandOutcome:
+def _run_dualize_lci(cmd: Command):
     ring = cmd.args["ring"]
     omega = cmd.args["omega"]
     if omega is None:
         omega = canonical_module(ring)
-    imax = cmd.options["depth"] if default_depth is None else default_depth
-    rep = lci_dualizing(ring, cmd.args["seq"], omega, imax)
+    rep = lci_dualizing(ring, cmd.args["seq"], omega, cmd.options["depth"])
     failed = any("FAILED" in n for n in rep.notes)
-    return CommandOutcome(
-        "dualize-lci", cmd.text, duality_report_json(rep),
-        {"twist": rep.twist_label(), "fiber_weights": list(rep.fiber_representation),
-         "cross_check_ok": not failed},
-        rep.summary_lines(), failed_check=failed)
+    return (duality_report_json(rep),
+            {"twist": rep.twist_label(), "fiber_weights": list(rep.fiber_representation),
+             "cross_check_ok": not failed},
+            rep.summary_lines(), failed)
 
 
-def _run_check_gorenstein(cmd: Command, _d, _b) -> CommandOutcome:
+def _run_check_gorenstein(cmd: Command):
     rep = cm_gorenstein_check(cmd.args["ring"], cmd.args["ideal"],
                               cmd.options["max"])
-    return CommandOutcome(
-        "check", cmd.text, cm_report_json(rep),
-        {"cohen_macaulay": rep.cohen_macaulay, "gorenstein": rep.gorenstein,
-         "inconclusive": rep.inconclusive},
-        rep.summary_lines(), failed_check=rep.inconclusive)
+    return (cm_report_json(rep),
+            {"cohen_macaulay": rep.cohen_macaulay, "gorenstein": rep.gorenstein,
+             "inconclusive": rep.inconclusive},
+            rep.summary_lines(), rep.inconclusive)
 
 
-def _run_check_pushforward(cmd: Command, _d, default_bound) -> CommandOutcome:
-    bound = cmd.options["bound"] if default_bound is None else default_bound
+def _run_check_pushforward(cmd: Command):
     verdict, discrepancy = pushforward_check(
-        cmd.args["map"], cmd.args["omega_b"], cmd.args["omega_a"], bound)
+        cmd.args["map"], cmd.args["omega_b"], cmd.args["omega_a"],
+        cmd.options["bound"])
     human = [f"invariant part vs moduli dualizing module: {verdict}"]
     if discrepancy:
         human.append(discrepancy)
-    return CommandOutcome(
-        "check", cmd.text,
-        {"verdict": verdict, "first_discrepancy": discrepancy},
-        {"verdict": verdict}, human, failed_check=verdict != "equal")
+    return ({"verdict": verdict, "first_discrepancy": discrepancy},
+            {"verdict": verdict}, human, verdict != "equal")
 
 
-def _run_hilbert(cmd: Command, _d, default_bound) -> CommandOutcome:
-    zmax = cmd.options["max"] if default_bound is None else default_bound
-    table = hilbert_function(cmd.args["M"], zmax)
+def _run_hilbert(cmd: Command):
+    table = hilbert_function(cmd.args["M"], cmd.options["bound"])
     human = ["bigraded dimensions (zdeg, weight) -> dim:"]
     human += [f"  ({z}, {w}) -> {dim}" for (z, w), dim in sorted(table.items())]
-    return CommandOutcome("hilbert", cmd.text, {"table": table_json(table)},
-                          {}, human)
+    return {"table": table_json(table)}, {}, human, False
 
 
-def _run_invariants(cmd: Command, _d, default_bound) -> CommandOutcome:
-    bound = cmd.options["bound"] if default_bound is None else default_bound
-    dims, elements = invariant_part(cmd.args["M"], bound)
+def _run_invariants(cmd: Command):
+    dims, elements = invariant_part(cmd.args["M"], cmd.options["bound"])
     human = ["weight-0 dimensions by zdeg:"]
     human += [f"  {z} -> {d}" for z, d in sorted(dims.items())]
     human += [f"  low-degree elements: {', '.join(elements[:8])}"] if elements else []
-    return CommandOutcome(
-        "invariants", cmd.text,
-        {"dims": [{"zdeg": z, "dim": d} for z, d in sorted(dims.items())],
-         "elements": elements},
-        {}, human)
+    return ({"dims": [{"zdeg": z, "dim": d} for z, d in sorted(dims.items())],
+             "elements": elements}, {}, human, False)
 
 
-def _run_compare(cmd: Command, _d, default_bound) -> CommandOutcome:
-    bound = cmd.options["bound"] if default_bound is None else default_bound
-    verdict = compare_modules(cmd.args["M"], cmd.args["N"], bound)
-    return CommandOutcome(
-        "compare", cmd.text, {"verdict": verdict}, {"verdict": verdict},
-        [f"comparison verdict: {verdict}"],
-        failed_check=verdict != "isomorphic-up-to-bound")
+def _run_compare(cmd: Command):
+    verdict = compare_modules(cmd.args["M"], cmd.args["N"], cmd.options["bound"])
+    return ({"verdict": verdict}, {"verdict": verdict},
+            [f"comparison verdict: {verdict}"],
+            verdict != "isomorphic-up-to-bound")
 
 
 _HANDLERS = {

@@ -42,14 +42,16 @@ order instead of from the graph basis.  `reference_krull_dimension` reads
 the dimension of a quotient off the reference basis of its ideal.
 
 Module elements are columns, {position: Polynomial} with nonzero entries
-only, as in `stackdual.groebner`; `col` writes one from dense entries.
+only, as in `stackdual.groebner`; `col` writes one from dense entries, and
+`parse_polynomial` reads one polynomial with the session parser.
 """
 
 import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from stackdual.caps import check_deadline
+from stackdual.caps import ResourceCapError, check_deadline, command_caps
+from stackdual.dsl import Diagnostic, ParseError, Token, _Bail, _Parser, tokenize
 from stackdual.poly import (GradedRing, Monomial, MonomialOrder, Polynomial,
                             RingMismatchError, monomial_div, monomial_divides,
                             monomial_lcm, monomial_mul)
@@ -76,6 +78,27 @@ def twist(M, d):
     from stackdual.gmodule import ModulePresentation
     return ModulePresentation(M.ring, [g - d for g in M.bidegrees],
                               M.relations)
+
+
+def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
+    """Parse one polynomial over `ring`; it may span several lines.  The
+    resource caps of a command hold for its arithmetic."""
+    tokens = tokenize(text)
+    body = [t for t in tokens if t.kind not in ("NEWLINE", "EOF")]
+    if not body:
+        return ring.zero()
+    end = tokens[-2]  # the last line's end, so diagnostics stay in the text
+    parser = _Parser(body + [Token("EOF", "", end.line, end.col)])
+    try:
+        with command_caps():
+            p = parser.polynomial(ring)
+        if parser.peek().kind != "EOF":
+            parser.fail(f"unexpected {parser.peek().value!r} in expression")
+    except _Bail as bail:
+        raise ParseError([bail.diagnostic])
+    except ResourceCapError as exc:
+        raise ParseError([Diagnostic(body[0].line, body[0].col, str(exc))])
+    return p
 
 
 def node_hom_oracle(a, i, j, alpha, beta, zmax):

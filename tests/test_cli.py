@@ -290,22 +290,121 @@ def test_deadline_poll_does_not_depend_on_earlier_ticks(monkeypatch):
 
 
 def test_internal_error_exits_4_with_a_flagged_report(capsys, tmp_path, monkeypatch):
-    from stackdual import duality
+    from stackdual import duality, gmodule
     session = tmp_path / "node.sdl"
     session.write_text(preset_session("node", a=5, i=2, j=3))
     json_path = tmp_path / "node.json"
-    for exc in (RuntimeError("B-action left the Hom module"), AssertionError("lost"),
-                KeyError("lost"), AttributeError("lost")):
-        def broken(f, exc=exc):
-            raise exc
-        monkeypatch.setattr(duality, "restrict_along", broken)
+
+    def assert_internal(error):
         code, out, err = run_cli(["run", str(session), "--json", str(json_path)], capsys)
         assert code == 4
         assert "Traceback" not in out + err
         doc = json.loads(json_path.read_text())
         assert doc["partial"] is True
-        assert doc["error"] == f"internal: {type(exc).__name__}: {exc}"
+        assert doc["error"] == f"internal: {error}"
         assert doc["commands"][-1]["verdicts"] == {"aborted": True}
+
+    for exc in (RuntimeError("B-action left the Hom module"), AssertionError("lost"),
+                KeyError("lost"), AttributeError("lost")):
+        def broken(f, exc=exc):
+            raise exc
+        monkeypatch.setattr(duality, "restrict_along", broken)
+        assert_internal(f"{type(exc).__name__}: {exc}")
+    monkeypatch.undo()
+    # a ValueError raised on a value the engine built is internal too
+    monkeypatch.setattr(gmodule.ModuleMap, "sends_into_relations",
+                        lambda self, vectors: not vectors)
+    assert_internal("ValueError: differentials at 2 do not compose to zero")
+
+
+def test_engine_fault_while_parsing_exits_4(capsys, monkeypatch):
+    from stackdual import gmodule
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("graph basis lost")
+    monkeypatch.setattr(gmodule, "buchberger", broken)
+    code, out, err = run_cli(["preset", "node"], capsys)
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError: graph basis lost\n"
+
+
+_R = "ring R = Q[x,y]\nmodule M over R gens e:(0,0)\n"
+_S = "ring S = Q[z]\nmodule N over S gens f:(0,0)\n"
+_MAP = "ring A = Q[u] degrees {u:2}\nring B = Q[x]\nmap f : A -> B { u = x^2 }\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("ring C = Q[x,y]/(x*y)\next C ideal (x) omega canonical\n",
+                 "canonical_module needs a regular ambient ring (empty ideal)",
+                 id="canonical-module-over-a-quotient"),
+    pytest.param(_MAP + "dualize-finite f depth 0\n", "depth must be >= 1",
+                 id="finite-shriek-depth"),
+    pytest.param("ring C = Q[x,y]/(x*y)\nmodule W over C gens w:(0,0)\n"
+                 "ext C ideal (x) omega W\n",
+                 "Ext needs a regular ambient ring (empty ideal)", id="ext-over-a-quotient"),
+    pytest.param(_R + "ext R ideal (x) omega canonical max -1\n",
+                 "the largest Ext index must be >= 0", id="ext-negative-index"),
+    pytest.param(_R + "module W over R gens a:(0,0), b:(0,0)\n"
+                 "dualize-lci R seq (x) omega W\n",
+                 "omega must be free of rank one", id="lci-omega-rank"),
+    pytest.param(_R + "dualize-lci R seq (x*y, x^2) omega canonical\n",
+                 "sequence is not regular: Koszul H_1 is nonzero", id="lci-not-regular"),
+    pytest.param("ring A = Q[u] group 2 weights {u:1}\n"
+                 "ring B = Q[x] group 2 weights {x:1}\n"
+                 "map g : A -> B { u = x }\ncheck pushforward g B A bound 3\n",
+                 "image of u has nonzero weight", id="pushforward-weight"),
+    pytest.param(_R + "compare M M bound -1\n", "zmax must be >= 0",
+                 id="compare-negative-bound"),
+    pytest.param(_R + "koszul R seq (x + y^2)\n",
+                 "Koszul entry y^2 + x is not bihomogeneous", id="koszul-inhomogeneous"),
+    pytest.param("ring T = Q[t] degrees {t:0}\nmodule M over T gens e:(0,0)\n"
+                 "hilbert M max 3\n",
+                 "Hilbert enumeration needs all variable degrees >= 1",
+                 id="hilbert-degree-zero"),
+    pytest.param(_R + "hilbert M max -1\n", "zmax must be >= 0",
+                 id="hilbert-negative-bound"),
+    pytest.param(_R + "ext R ideal (x + y^2) omega canonical\n",
+                 "ideal generator y^2 + x is not bihomogeneous", id="ext-inhomogeneous-ideal"),
+    pytest.param(_R + "check gorenstein R ideal (x + y^2)\n",
+                 "ideal generator y^2 + x is not bihomogeneous",
+                 id="gorenstein-inhomogeneous-ideal"),
+    pytest.param(_R + _S + "hom M N\n", "hom across different rings", id="hom-rings"),
+    pytest.param(_R + _S + "compare M N bound 3\n",
+                 "cannot compare modules over different rings", id="compare-rings"),
+    pytest.param(_R + _S + "ext R ideal (x) omega N\n",
+                 "omega must live over the ambient ring", id="ext-omega-ring"),
+    pytest.param(_MAP + _S + "dualize-finite f omega N depth 2\n",
+                 "module is not over the morphism source", id="finite-omega-ring"),
+    pytest.param(_MAP + "check pushforward f A A bound 3\n",
+                 "omega_B must live over the map's target ring", id="pushforward-omega-b"),
+    pytest.param(_MAP + "check pushforward f B B bound 3\n",
+                 "omega_A must live over the map's source ring", id="pushforward-omega-a"),
+])
+def test_input_error_exits_2_with_its_message(capsys, tmp_path, text, message):
+    session = tmp_path / "input.sdl"
+    session.write_text(text)
+    json_path = tmp_path / "input.json"
+    code, out, err = run_cli(["run", str(session), "--json", str(json_path)], capsys)
+    assert code == 2
+    assert f"\nerror: {message}\n" in out and "Traceback" not in out + err
+    doc = json.loads(json_path.read_text())
+    assert doc["partial"] is True and doc["error"] == message
+
+
+def test_bound_flag_overrides_bounds_and_leaves_ext_max_alone(capsys, tmp_path):
+    session = tmp_path / "bounds.sdl"
+    session.write_text("ring P = Q[x,y]\nhilbert P max 6\n"
+                       "ext P ideal (x) omega canonical max 1\n")
+    json_path = tmp_path / "bounds.json"
+    for flags, zmax in (([], 6), (["--bound", "3"], 3)):
+        code, _, _ = run_cli(["run", str(session), "--json", str(json_path), *flags],
+                             capsys)
+        assert code == 0
+        hilbert, ext = json.loads(json_path.read_text())["commands"]
+        assert hilbert["inputs"] == "hilbert P max 6"
+        assert max(row["zdeg"] for row in hilbert["result"]["table"]) == zmax
+        assert ext["inputs"] == "ext P ideal (x) omega canonical max 1"
+        assert [e["i"] for e in ext["result"]["ext"]] == [0, 1]
 
 
 def test_unit_image_of_a_degree_zero_variable_is_not_module_finite(capsys, tmp_path):

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import col
+from oracles import col, parse_polynomial
 
-from stackdual.dsl import ParseError, parse_polynomial, parse_session
+from stackdual.dsl import ParseError, parse_session
 from stackdual.gmodule import ModulePresentation
 from stackdual.groebner import printed_column
 from stackdual.poly import Bidegree, GradedRing, MonomialOrder

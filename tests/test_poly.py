@@ -3,9 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from oracles import monic, scale_monomial
+from oracles import monic, parse_polynomial, scale_monomial
 
-from stackdual.dsl import parse_polynomial
 from stackdual.poly import (Bidegree, GradedRing, MonomialOrder, Polynomial,
                             RingMismatchError)
 
@@ -138,6 +137,21 @@ def test_floats_are_refused(qxy):
                  lambda: scale_monomial(x, (0, 1), 2.0)):
         with pytest.raises(TypeError, match="not an exact rational"):
             make()
+
+
+def test_scalar_multiples_keep_the_facts_of_a_normal_form(monkeypatch):
+    R = GradedRing(["x", "y"], weights=[1, 2], group_order=3)
+    B = R.quotient([R.var("x") * R.var("y")])
+    x, y = B.var("x"), B.var("y")
+    p = B.reduce(x ** 3 + 2 * x * y ** 2 - y ** 3)
+    assert p == x ** 3 - y ** 3 and p.bidegree() == Bidegree(3, 0, 3)
+
+    def no_scan():
+        raise AssertionError("a scalar multiple of a normal form was scanned")
+    monkeypatch.setattr(B, "ideal_groebner", no_scan)
+    for q in (-p, p / 3):
+        assert B.reduce(q) is q
+        assert q._bidegree == q.bidegree() == p.bidegree()
 
 
 def test_canonical_string_roundtrip(qxy):
