@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .caps import InputError
+from .caps import InputError, check_deadline
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
                       kernel_with_inclusion, minimalize, precompose_columns,
                       subquotient)
@@ -31,7 +31,8 @@ class ChainComplex:
     maps: dict[int, ModuleMap]          # keyed by the source index
     direction: str = "chain"            # "chain" or "cochain"
     finite: bool = False                # else truncated at `length`
-    periodic: Optional[int] = None      # detected period of a resolution
+    # (k, p) for a resolution that repeats: d_{j+p} is d_j shifted, j >= k
+    repeat: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         if self.direction not in ("chain", "cochain"):
@@ -41,6 +42,11 @@ class ChainComplex:
     @property
     def length(self) -> int:
         return len(self.terms) - 1
+
+    @property
+    def periodic(self) -> Optional[int]:
+        """The period p of a repeating resolution of length 3 or more."""
+        return self.repeat[1] if self.repeat and self.length >= 3 else None
 
     def ranks(self) -> list[int]:
         return [t.rank for t in self.terms]
@@ -57,6 +63,7 @@ class ChainComplex:
         zero: the next map sends every stored column of the earlier one into
         the span of its target's relations."""
         for i, f in self.maps.items():
+            check_deadline()
             nxt = self.maps.get(i - 1 if self.direction == "chain" else i + 1)
             if nxt is not None and not nxt.sends_into_relations(f.columns):
                 raise ValueError(f"differentials at {i} do not compose to zero")
@@ -119,8 +126,15 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
     term covers a minimal generating set of the syzygies of the previous
     differential's columns.  Stops early (finite=True) when a zero syzygy
     module appears; otherwise the complex is truncated at length `depth`.
-    A period (1 or 2) of the tail is reported when the last differential
-    repeats an earlier one exactly, up to one uniform bidegree shift.
+
+    Each step reads only the columns of the previous differential, the rank
+    of its target and the bidegrees of its source, and its greedy order
+    (Z-degree, then printed column) does not change under one uniform
+    bidegree shift.  So the resolution stops at its first exact repeat,
+    d_i = d_{i-p} shifted (`_detect_period`): every later map repeats with
+    that same shift, and the maps past i are filled in as shifted copies
+    that share the columns of the maps p steps earlier.  `repeat` records
+    (k, p) with k = i - p.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -130,15 +144,21 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
     maps: dict[int, ModuleMap] = {}
     current_cols = M0.relations
     current_degs = M0.relation_bidegrees
-    finite = False
-    i = 1
-    while i <= depth:
+    for i in range(1, depth + 1):
         if not current_cols:
-            finite = True
-            break
+            return ChainComplex(ring, terms, maps, finite=True)
         term = ModulePresentation(ring, current_degs)
         terms.append(term)
         maps[i] = ModuleMap(term, terms[i - 1], current_cols)
+        period = _detect_period(maps, i)
+        if period is not None:
+            shift = term.bidegrees[0] - terms[i - period].bidegrees[0]
+            for j in range(i + 1, depth + 1):
+                check_deadline()
+                terms.append(ModulePresentation(
+                    ring, [d + shift for d in terms[j - period].bidegrees]))
+                maps[j] = maps[j - period].shifted_to(terms[j], terms[j - 1])
+            return ChainComplex(ring, terms, maps, repeat=(i - period, period))
         if i == depth:
             break
         syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
@@ -146,24 +166,19 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
         keep = sorted(minimal_generating_vectors(ring, syz, len(current_cols), degs))
         current_cols = tuple(syz[k] for k in keep)
         current_degs = tuple(degs[k] for k in keep)
-        i += 1
-
-    cc = ChainComplex(ring, terms, maps, direction="chain", finite=finite)
-    cc.periodic = _detect_period(cc)
-    return cc
+    return ChainComplex(ring, terms, maps)
 
 
-def _detect_period(cc: ChainComplex) -> Optional[int]:
-    """The least period p in (1, 2) with which the last differential d_L
-    repeats d_{L-p} exactly: equal columns, equal source and target ranks,
-    and one bidegree shift (its weight taken mod a) from every generator of
-    both terms of d_{L-p} to its counterpart.  L >= 3, so the repeat starts
-    at step L - p >= 1."""
-    if cc.finite or cc.length < 3:
-        return None
-    last = cc.maps[cc.length]
+def _detect_period(maps: dict[int, ModuleMap], i: int) -> Optional[int]:
+    """The least period p in (1, 2) with which d_i repeats d_{i-p} exactly:
+    equal columns, equal source and target ranks, and one bidegree shift
+    (its weight taken mod a) from every generator of both terms of d_{i-p}
+    to its counterpart.  The repeat starts at step i - p >= 1."""
+    last = maps[i]
     for period in (1, 2):
-        earlier = cc.maps[cc.length - period]
+        if i - period < 1:
+            break
+        earlier = maps[i - period]
         pairs = ((last.source, earlier.source), (last.target, earlier.target))
         shifts = {d - e for new, old in pairs
                   for d, e in zip(new.bidegrees, old.bidegrees)}
@@ -188,9 +203,11 @@ def hom_complex(C: ChainComplex, N: ModulePresentation) -> ChainComplex:
             raise ValueError("hom_complex needs a complex of free modules")
     if C.direction != "chain":
         raise ValueError("hom_complex expects a chain complex")
-    terms = [hom_free_into(t.bidegrees, N) for t in C.terms]
+    terms = [hom_free_into(C.terms[0].bidegrees, N)]
     maps: dict[int, ModuleMap] = {}
     for i in range(1, C.length + 1):
+        check_deadline()
+        terms.append(hom_free_into(C.terms[i].bidegrees, N))
         # C_i -> C_{i-1} dualizes to Hom(C_{i-1}, N) -> Hom(C_i, N)
         cols = precompose_columns(C.maps[i].columns, C.terms[i - 1].rank, N)
         maps[i - 1] = ModuleMap(terms[i - 1], terms[i], cols)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .caps import InputError
+from .caps import InputError, check_deadline
 from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
 from .gmodule import (ModulePresentation, RingMorphism, apply_columns,
                       hilbert_function, minimalize, precompose_columns,
@@ -130,7 +130,8 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
 
     B is presented over A by `restrict_along`: the staircase monomials b_k
     and the relations both come from the graph basis G.  The Hom is
-    computed from the start of a minimal A-resolution of B; the B-action is
+    computed from the start of a minimal A-resolution of B, and Ext only up
+    to the end of its first period when it repeats; the B-action is
     reconstructed from the coordinates of x * b_k, normal forms modulo G,
     and the result is presented and minimalized over B.
     """
@@ -144,13 +145,19 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
     if res.terms[0].rank != ba.rank:
         raise RuntimeError("staircase generators failed to stay minimal")
     hc = hom_complex(res, m_g)
+    # past a repeat (k, p) of the resolution, H^i is H^{i-p} shifted for
+    # i >= k + p, with the same rank
+    k, p = res.repeat or (depth + 1, 0)
     ext_profile: dict[int, tuple[bool, int]] = {}
     for i in range(1, depth + 1):
+        check_deadline()
         if i > hc.length:
             ext_profile[i] = (True, 0)
-            continue
-        h = homology(hc, i)
-        ext_profile[i] = (h.rank == 0, h.rank)
+        elif i >= k + p:
+            ext_profile[i] = ext_profile[i - p]
+        else:
+            h = homology(hc, i)
+            ext_profile[i] = (h.rank == 0, h.rank)
 
     h0, incl = homology_with_inclusion(hc, 0)
     module = _hom_as_target_module(f, hc.terms[0], h0, incl, m_g)

@@ -16,6 +16,7 @@ function.
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
@@ -120,6 +121,16 @@ class ModuleMap:
                 raise ValueError(f"column {j} is not homogeneous of degree zero")
         if not self.sends_into_relations(source.relations):
             raise ValueError("map does not send relations into relations")
+
+    def shifted_to(self, source: ModulePresentation,
+                   target: ModulePresentation) -> "ModuleMap":
+        """This map between `source` and `target`: free terms of the same
+        ranks as this map's, with every generator of both shifted by one
+        bidegree.  Its columns stay homogeneous of degree zero under that
+        shift, so the copy shares the column objects and checks nothing."""
+        out = copy.copy(self)
+        out.source, out.target = source, target
+        return out
 
     def sends_into_relations(self, vectors: Sequence[Column]) -> bool:
         """Whether the image of every column of the source's free module in

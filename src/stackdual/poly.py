@@ -47,7 +47,7 @@ class RingMismatchError(InputError):
 # bidegrees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bidegree:
     """A (Z-degree, Z/a-weight) pair; the weight is stored in [0, a)."""
 

@@ -32,6 +32,11 @@ the pruning of `resolve`'s opening `minimalize` has a span to match.
 Hom(F_0, N) by walking the (F_0-generator, N-generator) positions by hand,
 without `precompose_columns`.
 
+`reference_resolve` is the plain minimal-resolution loop, a minimal
+generating set of the syzygies of each differential in turn, with no stop
+at a repeat, so a resolution that `resolve` fills in past its first exact
+repeat has a full one to match.
+
 `reference_restrict_along` presents B over A by elimination: the syzygies
 of the staircase monomials modulo the graph ideal in the mixed ring, then a
 module Groebner basis of those in the elimination order, keeping its
@@ -391,6 +396,31 @@ def reference_pruned_restriction(f):
         [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
     return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
+
+
+def reference_resolve(M, depth):
+    """The minimal free resolution of M to `depth`, every step computed."""
+    from stackdual.complexes import ChainComplex
+    from stackdual.gmodule import ModuleMap, ModulePresentation, minimalize
+    from stackdual.groebner import (minimal_generating_vectors, syzygies_over,
+                                    vector_bidegree)
+    ring = M.ring
+    M0 = minimalize(M)
+    terms = [ModulePresentation(ring, M0.bidegrees)]
+    maps = {}
+    cols, degs = M0.relations, M0.relation_bidegrees
+    for i in range(1, depth + 1):
+        if not cols:
+            return ChainComplex(ring, terms, maps, finite=True)
+        terms.append(ModulePresentation(ring, degs))
+        maps[i] = ModuleMap(terms[i], terms[i - 1], cols)
+        if i < depth:
+            syz = syzygies_over(ring, cols, terms[i - 1].rank)
+            syz_degs = [vector_bidegree(v, degs) for v in syz]
+            keep = sorted(minimal_generating_vectors(ring, syz, len(cols), syz_degs))
+            cols = tuple(syz[k] for k in keep)
+            degs = tuple(syz_degs[k] for k in keep)
+    return ChainComplex(ring, terms, maps)
 
 
 def reference_precomposition(ring, d, nm, vec):

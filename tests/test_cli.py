@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, reports, JSON round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,44 @@ def test_resource_cap_exits_3(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(["run", str(session)], capsys)
     assert code == 3
     assert "aborted" in out
+
+
+@pytest.mark.parametrize("argv,depth", [(["node", "--a", "5", "--depth", "1"], 2),
+                                        (["tacnode-cusp", "--depth", "1"], 2),
+                                        (["tacnode-cusp", "--depth", "2"], 3)])
+def test_short_resolutions_carry_no_period(capsys, argv, depth):
+    code, out, _ = run_cli(["preset", *argv], capsys)
+    assert code == 0
+    assert f"A-resolution truncated at depth {depth}\n" in out
+    assert "period" not in out
+
+
+# runs the CLI and prints the peak resident set size of its own process, in
+# kilobytes, as the last line of stderr
+_MEASURED_CLI = """\
+import resource, sys
+from stackdual.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_a_huge_depth_hits_the_deadline_in_bounded_memory():
+    # past the repeat every step is a cheap shifted copy, so only the
+    # deadline bounds how many a huge --depth asks for
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, STACKDUAL_TIME_LIMIT_S="2", PYTHONPATH=str(src))
+    env.pop("STACKDUAL_MAX_TERMS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURED_CLI, "preset", "node", "--a", "5",
+         "--depth", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "wall-clock limit exceeded" in proc.stdout
+    peak_kb = int(proc.stderr.split()[-1])
+    assert peak_kb < 256 * 1024
 
 
 def test_deadline_poll_does_not_depend_on_earlier_ticks(monkeypatch):

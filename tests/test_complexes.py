@@ -1,12 +1,15 @@
 """Koszul complexes, free resolutions, Hom complexes, and homology."""
 
+import random
+
 import pytest
-from oracles import col
+from oracles import col, reference_resolve
 
 from stackdual.complexes import (ChainComplex, _detect_period, hom_complex,
                                  homology, koszul, resolve)
-from stackdual import groebner
+from stackdual import complexes, groebner
 from stackdual.dsl import parse_session
+from stackdual.duality import finite_shriek
 from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                hilbert_function, hom_free_into, minimalize,
                                precompose_columns, restrict_along)
@@ -100,8 +103,73 @@ def diagonal_complex(y_zdeg):
 
 
 def test_repeated_columns_without_a_uniform_shift_are_not_a_period():
-    assert _detect_period(diagonal_complex(1)) == 1
-    assert _detect_period(diagonal_complex(2)) is None
+    assert _detect_period(diagonal_complex(1).maps, 3) == 1
+    assert _detect_period(diagonal_complex(2).maps, 3) is None
+
+
+def preset_map(name, **params):
+    ast = parse_session(preset_session(name, **params))
+    return next(iter(ast.maps.values()))
+
+
+_rng = random.Random(20261019)
+REPEATS = [(("node", dict(a=a, i=i, j=j)), (2, 2))
+           for a in (5, 7, 11, 13) for i, j in [_rng.sample(range(1, a), 2)]]
+REPEATS += [(("tacnode-cusp", {}), (3, 1)), (("cusp-line", {}), None)]
+
+
+@pytest.mark.parametrize("preset,repeat", REPEATS,
+                         ids=[f"{n}-{'-'.join(map(str, p.values()))}".strip("-")
+                              for (n, p), _ in REPEATS])
+def test_resolution_stopped_at_its_repeat_equals_the_full_one(preset, repeat):
+    ba = restrict_along(preset_map(preset[0], **preset[1]))
+    res, ref = resolve(ba, 12), reference_resolve(ba, 12)
+    assert res.repeat == repeat
+    assert (res.length, res.finite) == (ref.length, ref.finite)
+    assert [t.bidegrees for t in res.terms] == [t.bidegrees for t in ref.terms]
+    assert [f.columns for f in res.maps.values()] == \
+        [f.columns for f in ref.maps.values()]
+    if repeat:
+        k, p = repeat
+        # the maps past the repeat are shifted copies sharing their columns
+        assert all(res.maps[j].columns is res.maps[j - p].columns
+                   for j in range(k + p + 1, 13))
+
+
+def test_syzygy_steps_stop_at_the_repeat(monkeypatch):
+    calls = []
+    original = complexes.syzygies_over
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(complexes, "syzygies_over", counting)
+    f = preset_map("node", a=5)
+    counts = []
+    for depth in (4, 40):
+        calls.clear()
+        rep = finite_shriek(f, depth=depth)
+        assert set(rep.ext_profile) == set(range(1, depth + 1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3
+
+
+def test_a_repeat_is_labelled_from_length_three():
+    cc = diagonal_complex(1)
+    assert _detect_period(cc.maps, 2) == 1
+    short = ChainComplex(cc.ring, cc.terms[:3], {1: cc.maps[1], 2: cc.maps[2]},
+                         repeat=(1, 1))
+    assert short.periodic is None
+    assert ChainComplex(cc.ring, cc.terms, cc.maps, repeat=(1, 1)).periodic == 1
+    # t, -t, -t, ... resolves Q[t]/(t^2) / (t); the last step is tested too
+    R = GradedRing(["t"])
+    R = R.quotient([R.var("t") ** 2])
+    M = ModulePresentation(R, (R.degree_zero(),), [col(R.var("t"))])
+    assert resolve(M, 2).repeat is None and resolve(M, 3).repeat == (2, 1)
+    res = resolve(M, 5)
+    assert res.repeat == (2, 1) and res.periodic == 1
+    assert [d.zdeg for t in res.terms for d in t.bidegrees] == [0, 1, 2, 3, 4, 5]
 
 
 def test_resolve_triple_point(triple_ring):

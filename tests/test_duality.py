@@ -9,12 +9,13 @@ from math import gcd
 
 import pytest
 
+from stackdual.complexes import hom_complex, homology
 from stackdual.dsl import parse_session
 from stackdual.duality import (canonical_module, cm_gorenstein_check,
                                compare_modules, ext_dualizing, finite_shriek,
                                lci_dualizing, pushforward_check)
 from stackdual.gmodule import (ModulePresentation, RingMorphism,
-                               hilbert_function, minimalize)
+                               hilbert_function, minimalize, restrict_along)
 from stackdual.poly import Bidegree, GradedRing, RingMismatchError
 
 
@@ -28,8 +29,8 @@ map p : A -> B {{ u = x^{alpha}, v = y^{beta} }}
     return ast.maps["p"], alpha, beta
 
 
-from oracles import (col, cusp_hom_oracle, node_hom_oracle, root_hom_oracle,
-                     twist)
+from oracles import (col, cusp_hom_oracle, node_hom_oracle, reference_resolve,
+                     root_hom_oracle, twist)
 
 
 # -- finite duality -------------------------------------------------------------
@@ -53,6 +54,22 @@ def test_node_hom_matches_enumeration_oracle():
     oracle = node_hom_oracle(a, i, j, alpha, beta, 7)
     oracle = {k: v for k, v in oracle.items() if k[0] >= 0}
     assert table == oracle
+
+
+def test_ext_past_the_repeat_equals_every_degree_computed():
+    # B = A/(u) over the node: Ext^i_A(B, A/(u)) vanishes exactly in odd i
+    ast = parse_session("""
+ring A = Q[u,v]/(u*v)
+ring B = Q[y]
+map f : A -> B { u = 0, v = y }
+module W over A gens w:(0,0) rels u*w
+""")
+    f, W = ast.maps["f"], ast.modules["W"]
+    rep = finite_shriek(f, W, depth=9)
+    hc = hom_complex(reference_resolve(restrict_along(f), 10), f.transport_module(W))
+    full = {i: (h.rank == 0, h.rank) for i in range(1, 10) for h in [homology(hc, i)]}
+    assert rep.ext_profile == full
+    assert [n for _, n in full.values()] == [0, 1] * 4 + [0]
 
 
 def test_cusp_over_line():
