@@ -286,12 +286,16 @@ def minimalize_with_tracking(M: ModulePresentation
 
     Unit (nonzero scalar) entries are eliminated by graded Nakayama, then
     redundant relation columns are pruned in ascending degree so that both
-    the generator and the relation counts are minimal.  Nakayama needs
-    every variable of positive Z-degree; otherwise each generator in the
-    span of the relations and of the generators kept before it is dropped
-    too, and the module is presented again on the kept ones, so the zero
-    module comes out with no generators.  The count is then an upper
-    bound, not a minimum.
+    the generator and the relation counts are minimal.  Each pivot is the
+    lowest unit position of the first column that has one.  Elimination
+    runs in one pass over the incoming generator numbering: it keeps each
+    column's first unit position, a pivot rebuilds only the columns that
+    hold an entry at its position, and the generators are renumbered once
+    when no unit is left.  Nakayama needs every variable of positive
+    Z-degree; otherwise each generator in the span of the relations and of
+    the generators kept before it is dropped too, and the module is
+    presented again on the kept ones, so the zero module comes out with no
+    generators.  The count is then an upper bound, not a minimum.
     """
     ring = M.ring
     gens = list(M.bidegrees)
@@ -300,44 +304,58 @@ def minimalize_with_tracking(M: ModulePresentation
     positive = all(d > 0 for d in ring.zdegs)
 
     while True:
-        pivot = next(((c, i, entry.constant_value())
-                      for c, col in enumerate(cols)
-                      for i, entry in col.items() if entry.is_unit_scalar()),
-                     None)
-        if pivot is None:
-            if positive or not gens:
+        unit_at = [_first_unit(col) for col in cols]
+        eliminated: set[int] = set()
+        while True:
+            c = next((n for n, i in enumerate(unit_at) if i is not None), None)
+            if c is None:
                 break
-            units = [{i: ring.one()} for i in range(len(gens))]
-            keep = sorted(minimal_generating_vectors(ring, units, len(gens),
-                                                     gens, cols))
-            if len(keep) == len(gens):
-                break
-            cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
-            gens = [gens[i] for i in keep]
-            origin = [origin[i] for i in keep]
-            continue
-        c, i, unit = pivot
-        pivot_col = cols.pop(c)
-        # gen_i = -1/unit * sum of the other entries; substitute everywhere,
-        # then renumber the generators after i
-        for n, col in enumerate(cols):
-            col = dict(col)
-            factor = col.pop(i, None)
-            if factor is not None:
+            i = unit_at.pop(c)
+            pivot_col = cols.pop(c)
+            unit = pivot_col[i].constant_value()
+            # gen_i = -1/unit * sum of the other entries; substitute it into
+            # the columns that hold it
+            for n, col in enumerate(cols):
+                factor = col.get(i)
+                if factor is None:
+                    continue
+                col = dict(col)
+                del col[i]
                 for k, p in pivot_col.items():
                     if k != i:
                         q = col.get(k, ring.zero()) - factor * p / unit
                         col[k] = ring.reduce(q)
-            cols[n] = {k - (k > i): p for k, p in sorted(col.items())
-                       if not p.is_zero()}
-        del gens[i]
-        del origin[i]
+                cols[n] = col = {k: p for k, p in sorted(col.items())
+                                 if not p.is_zero()}
+                unit_at[n] = _first_unit(col)
+            eliminated.add(i)
+        if eliminated:
+            kept = [k for k in range(len(gens)) if k not in eliminated]
+            renumber = {k: n for n, k in enumerate(kept)}
+            cols = [{renumber[k]: p for k, p in col.items()} for col in cols]
+            gens = [gens[k] for k in kept]
+            origin = [origin[k] for k in kept]
+        if positive or not gens:
+            break
+        units = [{i: ring.one()} for i in range(len(gens))]
+        keep = sorted(minimal_generating_vectors(ring, units, len(gens),
+                                                 gens, cols))
+        if len(keep) == len(gens):
+            break
+        cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
+        gens = [gens[i] for i in keep]
+        origin = [origin[i] for i in keep]
 
     # dedupe then prune columns expressible through the others
     unique = list({tuple(col.items()): col for col in cols if col}.values())
     degs = [vector_bidegree(col, gens) for col in unique]
     keep = minimal_generating_vectors(ring, unique, len(gens), degs)
     return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
+
+
+def _first_unit(col: Column) -> Optional[int]:
+    """The lowest position of a unit (nonzero scalar) entry, or None."""
+    return next((i for i, p in col.items() if p.is_unit_scalar()), None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A column, an element of a free module R^n, is {position: Polynomial}: only
 nonzero entries, each reduced modulo the ring ideal, in ascending position
 order; the rank lives on the module presentation.  Every module value outside this
-file is a column.  `column` builds one; `printed_column` is the one dense
-rendering, for report text and ordering keys.
+file is a column.  `column` builds one.  `printed_column` is its dense
+rendering, for report text; `column_order_key` sorts columns exactly as
+their printed forms do but reads only the stored entries.
 
 One engine, private to this file, works on flat vectors {(position,
 monomial): coefficient} with the term-over-position order induced by the
@@ -36,6 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .caps import check_deadline, check_term_cap, command_table
@@ -68,6 +70,21 @@ def printed_column(col: Column, rank: int) -> tuple[str, ...]:
     """The printed entries of a column at every position 0..rank-1, "0"
     where nothing is stored."""
     return tuple(str(col[i]) if i in col else "0" for i in range(rank))
+
+
+def column_order_key(col: Column) -> tuple:
+    """A key that orders columns of one rank exactly as `printed_column`
+    does.  Two printed tuples first differ where one column stores an entry
+    s that the other lacks or stores differently, and s sorts after the
+    other's "0" exactly when s > "0".  So a stored entry at pos keys as
+    (1, -pos, s) when s > "0" and as (-1, pos, s) otherwise, and the key
+    ends with (0,), which sorts between the two kinds."""
+    out = []
+    for pos, p in col.items():
+        s = str(p)
+        out.append((1, -pos, s) if s > "0" else (-1, pos, s))
+    out.append((0,))
+    return tuple(out)
 
 
 def lead_coefficient(col: Column, order: MonomialOrder) -> Scalar:
@@ -328,6 +345,14 @@ class _TrackedGB:
         return _vec_reduce(vec, self.basis, self.order, self.by_pos,
                            track=track)
 
+    def reduces_by_itself(self, b: int) -> bool:
+        """Whether basis element b comes first among those whose lead
+        divides its own, so that reducing it subtracts it once and leaves
+        zero."""
+        pos, mono = self.leads[b]
+        return next(k for kmono, k in self.by_pos[pos]
+                    if monomial_divides(kmono, mono)) == b
+
     def express(self, vec: VecDict) -> Optional[VecDict]:
         """Write vec over the input vectors; None if vec is not in the span."""
         remainder, quotients = self.reduce(vec, track=True)
@@ -351,6 +376,13 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.generators)
+
+    @cached_property
+    def _engine(self) -> tuple[list[VecDict], dict[int, list[tuple[Monomial, int]]]]:
+        """The generators as rank-1 flat vectors and their lead index, the
+        form `normal_form` reduces by, converted once per basis."""
+        return ([_rank1(g) for g in self.generators],
+                {0: [(lm, i) for i, lm in enumerate(self.leads)]})
 
 
 def _rank1(p: Polynomial) -> VecDict:
@@ -401,9 +433,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo a Groebner basis; zero iff p is in the ideal."""
     if not p.ring.same_ambient(gb.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
-    by_pos = {0: [(lm, i) for i, lm in enumerate(gb.leads)]}
-    remainder, _ = _vec_reduce(_rank1(p), [_rank1(g) for g in gb.generators],
-                               gb.ring.order, by_pos)
+    basis, by_pos = gb._engine
+    remainder, _ = _vec_reduce(_rank1(p), basis, gb.ring.order, by_pos)
     return Polynomial(p.ring, {m: c for (_, m), c in remainder.items()})
 
 
@@ -507,20 +538,27 @@ class SubmoduleOracle:
         not minimalized.  The list is computed once per `heads` and kept on
         the oracle, so callers must not change it.  Raises RuntimeError
         unless the oracle is liftable."""
-        if not self.gb.track:
+        gb = self.gb
+        if not gb.track:
             raise RuntimeError("syzygies need a liftable oracle")
         if heads in self._syzygies:
             return self._syzygies[heads]
-        relations = list(self.gb.syzygies)
+        relations = list(gb.syzygies)
+        b = -1  # nonzero inputs go into the basis first, in order
         for i, v in enumerate(self._inputs):
-            delta: VecDict = {(i, self.gb._unit): 1}
-            for k, c in self.gb.express(v).items():
+            if v:
+                b += 1
+                if gb.reduces_by_itself(b):
+                    # so v expresses as e_i, and its relation is zero
+                    continue
+            delta: VecDict = {(i, gb._unit): 1}
+            for k, c in gb.express(v).items():
                 _vec_add_term(delta, k, -c)
             relations.append(delta)
         cols = (_project(s, self.ring, range(heads), heads) for s in relations)
         unique = {tuple(col.items()): col for col in cols if col}
-        found = self._syzygies[heads] = sorted(
-            unique.values(), key=lambda v: printed_column(v, heads))
+        found = self._syzygies[heads] = sorted(unique.values(),
+                                               key=column_order_key)
         return found
 
     def lift(self, v: Column) -> Optional[Column]:
@@ -553,7 +591,7 @@ def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],
                    for p in vectors[i].values())
 
     order = sorted((i for i, v in enumerate(vectors) if v),
-                   key=lambda i: (zdeg_of(i), printed_column(vectors[i], rank)))
+                   key=lambda i: (zdeg_of(i), column_order_key(vectors[i])))
     if not order:
         return []
     oracle = SubmoduleOracle(ring, context, rank)

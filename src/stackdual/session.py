@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .caps import InputError, ResourceCapError, command_caps
+from .caps import InputError, ResourceCapError, check_term_cap, command_caps
 from .complexes import homology, koszul
 from .dsl import Command, SessionAst
 from .duality import (CMReport, DualityReport, canonical_module,
@@ -184,8 +184,10 @@ class RunReport:
 def run_session(ast: SessionAst, default_depth: Optional[int] = None,
                 default_bound: Optional[int] = None) -> RunReport:
     """Run each command under its caps.  `default_depth` and
-    `default_bound` replace every `depth` and `bound` option; a handler gets
-    that command and returns (result, verdicts, human lines, failed_check).
+    `default_bound` replace every `depth` and `bound` option, and a `depth`,
+    `bound` or `max` above the term cap is a resource-cap failure before
+    the command starts.  A handler gets that command and returns (result,
+    verdicts, human lines, failed_check).
     A failure stops the session, and its type alone sets the exit code:
     ResourceCapError 3, InputError 2, any other exception (a fault of the
     program, not of the input) 4."""
@@ -199,6 +201,11 @@ def run_session(ast: SessionAst, default_depth: Optional[int] = None,
         started = time.monotonic()
         try:
             with command_caps():
+                # a report holds O(depth or bound) entries, so the term cap
+                # bounds those options too, before any work
+                for name, value in cmd.options.items():
+                    if value is not None:
+                        check_term_cap(value, f"{name} {value}")
                 result, verdicts, human, failed = handler(cmd)
         except ResourceCapError as exc:
             report.abort(cmd, EXIT_RESOURCE_CAP, "resource-cap", str(exc), f"aborted: {exc}")

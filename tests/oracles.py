@@ -37,6 +37,12 @@ generating set of the syzygies of each differential in turn, with no stop
 at a repeat, so a resolution that `resolve` fills in past its first exact
 repeat has a full one to match.
 
+`reference_minimalize_with_tracking` is the Nakayama loop that rescans
+every column for a pivot and renumbers every generator after each
+elimination.  `reference_syzygies` reads the relations off a liftable
+oracle by expressing every input over the others, the ones that reduce by
+themselves included, and sorts them by their printed columns.
+
 `reference_restrict_along` presents B over A by elimination: the syzygies
 of the staircase monomials modulo the graph ideal in the mixed ring, then a
 module Groebner basis of those in the elimination order, keeping its
@@ -421,6 +427,73 @@ def reference_resolve(M, depth):
             cols = tuple(syz[k] for k in keep)
             degs = tuple(syz_degs[k] for k in keep)
     return ChainComplex(ring, terms, maps)
+
+
+def reference_minimalize_with_tracking(M):
+    """A minimal presentation of M and the surviving generator indices,
+    eliminating one unit entry per full rescan of the columns."""
+    from stackdual.gmodule import ModulePresentation
+    from stackdual.groebner import (minimal_generating_vectors, syzygies_over,
+                                    vector_bidegree)
+    ring = M.ring
+    gens = list(M.bidegrees)
+    origin = list(range(len(gens)))
+    cols = list(M.relations)
+    positive = all(d > 0 for d in ring.zdegs)
+
+    while True:
+        pivot = next(((c, i, entry.constant_value())
+                      for c, col in enumerate(cols)
+                      for i, entry in col.items() if entry.is_unit_scalar()),
+                     None)
+        if pivot is None:
+            if positive or not gens:
+                break
+            units = [{i: ring.one()} for i in range(len(gens))]
+            keep = sorted(minimal_generating_vectors(ring, units, len(gens),
+                                                     gens, cols))
+            if len(keep) == len(gens):
+                break
+            cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
+            gens = [gens[i] for i in keep]
+            origin = [origin[i] for i in keep]
+            continue
+        c, i, unit = pivot
+        pivot_col = cols.pop(c)
+        for n, col in enumerate(cols):
+            col = dict(col)
+            factor = col.pop(i, None)
+            if factor is not None:
+                for k, p in pivot_col.items():
+                    if k != i:
+                        q = col.get(k, ring.zero()) - factor * p / unit
+                        col[k] = ring.reduce(q)
+            cols[n] = {k - (k > i): p for k, p in sorted(col.items())
+                       if not p.is_zero()}
+        del gens[i]
+        del origin[i]
+
+    unique = list({tuple(col.items()): col for col in cols if col}.values())
+    degs = [vector_bidegree(col, gens) for col in unique]
+    keep = minimal_generating_vectors(ring, unique, len(gens), degs)
+    return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
+
+
+def reference_syzygies(oracle, heads):
+    """The relations `oracle.syzygies(heads)` reads off a liftable oracle,
+    with e_i minus the expression of every input i, sorted by printed
+    column."""
+    from stackdual.groebner import _project, _vec_add_term, printed_column
+    gb = oracle.gb
+    relations = list(gb.syzygies)
+    for i, v in enumerate(oracle._inputs):
+        delta = {(i, gb._unit): 1}
+        for k, c in gb.express(v).items():
+            _vec_add_term(delta, k, -c)
+        relations.append(delta)
+    cols = (_project(s, oracle.ring, range(heads), heads) for s in relations)
+    unique = {tuple(col.items()): col for col in cols if col}
+    return sorted(unique.values(), key=lambda v: printed_column(v, heads))
 
 
 def reference_precomposition(ring, d, nm, vec):

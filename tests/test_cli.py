@@ -305,21 +305,45 @@ sys.exit(code)
 """
 
 
+def _measured_cli(argv, time_limit, cwd=None):
+    """Run the CLI in a child under the default term cap; returns the
+    process and the child's peak RSS in KB."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, STACKDUAL_TIME_LIMIT_S=time_limit, PYTHONPATH=str(src))
+    env.pop("STACKDUAL_MAX_TERMS", None)
+    proc = subprocess.run([sys.executable, "-c", _MEASURED_CLI, *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+    return proc, int(proc.stderr.split()[-1])
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
 def test_a_huge_depth_hits_the_deadline_in_bounded_memory():
     # past the repeat every step is a cheap shifted copy, so only the
-    # deadline bounds how many a huge --depth asks for
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, STACKDUAL_TIME_LIMIT_S="2", PYTHONPATH=str(src))
-    env.pop("STACKDUAL_MAX_TERMS", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _MEASURED_CLI, "preset", "node", "--a", "5",
-         "--depth", "1000000000"],
-        env=env, capture_output=True, text=True, timeout=120)
+    # deadline bounds how many of the steps under the term cap are built
+    proc, peak_kb = _measured_cli(
+        ["preset", "node", "--a", "5", "--depth", str(caps.DEFAULT_MAX_TERMS)],
+        time_limit="0.5")
     assert proc.returncode == 3, proc.stderr
     assert "wall-clock limit exceeded" in proc.stdout
-    peak_kb = int(proc.stderr.split()[-1])
     assert peak_kb < 256 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+@pytest.mark.parametrize("argv, option", [
+    (["run", "huge.sdl"], "bound 100000000"),
+    (["preset", "cusp-line", "--depth", "100000000"], "depth 100000000"),
+])
+def test_a_depth_or_bound_above_the_term_cap_exits_3_before_any_work(
+        tmp_path, argv, option):
+    (tmp_path / "huge.sdl").write_text("ring R = Q[x,y]\n"
+                                       "module M over R gens e:(0,0) rels x*e\n"
+                                       "hilbert M max 100000000\n")
+    started = time.monotonic()
+    proc, peak_kb = _measured_cli(argv, time_limit="60", cwd=tmp_path)
+    assert time.monotonic() - started < 3
+    assert proc.returncode == 3, proc.stderr
+    assert f"aborted: {option} exceeds {caps.DEFAULT_MAX_TERMS} terms" in proc.stdout
+    assert peak_kb < 100 * 1024
 
 
 def test_deadline_poll_does_not_depend_on_earlier_ticks(monkeypatch):
@@ -506,8 +530,9 @@ def test_parse_time_arithmetic_obeys_the_term_cap(capsys, tmp_path, monkeypatch)
 
 def test_term_cap_bounds_the_module_vectors(capsys, monkeypatch):
     # no polynomial product of this preset has more than 2 terms, but the
-    # module vectors of its Groebner bases have 6
-    for cap in ("2", "5"):
+    # module vectors of its Groebner bases have 6; a cap below its Ext max
+    # of 3 would stop the command before any work
+    for cap in ("3", "5"):
         monkeypatch.setenv("STACKDUAL_MAX_TERMS", cap)
         code, out, _ = run_cli(["preset", "triple-point"], capsys)
         assert code == 3

@@ -285,3 +285,53 @@ def test_dualize_finite_repeats_no_liftable_build(monkeypatch):
     report = run_session(ast)
     assert report.error is None and len(report.outcomes) == 1
     assert inputs and len(set(inputs)) == len(inputs)
+
+
+def test_syzygies_express_only_the_inputs_with_a_relation(monkeypatch):
+    # an input that is its own basis element and reduces by itself alone
+    # expresses as e_i, so its relation is zero and it is not expressed
+    calls = []      # per extraction: (inputs expressed, with a relation, inputs)
+    express = groebner._TrackedGB.express
+    syzygies = SubmoduleOracle.syzygies
+    expressed = 0
+
+    def counting(self, vec):
+        nonlocal expressed
+        expressed += 1
+        return express(self, vec)
+
+    def extracting(self, heads):
+        nonlocal expressed
+        if heads in self._syzygies:
+            return syzygies(self, heads)
+        unit = self.gb._unit
+        with_relation = sum(express(self.gb, v) != {(i, unit): 1}
+                            for i, v in enumerate(self._inputs))
+        expressed = 0
+        found = syzygies(self, heads)
+        calls.append((expressed, with_relation, len(self._inputs)))
+        return found
+
+    monkeypatch.setattr(groebner._TrackedGB, "express", counting)
+    monkeypatch.setattr(SubmoduleOracle, "syzygies", extracting)
+    report = run_session(parse_session(preset_session("node", a=7, i=2, j=3)))
+    assert report.error is None and calls
+    assert all(n == with_relation for n, with_relation, _ in calls)
+    assert sum(n for n, _, _ in calls) < sum(total for _, _, total in calls)
+
+
+def test_normal_form_converts_its_basis_once(uvt, monkeypatch):
+    gb = buchberger(triple_gens(uvt))
+    converted = []
+    rank1 = groebner._rank1
+
+    def counting(p):
+        converted.append(p)
+        return rank1(p)
+
+    monkeypatch.setattr(groebner, "_rank1", counting)
+    u, v, t = uvt.var("u"), uvt.var("v"), uvt.var("t")
+    for p in (u * v * t, u ** 3, v * t ** 2 - u ** 2):
+        normal_form(p, gb)
+    # the three inputs, and each generator once
+    assert len(converted) == 3 + len(gb)
