@@ -56,7 +56,7 @@ class ModulePresentation:
             if d is None:
                 raise ValueError("inhomogeneous relation column")
             # normalize the column monic in the term-over-position order
-            lc = lead_coefficient(reduced, ring.order)
+            lc = lead_coefficient(reduced, ring)
             if lc != 1:
                 reduced = {pos: p / lc for pos, p in reduced.items()}
             cols.append(reduced)
@@ -462,9 +462,9 @@ def _position_series(M: ModulePresentation, zmax: int):
     if not live:
         return
     _require_positive_degrees(ring)
-    by_pos = M.span.gb.by_pos
+    gb = M.span.gb
     for k, g in live:
-        leads = [m for m, _ in by_pos.get(k, ())]
+        leads = gb.lead_monomials(k)
         yield k, g, leads, _series(ring, leads, zmax - g.zdeg)
 
 

@@ -7,9 +7,11 @@ file is a column.  `column` builds one.  `printed_column` is its dense
 rendering, for report text; `column_order_key` sorts columns exactly as
 their printed forms do but reads only the stored entries.
 
-One engine, private to this file, works on flat vectors {(position,
-monomial): coefficient} with the term-over-position order induced by the
-ring order.  Every module basis starts in `SubmoduleOracle`, the one door:
+One engine, private to this file, works on flat vectors {term key:
+coefficient}, a term key being one integer that packs the monomial's
+`MonomialOrder.key` with the position, so that integers compare as the
+term-over-position order induced by the ring order does (see "module
+engine" below).  Every module basis starts in `SubmoduleOracle`, the one door:
 columns are flattened where they enter it and projected straight back.  A
 span-only oracle (`contains`, `extend`: presentation spans and
 `minimal_generating_vectors`) grows with `extend`, keeps no expressions and
@@ -38,12 +40,13 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .caps import check_deadline, check_term_cap, command_table
-from .poly import (Bidegree, GradedRing, Monomial, MonomialOrder, Polynomial,
-                   RingMismatchError, Scalar, coefficient, monomial_div,
-                   monomial_divides, monomial_lcm, monomial_mul)
+from .caps import ResourceCapError, check_deadline, check_term_cap, command_table
+from .poly import (FIELD_MASK, FIELD_MAX, Bidegree, GradedRing, Monomial,
+                   Polynomial, RingMismatchError, Scalar, coefficient,
+                   monomial_lcm)
 
 Column = dict[int, Polynomial]
 
@@ -87,14 +90,12 @@ def column_order_key(col: Column) -> tuple:
     return tuple(out)
 
 
-def lead_coefficient(col: Column, order: MonomialOrder) -> Scalar:
+def lead_coefficient(col: Column, ring: GradedRing) -> Scalar:
     """The coefficient of a nonzero column's lead term in the
     term-over-position order: the largest monomial, lower positions winning
     ties."""
-    _, p = max(col.items(),
-               key=lambda item: (order.key(item[1].leading_term(order)[0]),
-                                 -item[0]))
-    return p.leading_term(order)[1]
+    vec = _flatten(col, ring)
+    return vec[max(vec)]
 
 
 def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree]
@@ -117,26 +118,36 @@ def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree]
 # ---------------------------------------------------------------------------
 # module engine
 #
-# A module element of R^n is stored as dict[(position, monomial)] -> scalar,
-# each scalar an `int` when it is integral, else a `Fraction` (the canonical
-# form of `poly.coefficient`; floats are refused), the same representation
-# as `Polynomial.terms`, so flattening and projecting convert nothing.  The
-# module order is term-over-position: monomials compare by the ring order
-# first, lower positions win ties.
+# A module element of R^n is stored as dict[term] -> scalar, the scalars in
+# the canonical form of `poly.coefficient`.  A term is the int
+# key << 64 | (FIELD_MAX - position), key being the monomial's `PackedKeys`
+# key, so terms compare as the term-over-position order does and a lead is
+# `max(vec)`.  Adding (key(m) - one) << 64 multiplies a term by m, and a lead
+# b divides a term t of its position exactly when (one + t - b) has no guard
+# bit set; t - b is then the quotient.  Every product checks the guard bits,
+# so an exponent past its field raises ResourceCapError.  Monomial tuples
+# are encoded only where columns enter the engine (`_flatten`, `_rank1`,
+# `_ideal_rows`) and decoded where they leave it.
 
 
-VecDict = dict[tuple[int, Monomial], Scalar]
+VecDict = dict[int, Scalar]
+
+
+def _position(term: int) -> int:
+    return FIELD_MAX - (term & FIELD_MASK)
 
 
 def _flatten(col: Column, ring: GradedRing) -> VecDict:
     """A column as one flat vector; each entry must share `ring`'s ambient
     signature."""
+    key = ring.packing.key
     out: VecDict = {}
     for pos, p in col.items():
         if p.ring is not ring and not ring.same_ambient(p.ring):
             raise RingMismatchError(f"vector entry {p} does not live over {ring!r}")
+        low = FIELD_MAX - pos
         for m, c in p.terms.items():
-            out[(pos, m)] = c
+            out[(key(m) << 64) + low] = c
     return out
 
 
@@ -145,38 +156,30 @@ def _project(vec: VecDict, ring: GradedRing, positions: Sequence[Optional[int]],
     """The column of R^rank whose entry at positions[k] is the part of vec
     at engine position k; engine positions past the list, or mapped to
     None, are dropped."""
+    monomial = ring.packing.monomial
     terms: dict[int, dict] = {}
-    for (k, m), c in vec.items():
+    for t, c in vec.items():
+        k = _position(t)
         if k < len(positions) and positions[k] is not None:
-            terms.setdefault(positions[k], {})[m] = c
+            terms.setdefault(positions[k], {})[monomial(t >> 64)] = c
     return column(ring, {pos: Polynomial(ring, t) for pos, t in terms.items()},
                   rank)
 
 
-def _vec_key(order: MonomialOrder):
-    def key(posmono):
-        pos, mono = posmono
-        return (order.key(mono), -pos)
-    return key
-
-
-def _vec_lead(vec: VecDict, order: MonomialOrder):
-    k = max(vec, key=_vec_key(order))
-    return k, vec[k]
-
-
-def _vec_add_term(vec: VecDict, key, coeff: Scalar) -> None:
-    s = vec.get(key, 0) + coeff
-    if s == 0:
-        vec.pop(key, None)
-    else:
-        vec[key] = s if type(s) is int or s.denominator != 1 else s.numerator
-
-
-def _vec_axpy(target: VecDict, mono: Monomial, coeff: Scalar, src: VecDict) -> None:
-    """target += coeff * mono * src"""
-    for (pos, m), c in src.items():
-        _vec_add_term(target, (pos, monomial_mul(m, mono)), c * coeff)
+def _vec_axpy(target: VecDict, q: int, coeff: Scalar, src: VecDict,
+              guards: int) -> None:
+    """target += coeff * m * src, for q the shifted key difference
+    (key(m) - one) << 64 of the monomial m."""
+    for t, c in src.items():
+        t += q
+        if t & guards:
+            raise ResourceCapError("a product leaves the 63-bit range of "
+                                   "the packed monomial key")
+        s = target.get(t, 0) + c * coeff
+        if s == 0:
+            target.pop(t, None)
+        else:
+            target[t] = s if type(s) is int or s.denominator != 1 else s.numerator
     check_term_cap(len(target), "module vector")
 
 
@@ -184,35 +187,35 @@ def _vec_scale(vec: VecDict, coeff: Scalar) -> VecDict:
     return {k: coefficient(c * coeff) for k, c in vec.items()}
 
 
-def _vec_reduce(vec: VecDict, basis: list[VecDict], order: MonomialOrder,
-                by_pos: dict[int, list[tuple[Monomial, int]]],
-                track: bool = False):
+def _vec_reduce(vec: VecDict, basis: list[VecDict],
+                by_pos: dict[int, list[tuple[int, int]]], one: int,
+                guards: int, track: bool = False):
     """Full reduction of vec by the monic basis.
 
-    `by_pos` indexes the basis leads per position as (monomial, basis
-    index), in basis order.  Returns (remainder, quotients): quotients
-    maps the index i of each basis element used to a terms dict, with vec =
+    `by_pos` indexes the basis leads per position as (lead term, basis
+    index), in basis order; `one` and `guards` are the unit monomial's key
+    and the guard bits, both shifted to term level.  Returns (remainder,
+    quotients): quotients maps the index i of each basis element used to
+    a dict {q: coefficient} of shifted key differences, with vec =
     sum_i quotients[i]*basis[i] + remainder; it is empty unless `track`.
     """
     quotients: dict[int, dict] = {}
     remainder: VecDict = {}
     current = dict(vec)
-    keyf = _vec_key(order)
     while current:
         check_deadline()
-        key = max(current, key=keyf)
-        pos, mono = key
-        coeff = current[key]
-        for bmono, i in by_pos.get(pos, ()):
-            if monomial_divides(bmono, mono):
-                q = monomial_div(mono, bmono)
-                _vec_axpy(current, q, -coeff, basis[i])
+        t = max(current)
+        coeff = current[t]
+        for b, i in by_pos.get(FIELD_MAX - (t & FIELD_MASK), ()):
+            q = t - b
+            if not (one + q) & guards:
+                _vec_axpy(current, q, -coeff, basis[i], guards)
                 if track:
                     quotients.setdefault(i, {})[q] = coeff
                 break
         else:
-            remainder[key] = coeff
-            del current[key]
+            remainder[t] = coeff
+            del current[t]
     return remainder, quotients
 
 
@@ -247,25 +250,37 @@ class _TrackedGB:
     def __init__(self, vectors: Sequence[VecDict], ring: GradedRing,
                  track: bool = False):
         self.ring = ring
-        self.order = ring.order
+        self.packing = ring.packing
+        # the unit monomial and the guard bits at term level
+        self.one = self.packing.one << 64
+        self.guards = self.packing.guards << 64
         self.track = track
         self.basis: list[VecDict] = []
-        self.leads: list[tuple[int, Monomial]] = []
-        # per position: (lead monomial, basis index), in basis order
-        self.by_pos: dict[int, list[tuple[Monomial, int]]] = {}
+        self.leads: list[int] = []
+        # per position: (lead term, basis index), in basis order
+        self.by_pos: dict[int, list[tuple[int, int]]] = {}
         self.reps: list[VecDict] = []          # over the input index space
         self.syzygies: list[VecDict] = []      # likewise
         self._heap: list = []
         self._pending: set[tuple[int, int]] = set()
-        self._unit = (0,) * ring.nvars
         for i, v in enumerate(vectors):
             if v:
-                self._insert(dict(v), {(i, self._unit): 1})
+                self._insert(dict(v), {self.one + FIELD_MAX - i: 1})
         self._complete()
+
+    def divides(self, b: int, t: int) -> bool:
+        """Whether the lead term b divides the term t of the same position."""
+        return not (self.one + t - b) & self.guards
+
+    def lead_monomials(self, pos: int) -> list[Monomial]:
+        """The lead monomials at position `pos`, in basis order."""
+        monomial = self.packing.monomial
+        return [monomial(b >> 64) for b, _ in self.by_pos.get(pos, ())]
 
     def _insert(self, vec: VecDict, rep: Optional[VecDict]) -> None:
         check_term_cap(len(vec), "module vector")
-        (posmono, lc) = _vec_lead(vec, self.order)
+        lead = max(vec)
+        lc = vec[lead]
         if lc != 1:
             # -1 is its own inverse, and 1 / lc would be a float for an int lc
             inverse = -1 if lc == -1 else coefficient(Fraction(1) / lc)
@@ -275,54 +290,57 @@ class _TrackedGB:
         self.basis.append(vec)
         if self.track:
             self.reps.append(rep)
-        self.leads.append(posmono)
+        self.leads.append(lead)
         new = len(self.basis) - 1
-        npos, nmono = posmono
+        npos = _position(lead)
+        monomial = self.packing.monomial
+        nmono = monomial(lead >> 64)
         same = self.by_pos.setdefault(npos, [])
-        for kmono, k in same:
-            lcm = monomial_lcm(kmono, nmono)
-            key = (sum(e * d for e, d in zip(lcm, self.ring.zdegs)),
-                   self.order.key(lcm))
-            heapq.heappush(self._heap, (key, npos, k, new, lcm))
+        for b, k in same:
+            lcm = monomial_lcm(monomial(b >> 64), nmono)
+            key = (sum(map(mul, lcm, self.ring.zdegs)), self.packing.key(lcm))
+            heapq.heappush(self._heap, (key, npos, k, new))
             self._pending.add((k, new))
-        same.append((nmono, new))
+        same.append((lead, new))
 
     def _add_reps(self, target: VecDict, quotients: dict[int, dict],
                   sign: Scalar) -> None:
         """target += sign * sum_t quotients[t] * reps[t]"""
         for t in sorted(quotients):
-            for mono, coeff in quotients[t].items():
-                _vec_axpy(target, mono, sign * coeff, self.reps[t])
+            for q, coeff in quotients[t].items():
+                _vec_axpy(target, q, sign * coeff, self.reps[t], self.guards)
 
-    def _chain(self, pos: int, i: int, j: int, lcm: Monomial) -> bool:
+    def _chain(self, pos: int, i: int, j: int, lcm: int) -> bool:
         pending = self._pending
-        for kmono, k in self.by_pos[pos]:
-            if (k != i and k != j and monomial_divides(kmono, lcm)
+        for b, k in self.by_pos[pos]:
+            if (k != i and k != j and self.divides(b, lcm)
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 return True
         return False
 
     def _complete(self) -> None:
+        guards = self.guards
         while self._heap:
             check_deadline()
-            _, pos, i, j, lcm = heapq.heappop(self._heap)
+            (_, lcm), pos, i, j = heapq.heappop(self._heap)
             self._pending.discard((i, j))
+            lcm = (lcm << 64) + FIELD_MAX - pos
             if not self.track and self._chain(pos, i, j, lcm):
                 continue
-            mi = self.leads[i][1]
-            mj = self.leads[j][1]
+            qi = lcm - self.leads[i]
+            qj = lcm - self.leads[j]
             s: VecDict = {}
-            _vec_axpy(s, monomial_div(lcm, mi), 1, self.basis[i])
-            _vec_axpy(s, monomial_div(lcm, mj), -1, self.basis[j])
+            _vec_axpy(s, qi, 1, self.basis[i], guards)
+            _vec_axpy(s, qj, -1, self.basis[j], guards)
             if not self.track:
                 remainder, _ = self.reduce(s)
                 if remainder:
                     self._insert(remainder, None)
                 continue
             srep: VecDict = {}
-            _vec_axpy(srep, monomial_div(lcm, mi), 1, self.reps[i])
-            _vec_axpy(srep, monomial_div(lcm, mj), -1, self.reps[j])
+            _vec_axpy(srep, qi, 1, self.reps[i], guards)
+            _vec_axpy(srep, qj, -1, self.reps[j], guards)
             remainder, quotients = self.reduce(s, track=True)
             self._add_reps(srep, quotients, -1)
             if remainder:
@@ -342,16 +360,16 @@ class _TrackedGB:
         if track and not self.track:
             raise RuntimeError("span-only Groebner basis (track=False) "
                                "keeps no representations")
-        return _vec_reduce(vec, self.basis, self.order, self.by_pos,
+        return _vec_reduce(vec, self.basis, self.by_pos, self.one, self.guards,
                            track=track)
 
     def reduces_by_itself(self, b: int) -> bool:
         """Whether basis element b comes first among those whose lead
         divides its own, so that reducing it subtracts it once and leaves
         zero."""
-        pos, mono = self.leads[b]
-        return next(k for kmono, k in self.by_pos[pos]
-                    if monomial_divides(kmono, mono)) == b
+        lead = self.leads[b]
+        return next(k for kb, k in self.by_pos[_position(lead)]
+                    if self.divides(kb, lead)) == b
 
     def express(self, vec: VecDict) -> Optional[VecDict]:
         """Write vec over the input vectors; None if vec is not in the span."""
@@ -378,15 +396,28 @@ class GroebnerBasis:
         return len(self.generators)
 
     @cached_property
-    def _engine(self) -> tuple[list[VecDict], dict[int, list[tuple[Monomial, int]]]]:
+    def _engine(self) -> tuple[list[VecDict], dict[int, list[tuple[int, int]]]]:
         """The generators as rank-1 flat vectors and their lead index, the
         form `normal_form` reduces by, converted once per basis."""
-        return ([_rank1(g) for g in self.generators],
-                {0: [(lm, i) for i, lm in enumerate(self.leads)]})
+        basis = [_rank1(g) for g in self.generators]
+        return basis, {0: [(max(v), i) for i, v in enumerate(basis)]}
+
+    @cached_property
+    def _lead_keys(self) -> list[int]:
+        return [self.ring.packing.key(lm) for lm in self.leads]
+
+    def divides_a_term(self, p: Polynomial) -> bool:
+        """Whether some lead divides some term of p, by the packed test."""
+        packing = self.ring.packing
+        one, guards, key = packing.one, packing.guards, packing.key
+        leads = self._lead_keys
+        return any(not (one + key(m) - b) & guards
+                   for m in p.terms for b in leads)
 
 
 def _rank1(p: Polynomial) -> VecDict:
-    return {(0, m): c for m, c in p.terms.items()}
+    key = p.ring.packing.key
+    return {(key(m) << 64) + FIELD_MAX: c for m, c in p.terms.items()}
 
 
 def buchberger(gens: Sequence[Polynomial],
@@ -406,27 +437,29 @@ def buchberger(gens: Sequence[Polynomial],
     for g in gens:
         if not ring.same_ambient(g.ring):
             raise RingMismatchError("generators live in different rings")
-    order = ring.order
     gb = _TrackedGB([_rank1(g) for g in gens], ring)
+    leads = gb.leads
 
     # minimalize: a global order makes every proper divisor strictly smaller,
     # so processing leads in ascending order sees divisors first
     minimal: list[int] = []
-    for i in sorted(range(len(gb.basis)), key=lambda i: order.key(gb.leads[i][1])):
-        if not any(monomial_divides(gb.leads[k][1], gb.leads[i][1]) for k in minimal):
+    for i in sorted(range(len(gb.basis)), key=leads.__getitem__):
+        if not any(gb.divides(leads[k], leads[i]) for k in minimal):
             minimal.append(i)
 
     # inter-reduce: the reduced element with lead m is m + NF(tail), and the
     # normal form modulo any Groebner basis of the ideal is unique
+    monomial = ring.packing.monomial
     final = []
     for i in reversed(minimal):
         tail = dict(gb.basis[i])
-        del tail[gb.leads[i]]
+        del tail[leads[i]]
         remainder, _ = gb.reduce(tail)
-        remainder[gb.leads[i]] = 1
-        final.append(Polynomial(ring, {m: c for (_, m), c in remainder.items()}))
+        remainder[leads[i]] = 1
+        final.append(Polynomial(ring, {monomial(t >> 64): c
+                                       for t, c in remainder.items()}))
     return GroebnerBasis(ring, tuple(final),
-                         tuple(gb.leads[i][1] for i in reversed(minimal)))
+                         tuple(monomial(leads[i] >> 64) for i in reversed(minimal)))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -434,8 +467,11 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if not p.ring.same_ambient(gb.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
     basis, by_pos = gb._engine
-    remainder, _ = _vec_reduce(_rank1(p), basis, gb.ring.order, by_pos)
-    return Polynomial(p.ring, {m: c for (_, m), c in remainder.items()})
+    packing = gb.ring.packing
+    remainder, _ = _vec_reduce(_rank1(p), basis, by_pos, packing.one << 64,
+                               packing.guards << 64)
+    return Polynomial(p.ring, {packing.monomial(t >> 64): c
+                               for t, c in remainder.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +479,13 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def _ideal_rows(ring: GradedRing, rank: int) -> list[VecDict]:
-    rows = []
-    if ring.ideal:
-        for g in ring.ideal_groebner().generators:
-            for pos in range(rank):
-                rows.append({(pos, m): c for m, c in g.terms.items()})
-    return rows
+    """g * e_pos for every generator g of the ideal's basis and every
+    position, generator-major: the rank-1 vectors moved to each position."""
+    if not ring.ideal:
+        return []
+    rows, _ = ring.ideal_groebner()._engine
+    return [{t - pos: c for t, c in row.items()}
+            for row in rows for pos in range(rank)]
 
 
 def syzygies_over(ring: GradedRing, vectors: Sequence[Column], rank: int,
@@ -551,9 +588,8 @@ class SubmoduleOracle:
                 if gb.reduces_by_itself(b):
                     # so v expresses as e_i, and its relation is zero
                     continue
-            delta: VecDict = {(i, gb._unit): 1}
-            for k, c in gb.express(v).items():
-                _vec_add_term(delta, k, -c)
+            delta: VecDict = {gb.one + FIELD_MAX - i: 1}
+            _vec_axpy(delta, 0, -1, gb.express(v), gb.guards)
             relations.append(delta)
         cols = (_project(s, self.ring, range(heads), heads) for s in relations)
         unique = {tuple(col.items()): col for col in cols if col}

@@ -12,12 +12,13 @@ be tracked in both gradings at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from operator import add, le, mul, sub
 from typing import Optional, Sequence
 
-from .caps import InputError, check_term_cap
+from .caps import InputError, ResourceCapError, check_term_cap
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
@@ -98,25 +99,93 @@ class Bidegree:
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
     """True if m1 divides m2."""
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def monomial_div(m1: Monomial, m2: Monomial) -> Monomial:
     """m1 / m2; caller guarantees divisibility."""
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def monomial_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 # ---------------------------------------------------------------------------
 # monomial orders
+
+
+FIELD_MAX = (1 << 63) - 1      # the largest value of a guarded field
+FIELD_MASK = (1 << 64) - 1     # one 64-bit field
+
+
+class PackedKeys:
+    """The integer keys of one monomial order on n variables.
+
+    A key packs the order's weight rows, most significant first, one 64-bit
+    field each: row r holds const_r + sum_i weights_r[i] * e_i, so
+    key(m1 * m2) = key(m1) + key(m2) - `one`.  Every field but a degree in
+    the top row is guarded: it holds [0, 2^63), and its bit 63 is in
+    `guards`.  So integers compare as the rows do, a sum of keys left the
+    range exactly when it has a guard bit set, and, as every exponent has a
+    guarded row of its own, m2 divides m1 exactly when
+    `(one + key(m1) - key(m2)) & guards == 0`.  `key` encodes (raising
+    ResourceCapError out of range) and `monomial` decodes, both memoized.
+    """
+
+    def __init__(self, rows: Sequence[tuple[int, tuple[int, ...]]],
+                 guarded_top: bool, keys: dict):
+        self.rows = tuple(rows)
+        top = len(self.rows) - 1
+        shifts = [64 * (top - r) for r in range(len(self.rows))]
+        self.guarded = tuple(r > 0 or guarded_top for r in range(len(self.rows)))
+        self.guards = sum(1 << (s + 63) for s, g in zip(shifts, self.guarded) if g)
+        self.one = sum(const << s for (const, _), s in zip(self.rows, shifts))
+        n = len(self.rows[0][1]) if self.rows else 0
+        # key(m) = one + sum_i e_i * deltas[i]
+        self._deltas = tuple(sum(w[i] << s for (_, w), s in zip(self.rows, shifts))
+                             for i in range(n))
+        # exponents up to this bound keep every row inside its range
+        self._limit = FIELD_MAX // max([1, *(sum(map(abs, w)) for _, w in self.rows)])
+        self._keys = keys          # shared by every packing of the order
+        self._monos: dict[int, Monomial] = {}
+        # each exponent is read off the last row in which it appears alone
+        self._exponent_rows = []
+        for i in range(n):
+            r = max(r for r, (_, w) in enumerate(self.rows)
+                    if abs(w[i]) == 1 and sum(map(abs, w)) == 1)
+            const, weights = self.rows[r]
+            self._exponent_rows.append((shifts[r], const, weights[i]))
+
+    def key(self, mono: Monomial) -> int:
+        k = self._keys.get(mono)
+        if k is None:
+            if max(mono, default=0) > self._limit:
+                self._check_range(mono)
+            k = self.one + sum(map(mul, mono, self._deltas))
+            self._keys[mono] = k
+            self._monos[k] = mono
+        return k
+
+    def _check_range(self, mono: Monomial) -> None:
+        for (const, weights), guarded in zip(self.rows, self.guarded):
+            v = const + sum(map(mul, weights, mono))
+            if guarded and not 0 <= v <= FIELD_MAX:
+                raise ResourceCapError(f"monomial {mono} is outside the 63-bit "
+                                       f"range of the packed monomial key")
+
+    def monomial(self, key: int) -> Monomial:
+        mono = self._monos.get(key)
+        if mono is None:
+            mono = self._monos[key] = tuple(
+                sign * (((key >> shift) & FIELD_MASK) - const)
+                for shift, const, sign in self._exponent_rows)
+        return mono
 
 
 @dataclass(frozen=True)
@@ -127,39 +196,53 @@ class MonomialOrder:
 
     The head block compares by its Z-degree sum e_i * head_degrees[i] and
     then by degrevlex, the tail block by degrevlex; with equal head degrees
-    this is plain degrevlex per block.  Keys compare as Python tuples,
-    larger key means larger monomial.  Keys are memoized per order instance
-    (monomials repeat heavily inside the kernels).
+    this is plain degrevlex per block.
+
+    `key(m)` is one integer, larger for a larger monomial, packed from
+    weight rows with guard bits (`PackedKeys`): degrevlex has the total
+    degree, then FIELD_MAX - e_i for i from last to first; lex has e_0 ..
+    e_{n-1}; the block order has the weighted head degree, then the
+    degrevlex rows of the head, then those of the tail.
     """
 
     kind: str = "degrevlex"
     head_degrees: tuple[int, ...] = ()
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _packings: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown monomial order kind {self.kind!r}")
-        object.__setattr__(self, "_key_cache", {})
 
-    def _compute_key(self, mono: Monomial):
+    def _rows(self, n: int) -> list[tuple[int, tuple[int, ...]]]:
+        def unit(i, sign=1):
+            return tuple(sign if j == i else 0 for j in range(n))
+
         if self.kind == "lex":
-            return mono
-        degs = self.head_degrees
-        if not degs:
-            # degrevlex: total degree first, ties broken so that the monomial
-            # with the smaller exponent in the last variable wins.
-            return (sum(mono), tuple(-e for e in reversed(mono)))
-        head, tail = mono[:len(degs)], mono[len(degs):]
-        return (
-            (sum(e * d for e, d in zip(head, degs)), sum(head),
-             tuple(-e for e in reversed(head))),
-            (sum(tail), tuple(-e for e in reversed(tail))),
-        )
+            return [(0, unit(i)) for i in range(n)]
+        k = len(self.head_degrees)
+        blocks = [range(k), range(k, n)] if k else [range(n)]
+        rows = []
+        if k:
+            rows.append((0, tuple(self.head_degrees[i] if i < k else 0
+                                  for i in range(n))))
+        for block in blocks:
+            rows.append((0, tuple(int(i in block) for i in range(n))))
+            rows += [(FIELD_MAX, unit(i, -1)) for i in reversed(block)]
+        return rows
 
-    def key(self, mono: Monomial):
-        cache = self._key_cache  # type: ignore[attr-defined]
-        k = cache.get(mono)
+    def packing(self, nvars: int) -> PackedKeys:
+        """The packed keys of this order on `nvars` variables."""
+        if nvars not in self._packings:
+            self._packings[nvars] = PackedKeys(self._rows(nvars), self.kind == "lex",
+                                               self._keys)
+        return self._packings[nvars]
+
+    def key(self, mono: Monomial) -> int:
+        k = self._keys.get(mono)
         if k is None:
-            k = cache[mono] = self._compute_key(mono)
+            k = self.packing(len(mono)).key(mono)
         return k
 
 
@@ -192,6 +275,7 @@ class GradedRing:
             raise ValueError("degree/weight lists must match the variable count")
         self.group_order = group_order
         self.order = order if order is not None else MonomialOrder()
+        self.packing = self.order.packing(n)
         self.signature = (self.variables, self.zdegs, self.weights, group_order,
                           self.order)
         self.name = name or "Q[" + ",".join(self.variables) + "]"
@@ -205,6 +289,7 @@ class GradedRing:
                 raise InputError(f"ideal generator {g} is not bihomogeneous")
             self.ideal += (Polynomial(self, dict(g.terms)),)
         self._gb_cache = None
+        self._ambient: GradedRing | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -234,11 +319,13 @@ class GradedRing:
     # -- construction ------------------------------------------------------
 
     def ambient(self) -> "GradedRing":
-        """The same signature with no ideal."""
+        """The same signature with no ideal, built once per ring."""
         if not self.ideal:
             return self
-        return GradedRing(self.variables, self.zdegs, self.weights,
-                          self.group_order, (), self.order, self.name)
+        if self._ambient is None:
+            self._ambient = GradedRing(self.variables, self.zdegs, self.weights,
+                                       self.group_order, (), self.order, self.name)
+        return self._ambient
 
     def quotient(self, gens: Sequence["Polynomial"], name: str | None = None) -> "GradedRing":
         return GradedRing(self.variables, self.zdegs, self.weights,
@@ -286,8 +373,8 @@ class GradedRing:
         return Bidegree(0, 0, self.group_order)
 
     def monomial_bidegree(self, mono: Monomial) -> Bidegree:
-        z = sum(e * d for e, d in zip(mono, self.zdegs))
-        w = sum(e * d for e, d in zip(mono, self.weights))
+        z = sum(map(mul, mono, self.zdegs))
+        w = sum(map(mul, mono, self.weights))
         return Bidegree(z, w, self.group_order)
 
     def variable_bidegree(self, idx: int) -> Bidegree:
@@ -314,7 +401,7 @@ class GradedRing:
         if self.ideal:
             gb = self.ideal_groebner()
             # a polynomial with no reducible term is its own normal form
-            if any(monomial_divides(lm, m) for m in p.terms for lm in gb.leads):
+            if gb.divides_a_term(p):
                 from .groebner import normal_form
                 p = normal_form(p, gb)
         if p.ring is not self:

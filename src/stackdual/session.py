@@ -181,6 +181,11 @@ class RunReport:
         return "\n\n".join(blocks) + "\n"
 
 
+# the word a session writes for an option that is stored under another
+# name (hilbert's `max` is its `bound`, so that --bound overrides it)
+_SESSION_WORDS = {("hilbert", "bound"): "max"}
+
+
 def run_session(ast: SessionAst, default_depth: Optional[int] = None,
                 default_bound: Optional[int] = None) -> RunReport:
     """Run each command under its caps.  `default_depth` and
@@ -205,7 +210,8 @@ def run_session(ast: SessionAst, default_depth: Optional[int] = None,
                 # bounds those options too, before any work
                 for name, value in cmd.options.items():
                     if value is not None:
-                        check_term_cap(value, f"{name} {value}")
+                        word = _SESSION_WORDS.get((cmd.kind, name), name)
+                        check_term_cap(value, f"{word} {value}")
                 result, verdicts, human, failed = handler(cmd)
         except ResourceCapError as exc:
             report.abort(cmd, EXIT_RESOURCE_CAP, "resource-cap", str(exc), f"aborted: {exc}")

@@ -78,6 +78,44 @@ def scale_monomial(p: Polynomial, mono: Monomial, coeff) -> Polynomial:
     return p * p.ring.monomial(mono, coeff)
 
 
+# ---------------------------------------------------------------------------
+# the module engine's packed terms, read and written as the engine does
+
+
+def engine_terms(vec: dict, ring: GradedRing) -> dict:
+    """An engine vector over `ring` as {(position, monomial): coefficient},
+    decoded with the engine's own position and key decoders."""
+    from stackdual.groebner import _position
+    return {(_position(t), ring.packing.monomial(t >> 64)): c
+            for t, c in vec.items()}
+
+
+def engine_vector(terms: dict, ring: GradedRing) -> dict:
+    """{(position, monomial): coefficient} as an engine vector over `ring`,
+    encoded by the engine's own `_flatten`; the inverse of `engine_terms`."""
+    from stackdual.groebner import _flatten
+    entries: dict[int, dict] = {}
+    for (pos, m), c in terms.items():
+        entries.setdefault(pos, {})[m] = c
+    return _flatten({pos: ring.poly(t) for pos, t in entries.items()}, ring)
+
+
+def reference_order_key(order: MonomialOrder, mono: Monomial) -> tuple:
+    """The tuple key the packed integer key replaced: tuples compare as
+    the order does, larger key meaning larger monomial."""
+    if order.kind == "lex":
+        return mono
+    degs = order.head_degrees
+    if not degs:
+        return (sum(mono), tuple(-e for e in reversed(mono)))
+    head, tail = mono[:len(degs)], mono[len(degs):]
+    return (
+        (sum(e * d for e, d in zip(head, degs)), sum(head),
+         tuple(-e for e in reversed(head))),
+        (sum(tail), tuple(-e for e in reversed(tail))),
+    )
+
+
 def monic(p: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """p divided by its lead coefficient under `order`; zero stays zero."""
     return p / p.leading_term(order)[1] if p.terms else p
@@ -363,6 +401,7 @@ def reference_restrict_along(f):
             [groebner._flatten(v, mixed) for v in projected], mixed)
         source_ambient = ring_a.ambient()
         for b in gb.basis:
+            b = engine_terms(b, mixed)
             if any(any(m[:nt]) for (_, m) in b):
                 continue
             comps = {}
@@ -483,13 +522,18 @@ def reference_syzygies(oracle, heads):
     """The relations `oracle.syzygies(heads)` reads off a liftable oracle,
     with e_i minus the expression of every input i, sorted by printed
     column."""
-    from stackdual.groebner import _project, _vec_add_term, printed_column
+    from stackdual.groebner import _project, printed_column
     gb = oracle.gb
+    unit = (0,) * gb.ring.nvars
     relations = list(gb.syzygies)
     for i, v in enumerate(oracle._inputs):
-        delta = {(i, gb._unit): 1}
+        delta = engine_vector({(i, unit): 1}, gb.ring)
         for k, c in gb.express(v).items():
-            _vec_add_term(delta, k, -c)
+            s = delta.get(k, 0) - c
+            if s:
+                delta[k] = s
+            else:
+                del delta[k]
         relations.append(delta)
     cols = (_project(s, oracle.ring, range(heads), heads) for s in relations)
     unique = {tuple(col.items()): col for col in cols if col}
@@ -586,14 +630,15 @@ def reference_standard_basis(M, zmax):
         return []
     if any(d <= 0 for d in ring.zdegs):
         raise ValueError("pieces are infinite-dimensional")
-    by_pos = SubmoduleOracle(ring, M.relations, M.rank).gb.by_pos
+    gb = SubmoduleOracle(ring, M.relations, M.rank).gb
+    leads = engine_terms(dict.fromkeys(gb.leads, 1), gb.ring)
     monos = _monomials_by_zdeg(ring, zmax - min(g.zdeg for _, g in live))
     out = []
     for k, g in live:
-        leads = [m for m, _ in by_pos.get(k, ())]
         for z in range(zmax - g.zdeg + 1):
             for mono in monos[z]:
-                if not any(monomial_divides(lm, mono) for lm in leads):
+                if not any(pos == k and monomial_divides(lm, mono)
+                           for pos, lm in leads):
                     out.append((k, mono, ring.monomial_bidegree(mono) + g))
     return out
 

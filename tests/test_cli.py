@@ -337,7 +337,7 @@ def test_a_depth_or_bound_above_the_term_cap_exits_3_before_any_work(
         tmp_path, argv, option):
     (tmp_path / "huge.sdl").write_text("ring R = Q[x,y]\n"
                                        "module M over R gens e:(0,0) rels x*e\n"
-                                       "hilbert M max 100000000\n")
+                                       "invariants M bound 100000000\n")
     started = time.monotonic()
     proc, peak_kb = _measured_cli(argv, time_limit="60", cwd=tmp_path)
     assert time.monotonic() - started < 3
@@ -600,3 +600,47 @@ def test_hilbert_table_to_a_large_bound_fits_a_short_cap(capsys, tmp_path, monke
     table = json.loads(json_path.read_text())["commands"][0]["result"]["table"]
     # degree 400: 401 + 400 + 399 monomials of R/(x^3), 2 * 400 - 1 of R/(yz)
     assert sum(row["dim"] for row in table if row["zdeg"] == 400) == 1999
+
+
+def test_the_term_cap_message_names_the_word_the_session_wrote(capsys, tmp_path):
+    # hilbert stores its `max` under the option `bound`, so that --bound
+    # overrides it; the message still says `max`
+    session = tmp_path / "huge.sdl"
+    session.write_text("ring R = Q[x,y]\nmodule M over R gens e:(0,0) rels x*e\n"
+                       "hilbert M max 100000000\n")
+    json_path = tmp_path / "huge.json"
+    code, out, _ = run_cli(["run", str(session), "--json", str(json_path)], capsys)
+    assert code == 3
+    assert f"aborted: max 100000000 exceeds {caps.DEFAULT_MAX_TERMS} terms" in out
+    assert json.loads(json_path.read_text())["error"] == "resource-cap"
+
+
+_HUGE = 3_000_000_000
+
+
+def test_exponents_past_32_bits_fit_the_packed_keys(capsys, tmp_path):
+    f = f"x^{_HUGE} - y^{_HUGE}"
+    session = tmp_path / "huge-exponent.sdl"
+    session.write_text(f"ring C = Q[x,y]\nring R = Q[x,y]/({f})\n"
+                       f"ext C ideal ({f}) omega canonical max 2\n"
+                       f"check gorenstein C ideal ({f})\nhilbert R max 6\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 0
+    assert f"Ext^1: <e1:({2 - _HUGE})>" in out and "Gorenstein: True" in out
+    assert "(6, 0) -> 7" in out
+
+
+def test_an_exponent_past_the_packed_range_exits_3(capsys, tmp_path):
+    # y = x^(2^62) in R, so reducing the Koszul syzygies multiplies two
+    # powers x^(2^62) into x^(2^63), one past the largest packed exponent
+    e = 2 ** 62
+    session = tmp_path / "overflow.sdl"
+    session.write_text(f"ring R = Q[y,x]/(y - x^{e}) degrees {{y:{e}}} order lex\n"
+                       "koszul R seq (y, x)\n")
+    json_path = tmp_path / "overflow.json"
+    code, out, _ = run_cli(["run", str(session), "--json", str(json_path)], capsys)
+    assert code == 3
+    aborted = [line for line in out.splitlines() if line.startswith("aborted:")]
+    assert aborted == ["aborted: a product leaves the 63-bit range of the packed "
+                       "monomial key"]
+    assert json.loads(json_path.read_text())["error"] == "resource-cap"

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import annihilates, col
+from oracles import annihilates, col, engine_terms
 from stackdual import caps, groebner
 from stackdual.caps import ResourceCapError
 from stackdual.dsl import parse_session
@@ -304,9 +304,10 @@ def test_syzygies_express_only_the_inputs_with_a_relation(monkeypatch):
         nonlocal expressed
         if heads in self._syzygies:
             return syzygies(self, heads)
-        unit = self.gb._unit
-        with_relation = sum(express(self.gb, v) != {(i, unit): 1}
-                            for i, v in enumerate(self._inputs))
+        unit = (0,) * self.gb.ring.nvars
+        with_relation = sum(
+            engine_terms(express(self.gb, v), self.gb.ring) != {(i, unit): 1}
+            for i, v in enumerate(self._inputs))
         expressed = 0
         found = syzygies(self, heads)
         calls.append((expressed, with_relation, len(self._inputs)))

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (annihilates, col, reference_buchberger,
+from oracles import (annihilates, col, engine_terms, reference_buchberger,
                      reference_hilbert_function, reference_homology,
                      reference_invariant_part, reference_is_module_finite,
                      reference_kernel, reference_krull_dimension,
@@ -513,7 +513,7 @@ def test_oracle_lift_needs_liftable():
 
 
 def minimal_leads(gb):
-    leads = gb.leads
+    leads = engine_terms(dict.fromkeys(gb.leads, 1), gb.ring)
     return {(p, m) for p, m in leads
             if not any(q == p and n != m and monomial_divides(n, m)
                        for q, n in leads)}
