@@ -23,6 +23,14 @@ import os
 import time
 from contextlib import contextmanager
 
+# process exit codes: a passed run, a verdict that failed (distinct,
+# unequal, inconclusive), and the three error kinds above
+EXIT_OK = 0
+EXIT_FAILED_CHECK = 1
+EXIT_INPUT_ERROR = 2
+EXIT_RESOURCE_CAP = 3
+EXIT_INTERNAL_ERROR = 4
+
 DEFAULT_MAX_TERMS = 100_000
 DEFAULT_TIME_LIMIT_S = 60.0
 

@@ -20,10 +20,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .caps import InputError
+from .caps import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, InputError
 from .dsl import ParseError, parse_session
 from .presets import list_presets, preset_session
-from .session import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, run_session
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -78,6 +77,8 @@ def _run_text(text: str, args) -> int:
     except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL_ERROR
+    # the engine is imported only when a session has parsed and runs
+    from .session import run_session
     report = run_session(ast, default_depth=args.depth, default_bound=args.bound)
     sys.stdout.write(report.human_text())
     total_ms = sum(o.timing_ms or 0 for o in report.outcomes)

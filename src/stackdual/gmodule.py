@@ -77,6 +77,15 @@ class ModulePresentation:
     def rank(self) -> int:
         return len(self.bidegrees)
 
+    def shifted(self, d: Bidegree) -> "ModulePresentation":
+        """This module with every generator and relation bidegree moved by
+        d.  It shares the relation columns, and their span once built, so
+        nothing is checked again."""
+        out = copy.copy(self)
+        out.bidegrees = tuple(e + d for e in self.bidegrees)
+        out.relation_bidegrees = tuple(e + d for e in self.relation_bidegrees)
+        return out
+
     @cached_property
     def span(self) -> SubmoduleOracle:
         return SubmoduleOracle(self.ring, self.relations, self.rank)

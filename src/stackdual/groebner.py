@@ -43,10 +43,10 @@ from functools import cached_property
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .caps import ResourceCapError, check_deadline, check_term_cap, command_table
+from .caps import check_deadline, check_term_cap, command_table
 from .poly import (FIELD_MASK, FIELD_MAX, Bidegree, GradedRing, Monomial,
                    Polynomial, RingMismatchError, Scalar, coefficient,
-                   monomial_lcm)
+                   from_packed, key_range_error, monomial_lcm)
 
 Column = dict[int, Polynomial]
 
@@ -125,9 +125,12 @@ def vector_bidegree(vec: Column, gen_bidegrees: Sequence[Bidegree]
 # `max(vec)`.  Adding (key(m) - one) << 64 multiplies a term by m, and a lead
 # b divides a term t of its position exactly when (one + t - b) has no guard
 # bit set; t - b is then the quotient.  Every product checks the guard bits,
-# so an exponent past its field raises ResourceCapError.  Monomial tuples
-# are encoded only where columns enter the engine (`_flatten`, `_rank1`,
-# `_ideal_rows`) and decoded where they leave it.
+# so an exponent past its field raises ResourceCapError.  A `Polynomial`
+# stores the same keys (`Polynomial.packed`), so a column enters the engine
+# by a shift of each key (`_flatten`, `_rank1`) and leaves it by the
+# opposite shift (`_project`); no monomial is encoded or decoded on the
+# way.  Only the pair lcm of `_TrackedGB._insert` needs exponents, and each
+# lead is decoded once, when it is inserted.
 
 
 VecDict = dict[int, Scalar]
@@ -140,14 +143,13 @@ def _position(term: int) -> int:
 def _flatten(col: Column, ring: GradedRing) -> VecDict:
     """A column as one flat vector; each entry must share `ring`'s ambient
     signature."""
-    key = ring.packing.key
     out: VecDict = {}
     for pos, p in col.items():
         if p.ring is not ring and not ring.same_ambient(p.ring):
             raise RingMismatchError(f"vector entry {p} does not live over {ring!r}")
         low = FIELD_MAX - pos
-        for m, c in p.terms.items():
-            out[(key(m) << 64) + low] = c
+        for k, c in p.packed.items():
+            out[(k << 64) + low] = c
     return out
 
 
@@ -156,13 +158,12 @@ def _project(vec: VecDict, ring: GradedRing, positions: Sequence[Optional[int]],
     """The column of R^rank whose entry at positions[k] is the part of vec
     at engine position k; engine positions past the list, or mapped to
     None, are dropped."""
-    monomial = ring.packing.monomial
     terms: dict[int, dict] = {}
     for t, c in vec.items():
         k = _position(t)
         if k < len(positions) and positions[k] is not None:
-            terms.setdefault(positions[k], {})[monomial(t >> 64)] = c
-    return column(ring, {pos: Polynomial(ring, t) for pos, t in terms.items()},
+            terms.setdefault(positions[k], {})[t >> 64] = c
+    return column(ring, {pos: from_packed(ring, t) for pos, t in terms.items()},
                   rank)
 
 
@@ -173,8 +174,7 @@ def _vec_axpy(target: VecDict, q: int, coeff: Scalar, src: VecDict,
     for t, c in src.items():
         t += q
         if t & guards:
-            raise ResourceCapError("a product leaves the 63-bit range of "
-                                   "the packed monomial key")
+            raise key_range_error()
         s = target.get(t, 0) + c * coeff
         if s == 0:
             target.pop(t, None)
@@ -257,6 +257,8 @@ class _TrackedGB:
         self.track = track
         self.basis: list[VecDict] = []
         self.leads: list[int] = []
+        # each lead's monomial, decoded once when it is inserted
+        self.lead_monos: list[Monomial] = []
         # per position: (lead term, basis index), in basis order
         self.by_pos: dict[int, list[tuple[int, int]]] = {}
         self.reps: list[VecDict] = []          # over the input index space
@@ -274,8 +276,7 @@ class _TrackedGB:
 
     def lead_monomials(self, pos: int) -> list[Monomial]:
         """The lead monomials at position `pos`, in basis order."""
-        monomial = self.packing.monomial
-        return [monomial(b >> 64) for b, _ in self.by_pos.get(pos, ())]
+        return [self.lead_monos[k] for _, k in self.by_pos.get(pos, ())]
 
     def _insert(self, vec: VecDict, rep: Optional[VecDict]) -> None:
         check_term_cap(len(vec), "module vector")
@@ -291,16 +292,17 @@ class _TrackedGB:
         if self.track:
             self.reps.append(rep)
         self.leads.append(lead)
+        nmono = self.packing.monomial(lead >> 64)
+        self.lead_monos.append(nmono)
         new = len(self.basis) - 1
         npos = _position(lead)
-        monomial = self.packing.monomial
-        nmono = monomial(lead >> 64)
         same = self.by_pos.setdefault(npos, [])
-        for b, k in same:
-            lcm = monomial_lcm(monomial(b >> 64), nmono)
-            key = (sum(map(mul, lcm, self.ring.zdegs)), self.packing.key(lcm))
-            heapq.heappush(self._heap, (key, npos, k, new))
-            self._pending.add((k, new))
+        monos, zdegs, key = self.lead_monos, self.ring.zdegs, self.packing.key
+        heap, pending = self._heap, self._pending
+        for _, k in same:
+            lcm = monomial_lcm(monos[k], nmono)
+            heapq.heappush(heap, ((sum(map(mul, lcm, zdegs)), key(lcm)), npos, k, new))
+            pending.add((k, new))
         same.append((lead, new))
 
     def _add_reps(self, target: VecDict, quotients: dict[int, dict],
@@ -387,10 +389,12 @@ class _TrackedGB:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis; leads[i] is the lead monomial of generators[i]."""
+    """A reduced Groebner basis; leads[i] is the lead monomial of
+    generators[i] and lead_keys[i] its packed key."""
     ring: GradedRing
     generators: tuple[Polynomial, ...]
     leads: tuple[Monomial, ...]
+    lead_keys: tuple[int, ...]
 
     def __len__(self):
         return len(self.generators)
@@ -403,21 +407,17 @@ class GroebnerBasis:
         return basis, {0: [(max(v), i) for i, v in enumerate(basis)]}
 
     @cached_property
-    def _lead_keys(self) -> list[int]:
-        return [self.ring.packing.key(lm) for lm in self.leads]
+    def _lead_offsets(self) -> list[int]:
+        return [self.ring.packing.one - b for b in self.lead_keys]
 
     def divides_a_term(self, p: Polynomial) -> bool:
         """Whether some lead divides some term of p, by the packed test."""
-        packing = self.ring.packing
-        one, guards, key = packing.one, packing.guards, packing.key
-        leads = self._lead_keys
-        return any(not (one + key(m) - b) & guards
-                   for m in p.terms for b in leads)
+        guards, offsets = self.ring.packing.guards, self._lead_offsets
+        return any(not (k + o) & guards for k in p.packed for o in offsets)
 
 
 def _rank1(p: Polynomial) -> VecDict:
-    key = p.ring.packing.key
-    return {(key(m) << 64) + FIELD_MAX: c for m, c in p.terms.items()}
+    return {(k << 64) + FIELD_MAX: c for k, c in p.packed.items()}
 
 
 def buchberger(gens: Sequence[Polynomial],
@@ -449,17 +449,17 @@ def buchberger(gens: Sequence[Polynomial],
 
     # inter-reduce: the reduced element with lead m is m + NF(tail), and the
     # normal form modulo any Groebner basis of the ideal is unique
-    monomial = ring.packing.monomial
     final = []
     for i in reversed(minimal):
         tail = dict(gb.basis[i])
         del tail[leads[i]]
         remainder, _ = gb.reduce(tail)
         remainder[leads[i]] = 1
-        final.append(Polynomial(ring, {monomial(t >> 64): c
-                                       for t, c in remainder.items()}))
+        final.append(from_packed(ring, {t >> 64: c for t, c in remainder.items()}))
+    kept = minimal[::-1]
     return GroebnerBasis(ring, tuple(final),
-                         tuple(monomial(leads[i] >> 64) for i in reversed(minimal)))
+                         tuple(gb.lead_monos[i] for i in kept),
+                         tuple(leads[i] >> 64 for i in kept))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -470,8 +470,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     packing = gb.ring.packing
     remainder, _ = _vec_reduce(_rank1(p), basis, by_pos, packing.one << 64,
                                packing.guards << 64)
-    return Polynomial(p.ring, {packing.monomial(t >> 64): c
-                               for t, c in remainder.items()})
+    return from_packed(p.ring, {t >> 64: c for t, c in remainder.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +622,8 @@ def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],
     def zdeg_of(i):
         if bidegrees is not None and bidegrees[i] is not None:
             return bidegrees[i].zdeg
-        return min(min(ring.monomial_bidegree(m).zdeg for m in p.terms)
-                   for p in vectors[i].values())
+        return min(ring.bidegree_of[k].zdeg
+                   for p in vectors[i].values() for k in p.packed)
 
     order = sorted((i for i, v in enumerate(vectors) if v),
                    key=lambda i: (zdeg_of(i), column_order_key(vectors[i])))

@@ -3,11 +3,17 @@
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`
 (`coefficient` states the rule once); floats are refused, so every
 operation is exact and nothing is ever rounded.  A monomial is a tuple of
-nonnegative exponents, one per ring variable; a polynomial is a mapping
-monomial -> coefficient with no zero entries.  Each variable of a ring
-carries a *bidegree* (a Z-degree together with a Z/a-weight, where a is the
-order of the acting cyclic group; a = 1 means no group), so homogeneity can
-be tracked in both gradings at once.
+nonnegative exponents, one per ring variable, and its *packed key* is one
+integer that encodes it under the ring's monomial order (`PackedKeys`).  A
+polynomial stores {packed key: coefficient} with no zero entries, the same
+integers the module engine works on, so a product adds keys and the
+leading term is the largest key.  Exponent tuples are decoded only where
+the exponents themselves are needed: display, the Hilbert/staircase code,
+substitution, a term's bidegree (once per key) and moving a polynomial
+into a ring of another order.  Each variable of a ring carries a
+*bidegree* (a Z-degree together with a Z/a-weight, where a is the order
+of the acting cyclic group; a = 1 means no group), so homogeneity can be
+tracked in both gradings at once.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from operator import add, le, mul, sub
-from typing import Optional, Sequence
+from operator import itemgetter, le, mul, sub
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .caps import InputError, ResourceCapError, check_term_cap
 
@@ -48,34 +55,51 @@ class RingMismatchError(InputError):
 # bidegrees
 
 
-@dataclass(frozen=True, slots=True)
-class Bidegree:
-    """A (Z-degree, Z/a-weight) pair; the weight is stored in [0, a)."""
+class Bidegree(tuple):
+    """A (Z-degree, Z/a-weight) pair; the weight is stored in [0, a).
 
-    zdeg: int
-    weight: int
-    modulus: int = 1
+    An immutable value: the tuple (zdeg, weight, modulus), so it is built,
+    compared and hashed at tuple speed and its fields cannot be assigned.
+    Adding or subtracting bidegrees of different moduli raises ValueError.
+    """
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    __slots__ = ()
+
+    def __new__(cls, zdeg: int, weight: int, modulus: int = 1):
+        if modulus < 1:
             raise ValueError("group order must be >= 1")
-        object.__setattr__(self, "weight", self.weight % self.modulus)
+        return _tuple_new(cls, (zdeg, weight % modulus, modulus))
+
+    zdeg = property(itemgetter(0))
+    weight = property(itemgetter(1))
+    modulus = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def _check(self, other: "Bidegree") -> None:
-        if self.modulus != other.modulus:
+        if self[2] != other[2]:
             raise ValueError(
-                f"bidegree modulus mismatch: {self.modulus} vs {other.modulus}")
+                f"bidegree modulus mismatch: {self[2]} vs {other[2]}")
 
     def __add__(self, other: "Bidegree") -> "Bidegree":
         self._check(other)
-        return Bidegree(self.zdeg + other.zdeg, self.weight + other.weight, self.modulus)
+        z, w, a = self
+        return _tuple_new(Bidegree, (z + other[0], (w + other[1]) % a, a))
 
     def __sub__(self, other: "Bidegree") -> "Bidegree":
         self._check(other)
-        return Bidegree(self.zdeg - other.zdeg, self.weight - other.weight, self.modulus)
+        z, w, a = self
+        return _tuple_new(Bidegree, (z - other[0], (w - other[1]) % a, a))
 
     def __neg__(self) -> "Bidegree":
-        return Bidegree(-self.zdeg, -self.weight, self.modulus)
+        z, w, a = self
+        return _tuple_new(Bidegree, (-z, -w % a, a))
+
+    def __mul__(self, other):
+        raise TypeError("a bidegree is not a sequence to repeat")
+
+    __rmul__ = __mul__
 
     def lambda_exponent(self) -> str:
         """The weight rendered as a power of the group character.
@@ -93,13 +117,15 @@ class Bidegree:
             return f"({self.zdeg})"
         return f"({self.zdeg}, {self.weight} mod {self.modulus})"
 
+    def __repr__(self) -> str:
+        return f"Bidegree(zdeg={self[0]}, weight={self[1]}, modulus={self[2]})"
+
+
+_tuple_new = tuple.__new__
+
 
 # ---------------------------------------------------------------------------
 # monomial helpers
-
-
-def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(add, m1, m2))
 
 
 def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
@@ -180,12 +206,37 @@ class PackedKeys:
                                        f"range of the packed monomial key")
 
     def monomial(self, key: int) -> Monomial:
+        """The exponent tuple of a key."""
         mono = self._monos.get(key)
         if mono is None:
             mono = self._monos[key] = tuple(
                 sign * (((key >> shift) & FIELD_MASK) - const)
                 for shift, const, sign in self._exponent_rows)
         return mono
+
+
+def key_range_error() -> ResourceCapError:
+    """The error of a product whose packed key left its fields' range."""
+    return ResourceCapError("a product leaves the 63-bit range of the packed "
+                            "monomial key")
+
+
+class _KeyBidegrees(dict):
+    """{packed key: Bidegree} for one ring signature, filled on first use, so
+    that a term's bidegree is one dict lookup."""
+
+    __slots__ = ("monomial", "zdegs", "weights", "modulus")
+
+    def __init__(self, monomial, zdegs, weights, modulus):
+        super().__init__()
+        self.monomial, self.zdegs, self.weights = monomial, zdegs, weights
+        self.modulus = modulus
+
+    def __missing__(self, key: int) -> Bidegree:
+        mono = self.monomial(key)
+        d = self[key] = Bidegree(sum(map(mul, mono, self.zdegs)),
+                                 sum(map(mul, mono, self.weights)), self.modulus)
+        return d
 
 
 @dataclass(frozen=True)
@@ -276,10 +327,13 @@ class GradedRing:
         self.group_order = group_order
         self.order = order if order is not None else MonomialOrder()
         self.packing = self.order.packing(n)
+        # shared with every ring of the same signature (`ambient`, `quotient`)
+        self.bidegree_of = _KeyBidegrees(self.packing.monomial, self.zdegs,
+                                         self.weights, group_order)
         self.signature = (self.variables, self.zdegs, self.weights, group_order,
                           self.order)
         self.name = name or "Q[" + ",".join(self.variables) + "]"
-        self.ideal: tuple[Polynomial, ...] = ()
+        kept = []
         for g in ideal:
             if not self.same_ambient(g.ring):
                 raise RingMismatchError("ideal generator lives in a different ambient ring")
@@ -287,9 +341,13 @@ class GradedRing:
                 continue
             if g.bidegree() is None:
                 raise InputError(f"ideal generator {g} is not bihomogeneous")
-            self.ideal += (Polynomial(self, dict(g.terms)),)
+            kept.append(g)
+        # the generators live in the ambient ring, which holds no reference
+        # back, so a quotient ring is freed as soon as nothing uses it
+        self._ambient = self._same_signature((), self.name) if kept else None
+        self.ideal: tuple[Polynomial, ...] = tuple(
+            from_packed(self._ambient, g.packed) for g in kept)
         self._gb_cache = None
-        self._ambient: GradedRing | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -320,17 +378,17 @@ class GradedRing:
 
     def ambient(self) -> "GradedRing":
         """The same signature with no ideal, built once per ring."""
-        if not self.ideal:
-            return self
-        if self._ambient is None:
-            self._ambient = GradedRing(self.variables, self.zdegs, self.weights,
-                                       self.group_order, (), self.order, self.name)
-        return self._ambient
+        return self if self._ambient is None else self._ambient
 
     def quotient(self, gens: Sequence["Polynomial"], name: str | None = None) -> "GradedRing":
-        return GradedRing(self.variables, self.zdegs, self.weights,
-                          self.group_order, tuple(self.ideal) + tuple(gens),
-                          self.order, name or self.name)
+        return self._same_signature(tuple(self.ideal) + tuple(gens),
+                                    name or self.name)
+
+    def _same_signature(self, ideal, name: str) -> "GradedRing":
+        ring = GradedRing(self.variables, self.zdegs, self.weights,
+                          self.group_order, ideal, self.order, name)
+        ring.bidegree_of = self.bidegree_of
+        return ring
 
     @property
     def nvars(self) -> int:
@@ -348,20 +406,20 @@ class GradedRing:
         c = coefficient(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return from_packed(self, {self.packing.one: c})
 
     def var(self, name_or_index) -> "Polynomial":
         idx = (name_or_index if isinstance(name_or_index, int)
                else self.variables.index(name_or_index))
         exp = [0] * self.nvars
         exp[idx] = 1
-        return Polynomial(self, {tuple(exp): 1})
+        return from_packed(self, {self.packing.key(tuple(exp)): 1})
 
     def monomial(self, mono: Monomial, coeff=1) -> "Polynomial":
         coeff = coefficient(coeff)
         if coeff == 0:
             return self.zero()
-        return Polynomial(self, {tuple(mono): coeff})
+        return from_packed(self, {self.packing.key(tuple(mono)): coeff})
 
     def poly(self, terms: dict) -> "Polynomial":
         canonical = ((tuple(m), coefficient(c)) for m, c in terms.items())
@@ -405,15 +463,20 @@ class GradedRing:
                 from .groebner import normal_form
                 p = normal_form(p, gb)
         if p.ring is not self:
-            p = Polynomial(self, p.terms)
+            p = from_packed(self, p.packed)
         p._reduced = True
         return p
 
     def reinterpret(self, p: "Polynomial") -> "Polynomial":
-        """Reinterpret by raw terms only (for regrading along a ring map)."""
+        """Reinterpret by raw terms only (for regrading along a ring map):
+        the packed keys carry over as they are when both orders pack alike,
+        and the exponents are decoded and encoded again only into another
+        order."""
         if self.nvars != p.ring.nvars:
             raise RingMismatchError("variable count mismatch")
-        return Polynomial(self, dict(p.terms))
+        if self.packing.rows == p.ring.packing.rows:
+            return from_packed(self, p.packed)
+        return Polynomial(self, p.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -423,44 +486,64 @@ class GradedRing:
 _UNKNOWN = object()     # a bidegree not computed yet (None is an answer)
 
 
+def _canonical(c: Scalar) -> Scalar:
+    """`coefficient` of a sum or product of canonical scalars."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients, each
     in the canonical form of `coefficient`: zero terms are dropped and the
     others are brought to that form here, so a float raises TypeError.
 
+    `Polynomial(ring, {exponent tuple: c})` encodes its terms; `packed`
+    holds them as {packed key of the ring's order: coefficient}, and
+    `terms` is a read-only view of them keyed by exponent tuples again.
+    Polynomials of rings with one ambient signature share one packing, so
+    their keys compare, add and divide directly.
+
     Three facts about a polynomial are computed once and kept on it: its
     `bidegree()`, its printed form `str(p)`, and whether it is in normal
     form modulo its ring's ideal (set by `GradedRing.reduce` on what it
     returns); `-p` and `p / c` keep the first and the last.  They hold only
-    because `terms` is never mutated after construction; build a new
+    because `packed` is never mutated after construction; build a new
     polynomial instead."""
 
-    __slots__ = ("ring", "terms", "_bidegree", "_str", "_reduced")
+    __slots__ = ("ring", "packed", "_bidegree", "_str", "_reduced")
 
-    def __init__(self, ring: GradedRing, terms: dict):
+    def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Scalar]):
+        key = ring.packing.key
         self.ring = ring
-        self.terms = {m: c if type(c) is int
-                      or type(c) is Fraction and c.denominator != 1
-                      else coefficient(c)
-                      for m, c in terms.items() if c != 0}
+        self.packed = {key(m): c if type(c) is int
+                       or type(c) is Fraction and c.denominator != 1
+                       else coefficient(c)
+                       for m, c in terms.items() if c != 0}
         self._bidegree = _UNKNOWN
         self._str = None
         self._reduced = False
 
+    @property
+    def terms(self) -> Mapping[Monomial, Scalar]:
+        """The terms keyed by exponent tuples, decoded from `packed`: a
+        read-only view for display and inspection."""
+        monomial = self.ring.packing.monomial
+        return MappingProxyType({monomial(k): c for k, c in self.packed.items()})
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        packed = self.packed
+        return not packed or (len(packed) == 1 and self.ring.packing.one in packed)
 
     def constant_value(self) -> Scalar:
         if self.is_zero():
             return 0
         if not self.is_constant():
             raise ValueError("not a constant")
-        return next(iter(self.terms.values()))
+        return next(iter(self.packed.values()))
 
     def is_unit_scalar(self) -> bool:
         return self.is_constant() and not self.is_zero()
@@ -471,11 +554,11 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring.same_ambient(other.ring) and self.terms == other.terms
+        return self.ring.same_ambient(other.ring) and self.packed == other.packed
 
     def __hash__(self):
-        # equal polynomials have equal terms; most hashed entries are zero
-        return hash(frozenset(self.terms.items())) if self.terms else 0
+        # equal polynomials have equal keys; most hashed entries are zero
+        return hash(frozenset(self.packed.items())) if self.packed else 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -489,15 +572,19 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.ring, out)
+        out = dict(self.packed)
+        for k, c in other.packed.items():
+            s = out.get(k, 0) + c
+            if s == 0:
+                del out[k]
+            else:
+                out[k] = _canonical(s)
+        return from_packed(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        p = from_packed(self.ring, {k: -c for k, c in self.packed.items()})
         p._bidegree, p._reduced = self._bidegree, self._reduced  # same monomials
         return p
 
@@ -508,24 +595,32 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
+        """The product: key(m1 * m2) = key(m1) + key(m2) - one, refused with
+        ResourceCapError when a sum sets a guard bit."""
         other = self._coerce(other)
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
+        packing = self.ring.packing
+        guards = packing.guards
+        out: dict[int, Scalar] = {}
+        for k1, c1 in self.packed.items():
+            base = k1 - packing.one
+            for k2, c2 in other.packed.items():
+                k = base + k2
+                if k & guards:
+                    raise key_range_error()
+                s = out.get(k, 0) + c1 * c2
                 if s == 0:
-                    out.pop(m, None)
+                    out.pop(k, None)
                 else:
-                    out[m] = s
+                    out[k] = s
         check_term_cap(len(out))
-        return Polynomial(self.ring, out)
+        return from_packed(self.ring, {k: _canonical(c) for k, c in out.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Polynomial":
         inverse = Fraction(1) / coefficient(scalar)
-        p = Polynomial(self.ring, {m: c * inverse for m, c in self.terms.items()})
+        p = from_packed(self.ring, {k: _canonical(c * inverse)
+                                    for k, c in self.packed.items()})
         p._bidegree, p._reduced = self._bidegree, self._reduced  # same monomials
         return p
 
@@ -545,15 +640,22 @@ class Polynomial:
     # -- order-dependent views ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, Scalar]]:
-        order = order or self.ring.order
+        """(monomial, coefficient) pairs, largest first under `order` (the
+        ring's own by default, which sorts the keys themselves)."""
+        if order is None or order == self.ring.order:
+            monomial, packed = self.ring.packing.monomial, self.packed
+            return [(monomial(k), packed[k]) for k in sorted(packed, reverse=True)]
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, Scalar]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        order = order or self.ring.order
-        mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
+        if order is None or order == self.ring.order:
+            k = max(self.packed)
+            return self.ring.packing.monomial(k), self.packed[k]
+        terms = self.terms
+        mono = max(terms, key=order.key)
+        return mono, terms[mono]
 
     # -- grading ---------------------------------------------------------------
 
@@ -564,7 +666,7 @@ class Polynomial:
         test is_zero() to tell the cases apart) and for inhomogeneous input.
         """
         if self._bidegree is _UNKNOWN:
-            degs = {self.ring.monomial_bidegree(m) for m in self.terms}
+            degs = set(map(self.ring.bidegree_of.__getitem__, self.packed))
             self._bidegree = degs.pop() if len(degs) == 1 else None
         return self._bidegree
 
@@ -598,6 +700,19 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def from_packed(ring: GradedRing, packed: dict[int, Scalar]) -> Polynomial:
+    """The polynomial of `ring` with terms {packed key of the ring's order:
+    coefficient}, taken as given: the keys, canonical nonzero coefficients,
+    and a dict that nothing mutates afterwards."""
+    p = _new_polynomial(Polynomial)
+    p.ring, p.packed = ring, packed
+    p._bidegree, p._str, p._reduced = _UNKNOWN, None, False
+    return p
+
+
+_new_polynomial = object.__new__
 
 
 # ---------------------------------------------------------------------------

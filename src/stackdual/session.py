@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .caps import InputError, ResourceCapError, check_term_cap, command_caps
+from .caps import (EXIT_FAILED_CHECK, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR,
+                   EXIT_OK, EXIT_RESOURCE_CAP, InputError, ResourceCapError,
+                   check_term_cap, command_caps)
 from .complexes import homology, koszul
 from .dsl import Command, SessionAst
 from .duality import (CMReport, DualityReport, canonical_module,
@@ -27,12 +29,6 @@ from .groebner import printed_column
 from .poly import Bidegree
 
 SCHEMA_VERSION = "1"
-
-EXIT_OK = 0
-EXIT_FAILED_CHECK = 1
-EXIT_INPUT_ERROR = 2
-EXIT_RESOURCE_CAP = 3
-EXIT_INTERNAL_ERROR = 4
 
 
 # ---------------------------------------------------------------------------

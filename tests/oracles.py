@@ -52,6 +52,10 @@ from the contraction ideal (target ideal + images) in the target's own
 order instead of from the graph basis.  `reference_krull_dimension` reads
 the dimension of a quotient off the reference basis of its ideal.
 
+`ReferencePolynomial` is polynomial arithmetic on {exponent tuple:
+coefficient}, the representation `Polynomial`'s packed keys replaced, with
+the tuple helper `monomial_mul` that no engine code needs any more.
+
 Module elements are columns, {position: Polynomial} with nonzero entries
 only, as in `stackdual.groebner`; `col` writes one from dense entries, and
 `parse_polynomial` reads one polynomial with the session parser.
@@ -65,7 +69,12 @@ from stackdual.caps import ResourceCapError, check_deadline, command_caps
 from stackdual.dsl import Diagnostic, ParseError, Token, _Bail, _Parser, tokenize
 from stackdual.poly import (GradedRing, Monomial, MonomialOrder, Polynomial,
                             RingMismatchError, monomial_div, monomial_divides,
-                            monomial_lcm, monomial_mul)
+                            monomial_lcm)
+
+
+def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two exponent tuples; `Polynomial` adds packed keys."""
+    return tuple(a + b for a, b in zip(m1, m2))
 
 
 def col(*entries: Polynomial) -> dict:
@@ -114,6 +123,78 @@ def reference_order_key(order: MonomialOrder, mono: Monomial) -> tuple:
          tuple(-e for e in reversed(head))),
         (sum(tail), tuple(-e for e in reversed(tail))),
     )
+
+
+class ReferencePolynomial:
+    """The tuple-keyed polynomial that packed terms replaced: {exponent
+    tuple: coefficient} over a `GradedRing`, with canonical coefficients
+    (an `int` when integral), monomials multiplied and compared as tuples
+    (`monomial_mul`, `reference_order_key`) and printed as `Polynomial`
+    prints.  It shares no code with `Polynomial`'s packed arithmetic."""
+
+    def __init__(self, ring: GradedRing, terms: dict):
+        self.ring = ring
+        self.terms = {tuple(m): (c.numerator if isinstance(c, Fraction)
+                                 and c.denominator == 1 else c)
+                      for m, c in terms.items() if c != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return ReferencePolynomial(self.ring, out)
+
+    def __neg__(self):
+        return ReferencePolynomial(self.ring, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = monomial_mul(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2
+        return ReferencePolynomial(self.ring, out)
+
+    def __truediv__(self, scalar):
+        return ReferencePolynomial(
+            self.ring, {m: Fraction(c) / scalar for m, c in self.terms.items()})
+
+    def __pow__(self, n: int):
+        out = ReferencePolynomial(self.ring, {(0,) * self.ring.nvars: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def bidegree(self):
+        """(zdeg, weight, modulus) common to every term, or None."""
+        ring = self.ring
+        a = ring.group_order
+        degs = {(sum(e * d for e, d in zip(m, ring.zdegs)),
+                 sum(e * w for e, w in zip(m, ring.weights)) % a, a)
+                for m in self.terms}
+        return degs.pop() if len(degs) == 1 else None
+
+    def sorted_terms(self, order: MonomialOrder | None = None) -> list:
+        order = order or self.ring.order
+        return sorted(self.terms.items(),
+                      key=lambda t: reference_order_key(order, t[0]), reverse=True)
+
+    def leading_term(self, order: MonomialOrder | None = None):
+        return self.sorted_terms(order)[0]
+
+    def __str__(self) -> str:
+        parts = []
+        for m, c in self.sorted_terms():
+            body = "*".join(f"{v}^{e}" if e > 1 else v
+                            for v, e in zip(self.ring.variables, m) if e)
+            s = (str(c) if not body else body if c == 1
+                 else f"-{body}" if c == -1 else f"{c}*{body}")
+            parts.append(s if not parts else f"- {s[1:]}" if s[0] == "-"
+                         else f"+ {s}")
+        return " ".join(parts) or "0"
 
 
 def monic(p: Polynomial, order: MonomialOrder | None = None) -> Polynomial:

@@ -644,3 +644,18 @@ def test_an_exponent_past_the_packed_range_exits_3(capsys, tmp_path):
     assert aborted == ["aborted: a product leaves the 63-bit range of the packed "
                        "monomial key"]
     assert json.loads(json_path.read_text())["error"] == "resource-cap"
+
+
+def test_a_monomial_past_the_packed_range_is_refused_while_parsing(capsys, tmp_path):
+    # x^(2^63) is one past the largest packed exponent: the session text
+    # cannot be read, so it is an input error before any command runs
+    for order in ("", " order lex"):
+        session = tmp_path / "out-of-range.sdl"
+        session.write_text(f"ring A = Q[x,y]/(x^{2 ** 63}){order}\nhilbert A max 3\n")
+        code, out, err = run_cli(["run", str(session)], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == ("error: 1:1: a product leaves the 63-bit "
+                                       "range of the packed monomial key")
+    session.write_text(f"ring A = Q[x,y]/(x^{2 ** 63 - 1})\nhilbert A max 3\n")
+    code, out, _ = run_cli(["run", str(session)], capsys)
+    assert code == 0 and "(3, 0) -> 4" in out

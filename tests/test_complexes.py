@@ -172,6 +172,52 @@ def test_a_repeat_is_labelled_from_length_three():
     assert [d.zdeg for t in res.terms for d in t.bidegrees] == [0, 1, 2, 3, 4, 5]
 
 
+def test_composition_checks_stop_growing_past_the_repeat(monkeypatch):
+    # past the repeat every map shares its columns with one p steps earlier,
+    # in the resolution and in its Hom complex, so no pair is checked twice
+    calls = []
+    original = ModuleMap.sends_into_relations
+
+    def counting(self, vectors):
+        calls.append(len(vectors))
+        return original(self, vectors)
+
+    monkeypatch.setattr(ModuleMap, "sends_into_relations", counting)
+    f = preset_map("node", a=5)
+    counts = []
+    for depth in (10, 200):
+        calls.clear()
+        rep = finite_shriek(f, depth=depth)
+        assert set(rep.ext_profile) == set(range(1, depth + 1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_a_complex_that_does_not_compose_still_raises():
+    # over Q[x]/(x^2), x followed by x is zero; the pair (d2, d1) repeats
+    # as (d3, d2) with the same column objects, and is checked once
+    R = GradedRing(["x"])
+    x = R.var("x")
+    R = R.quotient([x ** 2])
+    x = R.var("x")
+    terms = [ModulePresentation(R, (Bidegree(z, 0),)) for z in range(4)]
+    d1 = ModuleMap(terms[1], terms[0], [col(x)])
+    maps = {1: d1, 2: d1.shifted_to(terms[2], terms[1]),
+            3: d1.shifted_to(terms[3], terms[2])}
+    assert ChainComplex(R, terms, maps).length == 3
+    # a last map of other columns that does not compose: d2 o d3 = x != 0
+    terms[3] = ModulePresentation(R, (Bidegree(2, 0),))
+    maps[3] = ModuleMap(terms[3], terms[2], [col(R.one())])
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        ChainComplex(R, terms, maps)
+    # and so is a first pair that does not compose
+    terms = [ModulePresentation(R, (Bidegree(z, 0),)) for z in (0, 1, 1)]
+    maps = {1: ModuleMap(terms[1], terms[0], [col(x)]),
+            2: ModuleMap(terms[2], terms[1], [col(R.one())])}
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        ChainComplex(R, terms, maps)
+
+
 def test_resolve_triple_point(triple_ring):
     u, v, t = triple_ring.var("u"), triple_ring.var("v"), triple_ring.var("t")
     M = ModulePresentation(
@@ -239,9 +285,9 @@ def test_hom_complex_builds_one_span_per_target(monkeypatch):
     built = []
     init = groebner.SubmoduleOracle.__init__
 
-    def recording(self, ring, generators, rank, liftable=False):
+    def recording(self, ring, generators, *args, **kwargs):
         built.append(id(generators))
-        init(self, ring, generators, rank, liftable)
+        init(self, ring, generators, *args, **kwargs)
 
     monkeypatch.setattr(groebner.SubmoduleOracle, "__init__", recording)
     hc = hom_complex(res, W)

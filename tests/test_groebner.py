@@ -6,6 +6,7 @@ v^2 under degrevlex u>v>t) and cross-checked against an independent
 computer algebra system.
 """
 
+import inspect
 import sys
 from collections import Counter
 
@@ -209,6 +210,14 @@ def test_empty_input_is_zero_ideal(qxy):
 # -- the command's table of liftable oracles ------------------------------------
 
 
+def bound_arguments(function, *args, **kwargs) -> dict:
+    """Every parameter of `function` by name for this call, defaults
+    included, so a wrapper reads what it needs and passes the rest on."""
+    bound = inspect.signature(function).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
 @pytest.fixture
 def gb_builds(monkeypatch):
     """One entry per tracked `_TrackedGB` built while the test runs: the
@@ -216,10 +225,11 @@ def gb_builds(monkeypatch):
     built = []
     init = groebner._TrackedGB.__init__
 
-    def recording(self, vectors, ring, track=False):
-        if track:
-            built.append(ring)
-        init(self, vectors, ring, track)
+    def recording(self, *args, **kwargs):
+        given = bound_arguments(init, self, *args, **kwargs)
+        if given["track"]:
+            built.append(given["ring"])
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(groebner._TrackedGB, "__init__", recording)
     return built
@@ -274,12 +284,14 @@ def test_dualize_finite_repeats_no_liftable_build(monkeypatch):
     inputs = []
     init = SubmoduleOracle.__init__
 
-    def recording(self, ring, generators, rank, liftable=False):
-        if liftable:
-            inputs.append((id(ring), rank, tuple(
+    def recording(self, *args, **kwargs):
+        given = bound_arguments(init, self, *args, **kwargs)
+        if given["liftable"]:
+            inputs.append((id(given["ring"]), given["rank"], tuple(
                 frozenset((pos, m, c) for pos, p in v.items()
-                          for m, c in p.terms.items()) for v in generators)))
-        init(self, ring, generators, rank, liftable)
+                          for m, c in p.terms.items())
+                for v in given["generators"])))
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(SubmoduleOracle, "__init__", recording)
     report = run_session(ast)

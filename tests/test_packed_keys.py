@@ -14,10 +14,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_order_key
+from oracles import monomial_mul, reference_order_key
 from stackdual.caps import ResourceCapError
-from stackdual.poly import (FIELD_MAX, MonomialOrder, monomial_divides,
-                            monomial_mul)
+from stackdual.poly import FIELD_MAX, MonomialOrder, monomial_divides
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None,
                     database=None)
