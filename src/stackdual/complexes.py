@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .caps import InputError, check_deadline
 from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
-                      kernel_with_inclusion, minimalize, precompose_columns,
-                      subquotient)
+                      kernel_generators, kernel_with_inclusion, minimalize,
+                      precompose_columns, subquotient, subquotient_generators)
 from .groebner import (Column, minimal_generating_vectors, syzygies_over,
                        vector_bidegree)
 from .poly import Bidegree, GradedRing, Polynomial
@@ -260,16 +260,33 @@ def homology_with_inclusion(C: ChainComplex, i: int
     The cycles are presented once, modulo the boundaries: H_i is
     `kernel_with_inclusion(out, boundaries)`, or the subquotient of the
     whole term when no map leaves it.  The presentation is minimal
-    (`minimalize` returns it unchanged), so its rank is the minimal number
-    of generators.
-    """
+    (`minimalize` returns it unchanged)."""
+    out_map, boundaries, units = _homology_setup(C, i)
+    if out_map is None:
+        return subquotient(units, boundaries, C.terms[i])
+    return kernel_with_inclusion(out_map, boundaries)
+
+
+def homology_rank(C: ChainComplex, i: int) -> int:
+    """The rank of `homology(C, i)`.  When every variable has positive
+    Z-degree it is the number of generators `subquotient` keeps, which
+    graded Nakayama makes minimal, so H_i is not presented at all."""
+    if not C.ring.positive:
+        return homology(C, i).rank
+    out_map, boundaries, units = _homology_setup(C, i)
+    cycles = units if out_map is None else kernel_generators(out_map)
+    return len(subquotient_generators(cycles, boundaries, C.terms[i])[0])
+
+
+def _homology_setup(C: ChainComplex, i: int
+                    ) -> tuple[Optional[ModuleMap], list[Column], list[Column]]:
+    """The map out of term i, the boundaries in term i, and the unit
+    columns of term i when no map leaves it (its cycles)."""
     if i < 0 or i > C.length:
         raise IndexError(f"homology index {i} out of range 0..{C.length}")
-    term = C.terms[i]
     out_map = C.map_out_of(i)
     in_map = C.map_into(i)
     boundaries = list(in_map.columns) if in_map is not None else []
-    if out_map is None:
-        units = [{j: C.ring.one()} for j in range(term.rank)]
-        return subquotient(units, boundaries, term)
-    return kernel_with_inclusion(out_map, boundaries)
+    units = ([{j: C.ring.one()} for j in range(C.terms[i].rank)]
+             if out_map is None else [])
+    return out_map, boundaries, units

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .caps import InputError, check_deadline
-from .complexes import hom_complex, homology, homology_with_inclusion, koszul, resolve
+from .complexes import (ChainComplex, hom_complex, homology, homology_rank,
+                        homology_with_inclusion, koszul, resolve)
 from .gmodule import (ModulePresentation, RingMorphism, apply_columns,
                       hilbert_function, minimalize, precompose_columns,
                       restrict_along)
@@ -131,7 +132,10 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
     B is presented over A by `restrict_along`: the staircase monomials b_k
     and the relations both come from the graph basis G.  The Hom is
     computed from the start of a minimal A-resolution of B, and Ext only up
-    to the end of its first period when it repeats; the B-action is
+    to the end of its first period when it repeats.  Only the ranks of the
+    Ext^i with i >= 1 are reported, so they come from `homology_rank`: the
+    generator count, with no presentation, when every variable of A has
+    positive Z-degree.  For Hom = Ext^0 the B-action is
     reconstructed from the coordinates of x * b_k, normal forms modulo G,
     and the result is presented and minimalized over B.
     """
@@ -156,8 +160,8 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
         elif i >= k + p:
             ext_profile[i] = ext_profile[i - p]
         else:
-            h = homology(hc, i)
-            ext_profile[i] = (h.rank == 0, h.rank)
+            n = homology_rank(hc, i)
+            ext_profile[i] = (n == 0, n)
 
     h0, incl = homology_with_inclusion(hc, 0)
     module = _hom_as_target_module(f, hc.terms[0], h0, incl, m_g)
@@ -249,17 +253,24 @@ def _ext_over(ring_b: GradedRing, cohomology: Sequence[ModulePresentation],
     return out
 
 
-def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
-                  omega: ModulePresentation, imax: int
-                  ) -> list[tuple[int, ModulePresentation]]:
-    """Ext^i_C(C/I, omega) as modules over B = C/I, for i = 0..imax, from
-    the Hom complex of a minimal resolution of C/I."""
+def _ext_complex(C: GradedRing, ideal_gens: Sequence[Polynomial],
+                 omega: ModulePresentation, imax: int
+                 ) -> tuple[GradedRing, ChainComplex]:
+    """B = C/I and the Hom complex into omega of a minimal resolution of B."""
     _check_ext_inputs(C, omega, imax)
     gens = [C.reduce(g) for g in ideal_gens]
     gens = [g for g in gens if not g.is_zero()]
     ring_b = C.quotient(gens, name=f"{C.name}/I") if gens else C
     pres = ModulePresentation(C, (C.degree_zero(),), [{0: g} for g in gens])
-    hc = hom_complex(resolve(pres, imax + 1), omega)
+    return ring_b, hom_complex(resolve(pres, imax + 1), omega)
+
+
+def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
+                  omega: ModulePresentation, imax: int
+                  ) -> list[tuple[int, ModulePresentation]]:
+    """Ext^i_C(C/I, omega) as modules over B = C/I, for i = 0..imax, from
+    the Hom complex of a minimal resolution of C/I."""
+    ring_b, hc = _ext_complex(C, ideal_gens, omega, imax)
     return _ext_over(ring_b, [homology(hc, i)
                               for i in range(min(imax, hc.length) + 1)], imax)
 
@@ -327,17 +338,29 @@ def _combinatorial_dimension(B: GradedRing) -> int:
 def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
                         imax: int) -> CMReport:
     """Ext profile against the canonical module, with the codimension taken
-    as the first nonvanishing index and cross-checked combinatorially."""
+    as the first nonvanishing index and cross-checked combinatorially.
+
+    The profile reads only ranks.  When every variable of C has positive
+    Z-degree, the rank of Ext^i is `homology_rank` of the Hom complex: the
+    minimal generator count over C, which reducing modulo I (in positive
+    degrees) leaves unchanged over B, so no Ext module is presented.
+    Otherwise each Ext is presented over B as in `ext_dualizing`."""
     omega = canonical_module(C)
-    exts = ext_dualizing(C, ideal_gens, omega, imax)
-    profile = {i: (e.rank == 0, e.rank) for i, e in exts}
+    if C.positive:
+        ring_b, hc = _ext_complex(C, ideal_gens, omega, imax)
+        ranks = [homology_rank(hc, i) if i <= hc.length else 0
+                 for i in range(imax + 1)]
+    else:
+        exts = ext_dualizing(C, ideal_gens, omega, imax)
+        ring_b, ranks = exts[0][1].ring, [e.rank for _, e in exts]
+    profile = {i: (n == 0, n) for i, n in enumerate(ranks)}
     nonzero = [i for i, (z, _) in sorted(profile.items()) if not z]
     notes: list[str] = []
     if not nonzero:
         return CMReport(None, profile, False, False, inconclusive=True,
                         notes=["every computed Ext vanishes"])
     r = nonzero[0]
-    dim = _combinatorial_dimension(exts[0][1].ring)
+    dim = _combinatorial_dimension(ring_b)
     codim_by_dim = C.nvars - dim
     inconclusive = False
     if codim_by_dim != r:
@@ -405,12 +428,11 @@ def compare_modules(M: ModulePresentation, N: ModulePresentation,
     n = minimalize(N)
     degs_m = sorted((d.zdeg, d.weight) for d in m.bidegrees)
     degs_n = sorted((d.zdeg, d.weight) for d in n.bidegrees)
-    positive = all(d > 0 for d in M.ring.zdegs)
     if degs_m != degs_n:
-        return "distinct" if positive else "inconclusive"
+        return "distinct" if M.ring.positive else "inconclusive"
     if not m.relations and not n.relations:
         return "isomorphic-up-to-bound"
-    if not positive:
+    if not M.ring.positive:
         return "inconclusive"
     if hilbert_function(m, bound) != hilbert_function(n, bound):
         return "distinct"

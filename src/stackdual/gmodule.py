@@ -180,17 +180,18 @@ def kernel_with_inclusion(f: ModuleMap, modulo: Sequence[Column] = ()
 
     `modulo` lists columns of the source's free module that must lie in
     ker f, such as the boundaries of a complex; the result is the
-    subquotient ker f / <modulo>, and ker f itself when `modulo` is empty.
-    The presentation is minimal, as from `subquotient`.  The kernel
-    generators are the syzygies of f's stored columns modulo the target's
-    relations; a map into the zero module has the whole source as kernel.
+    subquotient ker f / <modulo> of the `kernel_generators`, and ker f
+    itself when `modulo` is empty.  The presentation is minimal.
     """
+    return subquotient(kernel_generators(f), modulo, f.source)
+
+
+def kernel_generators(f: ModuleMap) -> list[Column]:
+    """Generators of ker f: the syzygies of f's stored columns modulo the
+    target's relations, or the unit columns when f maps into zero."""
     if f.target.rank == 0:
-        gens = [{j: f.ring.one()} for j in range(f.source.rank)]
-    else:
-        gens = syzygies_over(f.ring, f.columns, f.target.rank,
-                             f.target.relations)
-    return subquotient(gens, modulo, f.source)
+        return [{j: f.ring.one()} for j in range(f.source.rank)]
+    return syzygies_over(f.ring, f.columns, f.target.rank, f.target.relations)
 
 
 def kernel(f: ModuleMap) -> ModulePresentation:
@@ -203,32 +204,41 @@ def subquotient(gens: Sequence[Column], subs: Sequence[Column],
     """The module (<gens> + rel)/(<subs> + rel) inside the presented `within`.
 
     Returns a minimal presentation together with the surviving generators as
-    columns of the ambient free module: a subsequence of `gens`, kept
-    greedily in ascending degree, then printed form.  Minimal means that
+    columns of the ambient free module: the ones `subquotient_generators`
+    keeps, less any that `minimalize` then eliminates.  Minimal means that
     `minimalize` returns it unchanged: no relation column has a unit entry
-    or lies in the span of the others.
+    or lies in the span of the others.  When every variable has positive
+    Z-degree, no kept generator is eliminated: a relation with a unit entry
+    would put the last same-degree generator it holds into the span of the
+    ones kept before it, so the rank is the number of kept generators.
     """
+    ring = within.ring
+    kept_gens, kept_degs = subquotient_generators(gens, subs, within)
+    if not kept_gens:
+        return ModulePresentation(ring, kept_degs), ()
+    # relations on the kept generators: the combinations landing in the
+    # span of subs + ambient relations
+    pres = ModulePresentation(ring, kept_degs, syzygies_over(
+        ring, kept_gens, within.rank, [*subs, *within.relations]))
+    pres, kept2 = minimalize_with_tracking(pres)
+    return pres, tuple(kept_gens[i] for i in kept2)
+
+
+def subquotient_generators(gens: Sequence[Column], subs: Sequence[Column],
+                           within: ModulePresentation
+                           ) -> tuple[list[Column], list[Bidegree]]:
+    """The generators of `subquotient` before it presents them, with their
+    bidegrees: a subsequence of `gens`, kept greedily in ascending degree,
+    then printed form, each one outside the span of subs, relations and the
+    ones kept before it."""
     ring = within.ring
     gens = [column(ring, g, within.rank) for g in gens]
     degs = [vector_bidegree(g, within.bidegrees) for g in gens]
     if any(d is None and g for g, d in zip(gens, degs)):
         raise ValueError("inhomogeneous subquotient generator")
-
-    # drop generators already in the subs + relations span, minimally
-    context = list(subs) + list(within.relations)
-    keep = sorted(minimal_generating_vectors(ring, gens, within.rank, degs, context))
-    kept_gens = [gens[i] for i in keep]
-    kept_degs = [degs[i] for i in keep]
-
-    if not kept_gens:
-        return ModulePresentation(ring, kept_degs), ()
-
-    # relations on the kept generators: the combinations landing in the
-    # span of subs + ambient relations
-    pres = ModulePresentation(ring, kept_degs,
-                              syzygies_over(ring, kept_gens, within.rank, context))
-    pres, kept2 = minimalize_with_tracking(pres)
-    return pres, tuple(kept_gens[i] for i in kept2)
+    keep = sorted(minimal_generating_vectors(ring, gens, within.rank, degs,
+                                             [*subs, *within.relations]))
+    return [gens[i] for i in keep], [degs[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +320,6 @@ def minimalize_with_tracking(M: ModulePresentation
     gens = list(M.bidegrees)
     origin = list(range(len(gens)))
     cols = list(M.relations)
-    positive = all(d > 0 for d in ring.zdegs)
 
     while True:
         unit_at = [_first_unit(col) for col in cols]
@@ -344,7 +353,7 @@ def minimalize_with_tracking(M: ModulePresentation
             cols = [{renumber[k]: p for k, p in col.items()} for col in cols]
             gens = [gens[k] for k in kept]
             origin = [origin[k] for k in kept]
-        if positive or not gens:
+        if ring.positive or not gens:
             break
         units = [{i: ring.one()} for i in range(len(gens))]
         keep = sorted(minimal_generating_vectors(ring, units, len(gens),
@@ -372,7 +381,7 @@ def _first_unit(col: Column) -> Optional[int]:
 
 
 def _require_positive_degrees(ring: GradedRing) -> None:
-    if any(d <= 0 for d in ring.zdegs):
+    if not ring.positive:
         raise InputError("Hilbert enumeration needs all variable degrees >= 1")
 
 
@@ -381,20 +390,21 @@ def _monomials_of_zdeg(ring: GradedRing, z: int):
     if z < 0:
         return
     _require_positive_degrees(ring)
-    n = ring.nvars
+    yield from _exponents_of_zdeg(ring.zdegs, z, ())
 
-    def rec(idx: int, remaining: int, current: list[int]):
-        check_deadline()
-        if idx == n - 1:
-            d = ring.zdegs[idx]
-            if remaining % d == 0:
-                yield tuple(current + [remaining // d])
-            return
-        d = ring.zdegs[idx]
-        for e in range(remaining // d + 1):
-            yield from rec(idx + 1, remaining - e * d, current + [e])
 
-    yield from rec(0, z, [])
+def _exponents_of_zdeg(zdegs: tuple[int, ...], z: int, head: tuple[int, ...]):
+    """The exponent tuples that extend `head` to Z-degree z over the
+    remaining variables of `zdegs`, the next exponent ascending."""
+    check_deadline()
+    idx = len(head)
+    d = zdegs[idx]
+    if idx == len(zdegs) - 1:
+        if z % d == 0:
+            yield head + (z // d,)
+        return
+    for e in range(z // d + 1):
+        yield from _exponents_of_zdeg(zdegs, z - e * d, head + (e,))
 
 
 def _standard_monomials(ring: GradedRing, z: int, leads: Sequence[Monomial]):
@@ -622,7 +632,7 @@ class RingMorphism:
         source-free leads of G, which eliminates the target block (the
         Finiteness Theorem of Cox, Little & O'Shea, 5.3, over the source);
         sound also where a source variable of degree 0 maps to a unit."""
-        if any(d <= 0 for d in self.target.zdegs):
+        if not self.target.positive:
             raise ValueError("module-finiteness detection needs positive degrees")
         return _pure_powers(self._staircase_leads(), self.target.nvars) is not None
 

@@ -298,11 +298,12 @@ class _TrackedGB:
         npos = _position(lead)
         same = self.by_pos.setdefault(npos, [])
         monos, zdegs, key = self.lead_monos, self.ring.zdegs, self.packing.key
-        heap, pending = self._heap, self._pending
+        heap = self._heap
         for _, k in same:
             lcm = monomial_lcm(monos[k], nmono)
             heapq.heappush(heap, ((sum(map(mul, lcm, zdegs)), key(lcm)), npos, k, new))
-            pending.add((k, new))
+        if same and not self.track:     # only the chain criterion reads pending pairs
+            self._pending.update([(k, new) for _, k in same])
         same.append((lead, new))
 
     def _add_reps(self, target: VecDict, quotients: dict[int, dict],
@@ -326,10 +327,11 @@ class _TrackedGB:
         while self._heap:
             check_deadline()
             (_, lcm), pos, i, j = heapq.heappop(self._heap)
-            self._pending.discard((i, j))
             lcm = (lcm << 64) + FIELD_MAX - pos
-            if not self.track and self._chain(pos, i, j, lcm):
-                continue
+            if not self.track:
+                self._pending.discard((i, j))
+                if self._chain(pos, i, j, lcm):
+                    continue
             qi = lcm - self.leads[i]
             qj = lcm - self.leads[j]
             s: VecDict = {}

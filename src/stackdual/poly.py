@@ -319,6 +319,8 @@ class GradedRing:
         if len(set(self.variables)) != n:
             raise ValueError("duplicate variable names")
         self.zdegs = tuple(zdegs) if zdegs is not None else (1,) * n
+        # every variable of positive Z-degree: graded Nakayama holds
+        self.positive = all(d > 0 for d in self.zdegs)
         self.weights = tuple(w % group_order for w in weights) if weights is not None else (0,) * n
         if group_order < 1:
             raise ValueError("group order must be >= 1")
@@ -502,14 +504,14 @@ class Polynomial:
     Polynomials of rings with one ambient signature share one packing, so
     their keys compare, add and divide directly.
 
-    Three facts about a polynomial are computed once and kept on it: its
-    `bidegree()`, its printed form `str(p)`, and whether it is in normal
-    form modulo its ring's ideal (set by `GradedRing.reduce` on what it
-    returns); `-p` and `p / c` keep the first and the last.  They hold only
-    because `packed` is never mutated after construction; build a new
-    polynomial instead."""
+    Four facts about a polynomial are computed once and kept on it: its
+    `bidegree()`, its printed form `str(p)`, its hash (on first use), and
+    whether it is in normal form modulo its ring's ideal (set by
+    `GradedRing.reduce` on what it returns); `-p` and `p / c` keep the
+    first and the last.  They hold only because `packed` is never mutated
+    after construction; build a new polynomial instead."""
 
-    __slots__ = ("ring", "packed", "_bidegree", "_str", "_reduced")
+    __slots__ = ("ring", "packed", "_bidegree", "_str", "_reduced", "_hash")
 
     def __init__(self, ring: GradedRing, terms: Mapping[Monomial, Scalar]):
         key = ring.packing.key
@@ -519,7 +521,7 @@ class Polynomial:
                        else coefficient(c)
                        for m, c in terms.items() if c != 0}
         self._bidegree = _UNKNOWN
-        self._str = None
+        self._str = self._hash = None
         self._reduced = False
 
     @property
@@ -557,8 +559,11 @@ class Polynomial:
         return self.ring.same_ambient(other.ring) and self.packed == other.packed
 
     def __hash__(self):
-        # equal polynomials have equal keys; most hashed entries are zero
-        return hash(frozenset(self.packed.items())) if self.packed else 0
+        h = self._hash
+        if h is None:
+            # equal polynomials have equal keys; most hashed entries are zero
+            h = self._hash = hash(frozenset(self.packed.items())) if self.packed else 0
+        return h
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -708,7 +713,7 @@ def from_packed(ring: GradedRing, packed: dict[int, Scalar]) -> Polynomial:
     and a dict that nothing mutates afterwards."""
     p = _new_polynomial(Polynomial)
     p.ring, p.packed = ring, packed
-    p._bidegree, p._str, p._reduced = _UNKNOWN, None, False
+    p._bidegree, p._str, p._reduced, p._hash = _UNKNOWN, None, False, None
     return p
 
 

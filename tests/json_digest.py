@@ -9,45 +9,92 @@ is tab-separated:
 
 Run it on two checkouts and `diff` the outputs: an empty diff means the
 same `--json` bytes, the same human text and the same exit code on every
-session.  The grid holds 520 sessions: `node` at a = 2..9 with every pair
-of weights i != j in 0..a-1, at depths 1 and 3; and every preset at its
-default depth and at depths 1, 2 and 5.  It takes a few seconds.
+session.  The grid holds 520 preset sessions: `node` at a = 2..9 with
+every pair of weights i != j in 0..a-1, at depths 1 and 3; and every preset
+at its default depth and at depths 1, 2 and 5.  It also holds 58 Ext
+sessions, each ideal once under `check gorenstein` and once under `ext`:
+the rational normal curves of degree 3 and 4 at three group orders and
+weights and of degree 5 at one; the triple point at group orders 2, 4, 5,
+7 and 11 and several weights; seeded complete intersections (the
+generator of perfbench/workloads.py, seed 1) of degrees (3), (2, 3) and
+(2, 2, 2); two skew lines, which are not Cohen-Macaulay; and three ideals
+over rings with a variable of Z-degree 0.  It takes a few seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+TRIPLE_POINT = "(u*v - t^2, u*t - v^2, v*t - u^2)"
+SKEW_LINES = "(x0*x2, x0*x3, x1*x2, x1*x3)"
+WEIGHTED_DEGREE_ZERO = "ring C = Q[x,y,t] group 3 weights {x:1, y:2, t:0} degrees {t:0}\n"
+DEGREE_ZERO = ((WEIGHTED_DEGREE_ZERO, "(x*y, x^2*t)"),
+               (WEIGHTED_DEGREE_ZERO, "(x^3 - y^3*t, x*y)"),
+               # Ext^2 needs one generator, but the greedy count keeps two
+               ("ring C = Q[x,y,t] degrees {t:0}\n", "(t^2 - t, x^2 - y^2*t, x^2*t - x^2)"))
+
 
 def grid():
-    """(name, preset name, preset parameters, depth or None) per session."""
+    """(name, session text, depth or None) per session."""
+    from stackdual.presets import list_presets, preset_session
     for a in range(2, 10):
         for i in range(a):
             for j in range(a):
                 if i != j:
                     for depth in (1, 3):
-                        yield (f"node/a{a}-i{i}-j{j}-depth{depth}", "node",
-                               {"a": a, "i": i, "j": j}, depth)
-    from stackdual.presets import list_presets
+                        yield (f"node/a{a}-i{i}-j{j}-depth{depth}",
+                               preset_session("node", a=a, i=i, j=j), depth)
     for name, _desc, _expect in list_presets():
         for depth in (None, 1, 2, 5):
-            yield f"preset/{name}-depth{depth or 'default'}", name, {}, depth
+            yield (f"preset/{name}-depth{depth or 'default'}",
+                   preset_session(name), depth)
+    yield from ext_grid()
+
+
+def ext_grid():
+    """`check gorenstein` and `ext` on each ideal of the Ext grid."""
+    from workloads import complete_intersection, rational_normal_curve
+    for d, a, w0, step in ((3, 5, 0, 1), (3, 7, 2, 3), (3, 11, 4, 5),
+                           (4, 5, 1, 2), (4, 7, 3, 1), (4, 11, 0, 4), (5, 7, 1, 3)):
+        ring, ideal = rational_normal_curve(d, a, w0, step)
+        yield from _ext_pair(f"rnc{d}-a{a}-w{w0}-s{step}", ring, ideal, d)
+    for a, weights in ((2, (0, 1)), (4, (1, 2)), (5, (0, 2, 4)), (7, (1, 3, 6)),
+                       (11, (5, 10))):
+        for w in weights:
+            ring = f"ring C = Q[u,v,t] group {a} weights {{u:{w}, v:{w}, t:{w}}}\n"
+            yield from _ext_pair(f"triple-a{a}-w{w}", ring, TRIPLE_POINT, 3)
+    rng = random.Random(1)
+    for degrees in ((3,), (2, 3), (2, 2, 2)):
+        for k in range(2):
+            ring, seq, _ = complete_intersection(rng, degrees, rng.choice((5, 7, 11)))
+            tag = "".join(map(str, degrees))
+            yield from _ext_pair(f"ci{tag}-{k + 1}", ring, seq, len(degrees) + 1)
+    yield from _ext_pair("skew-lines", "ring C = Q[x0,x1,x2,x3]\n", SKEW_LINES, 4)
+    for k, (ring, ideal) in enumerate(DEGREE_ZERO):
+        yield from _ext_pair(f"degree-zero-{k + 1}", ring, ideal, 3)
+
+
+def _ext_pair(name: str, ring: str, ideal: str, imax: int):
+    yield (f"gorenstein/{name}", ring + f"check gorenstein C ideal {ideal} max {imax}\n",
+           None)
+    yield (f"ext/{name}", ring + f"ext C ideal {ideal} omega canonical max {imax}\n",
+           None)
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
         return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    sys.path[:0] = [str(Path(argv[0]).resolve()), str(ROOT / "perfbench")]
     from stackdual.dsl import parse_session
-    from stackdual.presets import preset_session
     from stackdual.session import run_session
 
-    for name, preset, params, depth in grid():
-        report = run_session(parse_session(preset_session(preset, **params)),
-                             default_depth=depth)
+    for name, text, depth in grid():
+        report = run_session(parse_session(text), default_depth=depth)
         text = report.to_json() + report.human_text()
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         print(f"{name}\t{digest}\t{report.exit_code()}", flush=True)
