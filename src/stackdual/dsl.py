@@ -5,7 +5,8 @@ Statements are newline- or semicolon-terminated; `#` starts a comment.
 Polynomials are written infix with explicit `*` and `^` (integers only;
 rational coefficients enter through division, e.g. (1/2)*x).  One
 recursive-descent parser reads every statement, expressions included, from
-a single token stream: an expression ends at the first token that cannot
+a single token stream, read by one regular expression, and matches keywords
+and symbols by their text: an expression ends at the first token that cannot
 continue it (`,`, `)`, `}` or the end of the statement), so any declared
 variable or generator name may appear in it.  References must resolve to
 earlier declarations, so the parser keeps a symbol table and produces fully
@@ -26,9 +27,10 @@ and reports every diagnostic with line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NoReturn, Optional, Sequence
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .caps import InputError, ResourceCapError, command_caps
 from .gmodule import ModulePresentation, RingMorphism
@@ -60,56 +62,29 @@ class ParseError(InputError):
 # tokens
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str       # IDENT INT SYMBOL ARROW NEWLINE EOF, or ERROR for an
-                    # unreadable character, which the parser reports
-    value: str
+# An IDENT is a letter, then word characters; an INT, decimal digits; a
+# SYMBOL, `->` or one of (){}[]:;,=^*+-/>.  Blanks and a `#` comment match
+# no named group.  Any other character is an ERROR token, which the parser
+# reports at its column.
+_TOKEN = re.compile(r"(?:[ \t]+|#.*)|(?P<IDENT>[^\W\d_]\w*)|(?P<INT>\d+)"
+                    r"|(?P<SYMBOL>->|[(){}\[\]:;,=^*+\-/>])|(?P<ERROR>.)")
+
+
+class Token(NamedTuple):
+    kind: str       # IDENT INT SYMBOL NEWLINE EOF, or ERROR
+    value: str      # the text; empty only for NEWLINE and EOF
     line: int
     col: int
 
 
-_SYMBOLS = set("(){}[]:;,=^*+-/>")
-
-
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            col = i + 1
-            if ch in " \t":
-                i += 1
-                continue
-            if ch == "#":
-                break
-            if ch.isalpha():
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append(Token("IDENT", line[i:j], lineno, col))
-                i = j
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(Token("INT", line[i:j], lineno, col))
-                i = j
-                continue
-            if ch == "-" and i + 1 < len(line) and line[i + 1] == ">":
-                tokens.append(Token("ARROW", "->", lineno, col))
-                i += 2
-                continue
-            if ch in _SYMBOLS:
-                tokens.append(Token("SYMBOL", ch, lineno, col))
-                i += 1
-                continue
-            tokens.append(Token("ERROR", ch, lineno, col))
-            i += 1
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        tokens += [Token(m.lastgroup, m.group(), lineno, m.start() + 1)
+                   for m in _TOKEN.finditer(line) if m.lastgroup]
         tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
-    tokens.append(Token("EOF", "", len(text.splitlines()) + 1, 1))
+    tokens.append(Token("EOF", "", len(lines) + 1, 1))
     return tokens
 
 
@@ -239,20 +214,18 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_symbol(self, sym: str) -> bool:
-        t = self.peek()
-        return t.kind == "SYMBOL" and t.value == sym
-
-    def accept_symbol(self, *syms: str) -> Optional[Token]:
-        t = self.peek()
-        if t.kind == "SYMBOL" and t.value in syms:
+    def accept(self, *values: str) -> Optional[Token]:
+        """Take the next token if its text is one of `values`.  Symbols, `->`
+        and keywords never share text, and only NEWLINE and EOF have none,
+        so the text alone tells them apart."""
+        if self.peek().value in values:
             return self.advance()
         return None
 
-    def expect_symbol(self, sym: str) -> Token:
+    def expect(self, value: str) -> Token:
         t = self.peek()
-        if not self.at_symbol(sym):
-            self.fail(f"unexpected {t.value or t.kind!r}", expected=(sym,))
+        if t.value != value:
+            self.fail(f"unexpected {t.value or t.kind!r}", expected=(value,))
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> str:
@@ -261,29 +234,24 @@ class _Parser:
             self.fail(f"unexpected {t.value or t.kind!r}", expected=(what,))
         return self.advance().value
 
-    def expect_keyword(self, word: str) -> None:
-        t = self.peek()
-        if t.kind != "IDENT" or t.value != word:
-            self.fail(f"unexpected {t.value or t.kind!r}", expected=(word,))
-        self.advance()
-
-    def accept_keyword(self, *words: str) -> Optional[str]:
-        t = self.peek()
-        if t.kind == "IDENT" and t.value in words:
-            return self.advance().value
-        return None
-
     def expect_int(self) -> int:
-        neg = bool(self.accept_symbol("-"))
-        t = self.peek()
-        if t.kind != "INT":
+        neg = bool(self.accept("-"))
+        if self.peek().kind != "INT":
             self.fail("expected an integer", expected=("integer",))
-        self.advance()
-        return -int(t.value) if neg else int(t.value)
+        value = self.integer()
+        return -value if neg else value
+
+    def integer(self) -> int:
+        """The value of the INT token at hand, which it takes."""
+        t = self.advance()
+        try:
+            return int(t.value)
+        except ValueError:  # longer than Python converts
+            self.fail_at(t, "integer literal too long")
 
     def comma_list(self, item) -> list:
         out = [item()]
-        while self.accept_symbol(","):
+        while self.accept(","):
             out.append(item())
         return out
 
@@ -295,8 +263,7 @@ class _Parser:
         raise _Bail(Diagnostic(tok.line, tok.col, message, expected))
 
     def at_terminator(self) -> bool:
-        t = self.tokens[self.pos]
-        return t.kind in ("NEWLINE", "EOF") or (t.kind == "SYMBOL" and t.value == ";")
+        return self.tokens[self.pos].value in ("", ";")
 
     def skip_to_terminator(self):
         while not self.at_terminator():
@@ -356,10 +323,10 @@ class _Parser:
         tok = self.peek()
         name = self.expect_ident("ring name")
         self.declare(name, tok)
-        self.expect_symbol("=")
+        self.expect("=")
         if self.expect_ident("Q") != "Q":
             self.fail("only the rational field Q is supported", expected=("Q",))
-        self.expect_symbol("[")
+        self.expect("[")
         variables: list[str] = []
         while True:
             var_tok = self.peek()
@@ -367,50 +334,50 @@ class _Parser:
             if v in variables:
                 self.fail_at(var_tok, f"duplicate variable {v!r}")
             variables.append(v)
-            if not self.accept_symbol(","):
+            if not self.accept(","):
                 break
-        self.expect_symbol("]")
+        self.expect("]")
 
         # The ideal comes before the grading and order it lives in.  Sums and
         # products do not depend on either, so it is read over the ungraded
         # ring on the same variables and regraded once the options are known.
         ungraded = GradedRing(variables)
         quotient: list[tuple[Token, Polynomial]] = []
-        if self.accept_symbol("/"):
-            self.expect_symbol("(")
+        if self.accept("/"):
+            self.expect("(")
             quotient = self.comma_list(
                 lambda: (self.peek(), self.polynomial(ungraded)))
-            self.expect_symbol(")")
+            self.expect(")")
 
         group = 1
         weights = {v: 0 for v in variables}
         degrees = {v: 1 for v in variables}
         weight_toks: dict[str, Token] = {}
         order_kind = self.default_order
-        while word := self.accept_keyword("group", "weights", "degrees", "order"):
-            if word == "group":
+        while word := self.accept("group", "weights", "degrees", "order"):
+            if word.value == "group":
                 group = self.expect_int()
                 if group < 1:
                     self.fail("group order must be >= 1")
-            elif word == "order":
+            elif word.value == "order":
                 order_kind = self.expect_ident("degrevlex|lex")
                 if order_kind not in ("degrevlex", "lex"):
                     self.fail("unknown order", expected=("degrevlex", "lex"))
             else:
-                table = weights if word == "weights" else degrees
-                self.expect_symbol("{")
+                table = weights if word.value == "weights" else degrees
+                self.expect("{")
                 while True:
                     var_tok = self.peek()
                     v = self.expect_ident("variable")
                     if v not in variables:
                         self.fail_at(var_tok, f"unknown variable {v!r}")
-                    self.expect_symbol(":")
+                    self.expect(":")
                     table[v] = self.expect_int()
                     if table is weights:
                         weight_toks[v] = var_tok
-                    if not self.accept_symbol(","):
+                    if not self.accept(","):
                         break
-                self.expect_symbol("}")
+                self.expect("}")
         self.end_statement()
 
         for v, w in weights.items():
@@ -434,24 +401,23 @@ class _Parser:
         tok = self.peek()
         name = self.expect_ident("map name")
         self.declare(name, tok)
-        self.expect_symbol(":")
+        self.expect(":")
         source, src = self.ring_ref()
-        if self.peek().kind != "ARROW":
+        if not self.accept("->"):
             self.fail("expected ->", expected=("->",))
-        self.advance()
         target, tgt = self.ring_ref()
-        self.expect_symbol("{")
+        self.expect("{")
         images: dict[str, Polynomial] = {}
         while True:
             var_tok = self.peek()
             v = self.expect_ident("source variable")
             if v not in source.variables:
                 self.fail_at(var_tok, f"{v!r} is not a variable of {src}")
-            self.expect_symbol("=")
+            self.expect("=")
             images[v] = self.polynomial(target)
-            if not self.accept_symbol(","):
+            if not self.accept(","):
                 break
-        self.expect_symbol("}")
+        self.expect("}")
         self.end_statement()
         missing = [v for v in source.variables if v not in images]
         if missing:
@@ -470,9 +436,9 @@ class _Parser:
         tok = self.peek()
         name = self.expect_ident("module name")
         self.declare(name, tok)
-        self.expect_keyword("over")
+        self.expect("over")
         ring, ring_name = self.ring_ref()
-        self.expect_keyword("gens")
+        self.expect("gens")
         gen_names: list[str] = []
         bidegrees: list[Bidegree] = []
         while True:
@@ -480,18 +446,18 @@ class _Parser:
             g = self.expect_ident("generator name")
             if g in gen_names or g in ring.variables:
                 self.fail_at(gtok, f"generator name {g!r} clashes")
-            self.expect_symbol(":")
-            self.expect_symbol("(")
+            self.expect(":")
+            self.expect("(")
             z = self.expect_int()
-            self.expect_symbol(",")
+            self.expect(",")
             w = self.expect_int()
-            self.expect_symbol(")")
+            self.expect(")")
             gen_names.append(g)
             bidegrees.append(Bidegree(z, w, ring.group_order))
-            if not self.accept_symbol(","):
+            if not self.accept(","):
                 break
         rels: list[dict[int, Polynomial]] = []
-        if self.accept_keyword("rels"):
+        if self.accept("rels"):
             rels = self.comma_list(lambda: self.relation(ring, gen_names))
         self.end_statement()
         try:
@@ -526,15 +492,16 @@ class _Parser:
             self.fail_at(tok, f"unknown map {name!r}")
         return self.maps[name], name
 
-    def poly_list(self, ring: GradedRing) -> list[Polynomial]:
-        self.expect_symbol("(")
+    def poly_list(self, ring: GradedRing) -> tuple[list[Polynomial], str]:
+        """A parenthesized polynomial list and its canonical text."""
+        self.expect("(")
         out = self.comma_list(lambda: self.polynomial(ring))
-        self.expect_symbol(")")
-        return out
+        self.expect(")")
+        return out, "(" + ", ".join(map(str, out)) + ")"
 
     def int_option(self, name: str, default: Optional[int]) -> Optional[int]:
         value = default
-        while self.accept_keyword(name):
+        while self.accept(name):
             value = self.expect_int()
         return value
 
@@ -542,7 +509,7 @@ class _Parser:
         tok = self.peek()
         head = self.expect_ident("command")
         if head == "dualize":
-            self.expect_symbol("-")
+            self.expect("-")
             sub = self.expect_ident("finite|lci")
             head = f"dualize-{sub}"
         if head not in COMMAND_KINDS:
@@ -560,52 +527,45 @@ class _Parser:
 
     def cmd_ext(self) -> Command:
         ring, rname = self.ring_ref()
-        self.expect_keyword("ideal")
-        gens = self.poly_list(ring.ambient())
-        self.expect_keyword("omega")
-        omega, oname = self.omega_ref(ring)
+        self.expect("ideal")
+        gens, gens_txt = self.poly_list(ring.ambient())
+        self.expect("omega")
+        omega, oname = self.omega_ref()
         imax = self.int_option("max", max(2, ring.nvars))
-        gens_txt = ", ".join(str(g) for g in gens)
         return Command("ext", args={"ring": ring, "ideal": gens, "omega": omega},
                        options={"max": imax},
-                       text=f"ext {rname} ideal ({gens_txt}) omega {oname} max {imax}")
+                       text=f"ext {rname} ideal {gens_txt} omega {oname} max {imax}")
 
-    def omega_ref(self, ring: GradedRing) -> tuple[Optional[ModulePresentation], str]:
-        if self.accept_keyword("canonical"):
+    def omega_ref(self) -> tuple[Optional[ModulePresentation], str]:
+        if self.accept("canonical"):
             return None, "canonical"  # resolved against the ring at run time
         return self.module_ref()
 
     def cmd_koszul(self) -> Command:
         ring, rname = self.ring_ref()
-        self.expect_keyword("seq")
-        seq = self.poly_list(ring)
-        seq_txt = ", ".join(str(g) for g in seq)
+        self.expect("seq")
+        seq, seq_txt = self.poly_list(ring)
         return Command("koszul", args={"ring": ring, "seq": seq},
-                       text=f"koszul {rname} seq ({seq_txt})")
+                       text=f"koszul {rname} seq {seq_txt}")
 
     def cmd_dualize_finite(self) -> Command:
         f, fname = self.map_ref()
-        omega = None
-        oname = None
-        if self.accept_keyword("omega"):
+        omega, text = None, f"dualize-finite {fname}"
+        if self.accept("omega"):
             omega, oname = self.module_ref()
-        depth = self.int_option("depth", 4)
-        text = f"dualize-finite {fname}"
-        if oname:
             text += f" omega {oname}"
-        text += f" depth {depth}"
+        depth = self.int_option("depth", 4)
         return Command("dualize-finite", args={"map": f, "omega": omega},
-                       options={"depth": depth}, text=text)
+                       options={"depth": depth}, text=f"{text} depth {depth}")
 
     def cmd_dualize_lci(self) -> Command:
         ring, rname = self.ring_ref()
-        self.expect_keyword("seq")
-        seq = self.poly_list(ring)
-        self.expect_keyword("omega")
-        omega, oname = self.omega_ref(ring)
+        self.expect("seq")
+        seq, seq_txt = self.poly_list(ring)
+        self.expect("omega")
+        omega, oname = self.omega_ref()
         depth = self.int_option("depth", None)
-        seq_txt = ", ".join(str(g) for g in seq)
-        text = f"dualize-lci {rname} seq ({seq_txt}) omega {oname}"
+        text = f"dualize-lci {rname} seq {seq_txt} omega {oname}"
         if depth is not None:
             text += f" depth {depth}"
         return Command("dualize-lci",
@@ -617,14 +577,13 @@ class _Parser:
         sub = self.expect_ident("gorenstein|pushforward")
         if sub == "gorenstein":
             ring, rname = self.ring_ref()
-            self.expect_keyword("ideal")
-            gens = self.poly_list(ring.ambient())
+            self.expect("ideal")
+            gens, gens_txt = self.poly_list(ring.ambient())
             imax = self.int_option("max", max(2, ring.nvars))
-            gens_txt = ", ".join(str(g) for g in gens)
             return Command("check", subkind="gorenstein",
                            args={"ring": ring, "ideal": gens},
                            options={"max": imax},
-                           text=f"check gorenstein {rname} ideal ({gens_txt}) max {imax}")
+                           text=f"check gorenstein {rname} ideal {gens_txt} max {imax}")
         if sub == "pushforward":
             f, fname = self.map_ref()
             mb, mbn = self.module_ref()
@@ -678,13 +637,13 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        while op := self.accept_symbol("+", "-"):
+        while op := self.accept("+", "-"):
             value = self.add(value, self.term(), op)
         return value
 
     def term(self):
         value = self.unary()
-        while op := self.accept_symbol("*", "/"):
+        while op := self.accept("*", "/"):
             rhs = self.unary()
             if op.value == "/":
                 if isinstance(rhs, dict) or not rhs.is_constant() or rhs.is_zero():
@@ -695,7 +654,7 @@ class _Parser:
 
     def unary(self):
         # a sign binds looser than `^`: -x^2 and 2*-x^2 both negate x^2
-        if op := self.accept_symbol("+", "-"):
+        if op := self.accept("+", "-"):
             value = self.unary()
             if op.value == "-":
                 value = self.mul(self.expr_ring.constant(-1), value, op)
@@ -704,19 +663,18 @@ class _Parser:
 
     def power(self):
         value = self.atom()
-        if op := self.accept_symbol("^"):
+        if op := self.accept("^"):
             if self.peek().kind != "INT":
                 self.fail_at(op, "exponent must be a nonnegative integer")
             if isinstance(value, dict):
                 self.fail_at(op, "cannot raise a generator to a power")
-            value = value ** int(self.advance().value)
+            value = value ** self.integer()
         return value
 
     def atom(self):
         t = self.peek()
         if t.kind == "INT":
-            self.advance()
-            return self.expr_ring.constant(int(t.value))
+            return self.expr_ring.constant(self.integer())
         if t.kind == "IDENT":
             if t.value in self.expr_ring.variables:
                 self.advance()
@@ -725,9 +683,9 @@ class _Parser:
                 self.advance()
                 return {self.expr_gens[t.value]: self.expr_ring.one()}
             self.fail(f"unknown symbol {t.value!r}")
-        if self.accept_symbol("("):
+        if self.accept("("):
             value = self.expr()
-            if not self.accept_symbol(")"):
+            if not self.accept(")"):
                 self.fail_at(t, "missing closing parenthesis")
             return value
         self.fail("expected an expression", expected=("polynomial",))

@@ -611,24 +611,20 @@ class SubmoduleOracle:
 
 
 def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],
-                               rank: int, bidegrees: Sequence | None = None,
+                               rank: int, bidegrees: Sequence[Bidegree],
                                context: Sequence[Column] = ()) -> list[int]:
     """Indices of a minimal generating subset modulo `context`, in the
-    greedy order: ascending degree, then printed form.
+    greedy order: ascending degree, then printed form.  `bidegrees[i]` is
+    the bidegree of `vectors[i]`; zero vectors are never kept, and theirs
+    is not read.
 
     The single greedy minimality loop of the package: one oracle over the
     context grows by each candidate that it does not already contain.  The
     ring is assumed connected (scalars in degree zero), so graded Nakayama
     makes the kept count well-defined.
     """
-    def zdeg_of(i):
-        if bidegrees is not None and bidegrees[i] is not None:
-            return bidegrees[i].zdeg
-        return min(ring.bidegree_of[k].zdeg
-                   for p in vectors[i].values() for k in p.packed)
-
     order = sorted((i for i, v in enumerate(vectors) if v),
-                   key=lambda i: (zdeg_of(i), column_order_key(vectors[i])))
+                   key=lambda i: (bidegrees[i].zdeg, column_order_key(vectors[i])))
     if not order:
         return []
     oracle = SubmoduleOracle(ring, context, rank)

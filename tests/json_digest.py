@@ -19,11 +19,18 @@ weights and of degree 5 at one; the triple point at group orders 2, 4, 5,
 generator of perfbench/workloads.py, seed 1) of degrees (3), (2, 3) and
 (2, 2, 2); two skew lines, which are not Cohen-Macaulay; and three ideals
 over rings with a variable of Z-degree 0.  It takes a few seconds.
+
+After the grid come nine malformed sessions, one line each, which hash the
+text of their ParseError in place of a report, with the exit code 2 of an
+input error: an unexpected character, a missing `->`, a duplicate name,
+an unknown command, a missing `)`, a weight out of range and a term cap
+hit while parsing, several of them from tests/test_dsl.py.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import sys
 from pathlib import Path
@@ -36,6 +43,21 @@ DEGREE_ZERO = ((WEIGHTED_DEGREE_ZERO, "(x*y, x^2*t)"),
                (WEIGHTED_DEGREE_ZERO, "(x^3 - y^3*t, x*y)"),
                # Ext^2 needs one generator, but the greedy count keeps two
                ("ring C = Q[x,y,t] degrees {t:0}\n", "(t^2 - t, x^2 - y^2*t, x^2*t - x^2)"))
+TWO_RINGS = "ring A = Q[u,v]/(u*v)\nring B = Q[x,y]/(x*y)\n"
+# (name, session text, STACKDUAL_MAX_TERMS or None)
+MALFORMED = (
+    ("unexpected-character",
+     "ring R = Q[x]$\nring S = Q[y]@\nring T = Q[t]; hilbert T max 2", None),
+    ("unexpected-character-in-expression", "ring R = Q[x,y]/(x + $y)", None),
+    ("missing-arrow", TWO_RINGS + "map f : A B { u = x, v = y }", None),
+    ("split-arrow", TWO_RINGS + "map f : A - > B { u = x, v = y }", None),
+    ("duplicate-name", "ring R = Q[x]\nring R = Q[x]/(w)\nring R = Q[y]", None),
+    ("unknown-command", "ring R = Q[x]\nhomology R\ndualize-all R", None),
+    ("missing-parenthesis", "ring C = Q[x,y]\nkoszul C seq ((x, y)", None),
+    ("weight-out-of-range", "ring A = Q[u]\nring B = Q[x,y] group 3 weights {x:1, y:5}",
+     None),
+    ("term-cap", "ring R = Q[x,y]\nkoszul R seq ((x+y)^300)", "50"),
+)
 
 
 def grid():
@@ -90,7 +112,7 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(ROOT / "perfbench")]
-    from stackdual.dsl import parse_session
+    from stackdual.dsl import ParseError, parse_session
     from stackdual.session import run_session
 
     for name, text, depth in grid():
@@ -98,6 +120,19 @@ def main(argv: list[str]) -> int:
         text = report.to_json() + report.human_text()
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         print(f"{name}\t{digest}\t{report.exit_code()}", flush=True)
+    for name, text, max_terms in MALFORMED:
+        if max_terms:
+            os.environ["STACKDUAL_MAX_TERMS"] = max_terms
+        try:
+            parse_session(text)
+        except ParseError as exc:
+            digest = hashlib.sha256(str(exc).encode("utf-8")).hexdigest()
+            print(f"diagnostic/{name}\t{digest}\t2", flush=True)
+        else:
+            raise SystemExit(f"diagnostic/{name} parsed without an error")
+        finally:
+            if max_terms:
+                del os.environ["STACKDUAL_MAX_TERMS"]
     return 0
 
 

@@ -59,6 +59,10 @@ the tuple helper `monomial_mul` that no engine code needs any more.
 Module elements are columns, {position: Polynomial} with nonzero entries
 only, as in `stackdual.groebner`; `col` writes one from dense entries, and
 `parse_polynomial` reads one polynomial with the session parser.
+
+`reference_tokenize` is the session tokenizer as a loop over each
+character, with `->` as a token kind of its own (ARROW); `dsl.tokenize`
+reads the same tokens with one regular expression.
 """
 
 import itertools
@@ -229,6 +233,50 @@ def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
     except ResourceCapError as exc:
         raise ParseError([Diagnostic(body[0].line, body[0].col, str(exc))])
     return p
+
+
+_SYMBOLS = set("(){}[]:;,=^*+-/>")
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        i = 0
+        while i < len(line):
+            ch = line[i]
+            col = i + 1
+            if ch in " \t":
+                i += 1
+                continue
+            if ch == "#":
+                break
+            if ch.isalpha():
+                j = i
+                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
+                    j += 1
+                tokens.append(Token("IDENT", line[i:j], lineno, col))
+                i = j
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(line) and line[j].isdigit():
+                    j += 1
+                tokens.append(Token("INT", line[i:j], lineno, col))
+                i = j
+                continue
+            if ch == "-" and i + 1 < len(line) and line[i + 1] == ">":
+                tokens.append(Token("ARROW", "->", lineno, col))
+                i += 2
+                continue
+            if ch in _SYMBOLS:
+                tokens.append(Token("SYMBOL", ch, lineno, col))
+                i += 1
+                continue
+            tokens.append(Token("ERROR", ch, lineno, col))
+            i += 1
+        tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
+    tokens.append(Token("EOF", "", len(text.splitlines()) + 1, 1))
+    return tokens
 
 
 def node_hom_oracle(a, i, j, alpha, beta, zmax):

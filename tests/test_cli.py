@@ -61,6 +61,21 @@ def test_malformed_session_exits_2(capsys, tmp_path):
     assert "1:" in err and "unknown symbol" in err
 
 
+@pytest.mark.parametrize("command, diagnostic", [
+    ("hilbert R max \u00b2", "2:15: expected an integer (expected integer)"),
+    ("koszul R seq (x^\u00b2)", "2:16: exponent must be a nonnegative integer"),
+    ("koszul R seq (" + "7" * 5000 + "*x)", "2:15: integer literal too long"),
+], ids=["superscript-bound", "superscript-exponent", "5000-digit-literal"])
+def test_an_integer_python_cannot_read_exits_2(command, diagnostic, capsys,
+                                               tmp_path):
+    """A superscript digit is no INT token, and a literal past Python's
+    int-string limit is refused at its column: both are input errors."""
+    session = tmp_path / "int.sdl"
+    session.write_text(f"ring R = Q[x]\n{command}\n", encoding="utf-8")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert (code, out, err) == (2, "", f"error: {diagnostic}\n")
+
+
 def test_pushforward_over_the_wrong_ring_exits_2(capsys, tmp_path):
     node = preset_session("node", a=3)
     for extra, ring in (

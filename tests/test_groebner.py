@@ -18,7 +18,7 @@ from stackdual.caps import ResourceCapError
 from stackdual.dsl import parse_session
 from stackdual.groebner import (GroebnerBasis, SubmoduleOracle, buchberger,
                                 minimal_generating_vectors, normal_form,
-                                printed_column, syzygies_over)
+                                printed_column, syzygies_over, vector_bidegree)
 from stackdual.poly import GradedRing, MonomialOrder
 from stackdual.presets import preset_session
 from stackdual.session import run_session
@@ -98,9 +98,12 @@ def test_reduced_basis_invariant_under_permutation(uvt):
 
 
 def minimal_syzygies(ring, rows, rank):
-    """A minimal generating set of the relations among `rows` of R^rank."""
+    """A minimal generating set of the relations among `rows`, nonzero
+    homogeneous columns of R^rank generated in degree zero."""
+    row_degs = [vector_bidegree(r, [ring.degree_zero()] * rank) for r in rows]
     syz = syzygies_over(ring, rows, rank)
-    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, len(rows)))]
+    degs = [vector_bidegree(v, row_degs) for v in syz]
+    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, len(rows), degs))]
 
 
 def test_koszul_syzygy_of_regular_pair(qxy):
@@ -195,7 +198,9 @@ def test_a_kept_candidate_is_reduced_once(uvt, monkeypatch):
     g0, g1, g2 = triple_gens(uvt)
     u = uvt.var("u")
     cands = [col(g) for g in (g0, g1, u * g0, g0 + g1, g2, g1 * g2)]
-    kept = minimal_generating_vectors(uvt, cands, 1)
+    kept = minimal_generating_vectors(uvt, cands, 1,
+                                      [vector_bidegree(c, [uvt.degree_zero()])
+                                       for c in cands])
     assert len(kept) == 3
     assert set(by_caller) == {"contains", "_complete"}
     assert by_caller["contains"] == len(cands) and by_caller["_complete"] > 0

@@ -21,8 +21,9 @@ Hilbert tables and invariant parts read off the Hilbert series of the lead
 ideals against counting standard monomials, degree-0 quotients that
 `minimalize` leaves with no generator exactly when their relations span
 every unit vector, the column invariant: every
-stored module column holds nonzero reduced entries in position order, and
-the codimension of `check gorenstein` against the reference dimension.
+stored module column holds nonzero reduced entries in position order,
+the codimension of `check gorenstein` against the reference dimension, and
+the session tokenizer against the character loop it replaced.
 """
 
 import itertools
@@ -37,10 +38,10 @@ from oracles import (annihilates, col, engine_terms, reference_buchberger,
                      reference_kernel, reference_krull_dimension,
                      reference_module_generators, reference_precomposition,
                      reference_pruned_restriction, reference_relations_modulo,
-                     reference_restrict_along)
+                     reference_restrict_along, reference_tokenize)
 from stackdual.complexes import (hom_complex, homology, homology_with_inclusion,
                                  koszul, resolve)
-from stackdual.dsl import parse_session
+from stackdual.dsl import parse_session, tokenize
 from stackdual.duality import cm_gorenstein_check, compare_modules, finite_shriek
 from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
@@ -181,9 +182,11 @@ def test_syzygies_annihilate_rows(instances):
         rows = [p for p in polys[:2] if not p.is_zero() and p.bidegree()]
         if not rows:
             continue
+        degs = [r.bidegree() for r in rows]
         rows = [col(r) for r in rows]
         syz = syzygies_over(ring, rows, 1)
-        keep = minimal_generating_vectors(ring, syz, len(rows))
+        keep = minimal_generating_vectors(ring, syz, len(rows),
+                                          [vector_bidegree(v, degs) for v in syz])
         assert annihilates(ring, [syz[i] for i in keep], rows)
 
 
@@ -440,14 +443,17 @@ def span_instances(count, seed, make_ring=random_ring):
     return out
 
 
+def lowest_zdeg(ring, v):
+    """The least Z-degree of a term of v, which need not be homogeneous."""
+    return min((min(ring.monomial_bidegree(m).zdeg for m in p.terms)
+                for p in v.values()), default=0)
+
+
 def fresh_oracle_greedy(ring, vectors, rank, context):
     """Reference: one new oracle over kept + context per candidate."""
-    def zdeg_of(v):
-        return min((min(ring.monomial_bidegree(m).zdeg for m in p.terms)
-                    for p in v.values()), default=0)
-
     order = sorted(range(len(vectors)),
-                   key=lambda i: (zdeg_of(vectors[i]), printed_column(vectors[i], rank)))
+                   key=lambda i: (lowest_zdeg(ring, vectors[i]),
+                                  printed_column(vectors[i], rank)))
     kept = []
     for i in order:
         if not vectors[i]:
@@ -463,7 +469,10 @@ def test_minimal_generating_vectors_matches_fresh_oracle_greedy():
     assert any(ring.ideal for ring, *_ in instances)
     dropped = 0
     for ring, cands, context, rank in instances:
-        kept = minimal_generating_vectors(ring, cands, rank, context=context)
+        # the candidates need not be homogeneous: order them by their
+        # lowest Z-degree, as the reference does
+        degs = [Bidegree(lowest_zdeg(ring, v), 0) for v in cands]
+        kept = minimal_generating_vectors(ring, cands, rank, degs, context)
         assert kept == fresh_oracle_greedy(ring, cands, rank, context)
         dropped += len(cands) - len(kept)
     assert dropped > 0
@@ -1105,3 +1114,31 @@ def test_cm_codimension_matches_the_reference_dimension():
         assert rep.codimension == ring.nvars - reference_krull_dimension(ring, gens)
         codims.add(rep.codimension)
     assert len(codims) > 1
+
+
+# ---------------------------------------------------------------------------
+# the session tokenizer
+
+
+def test_tokenize_matches_the_character_loop():
+    """One regular expression reads the tokens of the character loop in
+    `reference_tokenize`, whose ARROW is a SYMBOL `->`.  Texts mix the
+    language's own characters with any others, line breaks of every kind
+    included, but hold no numeric character that is not a decimal digit:
+    the loop reads `²` as an INT that `int` refuses."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    alphabet = st.one_of(st.sampled_from("xy_Q09 \t#->(){}[]:;,=^*+/\n\r$"),
+                         st.characters())
+    texts = st.text(alphabet, max_size=40).filter(
+        lambda text: not any(c.isnumeric() and not c.isdecimal() for c in text))
+
+    @hyp.settings(derandomize=True, max_examples=1000, deadline=None,
+                  database=None)
+    @hyp.given(texts)
+    def check(text):
+        expected = [t._replace(kind="SYMBOL") if t.kind == "ARROW" else t
+                    for t in reference_tokenize(text)]
+        assert tokenize(text) == expected
+
+    check()
