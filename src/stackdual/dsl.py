@@ -495,9 +495,17 @@ class _Parser:
     def poly_list(self, ring: GradedRing) -> tuple[list[Polynomial], str]:
         """A parenthesized polynomial list and its canonical text."""
         self.expect("(")
-        out = self.comma_list(lambda: self.polynomial(ring))
+        out = self.comma_list(lambda: self.printed_polynomial(ring))
         self.expect(")")
-        return out, "(" + ", ".join(map(str, out)) + ")"
+        return [p for p, _ in out], "(" + ", ".join(t for _, t in out) + ")"
+
+    def printed_polynomial(self, ring: GradedRing) -> tuple[Polynomial, str]:
+        first = self.peek()
+        p = self.polynomial(ring)
+        try:
+            return p, str(p)
+        except ValueError:  # a coefficient longer than Python prints
+            self.fail_at(first, "coefficient too long to print")
 
     def int_option(self, name: str, default: Optional[int]) -> Optional[int]:
         value = default

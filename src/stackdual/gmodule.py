@@ -19,9 +19,10 @@ from __future__ import annotations
 import copy
 from functools import cached_property
 from itertools import islice
+from operator import add
 from typing import Optional, Sequence
 
-from .caps import InputError, check_deadline
+from .caps import InputError, check_deadline, check_term_cap
 from .groebner import (Column, SubmoduleOracle, buchberger, column,
                        lead_coefficient, minimal_generating_vectors,
                        normal_form, syzygies_over, vector_bidegree)
@@ -451,59 +452,84 @@ def _numerator(ring: GradedRing, gens: Sequence[Monomial], top: int
     return out
 
 
-def _series(ring: GradedRing, leads: Sequence[Monomial], top: int
+def _expand(ring: GradedRing, numerator: dict[tuple[int, int], int], top: int
             ) -> list[list[int]]:
-    """dims[z][w]: the number of monomials of bidegree (z, w) outside the
-    monomial ideal (leads), for 0 <= z <= top, from its Hilbert series."""
+    """dims[z][w] for 0 <= z <= top: the coefficients of the Hilbert series
+    numerator / prod over the variables of (1 - t^d w^wt), where
+    `numerator` is {(zdeg, weight): coefficient} with every zdeg in 0..top."""
     a = ring.group_order
     dims = [[0] * a for _ in range(top + 1)]
-    for (z, w), c in _numerator(ring, leads, top).items():
+    for (z, w), c in numerator.items():
         dims[z][w] = c
-    # multiply by 1/(1 - t^d w^wt) for each variable, one pass each
+    # multiply by 1/(1 - t^d w^wt) for each variable, one pass each:
+    # dims[z][w + wt] += dims[z - d][w], the source row rotated by wt
     for d, wt in zip(ring.zdegs, ring.weights):
+        cut = a - wt % a
         for z in range(d, top + 1):
-            row, src = dims[z], dims[z - d]
-            for w in range(a):
-                if src[w]:
-                    row[(w + wt) % a] += src[w]
+            src = dims[z - d]
+            dims[z] = list(map(add, dims[z], src[cut:] + src[:cut]))
     return dims
+
+
+def _live_generators(M: ModulePresentation, zmax: int
+                     ) -> list[tuple[int, Bidegree]]:
+    """(index, bidegree) of every generator of zdeg <= zmax, after the
+    checks of a Hilbert table: a negative bound is an input error, and when
+    some generator is live, so is a variable of degree <= 0, and a table of
+    more Z-degrees than the term cap exits 3."""
+    if zmax < 0:
+        raise InputError("zmax must be >= 0")
+    live = [(k, g) for k, g in enumerate(M.bidegrees) if g.zdeg <= zmax]
+    if live:
+        _require_positive_degrees(M.ring)
+        base = min(g.zdeg for _, g in live)
+        check_term_cap(zmax - base + 1,
+                       f"Hilbert table from zdeg {base} to {zmax}")
+    return live
 
 
 def _position_series(M: ModulePresentation, zmax: int):
     """Yield (generator index, its bidegree, its leads, dims) for every
     generator of zdeg <= zmax, where dims[z][w] counts the standard
     monomials of that position of Z-degree z and weight w, up to the
-    bound.  Raises InputError for a negative bound."""
-    if zmax < 0:
-        raise InputError("zmax must be >= 0")
+    bound."""
     ring = M.ring
-    live = [(k, g) for k, g in enumerate(M.bidegrees) if g.zdeg <= zmax]
+    live = _live_generators(M, zmax)
     if not live:
         return
-    _require_positive_degrees(ring)
     gb = M.span.gb
     for k, g in live:
         leads = gb.lead_monomials(k)
-        yield k, g, leads, _series(ring, leads, zmax - g.zdeg)
+        top = zmax - g.zdeg
+        yield k, g, leads, _expand(ring, _numerator(ring, leads, top), top)
 
 
 def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], int]:
     """Exact dimensions of the bigraded pieces for zdeg <= zmax.
 
-    Keys are (zdeg, weight residue); zero entries are omitted.  Each
-    generator contributes the Hilbert series of its position's lead ideal,
-    shifted by its bidegree.  Raises on rings with non-positive variable
-    degrees, where pieces are infinite.
+    Keys are (zdeg, weight residue); zero entries are omitted.  The Hilbert
+    series is linear in its numerator, so the module's series is one
+    expansion of the sum of its positions' numerators (those of their lead
+    ideals), each shifted by its generator's bidegree.  Raises on rings with
+    non-positive variable degrees, where pieces are infinite, and past the
+    term cap on tables of more Z-degrees.
     """
-    a = M.ring.group_order
-    table: dict[tuple[int, int], int] = {}
-    for _, g, _, dims in _position_series(M, zmax):
-        for z, row in enumerate(dims):
-            for w, dim in enumerate(row):
-                if dim:
-                    key = (g.zdeg + z, (g.weight + w) % a)
-                    table[key] = table.get(key, 0) + dim
-    return table
+    ring = M.ring
+    live = _live_generators(M, zmax)
+    if not live:
+        return {}
+    a = ring.group_order
+    base = min(g.zdeg for _, g in live)
+    gb = M.span.gb
+    numerator: dict[tuple[int, int], int] = {}
+    for k, g in live:
+        shift = g.zdeg - base
+        for (z, w), c in _numerator(ring, gb.lead_monomials(k), zmax - g.zdeg).items():
+            key = (z + shift, (w + g.weight) % a)
+            numerator[key] = numerator.get(key, 0) + c
+    return {(base + z, w): dim
+            for z, row in enumerate(_expand(ring, numerator, zmax - base))
+            for w, dim in enumerate(row) if dim}
 
 
 def invariant_part(M: ModulePresentation, bound: int

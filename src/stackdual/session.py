@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from .caps import (EXIT_FAILED_CHECK, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR,
@@ -41,7 +43,9 @@ def json_text(value, newline: str = "\n") -> str:
     A non-None indent makes the standard library fall back to its
     pure-Python encoder; this writer emits the report's dicts (with string
     keys), lists, strings, ints, booleans and None itself and hands any
-    other value to `json.dumps`, re-indented to its depth."""
+    other value to `json.dumps`, re-indented to its depth.  A list of
+    records, dicts with one set of string keys and only int values (a
+    Hilbert table, say), is written row by row from one `%` template."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -62,9 +66,32 @@ def json_text(value, newline: str = "\n") -> str:
     if type(value) in (list, tuple):
         if not value:
             return "[]"
-        items = (json_text(v, inner) for v in value)
+        keys = _record_keys(value)
+        if keys:
+            field = inner + "  %s: %%d"
+            row = "{" + ",".join(field % encode_basestring_ascii(k).replace("%", "%%")
+                                 for k in keys) + inner + "}"
+            items = map(row.__mod__, map(itemgetter(*keys), value))
+        else:
+            items = (json_text(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _record_keys(items) -> list[str]:
+    """The sorted keys shared by `items` when every item is a dict with
+    that one nonempty set of string keys and int values (not bools), else
+    an empty list."""
+    first = items[0]
+    # most lists of dicts in a report are no table: reject them on one row
+    if type(first) is not dict or {*map(type, first.values())} != {int}:
+        return []
+    keys = first.keys()
+    if ({*map(type, keys)} != {str} or {*map(type, items)} != {dict}
+            or not all(map(keys.__eq__, map(dict.keys, items)))
+            or {*map(type, chain.from_iterable(map(dict.values, items)))} != {int}):
+        return []
+    return sorted(keys)
 
 
 def bidegree_json(d: Bidegree) -> dict:

@@ -25,6 +25,13 @@ text of their ParseError in place of a report, with the exit code 2 of an
 input error: an unexpected character, a missing `->`, a duplicate name,
 an unknown command, a missing `)`, a weight out of range and a term cap
 hit while parsing, several of them from tests/test_dsl.py.
+
+Last come 50 read-side sessions (`read_grid`): `hilbert` and `invariants`
+at `max 60`, `compare` at `bound 46` and `check pushforward` at `bound 60`
+over Q[x,y,z] and Q[x,y,z]/(xyz, y^4) at group orders 1, 5 and 7 with
+several weights, on a module with a generator of negative Z-degree and
+one above every bound, a zero module and a module whose one generator
+lies above the bound.
 """
 
 from __future__ import annotations
@@ -107,6 +114,58 @@ def _ext_pair(name: str, ring: str, ideal: str, imax: int):
            None)
 
 
+# The read side: Hilbert tables of modules over Q[x,y,z] and over
+# Q[x,y,z]/(xyz, y^4), each at group orders 1, 5 and 7 under the weights
+# below.  M has a generator of negative Z-degree and one above every bound;
+# N presents M on permuted generators; P differs from M in one relation;
+# Z is zero; H has its one generator above the bound.
+READ_RINGS = (("poly", "", ""), ("quot", "/(x*y*z, y^4)", "/(u*v*w, v^4)"))
+READ_WEIGHTS = ((1, (0, 0, 0)), (5, (1, 2, 3)), (5, (0, 4, 4)),
+                (7, (1, 3, 6)), (7, (2, 0, 5)))
+READ_RELS = ("x*{e1} - y*{e2}", "2*y^3*{e1}", "-3*z^2*{e2}", "x^2*z*{e3}",
+             "3*y^2*{e3}", "z^5*{e4}", "x*y*{e4}", "x*{e5}")
+
+
+def read_grid():
+    """`hilbert`, `invariants`, `compare` and `check pushforward` at the
+    bounds of the staircase workload, one session per command kind."""
+    for tag, ideal_b, ideal_a in READ_RINGS:
+        for a, (wx, wy, wz) in READ_WEIGHTS:
+            group = f" group {a} weights {{x:{wx}, y:{wy}, z:{wz}}}" if a > 1 else ""
+            ring = f"ring R = Q[x,y,z]{ideal_b}{group}\n"
+            gens = ((0, 0), (0, (wx - wy) % a), (2, wy), (-3, (wx + wz) % a),
+                    (61, a - 1))
+            text = ring + _read_module("M", "e", gens, range(5), READ_RELS)
+            text += _read_module("N", "f", gens, (2, 0, 3, 1, 4), READ_RELS)
+            text += _read_module("P", "g", gens, range(5),
+                                 READ_RELS[:5] + ("z^6*{e4}",) + READ_RELS[6:])
+            text += "module Z over R gens z1:(0,0) rels x*z1, z1\n"
+            text += "module H over R gens h1:(61,0) rels x*h1\n"
+            name = f"read/{tag}-a{a}-w{wx}{wy}{wz}"
+            yield f"{name}/hilbert", text + "hilbert M max 60\n", None
+            yield f"{name}/invariants", text + "invariants M bound 60\n", None
+            yield (f"{name}/compare",
+                   text + "compare M N bound 46\ncompare M P bound 46\n", None)
+            yield (f"{name}/edges",
+                   text + "hilbert Z max 60\ninvariants Z bound 60\n"
+                   "hilbert H max 60\ninvariants H bound 60\ncompare Z M bound 46\n",
+                   None)
+            pushforward = (f"ring A = Q[u,v,w]{ideal_a} degrees {{u:{a}, v:{a}, w:{a}}}\n"
+                           + ring.replace("ring R", "ring B")
+                           + f"map p : A -> B {{ u = x^{a}, v = y^{a}, w = z^{a} }}\n"
+                           "check pushforward p B A bound 60\n")
+            yield f"{name}/pushforward", pushforward, None
+
+
+def _read_module(name: str, gen: str, gens, order, rels) -> str:
+    """Module `name` on the generators `gens` declared in `order`, with the
+    relations `rels` written in the generators e1..e5 of `gens`."""
+    decl = ", ".join(f"{gen}{k + 1}:({gens[g][0]},{gens[g][1]})"
+                     for k, g in enumerate(order))
+    names = {f"e{g + 1}": f"{gen}{k + 1}" for k, g in enumerate(order)}
+    return f"module {name} over R gens {decl} rels {', '.join(r.format(**names) for r in rels)}\n"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -115,11 +174,14 @@ def main(argv: list[str]) -> int:
     from stackdual.dsl import ParseError, parse_session
     from stackdual.session import run_session
 
-    for name, text, depth in grid():
+    def print_report_digest(name: str, text: str, depth):
         report = run_session(parse_session(text), default_depth=depth)
         text = report.to_json() + report.human_text()
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         print(f"{name}\t{digest}\t{report.exit_code()}", flush=True)
+
+    for name, text, depth in grid():
+        print_report_digest(name, text, depth)
     for name, text, max_terms in MALFORMED:
         if max_terms:
             os.environ["STACKDUAL_MAX_TERMS"] = max_terms
@@ -133,6 +195,8 @@ def main(argv: list[str]) -> int:
         finally:
             if max_terms:
                 del os.environ["STACKDUAL_MAX_TERMS"]
+    for name, text, depth in read_grid():
+        print_report_digest(name, text, depth)
     return 0
 
 

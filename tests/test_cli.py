@@ -65,11 +65,17 @@ def test_malformed_session_exits_2(capsys, tmp_path):
     ("hilbert R max \u00b2", "2:15: expected an integer (expected integer)"),
     ("koszul R seq (x^\u00b2)", "2:16: exponent must be a nonnegative integer"),
     ("koszul R seq (" + "7" * 5000 + "*x)", "2:15: integer literal too long"),
-], ids=["superscript-bound", "superscript-exponent", "5000-digit-literal"])
+    ("koszul R seq (x, 2^20000*x)", "2:18: coefficient too long to print"),
+    ("check gorenstein R ideal (x^2, (1/3)^10000*x^3)",
+     "2:32: coefficient too long to print"),
+], ids=["superscript-bound", "superscript-exponent", "5000-digit-literal",
+        "long-integer-coefficient", "long-rational-coefficient"])
 def test_an_integer_python_cannot_read_exits_2(command, diagnostic, capsys,
                                                tmp_path):
     """A superscript digit is no INT token, and a literal past Python's
-    int-string limit is refused at its column: both are input errors."""
+    int-string limit is refused at its column, as is a polynomial whose
+    coefficient is past that limit (the command text prints it) at its
+    first token: all are input errors."""
     session = tmp_path / "int.sdl"
     session.write_text(f"ring R = Q[x]\n{command}\n", encoding="utf-8")
     code, out, err = run_cli(["run", str(session)], capsys)
@@ -628,6 +634,39 @@ def test_the_term_cap_message_names_the_word_the_session_wrote(capsys, tmp_path)
     assert code == 3
     assert f"aborted: max 100000000 exceeds {caps.DEFAULT_MAX_TERMS} terms" in out
     assert json.loads(json_path.read_text())["error"] == "resource-cap"
+
+
+@pytest.mark.parametrize("command", ["hilbert M max 5", "invariants M bound 5",
+                                     "compare M M bound 5"])
+def test_a_hilbert_table_past_the_term_cap_exits_3(command, capsys, tmp_path):
+    # `max 5` passes the option check, but a generator of zdeg -200000
+    # puts 200,006 degrees into the table
+    session = tmp_path / "low.sdl"
+    session.write_text("ring R = Q[x,y]\n"
+                       "module M over R gens e1:(-200000,0) rels x*e1\n"
+                       f"{command}\n")
+    started = time.monotonic()
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert time.monotonic() - started < 3
+    assert code == 3 and "Traceback" not in out + err
+    aborted = [line for line in out.splitlines() if line.startswith("aborted:")]
+    assert aborted == ["aborted: Hilbert table from zdeg -200000 to 5 exceeds "
+                       f"{caps.DEFAULT_MAX_TERMS} terms"]
+
+
+def test_a_hilbert_table_of_exactly_the_term_cap_runs(monkeypatch):
+    from stackdual.gmodule import hilbert_function, invariant_part
+    ast = parse_session("ring R = Q[x,y]\n"
+                        "module M over R gens e1:(-5,0), e2:(9,0) rels x*e1\n")
+    M = ast.modules["M"]
+    monkeypatch.setenv("STACKDUAL_MAX_TERMS", "10")   # zdeg -5..4
+    with caps.command_caps():
+        assert hilbert_function(M, 4)[(4, 0)] == 1
+        assert invariant_part(M, 4)[0][4] == 1
+    monkeypatch.setenv("STACKDUAL_MAX_TERMS", "9")
+    for table in (hilbert_function, invariant_part):
+        with caps.command_caps(), pytest.raises(caps.ResourceCapError):
+            table(M, 4)
 
 
 _HUGE = 3_000_000_000
