@@ -464,6 +464,12 @@ class _Parser:
             module = ModulePresentation(ring, bidegrees, rels)
         except ValueError as exc:
             self.fail_at(tok, str(exc))
+        try:  # printing caches the text; a report prints these later
+            for col in module.relations:
+                for entry in col.values():
+                    str(entry)
+        except ValueError:  # a coefficient longer than Python prints
+            self.fail_at(tok, "coefficient too long to print")
         self.modules[name] = (module, ring_name)
         return ModuleDecl(name, ring_name, module, tuple(gen_names))
 

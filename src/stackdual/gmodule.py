@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 from functools import cached_property
 from itertools import islice
-from operator import add
+from operator import add, le
 from typing import Optional, Sequence
 
 from .caps import InputError, check_deadline, check_term_cap
@@ -381,38 +381,32 @@ def _first_unit(col: Column) -> Optional[int]:
 # Hilbert tables and invariants
 
 
-def _require_positive_degrees(ring: GradedRing) -> None:
-    if not ring.positive:
-        raise InputError("Hilbert enumeration needs all variable degrees >= 1")
+def _staircase(ring: GradedRing, leads: Sequence[Monomial], low: int, top: int):
+    """Yield the monomials of Z-degree low..top that no lead monomial
+    divides, in ascending exponent order; every variable must have
+    positive degree.  They form an order ideal, so the walk raises an
+    exponent only while the monomial so far (later exponents zero) is
+    standard, testing it against the leads whose last variable is the one
+    raised.  The last exponent starts where the Z-degree reaches `low`."""
+    zdegs, last = ring.zdegs, ring.nvars - 1
+    ending: list[list[Monomial]] = [[] for _ in zdegs]
+    for lm in leads:
+        if not any(lm):
+            return                       # a unit lead: B = 0
+        ending[max(i for i, e in enumerate(lm) if e)].append(lm)
 
-
-def _monomials_of_zdeg(ring: GradedRing, z: int):
-    """All monomials of exact Z-degree z; needs every variable of positive degree."""
-    if z < 0:
-        return
-    _require_positive_degrees(ring)
-    yield from _exponents_of_zdeg(ring.zdegs, z, ())
-
-
-def _exponents_of_zdeg(zdegs: tuple[int, ...], z: int, head: tuple[int, ...]):
-    """The exponent tuples that extend `head` to Z-degree z over the
-    remaining variables of `zdegs`, the next exponent ascending."""
-    check_deadline()
-    idx = len(head)
-    d = zdegs[idx]
-    if idx == len(zdegs) - 1:
-        if z % d == 0:
-            yield head + (z // d,)
-        return
-    for e in range(z // d + 1):
-        yield from _exponents_of_zdeg(zdegs, z - e * d, head + (e,))
-
-
-def _standard_monomials(ring: GradedRing, z: int, leads: Sequence[Monomial]):
-    """The monomials of exact Z-degree z that no lead monomial divides."""
-    for mono in _monomials_of_zdeg(ring, z):
-        if not any(monomial_divides(lm, mono) for lm in leads):
-            yield mono
+    def walk(head: Monomial, room: int):
+        i = len(head)
+        d, near = zdegs[i], ending[i]
+        for e in range(0 if i < last else max(0, -((top - low - room) // d)), room // d + 1):
+            mono = head + (e,)
+            if e:
+                check_deadline()
+                for lm in near:
+                    if all(map(le, lm, mono)):
+                        return
+            yield from walk(mono, room - e * d) if i < last else (mono,)
+    yield from walk((), top)
 
 
 def _minimal_monomials(monos: Sequence[Monomial]) -> list[Monomial]:
@@ -481,7 +475,8 @@ def _live_generators(M: ModulePresentation, zmax: int
         raise InputError("zmax must be >= 0")
     live = [(k, g) for k, g in enumerate(M.bidegrees) if g.zdeg <= zmax]
     if live:
-        _require_positive_degrees(M.ring)
+        if not M.ring.positive:
+            raise InputError("Hilbert enumeration needs all variable degrees >= 1")
         base = min(g.zdeg for _, g in live)
         check_term_cap(zmax - base + 1,
                        f"Hilbert table from zdeg {base} to {zmax}")
@@ -536,10 +531,10 @@ def invariant_part(M: ModulePresentation, bound: int
                    ) -> tuple[dict[int, int], list[str]]:
     """The weight-zero part up to zdeg `bound`.
 
-    Returns the dimension table {zdeg: dim}, read off the Hilbert series,
-    and the first 24 printable representatives (standard monomials times
-    generators), generator-major, then by zdeg; only the pieces they come
-    from are enumerated.
+    Returns the dimension table {zdeg: dim}, read off each position's
+    Hilbert series, and the first 24 printable representatives (standard
+    monomials times generators), generator-major, then by zdeg; only the
+    Z-degrees they come from are walked, each until its last one is found.
     """
     ring = M.ring
     dims: dict[int, int] = {}
@@ -550,7 +545,7 @@ def invariant_part(M: ModulePresentation, bound: int
             if not row[w0]:
                 continue
             dims[g.zdeg + z] = dims.get(g.zdeg + z, 0) + row[w0]
-            found = (mono for mono in _standard_monomials(ring, z, leads)
+            found = (mono for mono in _staircase(ring, leads, z, z)
                      if ring.monomial_bidegree(mono).weight == w0)
             for mono in islice(found, min(row[w0], 24 - len(elements))):
                 mono_str = str(ring.monomial(mono)) if any(mono) else "1"
@@ -665,18 +660,17 @@ class RingMorphism:
     def module_generators(self) -> tuple[tuple[Monomial, ...], tuple[Bidegree, ...]]:
         """Monomial basis of B over (images of) A: the target monomials that
         no source-free lead of the graph basis G divides, sorted by bidegree
-        then order key.  By graded Nakayama the staircase minimally
-        generates B over A when every source variable has positive degree."""
+        then order key; each divides the corner prod x_i^(k_i - 1) of the
+        least pure powers x_i^k_i among the leads.  By graded Nakayama they
+        minimally generate B over A when every source variable has positive
+        degree."""
         if self._gens_cache is None:
             leads = self._staircase_leads()
-            # every standard monomial divides the corner prod x_i^(k_i - 1);
-            # a unit lead (B = 0) leaves the staircase empty
             powers = _pure_powers(leads, self.target.nvars)
             bound = sum(max(k - 1, 0) * d for k, d in zip(powers, self.target.zdegs))
-            found = [mono for z in range(bound + 1)
-                     for mono in _standard_monomials(self.target.ambient(), z, leads)]
-            found.sort(key=lambda m: (self.target.monomial_bidegree(m).zdeg,
-                                      self.target.order.key(m)))
+            found = sorted(_staircase(self.target.ambient(), leads, 0, bound),
+                           key=lambda m: (self.target.monomial_bidegree(m).zdeg,
+                                          self.target.order.key(m)))
             self._gens_cache = (tuple(found),
                                 tuple(self.target.monomial_bidegree(m) for m in found))
         return self._gens_cache

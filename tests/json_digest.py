@@ -32,6 +32,13 @@ over Q[x,y,z] and Q[x,y,z]/(xyz, y^4) at group orders 1, 5 and 7 with
 several weights, on a module with a generator of negative Z-degree and
 one above every bound, a zero module and a module whose one generator
 lies above the bound.
+
+Last of all come eight staircase-walk sessions (`walk_grid`): `invariants`
+where a position has no weight-zero piece, where its only weight-zero
+piece is at Z-degree 60 (twice, once with relations), where the variables
+have Z-degrees 2 and 3, and where a generator lies above the bound; and
+`node` with weights 5 and 7 at a = 101 and 211, whose B over A has rank
+2a - 1.
 """
 
 from __future__ import annotations
@@ -157,6 +164,37 @@ def read_grid():
             yield f"{name}/pushforward", pushforward, None
 
 
+WALK_SESSIONS = (
+    ("no-weight-zero", "ring R = Q[x,y,z] group 5\n"
+     "module M over R gens e1:(0,1), e2:(0,0)\ninvariants M bound 60\n"),
+    ("degrees-2-3", "ring R = Q[x,y] group 5 weights {x:1, y:2} degrees {x:2, y:3}\n"
+     "module M over R gens e1:(0,0), e2:(1,3) rels x^3*e1, y^2*e2\n"
+     "invariants M bound 60\ninvariants R bound 60\nhilbert M max 60\n"),
+    ("degrees-2-3-quot", "ring R = Q[x,y]/(x^4*y) group 7 weights {x:3, y:5} degrees {x:2, y:3}\n"
+     "module M over R gens e1:(1,4), e2:(2,0) rels y^5*e2\ninvariants M bound 60\n"),
+    ("high-weight-zero", "ring R = Q[x,y,z] group 61 weights {x:1, y:1, z:1}\n"
+     "module M over R gens e1:(0,1)\ninvariants M bound 60\n"),
+    ("high-weight-zero-rels", "ring R = Q[x,y,z] group 61 weights {x:1, y:1, z:1}\n"
+     "module M over R gens e1:(0,1), e2:(0,2) rels z^30*e1, x*y*e2\n"
+     "invariants M bound 60\n"),
+    ("above-the-bound", "ring R = Q[x,y,z] group 3 weights {x:1, y:2, z:0}\n"
+     "module M over R gens e1:(61,0), e2:(3,1), e3:(60,0), e4:(58,2)"
+     " rels x*e2, y^3*e2, z*e2\n"
+     "invariants M bound 60\n"),
+)
+
+
+def walk_grid():
+    """Sessions whose staircase walks stop early, skip a position or are
+    long: weight-zero pieces that are absent, sparse or only at a high
+    Z-degree, and the node's restriction at large group order."""
+    from stackdual.presets import preset_session
+    for name, text in WALK_SESSIONS:
+        yield f"walk/{name}", text, None
+    for a in (101, 211):
+        yield f"walk/node-a{a}-i5-j7", preset_session("node", a=a, i=5, j=7), None
+
+
 def _read_module(name: str, gen: str, gens, order, rels) -> str:
     """Module `name` on the generators `gens` declared in `order`, with the
     relations `rels` written in the generators e1..e5 of `gens`."""
@@ -195,7 +233,7 @@ def main(argv: list[str]) -> int:
         finally:
             if max_terms:
                 del os.environ["STACKDUAL_MAX_TERMS"]
-    for name, text, depth in read_grid():
+    for name, text, depth in (*read_grid(), *walk_grid()):
         print_report_digest(name, text, depth)
     return 0
 

@@ -709,15 +709,14 @@ def reference_module_generators(f):
     the target order: the target monomials no lead of its basis divides,
     enumerated up to the corner of the pure powers and sorted like
     `RingMorphism.module_generators`."""
-    from stackdual.gmodule import _standard_monomials
     target = f.target
     leads = _contraction_leads(target, f.images)
     corner = 0
     for idx, d in enumerate(target.zdegs):
         powers = [lm[idx] for lm in leads if sum(lm) == lm[idx]]
         corner += max(min(powers) - 1, 0) * d
-    found = [m for z in range(corner + 1)
-             for m in _standard_monomials(target.ambient(), z, leads)]
+    found = [m for level in _monomials_by_zdeg(target, corner).values()
+             for m in level if not any(monomial_divides(lm, m) for lm in leads)]
     return sorted(found, key=lambda m: (target.monomial_bidegree(m).zdeg,
                                         target.order.key(m)))
 

@@ -82,6 +82,21 @@ def test_an_integer_python_cannot_read_exits_2(command, diagnostic, capsys,
     assert (code, out, err) == (2, "", f"error: {diagnostic}\n")
 
 
+@pytest.mark.parametrize("command", ["hom M M", "compare M M"])
+def test_a_relation_python_cannot_print_exits_2(command, capsys, tmp_path):
+    """A declared relation is stored monic, here x + 2^-20000*y, and a
+    report prints its entries, so the declaration refuses one whose
+    coefficient is past Python's int-string limit at the module's name;
+    the command then finds no module M."""
+    session = tmp_path / "rel.sdl"
+    session.write_text("ring R = Q[x,y]\n"
+                       "module M over R gens e1:(0,0) rels 2^20000*x*e1 + y*e1\n"
+                       f"{command}\n", encoding="utf-8")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2:8: coefficient too long to print\n")
+
+
 def test_pushforward_over_the_wrong_ring_exits_2(capsys, tmp_path):
     node = preset_session("node", a=3)
     for extra, ring in (

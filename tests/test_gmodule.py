@@ -6,18 +6,19 @@ import itertools
 import time
 
 import pytest
-from oracles import col, twist
+from oracles import _monomials_by_zdeg, col, twist
 
-from stackdual import caps
+from stackdual import caps, gmodule
 from stackdual.caps import ResourceCapError
 from stackdual.dsl import parse_session
 from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                NotModuleFiniteError, RingMorphism,
-                               _monomials_of_zdeg, _numerator,
+                               _numerator, _staircase,
                                hilbert_function, hom_module, invariant_part,
                                kernel, minimalize, restrict_along)
 from stackdual.groebner import SubmoduleOracle, printed_column, syzygies_over
-from stackdual.poly import Bidegree, GradedRing, RingMismatchError
+from stackdual.poly import (Bidegree, GradedRing, RingMismatchError,
+                            monomial_divides)
 
 
 def structure(ring):
@@ -244,9 +245,68 @@ def test_expired_deadline_stops_the_staircase(monkeypatch):
     with caps.command_caps():
         time.sleep(0.001)
         with pytest.raises(ResourceCapError):
-            list(_monomials_of_zdeg(R, 60))
+            list(_staircase(R, [], 60, 60))
         with pytest.raises(ResourceCapError):
             _numerator(R, leads, 60)
+
+
+def test_staircase_is_the_filtered_monomials():
+    """The walk yields every monomial of Z-degree low..top that no lead
+    divides, in ascending exponent order: with no leads, with a unit lead
+    (B = 0, nothing) and with seeded lead sets, on one level or several."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def walks(draw):
+        n = draw(st.integers(1, 4))
+        zdegs = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        mono = st.tuples(*[st.integers(0, 3)] * n)
+        leads = draw(st.one_of(st.just([]), st.just([(0,) * n]),
+                               st.lists(mono, min_size=1, max_size=4)))
+        top = draw(st.integers(0, 8))
+        low = draw(st.one_of(st.just(0), st.just(top), st.integers(0, top)))
+        return GradedRing("xyzt"[:n], zdegs), leads, low, top
+
+    @hyp.settings(derandomize=True, max_examples=300, deadline=None,
+                  database=None)
+    @hyp.given(walks())
+    def check(walk):
+        ring, leads, low, top = walk
+        expected = sorted(m for z, level in _monomials_by_zdeg(ring, top).items()
+                          if z >= low for m in level
+                          if not any(monomial_divides(lm, m) for lm in leads))
+        assert list(_staircase(ring, leads, low, top)) == expected
+
+    check()
+
+
+def test_the_restriction_staircase_costs_its_size(monkeypatch):
+    """The walk raises an exponent only from a standard monomial and polls
+    the deadline once per monomial it builds: at most 4 times per generator
+    of B over A on the node at a = 101 (rank 201), where a walk over every
+    monomial of each Z-degree polls about a hundred times per generator."""
+    f = node_map(101, 5, 7)
+    polls = []
+    monkeypatch.setattr(gmodule, "check_deadline", lambda: polls.append(1))
+    monos, _ = f.module_generators()
+    assert len(monos) == 201
+    assert len(polls) <= 4 * len(monos)
+
+
+def test_a_high_sparse_invariant_level_is_walked_alone(monkeypatch):
+    """On Q[x,y,z] with every weight 1 mod 61, a generator of weight 1 has
+    its only weight-zero piece below the bound at Z-degree 60.  The 24
+    representatives come from that level alone, a few polls each, where a
+    walk that builds every level up to 60 polls about 40,000 times."""
+    M = parse_session("ring R = Q[x,y,z] group 61 weights {x:1, y:1, z:1}\n"
+                      "module M over R gens e1:(0,1)\n").modules["M"]
+    polls = []
+    monkeypatch.setattr(gmodule, "check_deadline", lambda: polls.append(1))
+    dims, elements = invariant_part(M, 60)
+    assert dims == {60: 1891}
+    assert elements[0] == "z^60*e1 (zdeg 60)" and len(elements) == 24
+    assert len(polls) <= 4 * 24
 
 
 # -- invariant parts -------------------------------------------------------------------
