@@ -191,7 +191,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
     """
     ring_a = h0.ring
     ring_b = f.target
-    monos, _ = f.module_generators()
+    monos, _ = f.module_generators
     ngens = len(incl)
     if ngens == 0:
         return ModulePresentation(ring_b, ())
@@ -210,7 +210,7 @@ def _hom_as_target_module(f: RingMorphism, c0: ModulePresentation,
         mult: list[Column] = []
         for b in monos:
             xb = tuple(e + (i == t) for i, e in enumerate(b))
-            mult.append({s: ring_a.reinterpret(c) for s, c in f.coordinates(xb).items()})
+            mult.append(f.coordinates(xb))
         acting = precompose_columns(mult, len(monos), m_g)
         xt = ring_b.var(t)
         for i, gen in enumerate(incl):
@@ -380,7 +380,9 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
                       omega_a: ModulePresentation, bound: int
                       ) -> tuple[str, Optional[str]]:
     """Compare the weight-0 Hilbert table of omega_B, its invariant part,
-    with the Hilbert table of omega_A degree by degree.
+    with the Hilbert table of omega_A degree by degree.  That table sums
+    over weights, so it is read over A itself: regrading A by the target
+    group changes no Z-dimension.
 
     Returns ("equal", None) or ("unequal", first-discrepancy description).
     """
@@ -396,7 +398,7 @@ def pushforward_check(f: RingMorphism, omega_b: ModulePresentation,
     dims_b = {z: d for (z, w), d in hilbert_function(omega_b, bound).items()
               if w == 0}
     dims_a: dict[int, int] = {}
-    for (z, _w), d in hilbert_function(f.transport_module(omega_a), bound).items():
+    for (z, _w), d in hilbert_function(omega_a, bound).items():
         dims_a[z] = dims_a.get(z, 0) + d
     zmin = min(list(dims_a) + list(dims_b) + [0])
     for z in range(zmin, bound + 1):

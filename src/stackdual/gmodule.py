@@ -567,8 +567,10 @@ class RingMorphism:
     Weights are compared through the canonical index map Z/a_A -> Z/a_B
     (multiplication by a_B/a_A, requiring a_A | a_B); Z-degrees must match
     exactly.  The source ideal must map into the target ideal.  Declaring
-    the map builds the graph basis G, which decides finiteness and presents
-    B over A.
+    the map builds `weighted_source`, the source regraded by the target
+    group, and `graph`, the graph basis G, which decides finiteness and
+    presents B over A; `module_generators`, the staircase of G, is built on
+    first read.
     """
 
     def __init__(self, source: GradedRing, target: GradedRing,
@@ -600,16 +602,53 @@ class RingMorphism:
         for g in source.ideal:
             if not target.reduce(self.apply(g)).is_zero():
                 raise ValueError(f"source ideal generator {g} does not map into the target ideal")
-        self._gens_cache = None
-        self._mixed_cache = None
-        self._wsrc_cache = None
-        if not self.is_module_finite():
+        if not target.positive:
+            raise ValueError("module-finiteness detection needs positive degrees")
+        # the source regraded by the target group: each variable takes the
+        # transported weight of its image (so also for a zero image)
+        base = GradedRing(source.variables, source.zdegs,
+                          [w * self.multiplier for w in source.weights],
+                          target.group_order, (), source.order, source.name)
+        ideal = tuple(base.reinterpret(g) for g in source.ideal)
+        self.weighted_source = base.quotient(ideal) if ideal else base
+        self.graph = self._graph_basis()
+        # B is finite over A exactly when every target variable has a pure
+        # power among the source-free leads of G, which eliminates the
+        # target block (the Finiteness Theorem of Cox, Little & O'Shea, 5.3,
+        # over the source); sound also where a source variable of degree 0
+        # maps to a unit
+        nt = target.nvars
+        self._leads = [lm[:nt] for lm in self.graph.leads if not any(lm[nt:])]
+        self._powers = _pure_powers(self._leads, nt)
+        if self._powers is None:
             raise NotModuleFiniteError(
                 f"{name}: target is not module-finite over the source images")
 
     def __repr__(self):
         imgs = ", ".join(f"{v} -> {p}" for v, p in zip(self.source.variables, self.images))
         return f"{self.name}: {self.source!r} -> {self.target!r} {{{imgs}}}"
+
+    def _graph_basis(self):
+        """The reduced Groebner basis G of the graph ideal (target ideal,
+        source_var - image) in Q[target vars, renamed source vars] under an
+        order eliminating the target block, graded there by the target
+        Z-degrees."""
+        svars = [v + "~" for v in self.source.variables]
+        ring = GradedRing(
+            self.target.variables + tuple(svars),
+            self.target.zdegs + self.source.zdegs,
+            self.target.weights + self.weighted_source.weights,
+            self.target.group_order,
+            order=MonomialOrder(head_degrees=self.target.zdegs),
+            name="mixed")
+        pad = (0,) * len(svars)
+
+        def widen(p: Polynomial) -> Polynomial:
+            return ring.poly({m + pad: c for m, c in p.terms.items()})
+
+        graph = [widen(g) for g in self.target.ideal]
+        graph += [ring.var(v) - widen(img) for v, img in zip(svars, self.images)]
+        return buchberger(graph, ring=ring)
 
     # -- elementwise ---------------------------------------------------------
 
@@ -620,43 +659,19 @@ class RingMorphism:
     def transport_bidegree(self, d: Bidegree) -> Bidegree:
         return Bidegree(d.zdeg, d.weight * self.multiplier, self.target.group_order)
 
-    # -- the weighted source ring ---------------------------------------------
-
-    def weighted_source(self) -> GradedRing:
-        """The source ring regraded by the target group: each variable picks
-        up the weight of its image, so modules restricted along the map keep
-        the full equivariant bookkeeping (the transported weight, so also
-        for a zero image)."""
-        if self._wsrc_cache is None:
-            weights = [w * self.multiplier for w in self.source.weights]
-            base = GradedRing(self.source.variables, self.source.zdegs, weights,
-                              self.target.group_order, (), self.source.order,
-                              self.source.name)
-            ideal = tuple(base.reinterpret(g) for g in self.source.ideal)
-            self._wsrc_cache = base.quotient(ideal) if ideal else base
-        return self._wsrc_cache
-
     def transport_module(self, M: ModulePresentation) -> ModulePresentation:
         """Reinterpret a source module over the weighted source ring."""
         if M.ring.ambient().signature != self.source.ambient().signature:
             raise RingMismatchError("module is not over the morphism source")
-        ring = self.weighted_source()
+        ring = self.weighted_source
         degs = [self.transport_bidegree(d) for d in M.bidegrees]
         rels = [{pos: ring.reinterpret(p) for pos, p in col.items()}
                 for col in M.relations]
         return ModulePresentation(ring, degs, rels)
 
-    # -- finiteness and the staircase basis -------------------------------------
+    # -- the staircase basis ---------------------------------------------------
 
-    def is_module_finite(self) -> bool:
-        """Whether every target variable has a pure power among the
-        source-free leads of G, which eliminates the target block (the
-        Finiteness Theorem of Cox, Little & O'Shea, 5.3, over the source);
-        sound also where a source variable of degree 0 maps to a unit."""
-        if not self.target.positive:
-            raise ValueError("module-finiteness detection needs positive degrees")
-        return _pure_powers(self._staircase_leads(), self.target.nvars) is not None
-
+    @cached_property
     def module_generators(self) -> tuple[tuple[Monomial, ...], tuple[Bidegree, ...]]:
         """Monomial basis of B over (images of) A: the target monomials that
         no source-free lead of the graph basis G divides, sorted by bidegree
@@ -664,47 +679,11 @@ class RingMorphism:
         least pure powers x_i^k_i among the leads.  By graded Nakayama they
         minimally generate B over A when every source variable has positive
         degree."""
-        if self._gens_cache is None:
-            leads = self._staircase_leads()
-            powers = _pure_powers(leads, self.target.nvars)
-            bound = sum(max(k - 1, 0) * d for k, d in zip(powers, self.target.zdegs))
-            found = sorted(_staircase(self.target.ambient(), leads, 0, bound),
-                           key=lambda m: (self.target.monomial_bidegree(m).zdeg,
-                                          self.target.order.key(m)))
-            self._gens_cache = (tuple(found),
-                                tuple(self.target.monomial_bidegree(m) for m in found))
-        return self._gens_cache
-
-    def _staircase_leads(self) -> list[Monomial]:
-        """The source-free leads of G, cut to the target block."""
-        nt = self.target.nvars
-        return [lm[:nt] for lm in self._mixed().leads if not any(lm[nt:])]
-
-    # -- the graph ideal -------------------------------------------------------
-
-    def _mixed(self):
-        """The reduced Groebner basis G of the graph ideal (target ideal,
-        source_var - image) in Q[target vars, renamed source vars] under an
-        order eliminating the target block, graded there by the target
-        Z-degrees (cached)."""
-        if self._mixed_cache is None:
-            svars = [v + "~" for v in self.source.variables]
-            ring = GradedRing(
-                self.target.variables + tuple(svars),
-                self.target.zdegs + self.source.zdegs,
-                self.target.weights + self.weighted_source().weights,
-                self.target.group_order,
-                order=MonomialOrder(head_degrees=self.target.zdegs),
-                name="mixed")
-            pad = (0,) * len(svars)
-
-            def widen(p: Polynomial) -> Polynomial:
-                return ring.poly({m + pad: c for m, c in p.terms.items()})
-
-            graph = [widen(g) for g in self.target.ideal]
-            graph += [ring.var(v) - widen(img) for v, img in zip(svars, self.images)]
-            self._mixed_cache = buchberger(graph, ring=ring)
-        return self._mixed_cache
+        bound = sum(max(k - 1, 0) * d for k, d in zip(self._powers, self.target.zdegs))
+        found = sorted(_staircase(self.target.ambient(), self._leads, 0, bound),
+                       key=lambda m: (self.target.monomial_bidegree(m).zdeg,
+                                      self.target.order.key(m)))
+        return tuple(found), tuple(self.target.monomial_bidegree(m) for m in found)
 
     def coordinates(self, b: Monomial, e: Optional[Monomial] = None) -> Column:
         """Write f(y^e) * x^b over the staircase basis with source
@@ -712,18 +691,17 @@ class RingMorphism:
         normal form of the graph monomial x^b * y~^e modulo G (e = None
         reads x^b alone).  The column {k: a_k} has its entries over the
         ambient of the weighted source, not reduced modulo its ideal."""
-        monos, _ = self.module_generators()
-        gb = self._mixed()
+        monos, _ = self.module_generators
         nt = self.target.nvars
         if e is None:
             e = (0,) * self.source.nvars
-        nf = normal_form(gb.ring.monomial(b + e), gb)
+        nf = normal_form(self.graph.ring.monomial(b + e), self.graph)
         coords: dict[int, dict] = {}
         for mono, coeff in nf.terms.items():
             if mono[:nt] not in monos:
                 raise RuntimeError(f"normal form of x^{b} y~^{e} left the staircase")
             coords.setdefault(monos.index(mono[:nt]), {})[mono[nt:]] = coeff
-        source_ambient = self.weighted_source().ambient()
+        source_ambient = self.weighted_source.ambient()
         return {k: source_ambient.poly(coords[k]) for k in sorted(coords)}
 
 
@@ -752,12 +730,12 @@ def restrict_along(f: RingMorphism) -> ModulePresentation:
     vector of standard terms alone is its own normal form.  `resolve`
     prunes them once, with its opening `minimalize`.
     """
-    monos, mono_degs = f.module_generators()
-    ring_a = f.weighted_source()
+    monos, mono_degs = f.module_generators
+    ring_a = f.weighted_source
     nt = f.target.nvars
     rel_cols: list[Column] = []
     for k, b in enumerate(monos):
-        for lead in f._mixed().leads:
+        for lead in f.graph.leads:
             if not monomial_divides(lead[:nt], b):
                 continue
             e = lead[nt:]

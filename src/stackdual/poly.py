@@ -644,23 +644,11 @@ class Polynomial:
 
     # -- order-dependent views ------------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Monomial, Scalar]]:
-        """(monomial, coefficient) pairs, largest first under `order` (the
-        ring's own by default, which sorts the keys themselves)."""
-        if order is None or order == self.ring.order:
-            monomial, packed = self.ring.packing.monomial, self.packed
-            return [(monomial(k), packed[k]) for k in sorted(packed, reverse=True)]
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
-    def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, Scalar]:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        if order is None or order == self.ring.order:
-            k = max(self.packed)
-            return self.ring.packing.monomial(k), self.packed[k]
-        terms = self.terms
-        mono = max(terms, key=order.key)
-        return mono, terms[mono]
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+        """(monomial, coefficient) pairs, largest first under the ring's
+        order, which sorts the keys themselves."""
+        monomial, packed = self.ring.packing.monomial, self.packed
+        return [(monomial(k), packed[k]) for k in sorted(packed, reverse=True)]
 
     # -- grading ---------------------------------------------------------------
 

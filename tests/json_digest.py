@@ -33,12 +33,21 @@ several weights, on a module with a generator of negative Z-degree and
 one above every bound, a zero module and a module whose one generator
 lies above the bound.
 
-Last of all come eight staircase-walk sessions (`walk_grid`): `invariants`
+Then come eight staircase-walk sessions (`walk_grid`): `invariants`
 where a position has no weight-zero piece, where its only weight-zero
 piece is at Z-degree 60 (twice, once with relations), where the variables
 have Z-degrees 2 and 3, and where a generator lies above the bound; and
 `node` with weights 5 and 7 at a = 101 and 211, whose B over A has rank
 2a - 1.
+
+Last of all come eleven sessions of the commands and paths the grids
+above miss (`wide_grid`): `hom` over the node's target and over a weighted
+polynomial ring; `koszul` on regular and non-regular sequences, one over a
+quotient; a module over a ring whose variables all have Z-degree 0, under
+`hom M M` and under `compare M M bound 3`, whose minimal presentation
+drops a generator that no unit entry eliminates; `dualize-finite p omega W`
+with relations in W; and `check pushforward` with a group on A, whose
+omega_A has relations and a generator of nonzero weight.
 """
 
 from __future__ import annotations
@@ -195,6 +204,50 @@ def walk_grid():
         yield f"walk/node-a{a}-i5-j7", preset_session("node", a=a, i=5, j=7), None
 
 
+NODE_B = "ring B = Q[x,y]/(x*y) group 5 weights {x:1, y:2}\n"
+DEGREE_ZERO_M = ("ring R = Q[t,u] degrees {t:0, u:0}\n"
+                 "module M over R gens e:(0,0), g:(1,0) rels t*e, (1 - t)*e, u*g\n")
+GROUP_A = ("ring A = Q[u,v]{} group 2 degrees {{u:4, v:4}}\n"
+           "ring B = Q[x,y]{} group 4 weights {{x:1, y:3}}\n"
+           "map p : A -> B {{ u = x^4, v = y^4 }}\n"
+           "module WA over A gens a1:(0,1), a2:(3,0) rels u*a1, v^2*a2\n")
+WIDE_SESSIONS = (
+    ("hom-node", NODE_B + "module W over B gens w:(-1,1), z:(0,0) rels x*w, y^2*z\n"
+     "hom W W\nhom B W\nhom W B\n"),
+    ("hom-poly", "ring R = Q[x,y,z] group 3 weights {x:1, y:2, z:0}\n"
+     "module M over R gens e1:(0,0), e2:(0,1) rels x*e1 - z*e2, y^3*e2\n"
+     "hom M M\nhom M R\n"),
+    ("koszul-regular", "ring C = Q[x,y,z] group 3 weights {x:1, y:2, z:0}\n"
+     "koszul C seq (x, y^2, z)\n"),
+    ("koszul-not-regular", "ring C = Q[x,y,z]\nkoszul C seq (x*y, x*z)\n"
+     "koszul C seq (x, x*y)\n"),
+    ("koszul-quotient", "ring C = Q[x,y,z]/(x*y - z^2) group 2 weights {x:1, y:1, z:1}\n"
+     "koszul C seq (x, y)\n"),
+    ("degree-zero-hom", DEGREE_ZERO_M + "hom M M\n"),
+    ("degree-zero-compare", DEGREE_ZERO_M + "compare M M bound 3\n"),
+    ("dualize-finite-node-omega", "ring A = Q[u,v]/(u*v) degrees {u:5, v:5}\n" + NODE_B
+     + "map p : A -> B { u = x^5, v = y^5 }\n"
+     "module W over A gens w1:(0,0), w2:(2,0) rels u*w1, v^2*w2\n"
+     "dualize-finite p omega W depth 3\n"),
+    ("dualize-finite-cusp-omega", "ring A = Q[u] degrees {u:2}\n"
+     "ring B = Q[x,y]/(y^2 - x^3) group 2 weights {x:0, y:1} degrees {x:2, y:3}\n"
+     "map f : A -> B { u = x }\nmodule W over A gens w:(1,0) rels u^3*w\n"
+     "dualize-finite f omega W depth 3\n"),
+    ("pushforward-group-poly", GROUP_A.format("", "")
+     + "check pushforward p B WA bound 20\n"),
+    ("pushforward-group-quot", GROUP_A.format("/(u*v)", "/(x*y)")
+     + "module WB over B gens b:(-2,0) rels x^2*b\n"
+     "check pushforward p WB WA bound 20\ncheck pushforward p B A bound 20\n"),
+)
+
+
+def wide_grid():
+    """Sessions of `hom`, `koszul`, a Z-degree-0 ring, `dualize-finite`
+    with an omega and `check pushforward` under a group on A."""
+    for name, text in WIDE_SESSIONS:
+        yield f"wide/{name}", text, None
+
+
 def _read_module(name: str, gen: str, gens, order, rels) -> str:
     """Module `name` on the generators `gens` declared in `order`, with the
     relations `rels` written in the generators e1..e5 of `gens`."""
@@ -233,7 +286,7 @@ def main(argv: list[str]) -> int:
         finally:
             if max_terms:
                 del os.environ["STACKDUAL_MAX_TERMS"]
-    for name, text, depth in (*read_grid(), *walk_grid()):
+    for name, text, depth in (*read_grid(), *walk_grid(), *wide_grid()):
         print_report_digest(name, text, depth)
     return 0
 

@@ -60,6 +60,9 @@ Module elements are columns, {position: Polynomial} with nonzero entries
 only, as in `stackdual.groebner`; `col` writes one from dense entries, and
 `parse_polynomial` reads one polynomial with the session parser.
 
+`leading_term` reads the largest term of a polynomial under any monomial
+order, for the reference Buchberger algorithm and the tests of orders.
+
 `reference_tokenize` is the session tokenizer as a loop over each
 character, with `->` as a token kind of its own (ARROW); `dsl.tokenize`
 reads the same tokens with one regular expression.
@@ -89,6 +92,17 @@ def col(*entries: Polynomial) -> dict:
 def scale_monomial(p: Polynomial, mono: Monomial, coeff) -> Polynomial:
     """coeff * mono * p, a single-term product."""
     return p * p.ring.monomial(mono, coeff)
+
+
+def leading_term(p: Polynomial, order: MonomialOrder | None = None):
+    """(monomial, coefficient) of the largest term of p under `order`, the
+    ring's own by default."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading term")
+    if order is None or order == p.ring.order:
+        return p.sorted_terms()[0]
+    mono = max(p.terms, key=order.key)
+    return mono, p.terms[mono]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +217,7 @@ class ReferencePolynomial:
 
 def monic(p: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """p divided by its lead coefficient under `order`; zero stays zero."""
-    return p / p.leading_term(order)[1] if p.terms else p
+    return p / leading_term(p, order)[1] if p.terms else p
 
 
 def twist(M, d):
@@ -348,12 +362,12 @@ def _reduce_poly(p: Polynomial, basis: Sequence[Polynomial],
     """Full normal form: every term of the remainder is irreducible."""
     if not basis:
         return p
-    leads = [(g.leading_term(order)[0], g.leading_term(order)[1], g) for g in basis]
+    leads = [(leading_term(g, order)[0], leading_term(g, order)[1], g) for g in basis]
     remainder = p.ring.zero()
     current = p
     while not current.is_zero():
         check_deadline()
-        mono, coeff = current.leading_term(order)
+        mono, coeff = leading_term(current, order)
         for lm, lc, g in leads:
             if monomial_divides(lm, mono):
                 current = current - scale_monomial(g, monomial_div(mono, lm),
@@ -366,8 +380,8 @@ def _reduce_poly(p: Polynomial, basis: Sequence[Polynomial],
 
 
 def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
+    lmf, lcf = leading_term(f, order)
+    lmg, lcg = leading_term(g, order)
     lcm = monomial_lcm(lmf, lmg)
     return (scale_monomial(f, monomial_div(lcm, lmf), Fraction(1) / lcf)
             - scale_monomial(g, monomial_div(lcm, lmg), Fraction(1) / lcg))
@@ -394,13 +408,13 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
             raise RingMismatchError("generators live in different rings")
 
     basis: list[Polynomial] = []
-    for g in sorted(gens, key=lambda q: (order.key(q.leading_term(order)[0]), str(q))):
+    for g in sorted(gens, key=lambda q: (order.key(leading_term(q, order)[0]), str(q))):
         r = _reduce_poly(g, basis, order)
         if not r.is_zero():
             basis.append(monic(r, order))
 
     def lead(i: int) -> Monomial:
-        return basis[i].leading_term(order)[0]
+        return leading_term(basis[i], order)[0]
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
@@ -428,11 +442,11 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
 
     # minimalize: a global order makes every proper divisor strictly smaller,
     # so processing leads in ascending order sees divisors first
-    basis.sort(key=lambda q: (order.key(q.leading_term(order)[0]), str(q)))
+    basis.sort(key=lambda q: (order.key(leading_term(q, order)[0]), str(q)))
     minimal: list[Polynomial] = []
     for g in basis:
-        lm = g.leading_term(order)[0]
-        if any(monomial_divides(h.leading_term(order)[0], lm) for h in minimal):
+        lm = leading_term(g, order)[0]
+        if any(monomial_divides(leading_term(h, order)[0], lm) for h in minimal):
             continue
         minimal.append(g)
 
@@ -441,7 +455,7 @@ def reference_buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
         final.append(monic(_reduce_poly(g, others, order), order))
-    final.sort(key=lambda q: order.key(q.leading_term(order)[0]), reverse=True)
+    final.sort(key=lambda q: order.key(leading_term(q, order)[0]), reverse=True)
     return tuple(final)
 
 
@@ -515,9 +529,9 @@ def reference_restrict_along(f):
     """
     from stackdual import groebner
     from stackdual.gmodule import ModulePresentation
-    monos, mono_degs = f.module_generators()
-    ring_a = f.weighted_source()
-    graph_gb = f._mixed()
+    monos, mono_degs = f.module_generators
+    ring_a = f.weighted_source
+    graph_gb = f.graph
     mixed = graph_gb.ring
     nt = f.target.nvars
     ns = f.source.nvars
@@ -553,12 +567,12 @@ def reference_pruned_restriction(f):
     `minimal_generating_vectors` in the greedy order."""
     from stackdual import groebner
     from stackdual.gmodule import ModulePresentation
-    monos, mono_degs = f.module_generators()
-    ring_a = f.weighted_source()
+    monos, mono_degs = f.module_generators
+    ring_a = f.weighted_source
     nt = f.target.nvars
     rel_cols = []
     for k, b in enumerate(monos):
-        for lead in f._mixed().leads:
+        for lead in f.graph.leads:
             if not monomial_divides(lead[:nt], b):
                 continue
             e = lead[nt:]
@@ -692,7 +706,7 @@ def _contraction_leads(target, images):
     images) in the target order."""
     from stackdual.groebner import buchberger
     gb = buchberger(list(target.ideal) + list(images), ring=target.ambient())
-    return [g.leading_term()[0] for g in gb.generators]
+    return [leading_term(g)[0] for g in gb.generators]
 
 
 def reference_is_module_finite(target, images):
@@ -725,7 +739,7 @@ def reference_krull_dimension(ring, gens):
     """Krull dimension of ring/(gens): the size of a largest set of
     variables that holds the support of no lead of `reference_buchberger`'s
     basis; -1 for the unit ideal."""
-    leads = [g.leading_term()[0] for g in reference_buchberger(gens, ring=ring)]
+    leads = [leading_term(g)[0] for g in reference_buchberger(gens, ring=ring)]
     if any(not any(lm) for lm in leads):
         return -1
     return max(size for size in range(ring.nvars + 1)

@@ -269,7 +269,7 @@ map p : A -> B { u = x^2, v = y^2 }
     f = ast.maps["p"]
     ba = restrict_along(f)
     res = resolve(ba, 4)
-    hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
+    hc = hom_complex(res, ModulePresentation.structure(f.weighted_source))
     for i in (1, 2, 3):
         assert homology(hc, i).rank == 0
 

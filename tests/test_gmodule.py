@@ -134,7 +134,7 @@ def test_hom_node_module_matches_restriction():
     f = node_map(2, 1, 1)
     ba = restrict_along(f)
     # Hom_A(B, A): same bigraded dimensions as B itself (it is B e0 dual)
-    h = hom_module(ba, structure(f.weighted_source()))
+    h = hom_module(ba, structure(f.weighted_source))
     table = hilbert_function(minimalize(h), 6)
     b_table = hilbert_function(ba, 6)
     assert sum(table.values()) > 0
@@ -289,7 +289,7 @@ def test_the_restriction_staircase_costs_its_size(monkeypatch):
     f = node_map(101, 5, 7)
     polls = []
     monkeypatch.setattr(gmodule, "check_deadline", lambda: polls.append(1))
-    monos, _ = f.module_generators()
+    monos, _ = f.module_generators
     assert len(monos) == 201
     assert len(polls) <= 4 * len(monos)
 

@@ -18,7 +18,8 @@ its staircase against the contraction staircase and its coordinates
 against `RingMorphism.apply`, also into targets of unequal degrees, the
 finiteness verdict of a map declaration against the contraction basis,
 Hilbert tables and invariant parts read off the Hilbert series of the lead
-ideals against counting standard monomials, degree-0 quotients that
+ideals against counting standard monomials, Z-dimensions that moving a
+module along a map to the weighted source keeps, degree-0 quotients that
 `minimalize` leaves with no generator exactly when their relations span
 every unit vector, the column invariant: every
 stored module column holds nonzero reduced entries in position order,
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (annihilates, col, engine_terms, reference_buchberger,
+from oracles import (annihilates, col, engine_terms, leading_term, reference_buchberger,
                      reference_hilbert_function, reference_homology,
                      reference_invariant_part, reference_is_module_finite,
                      reference_kernel, reference_krull_dimension,
@@ -107,9 +108,9 @@ def test_leading_term_multiplicative(instances):
     for ring, (p, q, _) in instances:
         if p.is_zero() or q.is_zero():
             continue
-        mp, cp = p.leading_term()
-        mq, cq = q.leading_term()
-        mpq, cpq = (p * q).leading_term()
+        mp, cp = leading_term(p)
+        mq, cq = leading_term(q)
+        mpq, cpq = leading_term(p * q)
         assert mpq == tuple(a + b for a, b in zip(mp, mq))
         assert cpq == cp * cq
 
@@ -174,7 +175,7 @@ def test_basis_leads_are_the_generator_leads(instances):
             target = GradedRing(ring.variables, weights=ring.weights,
                                 group_order=ring.group_order, order=order)
             gb = buchberger([target.reinterpret(g) for g in polys], ring=target)
-            assert gb.leads == tuple(g.leading_term()[0] for g in gb.generators)
+            assert gb.leads == tuple(leading_term(g)[0] for g in gb.generators)
 
 
 def test_syzygies_annihilate_rows(instances):
@@ -359,7 +360,7 @@ map p : A -> B { u = x^3, v = y^3 }
     ba = restrict_along(f)
     res = resolve(ba, 4)
     res.check_composition()
-    hc = hom_complex(res, ModulePresentation.structure(f.weighted_source()))
+    hc = hom_complex(res, ModulePresentation.structure(f.weighted_source))
     hc.check_composition()
     for c in ba.relations:
         assert vector_bidegree(c, ba.bidegrees) is not None
@@ -549,14 +550,15 @@ def test_span_only_basis_matches_tracked_on_span_instances():
 def test_span_only_basis_matches_tracked_on_restriction_input(monkeypatch):
     ast = parse_session(preset_session("node", a=5, i=2, j=3))
     (f,) = ast.maps.values()
-    mixed = f._mixed().ring
+    mixed = f.graph.ring
     captured = []
 
     class Recording(groebner._TrackedGB):
-        def __init__(self, vectors, ring, track=False):
-            if ring is mixed and not track:
-                captured.append([dict(v) for v in vectors])
-            super().__init__(vectors, ring, track)
+        def __init__(self, vectors, ring, *args, **kwargs):
+            copies = [dict(v) for v in vectors]
+            super().__init__(vectors, ring, *args, **kwargs)
+            if ring is mixed and not self.track:
+                captured.append(copies)
 
     monkeypatch.setattr(groebner, "_TrackedGB", Recording)
     reference_restrict_along(f)
@@ -686,7 +688,7 @@ def test_resolve_alone_prunes_the_restriction():
     # the staircase stays the minimal generating set, and resolve's
     # minimalize spans what pruning inside restrict_along kept
     for f in restriction_maps(SEED + 15):
-        monos, _ = f.module_generators()
+        monos, _ = f.module_generators
         ba = restrict_along(f)
         assert resolve(ba, 2).terms[0].rank == len(monos)
         pruned = reference_pruned_restriction(f)
@@ -724,7 +726,7 @@ def test_staircase_matches_the_contraction_staircase():
     # order; the sets agree when the graph order's target block is the
     # target's own order
     for f in restriction_maps(SEED + 15):
-        monos, _ = f.module_generators()
+        monos, _ = f.module_generators
         ref = reference_module_generators(f)
         assert len(monos) == len(ref)
         if len(set(f.target.zdegs)) == 1 and f.target.order == MonomialOrder():
@@ -743,7 +745,7 @@ def test_coordinates_satisfy_their_definition():
     # sum_k f(a_k) * b_k = f(y^e) * x^b in B, checked by RingMorphism.apply
     rng = random.Random(SEED + 16)
     for f in restriction_maps(SEED + 15):
-        monos, _ = f.module_generators()
+        monos, _ = f.module_generators
         if not monos:
             continue
         target = f.target
@@ -806,7 +808,7 @@ def homology_library(sequence_library):
     out.append(hom_complex(res, ModulePresentation.structure(triple)))
     f = parse_session(preset_session("node", a=3, i=1, j=2)).maps["p"]
     res = resolve(restrict_along(f), 4)
-    out.append(hom_complex(res, ModulePresentation.structure(f.weighted_source())))
+    out.append(hom_complex(res, ModulePresentation.structure(f.weighted_source)))
     rng = random.Random(SEED + 14)
     for n in range(6):
         ring = random_ring(rng)
@@ -991,40 +993,54 @@ def staircase_modules(seed, count):
         ring = GradedRing(["x", "y", "z"],
                           zdegs=[rng.choice([1, 2, 3]) for _ in "xyz"],
                           weights=[rng.randrange(a) for _ in "xyz"], group_order=a)
-        by_bidegree = {}
-        for m in itertools.product(range(7), repeat=3):
-            d = ring.monomial_bidegree(m)
-            if d.zdeg <= 6:
-                by_bidegree.setdefault((d.zdeg, d.weight), []).append(m)
+        by_bidegree = monomials_by_bidegree(ring)
         if n % 3 == 1:
             monos = by_bidegree[rng.choice(sorted(k for k in by_bidegree if k[0] >= 2))]
             ring = ring.quotient([sum((ring.monomial(m, rng.choice([-2, 1, 3]))
                                        for m in rng.sample(monos, min(2, len(monos)))),
                                       ring.zero())])
-        gens = [Bidegree(rng.randint(-3, HILBERT_BOUND + 2), rng.randrange(a), a)
-                for _ in range(n // 4 % 4)]
-        monomial = n % 2 == 0
-        rels = []
-        for _ in range(rng.randint(0, 5) if gens else 0):
-            # a pivot term fixes the column's bidegree; other terms match it
-            pivot = rng.randrange(len(gens))
-            lead = rng.choice([m for ms in by_bidegree.values() for m in ms
-                               if sum(m) <= 4])
-            d = ring.monomial_bidegree(lead) + gens[pivot]
-            entries = [ring.zero() for _ in gens]
-            entries[pivot] = ring.monomial(lead)
-            for k, g in enumerate(gens):
-                if monomial:
-                    break
-                e = d - g
-                monos = [m for m in by_bidegree.get((e.zdeg, e.weight), [])
-                         if (k, m) != (pivot, lead)]
-                if monos and rng.random() < 0.7:
-                    entries[k] = entries[k] + ring.monomial(rng.choice(monos),
-                                                            rng.choice([-1, 2]))
-            rels.append(col(*entries))
-        out.append(ModulePresentation(ring, tuple(gens), rels))
+        out.append(seeded_module(rng, ring, n // 4 % 4, n % 2 == 0))
     return out
+
+
+def monomials_by_bidegree(ring):
+    """{(zdeg, weight): monomials} for the monomials of Z-degree <= 6."""
+    out = {}
+    for m in itertools.product(range(7), repeat=ring.nvars):
+        d = ring.monomial_bidegree(m)
+        if d.zdeg <= 6:
+            out.setdefault((d.zdeg, d.weight), []).append(m)
+    return out
+
+
+def seeded_module(rng, ring, rank, monomial):
+    """A module over `ring` on `rank` generators of Z-degrees -3 to
+    HILBERT_BOUND + 2, with up to five relations: a monomial times a
+    generator when `monomial`, else sums of terms over several positions."""
+    a = ring.group_order
+    by_bidegree = monomials_by_bidegree(ring)
+    gens = [Bidegree(rng.randint(-3, HILBERT_BOUND + 2), rng.randrange(a), a)
+            for _ in range(rank)]
+    rels = []
+    for _ in range(rng.randint(0, 5) if gens else 0):
+        # a pivot term fixes the column's bidegree; other terms match it
+        pivot = rng.randrange(len(gens))
+        lead = rng.choice([m for ms in by_bidegree.values() for m in ms
+                           if sum(m) <= 4])
+        d = ring.monomial_bidegree(lead) + gens[pivot]
+        entries = [ring.zero() for _ in gens]
+        entries[pivot] = ring.monomial(lead)
+        for k, g in enumerate(gens):
+            if monomial:
+                break
+            e = d - g
+            monos = [m for m in by_bidegree.get((e.zdeg, e.weight), [])
+                     if (k, m) != (pivot, lead)]
+            if monos and rng.random() < 0.7:
+                entries[k] = entries[k] + ring.monomial(rng.choice(monos),
+                                                        rng.choice([-1, 2]))
+        rels.append(col(*entries))
+    return ModulePresentation(ring, tuple(gens), rels)
 
 
 def test_hilbert_series_matches_enumeration():
@@ -1043,6 +1059,32 @@ def test_hilbert_series_matches_enumeration():
             reference_invariant_part(M, HILBERT_BOUND)
         with pytest.raises(ValueError, match="zmax must be >= 0"):
             invariant_part(M, -1)
+
+
+def test_transport_keeps_every_z_dimension():
+    """`pushforward_check` reads omega_A's Hilbert table over A itself: a
+    module over the source of a restriction map and its transport over
+    the weighted source have, in each Z-degree summed over weights, the
+    same dimension."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    maps = [f for f in restriction_maps(SEED + 15) if f.source.positive]
+
+    def z_dims(M):
+        out = {}
+        for (z, _w), d in hilbert_function(M, HILBERT_BOUND).items():
+            out[z] = out.get(z, 0) + d
+        return out
+
+    @hyp.settings(derandomize=True, max_examples=80, deadline=None,
+                  database=None)
+    @hyp.given(st.sampled_from(maps), st.integers(1, 3), st.booleans(),
+               st.integers(0, 2 ** 32))
+    def check(f, rank, monomial, seed):
+        M = seeded_module(random.Random(seed), f.source, rank, monomial)
+        assert z_dims(f.transport_module(M)) == z_dims(M)
+
+    check()
 
 
 def test_degree_zero_variables_still_raise_and_compare_stays_inconclusive():
