@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .caps import InputError, check_deadline
 from .complexes import (ChainComplex, hom_complex, homology, homology_rank,
@@ -30,9 +30,9 @@ COMPARE_BOUND = 8
 # report types
 
 
-def _ext_profile_line(profile: dict[int, tuple[bool, int]]) -> str:
-    return " ".join(f"Ext^{i}={'0' if z else f'{n} gens'}"
-                    for i, (z, n) in sorted(profile.items()))
+def _ext_profile_line(profile: dict[int, int]) -> str:
+    return " ".join(f"Ext^{i}={f'{n} gens' if n else '0'}"
+                    for i, n in sorted(profile.items()))
 
 
 @dataclass
@@ -41,7 +41,7 @@ class DualityReport:
     module: ModulePresentation
     depth: int
     is_sheaf: Optional[bool]
-    ext_profile: dict[int, tuple[bool, int]] = field(default_factory=dict)
+    ext_profile: dict[int, int] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -88,7 +88,7 @@ class DualityReport:
 @dataclass
 class CMReport:
     codimension: Optional[int]
-    ext_profile: dict[int, tuple[bool, int]]
+    ext_profile: dict[int, int]
     cohen_macaulay: bool
     gorenstein: bool
     inconclusive: bool = False
@@ -120,6 +120,25 @@ def canonical_module(C: GradedRing) -> ModulePresentation:
     return ModulePresentation(C, (total,))
 
 
+def _ext_ranks(hc: ChainComplex, indices: Iterable[int],
+               repeat: tuple[int, int] | None = None) -> dict[int, int]:
+    """{i: rank of H^i} of a Hom complex for ascending indices, read by
+    `homology_rank`.  H^i vanishes past `hc.length`; past a repeat (k, p) of
+    the resolution under it, H^i is H^{i-p} shifted for i >= k + p, so its
+    rank is copied from p steps earlier."""
+    k, p = repeat or (hc.length + 1, 0)
+    ranks: dict[int, int] = {}
+    for i in indices:
+        check_deadline()
+        if i > hc.length:
+            ranks[i] = 0
+        elif i >= k + p:
+            ranks[i] = ranks[i - p]
+        else:
+            ranks[i] = homology_rank(hc, i)
+    return ranks
+
+
 # ---------------------------------------------------------------------------
 # finite duality
 
@@ -149,25 +168,13 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
     if res.terms[0].rank != ba.rank:
         raise RuntimeError("staircase generators failed to stay minimal")
     hc = hom_complex(res, m_g)
-    # past a repeat (k, p) of the resolution, H^i is H^{i-p} shifted for
-    # i >= k + p, with the same rank
-    k, p = res.repeat or (depth + 1, 0)
-    ext_profile: dict[int, tuple[bool, int]] = {}
-    for i in range(1, depth + 1):
-        check_deadline()
-        if i > hc.length:
-            ext_profile[i] = (True, 0)
-        elif i >= k + p:
-            ext_profile[i] = ext_profile[i - p]
-        else:
-            n = homology_rank(hc, i)
-            ext_profile[i] = (n == 0, n)
+    ext_profile = _ext_ranks(hc, range(1, depth + 1), res.repeat)
 
     h0, incl = homology_with_inclusion(hc, 0)
     module = _hom_as_target_module(f, hc.terms[0], h0, incl, m_g)
     module = minimalize(module)
 
-    is_sheaf = all(z for z, _ in ext_profile.values())
+    is_sheaf = not any(ext_profile.values())
     notes = []
     if res.finite:
         notes.append(f"A-resolution of B is finite (length {res.length})")
@@ -237,20 +244,10 @@ def _check_ext_inputs(C: GradedRing, omega: ModulePresentation, imax: int) -> No
         raise RingMismatchError("omega must live over the ambient ring")
 
 
-def _ext_over(ring_b: GradedRing, cohomology: Sequence[ModulePresentation],
-              imax: int) -> list[tuple[int, ModulePresentation]]:
-    """Ext^i for i = 0..imax from H^i of a Hom complex over the ambient
-    ring: each moved to B and minimalized there (relations that vanish
-    modulo I drop out); indices past `cohomology` are zero."""
-    out = []
-    for i in range(imax + 1):
-        if i >= len(cohomology):
-            out.append((i, ModulePresentation(ring_b, ())))
-            continue
-        h = cohomology[i]
-        over_b = ModulePresentation(ring_b, h.bidegrees, h.relations)
-        out.append((i, minimalize(over_b)))
-    return out
+def _over(ring_b: GradedRing, h: ModulePresentation) -> ModulePresentation:
+    """H^i of a Hom complex over the ambient ring as Ext^i over B: moved to
+    B and minimalized there (relations that vanish modulo I drop out)."""
+    return minimalize(ModulePresentation(ring_b, h.bidegrees, h.relations))
 
 
 def _ext_complex(C: GradedRing, ideal_gens: Sequence[Polynomial],
@@ -271,8 +268,8 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
     """Ext^i_C(C/I, omega) as modules over B = C/I, for i = 0..imax, from
     the Hom complex of a minimal resolution of C/I."""
     ring_b, hc = _ext_complex(C, ideal_gens, omega, imax)
-    return _ext_over(ring_b, [homology(hc, i)
-                              for i in range(min(imax, hc.length) + 1)], imax)
+    return [(i, _over(ring_b, homology(hc, i)) if i <= hc.length
+             else ModulePresentation(ring_b, ())) for i in range(imax + 1)]
 
 
 def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
@@ -283,10 +280,11 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
 
     Everything is read off Hom(K, omega) for the Koszul complex K of the
     sequence.  K is self-dual, so H^j of it is H_{r-j}(K) up to a twist: a
-    nonzero H^j below r means the sequence is not regular.  Otherwise K
-    resolves B, H^i is Ext^i, and the formula is cross-checked against
-    Ext^r whatever `imax`, the last index of the printed profile; the
-    other Ext vanish because K has length r.
+    nonzero H^j below r, read off its rank, or a unit ideal (whose K is
+    exact) means the sequence is not regular.  Otherwise K resolves B, H^i
+    is Ext^i, and the formula is cross-checked against Ext^r whatever
+    `imax`, the last index of the printed profile; the other Ext vanish
+    because K has length r.
     """
     if omega.rank != 1 or omega.relations:
         raise InputError("omega must be free of rank one")
@@ -295,23 +293,22 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     imax = imax if imax is not None else max(r + 1, 2)
     _check_ext_inputs(C, omega, imax)
     hc = hom_complex(koszul(C, seq), omega)
-    cohomology: list[ModulePresentation] = []
-    for j in range(r - 1, -1, -1):
-        cohomology.insert(0, homology(hc, j))
-        if cohomology[0].rank:
-            raise InputError(f"sequence is not regular: Koszul H_{r - j} is nonzero")
-    cohomology.append(homology(hc, r))
+    below = [j for j, n in _ext_ranks(hc, range(r)).items() if n]
+    if below:
+        raise InputError(f"sequence is not regular: Koszul H_{r - below[-1]} is nonzero")
 
     ring_b = C.quotient(seq, name=f"{C.name}/I")
+    if any(g.is_constant() for g in ring_b.ideal_groebner().generators):
+        raise InputError("sequence generates the unit ideal")
     total = C.degree_zero()
     for g in seq:
         total = total + g.bidegree()
     gen_deg = omega.bidegrees[0] - total
     module = ModulePresentation(ring_b, (gen_deg,))
 
-    exts = _ext_over(ring_b, cohomology, max(imax, r))
-    profile = {i: (ext.rank == 0, ext.rank) for i, ext in exts[:imax + 1]}
-    verdict = compare_modules(module, exts[r][1], COMPARE_BOUND)
+    ext_r = _over(ring_b, homology(hc, r))
+    profile = {i: ext_r.rank if i == r else 0 for i in range(imax + 1)}
+    verdict = compare_modules(module, ext_r, COMPARE_BOUND)
     notes = [f"cross-check against Ext^{r}: {verdict}"]
     if verdict != "isomorphic-up-to-bound":
         notes.append("CROSS-CHECK FAILED")
@@ -348,13 +345,11 @@ def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
     omega = canonical_module(C)
     if C.positive:
         ring_b, hc = _ext_complex(C, ideal_gens, omega, imax)
-        ranks = [homology_rank(hc, i) if i <= hc.length else 0
-                 for i in range(imax + 1)]
+        profile = _ext_ranks(hc, range(imax + 1))
     else:
         exts = ext_dualizing(C, ideal_gens, omega, imax)
-        ring_b, ranks = exts[0][1].ring, [e.rank for _, e in exts]
-    profile = {i: (n == 0, n) for i, n in enumerate(ranks)}
-    nonzero = [i for i, (z, _) in sorted(profile.items()) if not z]
+        ring_b, profile = exts[0][1].ring, {i: e.rank for i, e in exts}
+    nonzero = [i for i, n in profile.items() if n]
     notes: list[str] = []
     if not nonzero:
         return CMReport(None, profile, False, False, inconclusive=True,
@@ -368,7 +363,7 @@ def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
         notes.append(f"first nonvanishing Ext index {r} disagrees with "
                      f"combinatorial codimension {codim_by_dim}")
     cm = nonzero == [r] and not inconclusive
-    gorenstein = cm and profile[r][1] == 1
+    gorenstein = cm and profile[r] == 1
     return CMReport(r, profile, cm, gorenstein, inconclusive, notes)
 
 

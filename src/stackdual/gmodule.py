@@ -483,22 +483,6 @@ def _live_generators(M: ModulePresentation, zmax: int
     return live
 
 
-def _position_series(M: ModulePresentation, zmax: int):
-    """Yield (generator index, its bidegree, its leads, dims) for every
-    generator of zdeg <= zmax, where dims[z][w] counts the standard
-    monomials of that position of Z-degree z and weight w, up to the
-    bound."""
-    ring = M.ring
-    live = _live_generators(M, zmax)
-    if not live:
-        return
-    gb = M.span.gb
-    for k, g in live:
-        leads = gb.lead_monomials(k)
-        top = zmax - g.zdeg
-        yield k, g, leads, _expand(ring, _numerator(ring, leads, top), top)
-
-
 def hilbert_function(M: ModulePresentation, zmax: int) -> dict[tuple[int, int], int]:
     """Exact dimensions of the bigraded pieces for zdeg <= zmax.
 
@@ -539,9 +523,10 @@ def invariant_part(M: ModulePresentation, bound: int
     ring = M.ring
     dims: dict[int, int] = {}
     elements: list[str] = []
-    for k, g, leads, series in _position_series(M, bound):
-        w0 = -g.weight % ring.group_order
-        for z, row in enumerate(series):
+    for k, g in _live_generators(M, bound):
+        leads = M.span.gb.lead_monomials(k)
+        top, w0 = bound - g.zdeg, -g.weight % ring.group_order
+        for z, row in enumerate(_expand(ring, _numerator(ring, leads, top), top)):
             if not row[w0]:
                 continue
             dims[g.zdeg + z] = dims.get(g.zdeg + z, 0) + row[w0]

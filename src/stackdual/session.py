@@ -113,9 +113,9 @@ def table_json(table: dict) -> list:
     return out
 
 
-def _ext_profile_json(profile: dict[int, tuple[bool, int]]) -> dict:
-    return {str(i): {"zero": z, "min_generators": n}
-            for i, (z, n) in sorted(profile.items())}
+def _ext_profile_json(profile: dict[int, int]) -> dict:
+    return {str(i): {"zero": n == 0, "min_generators": n}
+            for i, n in sorted(profile.items())}
 
 
 def duality_report_json(rep: DualityReport) -> dict:

@@ -51,7 +51,7 @@ def test_criterion_1_node_dualizing_sheaf_trivial():
         rep = finite_shriek(node_morphism(a, i, j), depth=4)
         ok &= rep.is_free_rank_one
         ok &= rep.generator_bidegrees[0].weight == 0
-        ok &= all(rep.ext_profile[k][0] for k in (1, 2, 3, 4))
+        ok &= not any(rep.ext_profile[k] for k in (1, 2, 3, 4))
     report(1, ok, "node: free rank 1, weight exactly 0, Ext^1..4 = 0 "
                   "for (a,i,j) in {(2,1,1),(3,1,2),(5,2,3)}")
 
@@ -166,7 +166,7 @@ def test_criterion_5_lci_formula_equals_ext():
         exts = dict(ext_dualizing(ring, seq, omega, r + 1))
         ok &= all(e.rank == 0 for i, e in exts.items() if i != r)
         ok &= compare_modules(rep.module, exts[r], 8) == "isomorphic-up-to-bound"
-        ok &= rep.ext_profile == {i: (e.rank == 0, e.rank) for i, e in exts.items()}
+        ok &= rep.ext_profile == {i: e.rank for i, e in exts.items()}
     report(5, ok, f"l.c.i. formula matches Ext^r (bound 8), Ext vanishes "
                   f"away from r and the Koszul Ext profile matches the "
                   f"resolution's over {len(lib)} regular sequences")
@@ -333,3 +333,20 @@ def test_report_matrix_matches_its_golden():
               if golden.get(name) != rows.get(name)]
     assert not differ, f"report matrix rows differ from the golden: {sorted(differ)}"
     assert list(rows) == list(golden)
+
+
+def test_json_digest_matches_its_golden():
+    """Every session of `tests/json_digest.py` hashes its `--json` bytes,
+    human text and exit code as in tests/golden/json_digest.txt.
+
+    An existing row changes only in a golden PR.  A session appended to
+    the digest gets its row from the parent commit's `src`, with
+    `python tests/json_digest.py src > tests/golden/json_digest.txt`."""
+    root = GOLDEN.parents[1]
+    run = subprocess.run([sys.executable, str(root / "tests" / "json_digest.py"),
+                          str(root / "src")], cwd=root, capture_output=True,
+                         text=True, check=True)
+    rows = run.stdout.splitlines()
+    golden = (GOLDEN / "json_digest.txt").read_text(encoding="utf-8").splitlines()
+    differ = sorted({line.split("\t", 1)[0] for line in set(rows) ^ set(golden)})
+    assert rows == golden, f"json digest rows differ from the golden: {differ}"

@@ -129,6 +129,19 @@ def test_nonregular_lci_sequence_exits_2(capsys, tmp_path):
     assert "error: sequence is not regular: Koszul H_1 is nonzero" in out
 
 
+@pytest.mark.parametrize("seq", ["(0, -1)", "(1)"])
+def test_an_lci_sequence_generating_the_unit_ideal_exits_2(seq, capsys, tmp_path):
+    # a unit entry makes the Koszul complex exact, so the regularity test
+    # passes; (0, -1) used to exit 4 on the zero entry's degree, and (1) to
+    # exit 1 with a failed cross-check over the zero ring
+    session = tmp_path / "lci.sdl"
+    session.write_text(f"ring R = Q[x]\ndualize-lci R seq {seq} omega canonical\n")
+    code, out, err = run_cli(["run", str(session)], capsys)
+    assert code == 2 and "Traceback" not in out + err
+    errors = [line for line in out.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sequence generates the unit ideal"]
+
+
 def test_zero_koszul_entry_is_homogeneous(capsys, tmp_path):
     # a zero entry has bidegree zero, so (x, 0) is a sequence that is not
     # regular: its Koszul H_1 holds the zero entry's generator

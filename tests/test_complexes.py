@@ -7,7 +7,7 @@ from oracles import col, reference_resolve
 
 from stackdual.complexes import (ChainComplex, _detect_period, hom_complex,
                                  homology, koszul, resolve)
-from stackdual import complexes, groebner
+from stackdual import complexes, duality, groebner
 from stackdual.dsl import parse_session
 from stackdual.duality import finite_shriek
 from stackdual.gmodule import (ModuleMap, ModulePresentation,
@@ -137,20 +137,30 @@ def test_resolution_stopped_at_its_repeat_equals_the_full_one(preset, repeat):
 
 
 def test_syzygy_steps_stop_at_the_repeat(monkeypatch):
-    calls = []
+    # node at a = 5 repeats at (2, 2): past H^3 every Ext rank is a copy,
+    # so neither the resolution nor the homology grows with the depth
+    calls, ranked = [], []
     original = complexes.syzygies_over
+    original_rank = duality.homology_rank
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def counting_rank(hc, i):
+        ranked.append(i)
+        return original_rank(hc, i)
+
     monkeypatch.setattr(complexes, "syzygies_over", counting)
+    monkeypatch.setattr(duality, "homology_rank", counting_rank)
     f = preset_map("node", a=5)
     counts = []
     for depth in (4, 40):
         calls.clear()
+        ranked.clear()
         rep = finite_shriek(f, depth=depth)
         assert set(rep.ext_profile) == set(range(1, depth + 1))
+        assert ranked == [1, 2, 3]
         counts.append(len(calls))
     assert counts[0] == counts[1] == 3
 
