@@ -176,7 +176,7 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
             break
         syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
         degs = [vector_bidegree(v, current_degs) for v in syz]
-        keep = sorted(minimal_generating_vectors(ring, syz, len(current_cols), degs))
+        keep = sorted(minimal_generating_vectors(ring, syz, current_degs, degs))
         current_cols = tuple(syz[k] for k in keep)
         current_degs = tuple(degs[k] for k in keep)
     return ChainComplex(ring, terms, maps)

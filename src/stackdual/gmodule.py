@@ -237,7 +237,7 @@ def subquotient_generators(gens: Sequence[Column], subs: Sequence[Column],
     degs = [vector_bidegree(g, within.bidegrees) for g in gens]
     if any(d is None and g for g, d in zip(gens, degs)):
         raise ValueError("inhomogeneous subquotient generator")
-    keep = sorted(minimal_generating_vectors(ring, gens, within.rank, degs,
+    keep = sorted(minimal_generating_vectors(ring, gens, within.bidegrees, degs,
                                              [*subs, *within.relations]))
     return [gens[i] for i in keep], [degs[i] for i in keep]
 
@@ -357,8 +357,7 @@ def minimalize_with_tracking(M: ModulePresentation
         if ring.positive or not gens:
             break
         units = [{i: ring.one()} for i in range(len(gens))]
-        keep = sorted(minimal_generating_vectors(ring, units, len(gens),
-                                                 gens, cols))
+        keep = sorted(minimal_generating_vectors(ring, units, gens, gens, cols))
         if len(keep) == len(gens):
             break
         cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
@@ -368,7 +367,7 @@ def minimalize_with_tracking(M: ModulePresentation
     # dedupe then prune columns expressible through the others
     unique = list({tuple(col.items()): col for col in cols if col}.values())
     degs = [vector_bidegree(col, gens) for col in unique]
-    keep = minimal_generating_vectors(ring, unique, len(gens), degs)
+    keep = minimal_generating_vectors(ring, unique, gens, degs)
     return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
 
 

@@ -19,7 +19,11 @@ drops S-pairs by the chain criterion; the product criterion does not hold
 for module elements.  `contains` keeps the remainder of the column it was
 asked about, and an `extend` of that same column inserts that remainder
 instead of reducing the column again, so a greedy loop that asks and then
-keeps reduces each kept candidate once.  A liftable one (`lift`,
+keeps reduces each kept candidate once.  The oracle of
+`minimal_generating_vectors` is degree-truncated when its input is
+homogeneous over a positively graded ring: it processes an S-pair only
+when a query of at least that pair's Z-degree needs it, so candidates
+never pay for pairs above their own degree.  A liftable oracle (`lift`,
 `syzygies`, and so `syzygies_over`) is fixed at construction: it records
 how every basis element is expressed in the inputs and processes every
 S-pair, so Schreyer syzygies fall out of the S-pair reductions.  Liftable
@@ -245,16 +249,36 @@ class _TrackedGB:
     insertion).  Pairs pop by the Z-degree of their lcm first, then by the
     order (the sugar strategy for homogeneous input), so a basis completes
     degree by degree instead of growing large before it reduces.
+
+    Given `position_zdegs`, the Z-degrees of the positions, a span-only
+    basis is degree-truncated.  A pair's key then begins with the Z-degree
+    of its S-vector, zdeg(lcm) + zdeg(position).  The constructor and
+    `extend` complete nothing; `complete_for(vec)` processes the pairs up
+    to vec's Z-degree and leaves the rest pending, so the chain criterion
+    never skips a pair on the strength of an unprocessed one.  This is
+    exact when every variable has positive Z-degree and every input is
+    homogeneous: an S-vector of degree d reduces to a vector of degree d,
+    and a vector of degree D is reduced only by basis elements of degree
+    at most D, so once every pair of degree at most D is processed the
+    basis decides membership of every vector of degree at most D (Kreuzer
+    and Robbiano, Computational Commutative Algebra 2, 4.5-4.6).  Only
+    `minimal_generating_vectors` truncates, and only on such input.
+    Liftable bases stay eager, because their Schreyer syzygies depend on
+    the pair order; so do presentation spans, whose full basis
+    `hilbert_function` reads through `lead_monomials`, and `buchberger`.
     """
 
     def __init__(self, vectors: Sequence[VecDict], ring: GradedRing,
-                 track: bool = False):
+                 track: bool = False,
+                 position_zdegs: Optional[Sequence[int]] = None):
         self.ring = ring
         self.packing = ring.packing
         # the unit monomial and the guard bits at term level
         self.one = self.packing.one << 64
         self.guards = self.packing.guards << 64
         self.track = track
+        # set only on a degree-truncated basis (see the class docstring)
+        self.position_zdegs = position_zdegs
         self.basis: list[VecDict] = []
         self.leads: list[int] = []
         # each lead's monomial, decoded once when it is inserted
@@ -268,7 +292,8 @@ class _TrackedGB:
         for i, v in enumerate(vectors):
             if v:
                 self._insert(dict(v), {self.one + FIELD_MAX - i: 1})
-        self._complete()
+        if position_zdegs is None:
+            self._complete()
 
     def divides(self, b: int, t: int) -> bool:
         """Whether the lead term b divides the term t of the same position."""
@@ -299,9 +324,11 @@ class _TrackedGB:
         same = self.by_pos.setdefault(npos, [])
         monos, zdegs, key = self.lead_monos, self.ring.zdegs, self.packing.key
         heap = self._heap
+        shift = 0 if self.position_zdegs is None else self.position_zdegs[npos]
         for _, k in same:
             lcm = monomial_lcm(monos[k], nmono)
-            heapq.heappush(heap, ((sum(map(mul, lcm, zdegs)), key(lcm)), npos, k, new))
+            heapq.heappush(heap, ((sum(map(mul, lcm, zdegs)) + shift, key(lcm)),
+                                  npos, k, new))
         if same and not self.track:     # only the chain criterion reads pending pairs
             self._pending.update([(k, new) for _, k in same])
         same.append((lead, new))
@@ -322,11 +349,13 @@ class _TrackedGB:
                 return True
         return False
 
-    def _complete(self) -> None:
-        guards = self.guards
-        while self._heap:
+    def _complete(self, upto: Optional[int] = None) -> None:
+        """Process the pending S-pairs, all of them or, given `upto`, those
+        of Z-degree at most `upto`; the rest stay pending."""
+        guards, heap = self.guards, self._heap
+        while heap and (upto is None or heap[0][0][0] <= upto):
             check_deadline()
-            (_, lcm), pos, i, j = heapq.heappop(self._heap)
+            (_, lcm), pos, i, j = heapq.heappop(heap)
             lcm = (lcm << 64) + FIELD_MAX - pos
             if not self.track:
                 self._pending.discard((i, j))
@@ -354,11 +383,22 @@ class _TrackedGB:
 
     def extend(self, remainder: VecDict) -> None:
         """Grow a span-only basis by `remainder`, a nonzero vector that this
-        basis already reduces to itself, and complete it."""
+        basis already reduces to itself, and complete it unless the basis is
+        degree-truncated."""
         self._insert(remainder, None)
-        self._complete()
+        if self.position_zdegs is None:
+            self._complete()
 
     # -- queries -------------------------------------------------------------
+
+    def complete_for(self, vec: VecDict) -> None:
+        """Complete a degree-truncated basis far enough to reduce the
+        homogeneous vec: up to its Z-degree, that of any of its terms plus
+        its position's.  A full basis is already complete."""
+        if vec and self.position_zdegs is not None:
+            t = next(iter(vec))
+            self._complete(self.ring.bidegree_of[t >> 64].zdeg
+                           + self.position_zdegs[_position(t)])
 
     def reduce(self, vec: VecDict, track: bool = False):
         if track and not self.track:
@@ -528,7 +568,9 @@ class SubmoduleOracle:
     module, so `lift` returns coordinates valid modulo the ideal.  The
     default builds the span alone, which is all that `contains` and
     `extend` need: presentation spans and `minimal_generating_vectors` use
-    it, and it grows with `extend`, so it is never shared.  An oracle built
+    it, and it grows with `extend`, so it is never shared.  Only
+    `minimal_generating_vectors` passes `position_zdegs`, which makes the
+    span degree-truncated (see `_TrackedGB`).  An oracle built
     with `liftable=True` tracks representations, so it can also `lift` and
     read off `syzygies`; it is fixed at construction, and `extend` refuses
     it.  The pipeline takes liftable oracles from `liftable_oracle`, which
@@ -536,14 +578,16 @@ class SubmoduleOracle:
     """
 
     def __init__(self, ring: GradedRing, generators: Sequence[Column], rank: int,
-                 liftable: bool = False):
+                 liftable: bool = False,
+                 position_zdegs: Optional[Sequence[int]] = None):
         self.ring = ring
         self.rank = rank
         self.ngens = len(generators)
         self.ambient = ring.ambient()
         rows = ([_flatten(v, self.ambient) for v in generators]
                 + _ideal_rows(ring, rank))
-        self.gb = _TrackedGB(rows, self.ambient, track=liftable)
+        self.gb = _TrackedGB(rows, self.ambient, track=liftable,
+                             position_zdegs=position_zdegs)
         # the GB inputs, which `syzygies` expresses over themselves
         self._inputs = rows
         self._syzygies: dict[int, list[Column]] = {}
@@ -552,7 +596,9 @@ class SubmoduleOracle:
         self._last: tuple[Column, VecDict] | None = None
 
     def contains(self, v: Column) -> bool:
-        remainder, _ = self.gb.reduce(_flatten(v, self.ambient))
+        vec = _flatten(v, self.ambient)
+        self.gb.complete_for(vec)
+        remainder, _ = self.gb.reduce(vec)
         self._last = (v, remainder)
         return not remainder
 
@@ -611,23 +657,35 @@ class SubmoduleOracle:
 
 
 def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],
-                               rank: int, bidegrees: Sequence[Bidegree],
+                               positions: Sequence[Bidegree],
+                               bidegrees: Sequence[Bidegree],
                                context: Sequence[Column] = ()) -> list[int]:
     """Indices of a minimal generating subset modulo `context`, in the
-    greedy order: ascending degree, then printed form.  `bidegrees[i]` is
-    the bidegree of `vectors[i]`; zero vectors are never kept, and theirs
-    is not read.
+    greedy order: ascending degree, then printed form.  The columns live in
+    R^len(positions), `positions[k]` being the bidegree of its k-th
+    generator; `bidegrees[i]` is the bidegree of `vectors[i]`, the greedy
+    order's key; zero vectors are never kept, and theirs is not read.
 
     The single greedy minimality loop of the package: one oracle over the
     context grows by each candidate that it does not already contain.  The
     ring is assumed connected (scalars in degree zero), so graded Nakayama
     makes the kept count well-defined.
+
+    When every variable has positive Z-degree and every context column and
+    candidate is homogeneous over `positions`, the oracle's basis is
+    degree-truncated: it processes an S-pair only once a candidate of at
+    least the pair's Z-degree asks about membership, so no pair above the
+    last candidate's degree is ever processed.  Otherwise it is completed
+    in full each time it grows.
     """
     order = sorted((i for i, v in enumerate(vectors) if v),
                    key=lambda i: (bidegrees[i].zdeg, column_order_key(vectors[i])))
     if not order:
         return []
-    oracle = SubmoduleOracle(ring, context, rank)
+    graded = ring.positive and all(vector_bidegree(v, positions) is not None
+                                   for v in (*context, *vectors) if v)
+    oracle = SubmoduleOracle(ring, context, len(positions), position_zdegs=(
+        [d.zdeg for d in positions] if graded else None))
     kept: list[int] = []
     for i in order:
         if not oracle.contains(vectors[i]):

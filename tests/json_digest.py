@@ -48,6 +48,11 @@ quotient; a module over a ring whose variables all have Z-degree 0, under
 drops a generator that no unit entry eliminates; `dualize-finite p omega W`
 with relations in W; and `check pushforward` with a group on A, whose
 omega_A has relations and a generator of nonzero weight.
+
+Then come four Ext sessions on the rational normal curves of degree 5
+and 6 under group 7 with weights 1 + 2k mod 7 (`cliff_grid`), each under
+`check gorenstein` and `ext` at `max d`: the curves where the greedy
+minimality loop's degree-truncated bases skip most S-pairs.
 """
 
 from __future__ import annotations
@@ -248,6 +253,15 @@ def wide_grid():
         yield f"wide/{name}", text, None
 
 
+def cliff_grid():
+    """`check gorenstein` and `ext` on the rational normal curves of degree
+    5 and 6 at group 7, weights 1 + 2k mod 7, up to Ext^d."""
+    from workloads import rational_normal_curve
+    for d in (5, 6):
+        ring, ideal = rational_normal_curve(d, 7, 1, 2)
+        yield from _ext_pair(f"rnc{d}-a7-w1-s2", ring, ideal, d)
+
+
 def _read_module(name: str, gen: str, gens, order, rels) -> str:
     """Module `name` on the generators `gens` declared in `order`, with the
     relations `rels` written in the generators e1..e5 of `gens`."""
@@ -286,7 +300,8 @@ def main(argv: list[str]) -> int:
         finally:
             if max_terms:
                 del os.environ["STACKDUAL_MAX_TERMS"]
-    for name, text, depth in (*read_grid(), *walk_grid(), *wide_grid()):
+    for name, text, depth in (*read_grid(), *walk_grid(), *wide_grid(),
+                             *cliff_grid()):
         print_report_digest(name, text, depth)
     return 0
 

@@ -556,7 +556,7 @@ def reference_restrict_along(f):
             if column and column not in rel_cols:
                 rel_cols.append(column)
     keep = sorted(groebner.minimal_generating_vectors(
-        ring_a, rel_cols, len(monos),
+        ring_a, rel_cols, mono_degs,
         [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
     return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
@@ -580,7 +580,7 @@ def reference_pruned_restriction(f):
             column[k] = column.get(k, ring_a.zero()) + ring_a.monomial(e)
             rel_cols.append(groebner.column(ring_a, column, len(monos)))
     keep = sorted(groebner.minimal_generating_vectors(
-        ring_a, rel_cols, len(monos),
+        ring_a, rel_cols, mono_degs,
         [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
     return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
@@ -605,7 +605,7 @@ def reference_resolve(M, depth):
         if i < depth:
             syz = syzygies_over(ring, cols, terms[i - 1].rank)
             syz_degs = [vector_bidegree(v, degs) for v in syz]
-            keep = sorted(minimal_generating_vectors(ring, syz, len(cols), syz_degs))
+            keep = sorted(minimal_generating_vectors(ring, syz, degs, syz_degs))
             cols = tuple(syz[k] for k in keep)
             degs = tuple(syz_degs[k] for k in keep)
     return ChainComplex(ring, terms, maps)
@@ -632,7 +632,7 @@ def reference_minimalize_with_tracking(M):
             if positive or not gens:
                 break
             units = [{i: ring.one()} for i in range(len(gens))]
-            keep = sorted(minimal_generating_vectors(ring, units, len(gens),
+            keep = sorted(minimal_generating_vectors(ring, units, gens,
                                                      gens, cols))
             if len(keep) == len(gens):
                 break
@@ -657,7 +657,7 @@ def reference_minimalize_with_tracking(M):
 
     unique = list({tuple(col.items()): col for col in cols if col}.values())
     degs = [vector_bidegree(col, gens) for col in unique]
-    keep = minimal_generating_vectors(ring, unique, len(gens), degs)
+    keep = minimal_generating_vectors(ring, unique, gens, degs)
     return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
 
 

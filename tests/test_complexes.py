@@ -1,5 +1,6 @@
 """Koszul complexes, free resolutions, Hom complexes, and homology."""
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from stackdual.gmodule import (ModuleMap, ModulePresentation,
                                precompose_columns, restrict_along)
 from stackdual.poly import Bidegree, GradedRing
 from stackdual.presets import preset_session
+from stackdual.session import run_session
 
 
 def test_koszul_single_element(qxy):
@@ -373,3 +375,49 @@ def test_cochain_composite_is_read_modulo_target_relations(qxy):
     assert hom_pair_complex(qxy, -1, modulo_x2).ranks() == [1, 2, 1]
     with pytest.raises(ValueError, match="do not compose to zero"):
         hom_pair_complex(qxy, 1, modulo_x2)
+
+
+def rational_normal_curve_check(d):
+    """`check gorenstein` up to Ext^d on the degree-d rational normal curve:
+    the 2x2 minors of [[x0..x(d-1)], [x1..xd]] under group 7 with weights
+    w(xk) = 1 + 2k mod 7."""
+    xs = [f"x{k}" for k in range(d + 1)]
+    weights = ", ".join(f"{x}:{(1 + 2 * k) % 7}" for k, x in enumerate(xs))
+    minors = ", ".join(f"{xs[i]}*{xs[j + 1]} - {xs[i + 1]}*{xs[j]}"
+                       for i in range(d) for j in range(i + 1, d))
+    return (f"ring C = Q[{', '.join(xs)}] group 7 weights {{{weights}}}\n"
+            f"check gorenstein C ideal ({minors}) max {d}\n")
+
+
+def assert_rational_normal_curve_verdict(report, d):
+    """The closed form: the curve is arithmetically Cohen-Macaulay of
+    codimension d - 1 and type d - 1, so Ext^(d-1) alone is nonzero and
+    needs d - 1 generators, and it is Gorenstein only for d = 2."""
+    assert report.exit_code() == 0
+    (command,) = json.loads(report.to_json())["commands"]
+    result = command["result"]
+    assert result["codimension"] == d - 1
+    assert result["cohen_macaulay"] and not result["gorenstein"]
+    assert not result["inconclusive"]
+    assert {int(i): e["min_generators"] for i, e in result["ext_profile"].items()
+            } == {i: d - 1 if i == d - 1 else 0 for i in range(d + 1)}
+
+
+def test_minimal_generators_complete_only_to_the_next_candidate(monkeypatch):
+    """The greedy minimality loop processes an S-pair only when a candidate
+    of at least its Z-degree asks: on the degree-6 curve `check gorenstein`
+    polls the deadline about 17,000 times, where completing every span
+    basis after each kept candidate polls about 54,000 times."""
+    polls = []
+    monkeypatch.setattr(groebner, "check_deadline", lambda: polls.append(1))
+    report = run_session(parse_session(rational_normal_curve_check(6)))
+    assert_rational_normal_curve_verdict(report, 6)
+    assert len(polls) <= 25_000
+
+
+def test_check_gorenstein_on_the_degree_7_curve_finishes(monkeypatch):
+    """Degree-truncated span bases take the degree-7 curve from past any
+    time limit to about a second."""
+    monkeypatch.setenv("STACKDUAL_TIME_LIMIT_S", "10")
+    report = run_session(parse_session(rational_normal_curve_check(7)))
+    assert_rational_normal_curve_verdict(report, 7)

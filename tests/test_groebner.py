@@ -103,7 +103,7 @@ def minimal_syzygies(ring, rows, rank):
     row_degs = [vector_bidegree(r, [ring.degree_zero()] * rank) for r in rows]
     syz = syzygies_over(ring, rows, rank)
     degs = [vector_bidegree(v, row_degs) for v in syz]
-    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, len(rows), degs))]
+    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, row_degs, degs))]
 
 
 def test_koszul_syzygy_of_regular_pair(qxy):
@@ -198,7 +198,7 @@ def test_a_kept_candidate_is_reduced_once(uvt, monkeypatch):
     g0, g1, g2 = triple_gens(uvt)
     u = uvt.var("u")
     cands = [col(g) for g in (g0, g1, u * g0, g0 + g1, g2, g1 * g2)]
-    kept = minimal_generating_vectors(uvt, cands, 1,
+    kept = minimal_generating_vectors(uvt, cands, [uvt.degree_zero()],
                                       [vector_bidegree(c, [uvt.degree_zero()])
                                        for c in cands])
     assert len(kept) == 3

@@ -28,6 +28,7 @@ the session tokenizer against the character loop it replaced.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -186,7 +187,7 @@ def test_syzygies_annihilate_rows(instances):
         degs = [r.bidegree() for r in rows]
         rows = [col(r) for r in rows]
         syz = syzygies_over(ring, rows, 1)
-        keep = minimal_generating_vectors(ring, syz, len(rows),
+        keep = minimal_generating_vectors(ring, syz, degs,
                                           [vector_bidegree(v, degs) for v in syz])
         assert annihilates(ring, [syz[i] for i in keep], rows)
 
@@ -450,11 +451,14 @@ def lowest_zdeg(ring, v):
                 for p in v.values()), default=0)
 
 
-def fresh_oracle_greedy(ring, vectors, rank, context):
-    """Reference: one new oracle over kept + context per candidate."""
+def fresh_oracle_greedy(ring, vectors, rank, context, zdegs=None):
+    """Reference: one new oracle over kept + context per candidate, in
+    ascending `zdegs[i]` (by default the lowest Z-degree of a term of
+    vectors[i]), then printed form."""
+    if zdegs is None:
+        zdegs = [lowest_zdeg(ring, v) for v in vectors]
     order = sorted(range(len(vectors)),
-                   key=lambda i: (lowest_zdeg(ring, vectors[i]),
-                                  printed_column(vectors[i], rank)))
+                   key=lambda i: (zdegs[i], printed_column(vectors[i], rank)))
     kept = []
     for i in order:
         if not vectors[i]:
@@ -473,10 +477,99 @@ def test_minimal_generating_vectors_matches_fresh_oracle_greedy():
         # the candidates need not be homogeneous: order them by their
         # lowest Z-degree, as the reference does
         degs = [Bidegree(lowest_zdeg(ring, v), 0) for v in cands]
-        kept = minimal_generating_vectors(ring, cands, rank, degs, context)
+        kept = minimal_generating_vectors(ring, cands,
+                                          [ring.degree_zero()] * rank, degs,
+                                          context)
         assert kept == fresh_oracle_greedy(ring, cands, rank, context)
         dropped += len(cands) - len(kept)
     assert dropped > 0
+
+
+def graded_ring(rng, degree_zero_variable=False):
+    """Q[x,y] or Q[x,y,z] with Z-degrees 1 and 2, one of them 0 if asked,
+    half of the time modulo a monomial of degree two."""
+    nvars = rng.choice([2, 3])
+    zdegs = [rng.choice([1, 1, 2]) for _ in range(nvars)]
+    if degree_zero_variable:
+        zdegs[rng.randrange(nvars)] = 0
+    ring = GradedRing(["x", "y", "z"][:nvars], zdegs=zdegs)
+    return random_quotient(rng, ring) if rng.random() < 0.5 else ring
+
+
+def graded_form(rng, ring, d):
+    """Zero or a sum of one or two terms of Z-degree d, each exponent at
+    most 2 on a variable of Z-degree 0; a nonzero constant when d = 0."""
+    if d == 0:
+        return ring.constant(rng.choice([-2, 1, 3]))
+    monos = [m for m in itertools.product(
+                 *(range(max(d, 0) // z + 1 if z else 3) for z in ring.zdegs))
+             if sum(map(operator.mul, m, ring.zdegs)) == d]
+    out = ring.zero()
+    for _ in range(rng.choice([0, 1, 1, 2]) if monos else 0):
+        out = out + ring.monomial(rng.choice(monos), rng.choice([-2, -1, 1, 3]))
+    return out
+
+
+def graded_span_instance(rng, degree_zero_variable=False):
+    """(ring, positions, candidates, their Z-degrees, context): columns
+    homogeneous over generators of mixed Z-degree -1 to 2, candidates
+    that include combinations of earlier ones, a zero column and a repeat,
+    and one or two context columns."""
+    ring = graded_ring(rng, degree_zero_variable)
+    positions = [Bidegree(rng.choice([-1, 0, 1, 2]), 0)
+                 for _ in range(rng.choice([1, 2, 3]))]
+
+    def vec(d):
+        return [graded_form(rng, ring, d - p.zdeg) for p in positions]
+
+    zdegs = [rng.choice([2, 3, 4]) for _ in range(4)]
+    cands = [vec(d) for d in zdegs]
+    for _ in range(3):
+        i, j = rng.sample(range(len(cands)), 2)
+        d = max(zdegs[i], zdegs[j]) + rng.choice([0, 1])
+        f = graded_form(rng, ring, d - zdegs[i])
+        g = graded_form(rng, ring, d - zdegs[j])
+        cands.append([f * a + g * b for a, b in zip(cands[i], cands[j])])
+        zdegs.append(d)
+    cands += [[ring.zero()] * len(positions), cands[0]]
+    zdegs += [0, zdegs[0]]
+    context = [col(*vec(rng.choice([2, 3]))) for _ in range(rng.choice([1, 2]))]
+    return ring, positions, [col(*v) for v in cands], zdegs, context
+
+
+def test_truncated_span_bases_keep_what_fresh_oracles_keep(monkeypatch):
+    """On homogeneous input over a positively graded ring the greedy loop's
+    basis is degree-truncated, and it keeps exactly the candidates that a
+    fresh fully completed oracle per candidate keeps; with a variable of
+    Z-degree 0 the basis is completed in full and still agrees."""
+    built = []
+    init = groebner._TrackedGB.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(groebner._TrackedGB, "__init__", recording)
+    rng = random.Random(SEED + 17)
+    cases = [graded_span_instance(rng) for _ in range(30)]
+    cases.append(graded_span_instance(rng, degree_zero_variable=True))
+    assert any(ring.ideal for ring, *_ in cases)
+    left_pending = dropped = 0
+    for ring, positions, cands, zdegs, context in cases:
+        built.clear()
+        kept = minimal_generating_vectors(
+            ring, cands, positions, [Bidegree(d, 0) for d in zdegs], context)
+        gb = built[-1]      # after the ideal's own basis, on first use
+        if ring.positive:
+            assert gb.position_zdegs == [p.zdeg for p in positions]
+            left_pending += bool(gb._heap)
+        else:
+            assert gb.position_zdegs is None and not gb._heap
+        assert kept == fresh_oracle_greedy(ring, cands, len(positions),
+                                           context, zdegs)
+        dropped += len(cands) - len(kept)
+    assert left_pending and dropped
+    assert not cases[-1][0].positive
 
 
 def test_syzygies_over_context_matches_hand_projection():
