@@ -21,7 +21,7 @@ from .gmodule import (ModuleMap, ModulePresentation, hom_free_into,
                       precompose_columns, subquotient, subquotient_generators)
 from .groebner import (Column, minimal_generating_vectors, syzygies_over,
                        vector_bidegree)
-from .poly import Bidegree, GradedRing, Polynomial
+from .poly import GradedRing, Polynomial
 
 
 @dataclass
@@ -31,7 +31,8 @@ class ChainComplex:
     maps: dict[int, ModuleMap]          # keyed by the source index
     direction: str = "chain"            # "chain" or "cochain"
     finite: bool = False                # else truncated at `length`
-    # (k, p) for a resolution that repeats: d_{j+p} is d_j shifted, j >= k
+    # (k, p) for a resolution that repeats: the stored maps end at
+    # d_{k+p} = d_k shifted, and the complex continues with period p
     repeat: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
@@ -42,11 +43,6 @@ class ChainComplex:
     @property
     def length(self) -> int:
         return len(self.terms) - 1
-
-    @property
-    def periodic(self) -> Optional[int]:
-        """The period p of a repeating resolution of length 3 or more."""
-        return self.repeat[1] if self.repeat and self.length >= 3 else None
 
     def ranks(self) -> list[int]:
         return [t.rank for t in self.terms]
@@ -61,24 +57,12 @@ class ChainComplex:
     def check_composition(self) -> None:
         """Raise ValueError unless each differential followed by the next is
         zero: the next map sends every stored column of the earlier one into
-        the span of its target's relations.  The answer depends only on the
-        columns of both maps and the target's relations and rank, so a pair
-        made of the very same objects as one already checked (the shifted
-        copies past a repeat) is not multiplied out again."""
-        checked = set()
+        the span of its target's relations."""
         for i, f in self.maps.items():
             check_deadline()
             nxt = self.maps.get(i - 1 if self.direction == "chain" else i + 1)
-            if nxt is None:
-                continue
-            # every object keyed here lives in self.maps, so no id is reused
-            key = (id(f.columns), id(nxt.columns), id(nxt.target.relations),
-                   nxt.target.rank)
-            if key in checked:
-                continue
-            if not nxt.sends_into_relations(f.columns):
+            if nxt is not None and not nxt.sends_into_relations(f.columns):
                 raise ValueError(f"differentials at {i} do not compose to zero")
-            checked.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +128,8 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
     (Z-degree, then printed column) does not change under one uniform
     bidegree shift.  So the resolution stops at its first exact repeat,
     d_i = d_{i-p} shifted (`_detect_period`): every later map repeats with
-    that same shift, and d_i and the maps past it are stored as shifted
-    copies that share the columns of the maps p steps earlier.  `repeat`
-    records (k, p) with k = i - p.
+    that same shift, so none is built.  `repeat` records (k, p) with
+    k = i - p, and the stored complex ends at d_i.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -164,13 +147,6 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
         maps[i] = ModuleMap(term, terms[i - 1], current_cols)
         period = _detect_period(maps, i)
         if period is not None:
-            maps[i] = maps[i - period].shifted_to(term, terms[i - 1])
-            shift = term.bidegrees[0] - terms[i - period].bidegrees[0]
-            for j in range(i + 1, depth + 1):
-                check_deadline()
-                terms.append(ModulePresentation(
-                    ring, [d + shift for d in terms[j - period].bidegrees]))
-                maps[j] = maps[j - period].shifted_to(terms[j], terms[j - 1])
             return ChainComplex(ring, terms, maps, repeat=(i - period, period))
         if i == depth:
             break
@@ -192,21 +168,14 @@ def _detect_period(maps: dict[int, ModuleMap], i: int) -> Optional[int]:
         if i - period < 1:
             break
         earlier = maps[i - period]
-        if (last.columns == earlier.columns
-                and _uniform_shift(last, earlier) is not None):
+        pairs = ((last.source, earlier.source), (last.target, earlier.target))
+        if (last.columns != earlier.columns
+                or any(a.rank != b.rank for a, b in pairs)):
+            continue
+        shifts = {d - e for a, b in pairs for d, e in zip(a.bidegrees, b.bidegrees)}
+        if len(shifts) == 1:
             return period
     return None
-
-
-def _uniform_shift(new: ModuleMap, old: ModuleMap) -> Optional[Bidegree]:
-    """The one bidegree shift that carries every generator of both terms of
-    `old` to its counterpart in `new`; None when the ranks differ or the
-    shifts do not agree."""
-    pairs = ((new.source, old.source), (new.target, old.target))
-    if any(a.rank != b.rank for a, b in pairs):
-        return None
-    shifts = {d - e for a, b in pairs for d, e in zip(a.bidegrees, b.bidegrees)}
-    return shifts.pop() if len(shifts) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +186,8 @@ def hom_complex(C: ChainComplex, N: ModulePresentation) -> ChainComplex:
     """Hom(C_i, N) with transposed differentials, as a cochain complex.
 
     Every term of C must be free; generator bidegrees dualize (a generator
-    of bidegree d contributes N's grading minus d).  Past the repeat of a
-    periodic resolution, where d_i shares its columns with d_{i-p} and its
-    terms are theirs shifted by s, Hom(C_i, N) is the term p steps earlier
-    shifted by -s and the dual map is a shifted copy of the one p steps
-    earlier, with the same columns and relations.
+    of bidegree d contributes N's grading minus d).  The result has C's
+    length, so it ends where a repeating resolution ends.
     """
     for t in C.terms:
         if t.relations:
@@ -230,16 +196,8 @@ def hom_complex(C: ChainComplex, N: ModulePresentation) -> ChainComplex:
         raise ValueError("hom_complex expects a chain complex")
     terms = [hom_free_into(C.terms[0].bidegrees, N)]
     maps: dict[int, ModuleMap] = {}
-    p = C.repeat[1] if C.repeat else 0
     for i in range(1, C.length + 1):
         check_deadline()
-        earlier = C.maps.get(i - p) if p else None
-        if earlier is not None and C.maps[i].columns is earlier.columns:
-            shift = _uniform_shift(C.maps[i], earlier)
-            if shift is not None:
-                terms.append(terms[i - p].shifted(-shift))
-                maps[i - 1] = maps[i - 1 - p].shifted_to(terms[i - 1], terms[i])
-                continue
         terms.append(hom_free_into(C.terms[i].bidegrees, N))
         # C_i -> C_{i-1} dualizes to Hom(C_{i-1}, N) -> Hom(C_i, N)
         cols = precompose_columns(C.maps[i].columns, C.terms[i - 1].rank, N)

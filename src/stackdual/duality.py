@@ -123,17 +123,18 @@ def canonical_module(C: GradedRing) -> ModulePresentation:
 def _ext_ranks(hc: ChainComplex, indices: Iterable[int],
                repeat: tuple[int, int] | None = None) -> dict[int, int]:
     """{i: rank of H^i} of a Hom complex for ascending indices, read by
-    `homology_rank`.  H^i vanishes past `hc.length`; past a repeat (k, p) of
-    the resolution under it, H^i is H^{i-p} shifted for i >= k + p, so its
-    rank is copied from p steps earlier."""
-    k, p = repeat or (hc.length + 1, 0)
+    `homology_rank`.  Past a repeat (k, p) of the resolution under it, where
+    the stored complex ends at k + p, H^i is H^{i-p} shifted for i >= k + p,
+    so its rank is copied from p steps earlier; otherwise H^i vanishes past
+    `hc.length`."""
+    k, p = repeat or (0, 0)
     ranks: dict[int, int] = {}
     for i in indices:
         check_deadline()
-        if i > hc.length:
-            ranks[i] = 0
-        elif i >= k + p:
+        if repeat and i >= k + p:
             ranks[i] = ranks[i - p]
+        elif i > hc.length:
+            ranks[i] = 0
         else:
             ranks[i] = homology_rank(hc, i)
     return ranks
@@ -150,8 +151,9 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
 
     B is presented over A by `restrict_along`: the staircase monomials b_k
     and the relations both come from the graph basis G.  The Hom is
-    computed from the start of a minimal A-resolution of B, and Ext only up
-    to the end of its first period when it repeats.  Only the ranks of the
+    computed from the start of a minimal A-resolution of B, which `resolve`
+    ends at its first repeat: Ext is computed up to there, and its later
+    ranks are copied from one period earlier.  Only the ranks of the
     Ext^i with i >= 1 are reported, so they come from `homology_rank`: the
     generator count, with no presentation, when every variable of A has
     positive Z-degree.  For Hom = Ext^0 the B-action is
@@ -179,8 +181,10 @@ def finite_shriek(f: RingMorphism, M: ModulePresentation | None = None, *,
     if res.finite:
         notes.append(f"A-resolution of B is finite (length {res.length})")
     else:
-        notes.append(f"A-resolution truncated at depth {res.length}"
-                     + (f", periodic with period {res.periodic}" if res.periodic else ""))
+        # a period is named once the truncation reaches length 3
+        notes.append(f"A-resolution truncated at depth {depth + 1}"
+                     + (f", periodic with period {res.repeat[1]}"
+                        if res.repeat and depth >= 2 else ""))
     return DualityReport(
         description=f"finite twisted inverse image along {f.name}",
         module=module, depth=depth, is_sheaf=is_sheaf,
@@ -253,13 +257,19 @@ def _over(ring_b: GradedRing, h: ModulePresentation) -> ModulePresentation:
 def _ext_complex(C: GradedRing, ideal_gens: Sequence[Polynomial],
                  omega: ModulePresentation, imax: int
                  ) -> tuple[GradedRing, ChainComplex]:
-    """B = C/I and the Hom complex into omega of a minimal resolution of B."""
+    """B = C/I and the Hom complex into omega of a minimal resolution of B.
+    Its readers take every Ext^i off the stored complex, so a resolution
+    that stops at a repeat is a fault: over a positively graded polynomial
+    ring C it is finite (Hilbert's syzygy theorem)."""
     _check_ext_inputs(C, omega, imax)
     gens = [C.reduce(g) for g in ideal_gens]
     gens = [g for g in gens if not g.is_zero()]
     ring_b = C.quotient(gens, name=f"{C.name}/I") if gens else C
     pres = ModulePresentation(C, (C.degree_zero(),), [{0: g} for g in gens])
-    return ring_b, hom_complex(resolve(pres, imax + 1), omega)
+    res = resolve(pres, imax + 1)
+    if res.repeat:
+        raise RuntimeError("a resolution over a regular ambient repeated")
+    return ring_b, hom_complex(res, omega)
 
 
 def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],

@@ -16,7 +16,6 @@ function.
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 from itertools import islice
 from operator import add, le
@@ -78,15 +77,6 @@ class ModulePresentation:
     def rank(self) -> int:
         return len(self.bidegrees)
 
-    def shifted(self, d: Bidegree) -> "ModulePresentation":
-        """This module with every generator and relation bidegree moved by
-        d.  It shares the relation columns, and their span once built, so
-        nothing is checked again."""
-        out = copy.copy(self)
-        out.bidegrees = tuple(e + d for e in self.bidegrees)
-        out.relation_bidegrees = tuple(e + d for e in self.relation_bidegrees)
-        return out
-
     @cached_property
     def span(self) -> SubmoduleOracle:
         return SubmoduleOracle(self.ring, self.relations, self.rank)
@@ -131,16 +121,6 @@ class ModuleMap:
                 raise ValueError(f"column {j} is not homogeneous of degree zero")
         if not self.sends_into_relations(source.relations):
             raise ValueError("map does not send relations into relations")
-
-    def shifted_to(self, source: ModulePresentation,
-                   target: ModulePresentation) -> "ModuleMap":
-        """This map between `source` and `target`: free terms of the same
-        ranks as this map's, with every generator of both shifted by one
-        bidegree.  Its columns stay homogeneous of degree zero under that
-        shift, so the copy shares the column objects and checks nothing."""
-        out = copy.copy(self)
-        out.source, out.target = source, target
-        return out
 
     def sends_into_relations(self, vectors: Sequence[Column]) -> bool:
         """Whether the image of every column of the source's free module in

@@ -53,6 +53,11 @@ Then come four Ext sessions on the rational normal curves of degree 5
 and 6 under group 7 with weights 1 + 2k mod 7 (`cliff_grid`), each under
 `check gorenstein` and `ext` at `max d`: the curves where the greedy
 minimality loop's degree-truncated bases skip most S-pairs.
+
+After them come five sessions (`repeat_grid`) of `dualize-finite`
+around and far past the first repeat of its resolution: `node` at a = 5 and `tacnode-cusp` at
+depth 500, and B = Q over A = Q[u]/(u^2), whose resolution repeats at
+(2, 1), at depths 1, 2 and 6.
 """
 
 from __future__ import annotations
@@ -262,6 +267,20 @@ def cliff_grid():
         yield from _ext_pair(f"rnc{d}-a7-w1-s2", ring, ideal, d)
 
 
+NILPOTENT_POINT = ("ring A = Q[u]/(u^2)\nring B = Q[x]/(x)\n"
+                   "map f : A -> B { u = 0 }\ndualize-finite f depth 1\n")
+
+
+def repeat_grid():
+    """`dualize-finite` at depths far past, just before and just after the
+    first repeat of the A-resolution of B."""
+    from stackdual.presets import preset_session
+    yield "repeat/node-a5-depth500", preset_session("node", a=5), 500
+    yield "repeat/tacnode-cusp-depth500", preset_session("tacnode-cusp"), 500
+    for depth in (1, 2, 6):
+        yield f"repeat/nilpotent-point-depth{depth}", NILPOTENT_POINT, depth
+
+
 def _read_module(name: str, gen: str, gens, order, rels) -> str:
     """Module `name` on the generators `gens` declared in `order`, with the
     relations `rels` written in the generators e1..e5 of `gens`."""
@@ -301,7 +320,7 @@ def main(argv: list[str]) -> int:
             if max_terms:
                 del os.environ["STACKDUAL_MAX_TERMS"]
     for name, text, depth in (*read_grid(), *walk_grid(), *wide_grid(),
-                             *cliff_grid()):
+                             *cliff_grid(), *repeat_grid()):
         print_report_digest(name, text, depth)
     return 0
 

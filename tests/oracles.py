@@ -34,8 +34,8 @@ without `precompose_columns`.
 
 `reference_resolve` is the plain minimal-resolution loop, a minimal
 generating set of the syzygies of each differential in turn, with no stop
-at a repeat, so a resolution that `resolve` fills in past its first exact
-repeat has a full one to match.
+at a repeat, so a resolution that `resolve` ends at its first exact repeat
+has a full one to match: its stored period and the repeat it claims.
 
 `reference_minimalize_with_tracking` is the Nakayama loop that rescans
 every column for a pivot and renumbers every generator after each

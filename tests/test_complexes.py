@@ -1,5 +1,6 @@
 """Koszul complexes, free resolutions, Hom complexes, and homology."""
 
+import dataclasses
 import json
 import random
 
@@ -83,9 +84,9 @@ map p : A -> B { u = x^2, v = y^2 }
     f = ast.maps["p"]
     ba = restrict_along(f)
     res = resolve(ba, 5)
-    assert res.ranks() == [3, 2, 2, 2, 2, 2]
-    assert not res.finite and res.length == 5
-    assert res.periodic == 2
+    assert res.ranks() == [3, 2, 2, 2, 2]
+    assert not res.finite and res.length == 4
+    assert res.repeat == (2, 2)
 
 
 def diagonal_complex(y_zdeg):
@@ -127,15 +128,26 @@ def test_resolution_stopped_at_its_repeat_equals_the_full_one(preset, repeat):
     ba = restrict_along(preset_map(preset[0], **preset[1]))
     res, ref = resolve(ba, 12), reference_resolve(ba, 12)
     assert res.repeat == repeat
-    assert (res.length, res.finite) == (ref.length, ref.finite)
-    assert [t.bidegrees for t in res.terms] == [t.bidegrees for t in ref.terms]
-    assert [f.columns for f in res.maps.values()] == \
-        [f.columns for f in ref.maps.values()]
-    if repeat:
-        k, p = repeat
-        # the maps past the repeat are shifted copies sharing their columns
-        assert all(res.maps[j].columns is res.maps[j - p].columns
-                   for j in range(k + p + 1, 13))
+    assert res.finite == ref.finite
+    stored = range(res.length + 1)
+    assert [t.bidegrees for t in res.terms] == [ref.terms[j].bidegrees for j in stored]
+    assert [res.maps[j].columns for j in stored[1:]] == \
+        [ref.maps[j].columns for j in stored[1:]]
+    if not repeat:
+        assert res.length == ref.length
+        return
+    k, p = repeat
+    assert res.length == k + p and ref.length == 12
+    # the repeat claim itself: every later map of the full resolution has
+    # the columns of the map p steps earlier, under one uniform shift
+    shifts = set()
+    for j in range(k + p, 13):
+        assert ref.maps[j].columns == ref.maps[j - p].columns
+        for i in (j, j - 1):
+            new, old = ref.terms[i].bidegrees, ref.terms[i - p].bidegrees
+            assert len(new) == len(old)
+            shifts.update(d - e for d, e in zip(new, old))
+    assert len(shifts) == 1
 
 
 def test_syzygy_steps_stop_at_the_repeat(monkeypatch):
@@ -167,26 +179,44 @@ def test_syzygy_steps_stop_at_the_repeat(monkeypatch):
     assert counts[0] == counts[1] == 3
 
 
-def test_a_repeat_is_labelled_from_length_three():
+# Q[u]/(u^2) / (u) resolves by u, -u, -u, ...: it repeats at (2, 1)
+NILPOTENT_POINT = """
+ring A = Q[u]/(u^2)
+ring B = Q[x]/(x)
+map f : A -> B { u = 0 }
+"""
+
+
+def test_a_repeat_is_labelled_from_length_three(monkeypatch):
     cc = diagonal_complex(1)
     assert _detect_period(cc.maps, 2) == 1
-    short = ChainComplex(cc.ring, cc.terms[:3], {1: cc.maps[1], 2: cc.maps[2]},
-                         repeat=(1, 1))
-    assert short.periodic is None
-    assert ChainComplex(cc.ring, cc.terms, cc.maps, repeat=(1, 1)).periodic == 1
-    # t, -t, -t, ... resolves Q[t]/(t^2) / (t); the last step is tested too
+    f = parse_session(NILPOTENT_POINT).maps["f"]
+
+    def note(depth):
+        return finite_shriek(f, depth=depth).notes[-1]
+
+    assert note(1) == "A-resolution truncated at depth 2"
+    for depth in (2, 6):
+        assert note(depth) == (f"A-resolution truncated at depth {depth + 1}, "
+                               "periodic with period 1")
+    # a repeat at step 2 leaves a truncation of length 2, which is not labelled
+    original = duality.resolve
+    monkeypatch.setattr(duality, "resolve", lambda M, depth: dataclasses.replace(
+        original(M, depth), repeat=(1, 1)))
+    assert note(1) == "A-resolution truncated at depth 2"
+    # the last step is tested too, and the stored terms end at the repeat
     R = GradedRing(["t"])
     R = R.quotient([R.var("t") ** 2])
     M = ModulePresentation(R, (R.degree_zero(),), [col(R.var("t"))])
     assert resolve(M, 2).repeat is None and resolve(M, 3).repeat == (2, 1)
     res = resolve(M, 5)
-    assert res.repeat == (2, 1) and res.periodic == 1
-    assert [d.zdeg for t in res.terms for d in t.bidegrees] == [0, 1, 2, 3, 4, 5]
+    assert res.repeat == (2, 1)
+    assert [d.zdeg for t in res.terms for d in t.bidegrees] == [0, 1, 2, 3]
 
 
 def test_composition_checks_stop_growing_past_the_repeat(monkeypatch):
-    # past the repeat every map shares its columns with one p steps earlier,
-    # in the resolution and in its Hom complex, so no pair is checked twice
+    # the resolution and its Hom complex end at the repeat, so the checks
+    # do not grow with the depth
     calls = []
     original = ModuleMap.sends_into_relations
 
@@ -206,16 +236,13 @@ def test_composition_checks_stop_growing_past_the_repeat(monkeypatch):
 
 
 def test_a_complex_that_does_not_compose_still_raises():
-    # over Q[x]/(x^2), x followed by x is zero; the pair (d2, d1) repeats
-    # as (d3, d2) with the same column objects, and is checked once
+    # over Q[x]/(x^2), x followed by x is zero
     R = GradedRing(["x"])
     x = R.var("x")
     R = R.quotient([x ** 2])
     x = R.var("x")
     terms = [ModulePresentation(R, (Bidegree(z, 0),)) for z in range(4)]
-    d1 = ModuleMap(terms[1], terms[0], [col(x)])
-    maps = {1: d1, 2: d1.shifted_to(terms[2], terms[1]),
-            3: d1.shifted_to(terms[3], terms[2])}
+    maps = {k: ModuleMap(terms[k], terms[k - 1], [col(x)]) for k in range(1, 4)}
     assert ChainComplex(R, terms, maps).length == 3
     # a last map of other columns that does not compose: d2 o d3 = x != 0
     terms[3] = ModulePresentation(R, (Bidegree(2, 0),))

@@ -5,10 +5,14 @@ A-module decompositions (worked out by hand before the build) and never
 touch the Groebner engine, so they check the whole pipeline end to end.
 """
 
+import dataclasses
 from math import gcd
 
 import pytest
 
+from stackdual import duality
+from stackdual.caps import EXIT_INTERNAL_ERROR
+from stackdual.cli import main
 from stackdual.complexes import hom_complex, homology
 from stackdual.dsl import parse_session
 from stackdual.duality import (canonical_module, cm_gorenstein_check,
@@ -323,6 +327,25 @@ def test_cm_check_regular_ring(qxy):
     rep = cm_gorenstein_check(qxy, [], 2)
     assert rep.codimension == 0
     assert rep.gorenstein
+
+
+def test_a_repeat_over_a_regular_ambient_is_an_internal_error(monkeypatch, qxy,
+                                                             tmp_path):
+    # Ext over a polynomial ring is read off the stored complex only, so a
+    # resolution that stopped at a repeat must not reach a profile
+    original = duality.resolve
+    monkeypatch.setattr(duality, "resolve", lambda M, depth: dataclasses.replace(
+        original(M, depth), repeat=(1, 1)))
+    x, y = qxy.var("x"), qxy.var("y")
+    with pytest.raises(RuntimeError, match="repeated"):
+        ext_dualizing(qxy, [x * y], canonical_module(qxy), 2)
+    with pytest.raises(RuntimeError, match="repeated"):
+        cm_gorenstein_check(qxy, [x * y], 2)
+    for command in ("ext C ideal (x*y) omega canonical max 2",
+                    "check gorenstein C ideal (x*y) max 2"):
+        session = tmp_path / "ext.sdl"
+        session.write_text(f"ring C = Q[x,y]\n{command}\n")
+        assert main(["run", str(session)]) == EXIT_INTERNAL_ERROR
 
 
 # -- pushforward and comparison ------------------------------------------------------------
