@@ -151,10 +151,9 @@ def resolve(M: ModulePresentation, depth: int) -> ChainComplex:
         if i == depth:
             break
         syz = syzygies_over(ring, current_cols, terms[i - 1].rank)
-        degs = [vector_bidegree(v, current_degs) for v in syz]
-        keep = sorted(minimal_generating_vectors(ring, syz, current_degs, degs))
+        keep = sorted(minimal_generating_vectors(ring, syz, current_degs))
         current_cols = tuple(syz[k] for k in keep)
-        current_degs = tuple(degs[k] for k in keep)
+        current_degs = tuple(vector_bidegree(v, current_degs) for v in current_cols)
     return ChainComplex(ring, terms, maps)
 
 

@@ -347,18 +347,14 @@ def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
     """Ext profile against the canonical module, with the codimension taken
     as the first nonvanishing index and cross-checked combinatorially.
 
-    The profile reads only ranks.  When every variable of C has positive
-    Z-degree, the rank of Ext^i is `homology_rank` of the Hom complex: the
-    minimal generator count over C, which reducing modulo I (in positive
-    degrees) leaves unchanged over B, so no Ext module is presented.
-    Otherwise each Ext is presented over B as in `ext_dualizing`."""
-    omega = canonical_module(C)
-    if C.positive:
-        ring_b, hc = _ext_complex(C, ideal_gens, omega, imax)
-        profile = _ext_ranks(hc, range(imax + 1))
-    else:
-        exts = ext_dualizing(C, ideal_gens, omega, imax)
-        ring_b, profile = exts[0][1].ring, {i: e.rank for i, e in exts}
+    The profile reads only ranks: the rank of Ext^i is `homology_rank` of
+    the Hom complex over C.  I annihilates Ext^i, so the relations of H^i
+    over C already span I times its generators, and the greedy count over
+    C is the count over B.  When every variable of C has positive Z-degree
+    that count is minimal and no Ext module is presented; otherwise
+    `homology_rank` presents H^i over C and reads its rank."""
+    ring_b, hc = _ext_complex(C, ideal_gens, canonical_module(C), imax)
+    profile = _ext_ranks(hc, range(imax + 1))
     nonzero = [i for i, n in profile.items() if n]
     notes: list[str] = []
     if not nonzero:

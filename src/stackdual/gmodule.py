@@ -211,15 +211,13 @@ def subquotient_generators(gens: Sequence[Column], subs: Sequence[Column],
     """The generators of `subquotient` before it presents them, with their
     bidegrees: a subsequence of `gens`, kept greedily in ascending degree,
     then printed form, each one outside the span of subs, relations and the
-    ones kept before it."""
+    ones kept before it.  Raises ValueError on an inhomogeneous generator."""
     ring = within.ring
     gens = [column(ring, g, within.rank) for g in gens]
-    degs = [vector_bidegree(g, within.bidegrees) for g in gens]
-    if any(d is None and g for g, d in zip(gens, degs)):
-        raise ValueError("inhomogeneous subquotient generator")
-    keep = sorted(minimal_generating_vectors(ring, gens, within.bidegrees, degs,
-                                             [*subs, *within.relations]))
-    return [gens[i] for i in keep], [degs[i] for i in keep]
+    keep = sorted(minimal_generating_vectors(ring, gens, within.bidegrees,
+                                             context=[*subs, *within.relations]))
+    kept = [gens[i] for i in keep]
+    return kept, [vector_bidegree(g, within.bidegrees) for g in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +335,7 @@ def minimalize_with_tracking(M: ModulePresentation
         if ring.positive or not gens:
             break
         units = [{i: ring.one()} for i in range(len(gens))]
-        keep = sorted(minimal_generating_vectors(ring, units, gens, gens, cols))
+        keep = sorted(minimal_generating_vectors(ring, units, gens, context=cols))
         if len(keep) == len(gens):
             break
         cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
@@ -346,8 +344,7 @@ def minimalize_with_tracking(M: ModulePresentation
 
     # dedupe then prune columns expressible through the others
     unique = list({tuple(col.items()): col for col in cols if col}.values())
-    degs = [vector_bidegree(col, gens) for col in unique]
-    keep = minimal_generating_vectors(ring, unique, gens, degs)
+    keep = minimal_generating_vectors(ring, unique, gens)
     return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
 
 

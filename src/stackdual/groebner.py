@@ -13,15 +13,13 @@ coefficient}, a term key being one integer that packs the monomial's
 term-over-position order induced by the ring order does (see "module
 engine" below).  Every module basis starts in `SubmoduleOracle`, the one door:
 columns are flattened where they enter it and projected straight back.  A
-span-only oracle (`contains`, `extend`: presentation spans and
-`minimal_generating_vectors`) grows with `extend`, keeps no expressions and
+span-only oracle (`contains`, `add`: presentation spans and
+`minimal_generating_vectors`) grows with `add`, keeps no expressions and
 drops S-pairs by the chain criterion; the product criterion does not hold
-for module elements.  `contains` keeps the remainder of the column it was
-asked about, and an `extend` of that same column inserts that remainder
-instead of reducing the column again, so a greedy loop that asks and then
-keeps reduces each kept candidate once.  The oracle of
-`minimal_generating_vectors` is degree-truncated when its input is
-homogeneous over a positively graded ring: it processes an S-pair only
+for module elements.  `add` asks `contains` and inserts the remainder that
+`contains` kept, so the greedy loop reduces each candidate once.  The
+oracle of `minimal_generating_vectors` is degree-truncated when its input
+is homogeneous over a positively graded ring: it processes an S-pair only
 when a query of at least that pair's Z-degree needs it, so candidates
 never pay for pairs above their own degree.  A liftable oracle (`lift`,
 `syzygies`, and so `syzygies_over`) is fixed at construction: it records
@@ -383,7 +381,8 @@ class _TrackedGB:
 
     def extend(self, remainder: VecDict) -> None:
         """Grow a span-only basis by `remainder`, a nonzero vector that this
-        basis already reduces to itself, and complete it unless the basis is
+        basis already reduces to itself (`SubmoduleOracle.add` passes the
+        remainder `contains` kept), and complete it unless the basis is
         degree-truncated."""
         self._insert(remainder, None)
         if self.position_zdegs is None:
@@ -566,15 +565,15 @@ class SubmoduleOracle:
 
     Over a quotient ring the span implicitly includes I times the free
     module, so `lift` returns coordinates valid modulo the ideal.  The
-    default builds the span alone, which is all that `contains` and
-    `extend` need: presentation spans and `minimal_generating_vectors` use
-    it, and it grows with `extend`, so it is never shared.  Only
+    default builds the span alone, which is all that `contains` and `add`
+    need: presentation spans and `minimal_generating_vectors` use it, and
+    it grows with `add`, so it is never shared.  Only
     `minimal_generating_vectors` passes `position_zdegs`, which makes the
     span degree-truncated (see `_TrackedGB`).  An oracle built
-    with `liftable=True` tracks representations, so it can also `lift` and
-    read off `syzygies`; it is fixed at construction, and `extend` refuses
-    it.  The pipeline takes liftable oracles from `liftable_oracle`, which
-    builds each one once per command.
+    with `liftable=True` tracks representations, so it can also `lift` over
+    its `ngens` generators and read off `syzygies`; it is fixed at
+    construction, and `add` refuses it.  The pipeline takes liftable
+    oracles from `liftable_oracle`, which builds each one once per command.
     """
 
     def __init__(self, ring: GradedRing, generators: Sequence[Column], rank: int,
@@ -591,34 +590,32 @@ class SubmoduleOracle:
         # the GB inputs, which `syzygies` expresses over themselves
         self._inputs = rows
         self._syzygies: dict[int, list[Column]] = {}
-        # the last column `contains` answered and its remainder, which
-        # `extend` of that same column inserts instead of reducing again
-        self._last: tuple[Column, VecDict] | None = None
+        # the remainder of the last column `contains` answered, for `add`
+        self._remainder: VecDict = {}
 
     def contains(self, v: Column) -> bool:
         vec = _flatten(v, self.ambient)
         self.gb.complete_for(vec)
-        remainder, _ = self.gb.reduce(vec)
-        self._last = (v, remainder)
-        return not remainder
+        self._remainder, _ = self.gb.reduce(vec)
+        return not self._remainder
 
-    def extend(self, v: Column) -> None:
-        """Append v as generator number `ngens` of a span-only oracle.
-        Raises RuntimeError on a liftable one."""
+    def add(self, v: Column) -> bool:
+        """Grow a span-only oracle by v and return True, or return False
+        when it already contains v.  Raises RuntimeError on a liftable
+        oracle."""
         if self.gb.track:
             raise RuntimeError("a liftable oracle is fixed at construction")
-        last, self._last = self._last, None
-        remainder = (last[1] if last is not None and last[0] is v
-                     else self.gb.reduce(_flatten(v, self.ambient))[0])
-        if remainder:
-            self.gb.extend(remainder)
-        self.ngens += 1
+        if self.contains(v):
+            return False
+        self.gb.extend(self._remainder)
+        return True
 
     def syzygies(self, heads: int) -> list[Column]:
         """Generators of the relations among the first `heads` generators
         modulo the others and I * R^rank, as columns of R^heads: Schreyer's
         S-pair relations plus e_i minus the expression of input i (e_i for
-        a zero input), projected, deduplicated and sorted by printed column,
+        a zero input), projected, deduplicated and sorted by
+        `column_order_key`, which is the order of their printed columns,
         not minimalized.  The list is computed once per `heads` and kept on
         the oracle, so callers must not change it.  Raises RuntimeError
         unless the oracle is liftable."""
@@ -657,38 +654,35 @@ class SubmoduleOracle:
 
 
 def minimal_generating_vectors(ring: GradedRing, vectors: Sequence[Column],
-                               positions: Sequence[Bidegree],
-                               bidegrees: Sequence[Bidegree],
+                               positions: Sequence[Bidegree], *,
                                context: Sequence[Column] = ()) -> list[int]:
     """Indices of a minimal generating subset modulo `context`, in the
     greedy order: ascending degree, then printed form.  The columns live in
     R^len(positions), `positions[k]` being the bidegree of its k-th
-    generator; `bidegrees[i]` is the bidegree of `vectors[i]`, the greedy
-    order's key; zero vectors are never kept, and theirs is not read.
+    generator.  Each nonzero candidate's `vector_bidegree` is computed once
+    and keys the greedy order; zero vectors are never kept.  Raises
+    ValueError on an inhomogeneous candidate.
 
     The single greedy minimality loop of the package: one oracle over the
-    context grows by each candidate that it does not already contain.  The
-    ring is assumed connected (scalars in degree zero), so graded Nakayama
-    makes the kept count well-defined.
+    context `add`s each candidate, keeping those it does not already
+    contain.  The ring is assumed connected (scalars in degree zero), so
+    graded Nakayama makes the kept count well-defined.
 
-    When every variable has positive Z-degree and every context column and
-    candidate is homogeneous over `positions`, the oracle's basis is
-    degree-truncated: it processes an S-pair only once a candidate of at
-    least the pair's Z-degree asks about membership, so no pair above the
-    last candidate's degree is ever processed.  Otherwise it is completed
-    in full each time it grows.
+    When every variable has positive Z-degree and every context column is
+    homogeneous over `positions`, the oracle's basis is degree-truncated:
+    it processes an S-pair only once a candidate of at least the pair's
+    Z-degree asks about membership, so no pair above the last candidate's
+    degree is ever processed.  Otherwise it is completed in full each time
+    it grows.
     """
-    order = sorted((i for i, v in enumerate(vectors) if v),
-                   key=lambda i: (bidegrees[i].zdeg, column_order_key(vectors[i])))
+    degs = {i: vector_bidegree(v, positions) for i, v in enumerate(vectors) if v}
+    if None in degs.values():
+        raise ValueError("inhomogeneous candidate column")
+    order = sorted(degs, key=lambda i: (degs[i].zdeg, column_order_key(vectors[i])))
     if not order:
         return []
     graded = ring.positive and all(vector_bidegree(v, positions) is not None
-                                   for v in (*context, *vectors) if v)
+                                   for v in context if v)
     oracle = SubmoduleOracle(ring, context, len(positions), position_zdegs=(
         [d.zdeg for d in positions] if graded else None))
-    kept: list[int] = []
-    for i in order:
-        if not oracle.contains(vectors[i]):
-            oracle.extend(vectors[i])
-            kept.append(i)
-    return kept
+    return [i for i in order if oracle.add(vectors[i])]

@@ -555,9 +555,7 @@ def reference_restrict_along(f):
             column = {pos: p for pos, p in column.items() if not p.is_zero()}
             if column and column not in rel_cols:
                 rel_cols.append(column)
-    keep = sorted(groebner.minimal_generating_vectors(
-        ring_a, rel_cols, mono_degs,
-        [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
+    keep = sorted(groebner.minimal_generating_vectors(ring_a, rel_cols, mono_degs))
     return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
 
@@ -579,9 +577,7 @@ def reference_pruned_restriction(f):
             column = {pos: -c for pos, c in f.coordinates(b, e).items()}
             column[k] = column.get(k, ring_a.zero()) + ring_a.monomial(e)
             rel_cols.append(groebner.column(ring_a, column, len(monos)))
-    keep = sorted(groebner.minimal_generating_vectors(
-        ring_a, rel_cols, mono_degs,
-        [groebner.vector_bidegree(c, mono_degs) for c in rel_cols]))
+    keep = sorted(groebner.minimal_generating_vectors(ring_a, rel_cols, mono_degs))
     return ModulePresentation(ring_a, mono_degs,
                               [rel_cols[i] for i in keep])
 
@@ -604,10 +600,9 @@ def reference_resolve(M, depth):
         maps[i] = ModuleMap(terms[i], terms[i - 1], cols)
         if i < depth:
             syz = syzygies_over(ring, cols, terms[i - 1].rank)
-            syz_degs = [vector_bidegree(v, degs) for v in syz]
-            keep = sorted(minimal_generating_vectors(ring, syz, degs, syz_degs))
+            keep = sorted(minimal_generating_vectors(ring, syz, degs))
             cols = tuple(syz[k] for k in keep)
-            degs = tuple(syz_degs[k] for k in keep)
+            degs = tuple(vector_bidegree(v, degs) for v in cols)
     return ChainComplex(ring, terms, maps)
 
 
@@ -615,8 +610,7 @@ def reference_minimalize_with_tracking(M):
     """A minimal presentation of M and the surviving generator indices,
     eliminating one unit entry per full rescan of the columns."""
     from stackdual.gmodule import ModulePresentation
-    from stackdual.groebner import (minimal_generating_vectors, syzygies_over,
-                                    vector_bidegree)
+    from stackdual.groebner import minimal_generating_vectors, syzygies_over
     ring = M.ring
     gens = list(M.bidegrees)
     origin = list(range(len(gens)))
@@ -633,7 +627,7 @@ def reference_minimalize_with_tracking(M):
                 break
             units = [{i: ring.one()} for i in range(len(gens))]
             keep = sorted(minimal_generating_vectors(ring, units, gens,
-                                                     gens, cols))
+                                                     context=cols))
             if len(keep) == len(gens):
                 break
             cols = syzygies_over(ring, [units[i] for i in keep], len(gens), cols)
@@ -656,8 +650,7 @@ def reference_minimalize_with_tracking(M):
         del origin[i]
 
     unique = list({tuple(col.items()): col for col in cols if col}.values())
-    degs = [vector_bidegree(col, gens) for col in unique]
-    keep = minimal_generating_vectors(ring, unique, gens, degs)
+    keep = minimal_generating_vectors(ring, unique, gens)
     return ModulePresentation(ring, gens, [unique[ix] for ix in keep]), tuple(origin)
 
 

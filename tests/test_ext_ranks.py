@@ -34,7 +34,12 @@ RINGS = {
         ("D", "ring D = Q[x,y,z] degrees {z:0}"),
     )
 }
-AMBIENT = ("P", "W", "D")
+AMBIENT = tuple(RINGS[name] for name in ("P", "W", "D"))
+# more ambient rings on which graded Nakayama fails
+DEGREE_ZERO = tuple(parse_session(decl).rings[name] for name, decl in (
+    ("T", "ring T = Q[x,y,t] degrees {t:0}"),
+    ("S", "ring S = Q[x,y,t,s] degrees {t:0, s:0}"),
+))
 COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
 
 
@@ -59,8 +64,8 @@ def forms(draw, ring):
 
 
 @st.composite
-def ideals(draw):
-    ring = RINGS[draw(st.sampled_from(AMBIENT))]
+def ideals(draw, rings=AMBIENT):
+    ring = draw(st.sampled_from(rings))
     return ring, draw(st.lists(forms(ring), min_size=1, max_size=3))
 
 
@@ -98,7 +103,8 @@ def test_a_degree_zero_variable_takes_the_presenting_fallback(monkeypatch):
     """Over Q[x,y,z] with z of Z-degree 0 the greedy count is only an upper
     bound: for I = (z^2 - z, x^2 - y^2*z, x^2*z - x^2) it keeps two
     generators of Ext^2, which one generator spans.  `homology_rank`
-    presents H^2, and `cm_gorenstein_check` presents every Ext over B."""
+    presents H^2 over C, and `cm_gorenstein_check` reads every rank
+    through it, presenting no Ext over B."""
     C = RINGS["D"]
     x, y, z = C.var("x"), C.var("y"), C.var("z")
     gens = [z * z - z, x * x - y * y * z, x * x * z - x * x]
@@ -114,7 +120,19 @@ def test_a_degree_zero_variable_takes_the_presenting_fallback(monkeypatch):
                         lambda *args: presented.append(args) or ext_dualizing(*args))
     rep = cm_gorenstein_check(C, gens, 3)
     profile = {0: 0, 1: 0, 2: 1, 3: 0}
-    assert rep.ext_profile == profile and rep.gorenstein and len(presented) == 1
+    assert rep.ext_profile == profile and rep.gorenstein and not presented
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(ideals(DEGREE_ZERO))
+def test_one_rank_path_with_degree_zero_variables(problem):
+    """With variables of Z-degree 0, where graded Nakayama fails, the ranks
+    `cm_gorenstein_check` reads over C equal those of the Ext modules that
+    `ext_dualizing` presents over B: I annihilates each Ext, so the
+    relations over C already span I times the generators."""
+    C, gens = problem
+    want = {i: e.rank for i, e in ext_dualizing(C, gens, canonical_module(C), 3)}
+    assert cm_gorenstein_check(C, gens, 3).ext_profile == want
 
 
 TRIPLE_POINT = ("ring C = Q[u,v,t] group 5 weights {u:2, v:2, t:2}\n",

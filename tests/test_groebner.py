@@ -102,8 +102,7 @@ def minimal_syzygies(ring, rows, rank):
     homogeneous columns of R^rank generated in degree zero."""
     row_degs = [vector_bidegree(r, [ring.degree_zero()] * rank) for r in rows]
     syz = syzygies_over(ring, rows, rank)
-    degs = [vector_bidegree(v, row_degs) for v in syz]
-    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, row_degs, degs))]
+    return [syz[i] for i in sorted(minimal_generating_vectors(ring, syz, row_degs))]
 
 
 def test_koszul_syzygy_of_regular_pair(qxy):
@@ -153,7 +152,7 @@ def test_liftable_oracle_is_fixed_and_span_only_has_no_syzygies(node_ring):
     syz = oracle.syzygies(1)
     assert syz == syzygies_over(node_ring, [col(x)], 1) and col(y) in syz
     with pytest.raises(RuntimeError):
-        oracle.extend(col(x * x))       # even a vector already in the span
+        oracle.add(col(x * x))          # even a vector already in the span
     assert oracle.ngens == 1 and oracle.syzygies(1) == syz
 
 
@@ -168,23 +167,26 @@ def test_submodule_oracle_membership_and_lift(node_ring):
     assert node_ring.reduce(coords[0] * x).terms == (x * x).terms
 
 
-def test_submodule_oracle_extend_grows_the_span(node_ring):
+def test_submodule_oracle_add_grows_the_span(node_ring):
+    """`add` grows a span-only oracle by each column outside its span and
+    says whether it did; a liftable oracle refuses it."""
     x, y = node_ring.var("x"), node_ring.var("y")
     z = node_ring.zero()
     oracle = SubmoduleOracle(node_ring, [], 2)
     assert not oracle.contains(col(y, z))
     gens = [col(x, z), col(x * x, z), col(y, y)]
-    for g in gens:                     # the second is already in the span
-        oracle.extend(g)
-    assert oracle.ngens == 3
+    assert [oracle.add(g) for g in gens] == [True, False, True]
+    assert oracle.ngens == 0           # the construction count, which `lift` reads
     assert all(oracle.contains(g) for g in gens)
     assert oracle.contains(col(y * y, y * y)) and oracle.contains(col(x + y, y))
     assert not oracle.contains(col(y, z))
+    with pytest.raises(RuntimeError):
+        SubmoduleOracle(node_ring, [col(x, z)], 2, liftable=True).add(col(y, y))
 
 
 def test_a_kept_candidate_is_reduced_once(uvt, monkeypatch):
     """`minimal_generating_vectors` reduces each candidate once, in
-    `contains`; `extend` inserts the remainder `contains` kept, so every
+    `contains`; `add` inserts the remainder `contains` kept, so every
     other reduction is an S-vector of a basis completion."""
     by_caller = Counter()
     vec_reduce = groebner._vec_reduce
@@ -198,12 +200,32 @@ def test_a_kept_candidate_is_reduced_once(uvt, monkeypatch):
     g0, g1, g2 = triple_gens(uvt)
     u = uvt.var("u")
     cands = [col(g) for g in (g0, g1, u * g0, g0 + g1, g2, g1 * g2)]
-    kept = minimal_generating_vectors(uvt, cands, [uvt.degree_zero()],
-                                      [vector_bidegree(c, [uvt.degree_zero()])
-                                       for c in cands])
+    kept = minimal_generating_vectors(uvt, cands, [uvt.degree_zero()])
     assert len(kept) == 3
     assert set(by_caller) == {"contains", "_complete"}
     assert by_caller["contains"] == len(cands) and by_caller["_complete"] > 0
+
+
+def test_each_bidegree_is_derived_once(uvt, monkeypatch):
+    """One `minimal_generating_vectors` call derives the bidegree of each
+    nonzero candidate once, for both the greedy order and the truncation
+    guard, and of each nonzero context column once."""
+    seen = Counter()
+    original = groebner.vector_bidegree
+
+    def counting(vec, gen_bidegrees):
+        seen[id(vec)] += 1
+        return original(vec, gen_bidegrees)
+
+    monkeypatch.setattr(groebner, "vector_bidegree", counting)
+    g0, g1, g2 = triple_gens(uvt)
+    u = uvt.var("u")
+    cands = [col(g) for g in (g0, u * g0, g0 + g1, g1 * g2)] + [{}]
+    context = [col(g2), {}]
+    kept = minimal_generating_vectors(uvt, cands, [uvt.degree_zero()],
+                                      context=context)
+    assert len(kept) == 2
+    assert dict(seen) == {id(v): 1 for v in cands + context if v}
 
 
 def test_empty_input_is_zero_ideal(qxy):

@@ -187,8 +187,7 @@ def test_syzygies_annihilate_rows(instances):
         degs = [r.bidegree() for r in rows]
         rows = [col(r) for r in rows]
         syz = syzygies_over(ring, rows, 1)
-        keep = minimal_generating_vectors(ring, syz, degs,
-                                          [vector_bidegree(v, degs) for v in syz])
+        keep = minimal_generating_vectors(ring, syz, degs)
         assert annihilates(ring, [syz[i] for i in keep], rows)
 
 
@@ -470,19 +469,27 @@ def fresh_oracle_greedy(ring, vectors, rank, context, zdegs=None):
 
 
 def test_minimal_generating_vectors_matches_fresh_oracle_greedy():
+    """The greedy loop keeps the homogeneous candidates of each instance
+    that a fresh oracle per candidate keeps, also modulo an inhomogeneous
+    context, which the basis completes in full; the whole list, when it
+    holds an inhomogeneous candidate, raises ValueError."""
     instances = span_instances(40, SEED + 7)
     assert any(ring.ideal for ring, *_ in instances)
-    dropped = 0
+    dropped = raised = full = 0
     for ring, cands, context, rank in instances:
-        # the candidates need not be homogeneous: order them by their
-        # lowest Z-degree, as the reference does
-        degs = [Bidegree(lowest_zdeg(ring, v), 0) for v in cands]
-        kept = minimal_generating_vectors(ring, cands,
-                                          [ring.degree_zero()] * rank, degs,
-                                          context)
-        assert kept == fresh_oracle_greedy(ring, cands, rank, context)
-        dropped += len(cands) - len(kept)
-    assert dropped > 0
+        positions = [ring.degree_zero()] * rank
+        homogeneous = [v for v in cands
+                       if not v or vector_bidegree(v, positions) is not None]
+        if len(homogeneous) < len(cands):
+            with pytest.raises(ValueError, match="inhomogeneous"):
+                minimal_generating_vectors(ring, cands, positions, context=context)
+            raised += 1
+        kept = minimal_generating_vectors(ring, homogeneous, positions,
+                                          context=context)
+        assert kept == fresh_oracle_greedy(ring, homogeneous, rank, context)
+        dropped += len(homogeneous) - len(kept)
+        full += any(v and vector_bidegree(v, positions) is None for v in context)
+    assert dropped and raised and full
 
 
 def graded_ring(rng, degree_zero_variable=False):
@@ -557,8 +564,7 @@ def test_truncated_span_bases_keep_what_fresh_oracles_keep(monkeypatch):
     left_pending = dropped = 0
     for ring, positions, cands, zdegs, context in cases:
         built.clear()
-        kept = minimal_generating_vectors(
-            ring, cands, positions, [Bidegree(d, 0) for d in zdegs], context)
+        kept = minimal_generating_vectors(ring, cands, positions, context=context)
         gb = built[-1]      # after the ideal's own basis, on first use
         if ring.positive:
             assert gb.position_zdegs == [p.zdeg for p in positions]
@@ -636,7 +642,7 @@ def test_span_only_basis_matches_tracked_on_span_instances():
         assert_same_span(SubmoduleOracle(ring, gens, rank).gb, tracked)
         grown = SubmoduleOracle(ring, context, rank)
         for v in cands:
-            grown.extend(v)
+            grown.add(v)
         assert_same_span(grown.gb, tracked)
 
 
