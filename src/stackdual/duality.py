@@ -10,7 +10,6 @@ residues and as signed powers of the group character.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -254,13 +253,13 @@ def _over(ring_b: GradedRing, h: ModulePresentation) -> ModulePresentation:
     return minimalize(ModulePresentation(ring_b, h.bidegrees, h.relations))
 
 
-def _ext_complex(C: GradedRing, ideal_gens: Sequence[Polynomial],
-                 omega: ModulePresentation, imax: int
-                 ) -> tuple[GradedRing, ChainComplex]:
-    """B = C/I and the Hom complex into omega of a minimal resolution of B.
-    Its readers take every Ext^i off the stored complex, so a resolution
-    that stops at a repeat is a fault: over a positively graded polynomial
-    ring C it is finite (Hilbert's syzygy theorem)."""
+def _ext_resolution(C: GradedRing, ideal_gens: Sequence[Polynomial],
+                    omega: ModulePresentation, imax: int
+                    ) -> tuple[GradedRing, ChainComplex]:
+    """B = C/I and a minimal resolution of B to length imax + 1.  Ext^i is
+    read off its Hom complex into omega for i <= imax, so a resolution that
+    stops at a repeat is a fault: over a positively graded polynomial ring
+    C it is finite (Hilbert's syzygy theorem)."""
     _check_ext_inputs(C, omega, imax)
     gens = [C.reduce(g) for g in ideal_gens]
     gens = [g for g in gens if not g.is_zero()]
@@ -269,7 +268,7 @@ def _ext_complex(C: GradedRing, ideal_gens: Sequence[Polynomial],
     res = resolve(pres, imax + 1)
     if res.repeat:
         raise RuntimeError("a resolution over a regular ambient repeated")
-    return ring_b, hom_complex(res, omega)
+    return ring_b, res
 
 
 def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
@@ -277,7 +276,8 @@ def ext_dualizing(C: GradedRing, ideal_gens: Sequence[Polynomial],
                   ) -> list[tuple[int, ModulePresentation]]:
     """Ext^i_C(C/I, omega) as modules over B = C/I, for i = 0..imax, from
     the Hom complex of a minimal resolution of C/I."""
-    ring_b, hc = _ext_complex(C, ideal_gens, omega, imax)
+    ring_b, res = _ext_resolution(C, ideal_gens, omega, imax)
+    hc = hom_complex(res, omega)
     return [(i, _over(ring_b, homology(hc, i)) if i <= hc.length
              else ModulePresentation(ring_b, ())) for i in range(imax + 1)]
 
@@ -288,13 +288,18 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     """Dualizing module of B = C/(f_1..f_r) by the complete-intersection
     formula omega tensor top-wedge of (I/I^2) dual.
 
-    Everything is read off Hom(K, omega) for the Koszul complex K of the
-    sequence.  K is self-dual, so H^j of it is H_{r-j}(K) up to a twist: a
-    nonzero H^j below r, read off its rank, or a unit ideal (whose K is
-    exact) means the sequence is not regular.  Otherwise K resolves B, H^i
-    is Ext^i, and the formula is cross-checked against Ext^r whatever
-    `imax`, the last index of the printed profile; the other Ext vanish
-    because K has length r.
+    A sequence that generates the unit ideal is rejected first.  Otherwise,
+    over a positively graded C, homogeneous f_1..f_r in the maximal ideal
+    are a regular sequence exactly when height (f) = r (C is Cohen-Macaulay;
+    Bruns & Herzog, Cor. 2.1.4), that is when dim B = n - r, read off the
+    leads of B's basis.  A ring with a variable of Z-degree <= 0, or a
+    sequence that fails the height test, takes the Koszul test, which also
+    names the failure: K is self-dual, so H^j of Hom(K, omega) is
+    H_{r-j}(K) up to a twist, and a nonzero H^j below r, read off its rank,
+    means the sequence is not regular.  A regular K resolves B, H^i is
+    Ext^i, and the formula is cross-checked against Ext^r whatever `imax`,
+    the last index of the printed profile; the other Ext vanish because K
+    has length r.
     """
     if omega.rank != 1 or omega.relations:
         raise InputError("omega must be free of rank one")
@@ -303,13 +308,14 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
     imax = imax if imax is not None else max(r + 1, 2)
     _check_ext_inputs(C, omega, imax)
     hc = hom_complex(koszul(C, seq), omega)
-    below = [j for j, n in _ext_ranks(hc, range(r)).items() if n]
-    if below:
-        raise InputError(f"sequence is not regular: Koszul H_{r - below[-1]} is nonzero")
-
     ring_b = C.quotient(seq, name=f"{C.name}/I")
     if any(g.is_constant() for g in ring_b.ideal_groebner().generators):
         raise InputError("sequence generates the unit ideal")
+    if not (C.positive and _combinatorial_dimension(ring_b) == C.nvars - r):
+        below = [j for j, n in _ext_ranks(hc, range(r)).items() if n]
+        if below:
+            raise InputError(f"sequence is not regular: Koszul H_{r - below[-1]} is nonzero")
+
     total = C.degree_zero()
     for g in seq:
         total = total + g.bidegree()
@@ -335,33 +341,72 @@ def lci_dualizing(C: GradedRing, seq: Sequence[Polynomial],
 def _combinatorial_dimension(B: GradedRing) -> int:
     """Krull dimension of B = C/I, read off the cached basis of B: the size
     of a largest set of variables holding the support of no lead of I; -1
-    for the unit ideal, whose lead 1 has empty support."""
-    supports = [{i for i, e in enumerate(lm) if e} for lm in B.ideal_groebner().leads]
-    return next((size for size in range(B.nvars, -1, -1)
-                 for S in itertools.combinations(range(B.nvars), size)
-                 if not any(s <= set(S) for s in supports)), -1)
+    for the unit ideal, whose lead 1 has empty support.
+
+    Such a set misses a variable of every support, so the search drops
+    each variable of a smallest support still inside the set in turn, and
+    polls the deadline at every step.  It takes one step per variable when
+    each support is one variable, as for an m-primary I, where a walk over
+    the subsets from the largest down visits 2^n of them."""
+    supports = [frozenset(i for i, e in enumerate(lm) if e)
+                for lm in B.ideal_groebner().leads]
+
+    def largest(free: frozenset, live: list[frozenset]) -> int:
+        check_deadline()
+        live = [s for s in live if s <= free]
+        if not live:
+            return len(free)
+        return max(largest(free - {v}, live) for v in min(live, key=len))
+
+    if frozenset() in supports:
+        return -1
+    return largest(frozenset(range(B.nvars)), supports)
 
 
 def cm_gorenstein_check(C: GradedRing, ideal_gens: Sequence[Polynomial],
                         imax: int) -> CMReport:
-    """Ext profile against the canonical module, with the codimension taken
-    as the first nonvanishing index and cross-checked combinatorially.
+    """Ext profile against the canonical module for i = 0..imax, with the
+    codimension taken as the first nonvanishing index and cross-checked
+    combinatorially.
 
-    The profile reads only ranks: the rank of Ext^i is `homology_rank` of
-    the Hom complex over C.  I annihilates Ext^i, so the relations of H^i
-    over C already span I times its generators, and the greedy count over
-    C is the count over B.  When every variable of C has positive Z-degree
-    that count is minimal and no Ext module is presented; otherwise
-    `homology_rank` presents H^i over C and reads its rank."""
-    ring_b, hc = _ext_complex(C, ideal_gens, canonical_module(C), imax)
-    profile = _ext_ranks(hc, range(imax + 1))
+    When every variable of C has positive Z-degree, the minimal resolution
+    of B = C/I ends within imax, at pd B, and c = n - dim B <= imax, the
+    verdict comes from that resolution.  Ext^i_C(B, C) vanishes for
+    i < grade I = c (Bruns & Herzog, Thm 1.2.5; grade = height over C) and
+    for i > pd, and Ext^pd has beta_pd minimal generators: the dual of the
+    last minimal map has its entries in the maximal ideal.  So B is CM
+    exactly when pd = c (Auslander-Buchsbaum, Thm 1.3.3), and then the
+    profile is Ext^c = beta_c, with no Hom complex built; when pd > c only
+    Ext^c..Ext^pd are read.  Otherwise every Ext^i up to imax is read, and
+    the verdict says only what those Ext show: a ring that is not CM but
+    has one nonvanishing Ext up to imax is still called CM.
+
+    A rank is `homology_rank` of the Hom complex over C.  I annihilates
+    Ext^i, so the relations of H^i over C already span I times its
+    generators, and the greedy count over C is the count over B.  When
+    every variable of C has positive Z-degree that count is minimal and no
+    Ext module is presented; otherwise `homology_rank` presents H^i over C
+    and reads its rank."""
+    omega = canonical_module(C)
+    ring_b, res = _ext_resolution(C, ideal_gens, omega, imax)
+    dim = _combinatorial_dimension(ring_b) if C.positive and res.finite else None
+    if dim is not None and 0 <= dim and C.nvars - dim <= imax:
+        c = C.nvars - dim
+        profile = dict.fromkeys(range(imax + 1), 0)
+        if res.length == c:
+            profile[c] = res.terms[c].rank
+        else:
+            profile.update(_ext_ranks(hom_complex(res, omega), range(c, res.length + 1)))
+    else:
+        profile = _ext_ranks(hom_complex(res, omega), range(imax + 1))
     nonzero = [i for i, n in profile.items() if n]
     notes: list[str] = []
     if not nonzero:
         return CMReport(None, profile, False, False, inconclusive=True,
                         notes=["every computed Ext vanishes"])
     r = nonzero[0]
-    dim = _combinatorial_dimension(ring_b)
+    if dim is None:
+        dim = _combinatorial_dimension(ring_b)
     codim_by_dim = C.nvars - dim
     inconclusive = False
     if codim_by_dim != r:

@@ -66,6 +66,19 @@ order, for the reference Buchberger algorithm and the tests of orders.
 `reference_tokenize` is the session tokenizer as a loop over each
 character, with `->` as a token kind of its own (ARROW); `dsl.tokenize`
 reads the same tokens with one regular expression.
+
+`reference_cm_gorenstein_check` reads every Ext^i up to the bound off the
+Hom complex of the resolution, as `cm_gorenstein_check` did before it took
+its verdicts from grade and projective dimension.
+`reference_lci_dualizing` tests a sequence for regularity by the ranks of
+its Koszul homology below r, where `lci_dualizing` first tests its height.
+
+`hochster_betti` gives the graded Betti numbers of C/I for a squarefree
+monomial ideal I by Hochster's formula, beta_{i,sigma} = dim
+H~_{|sigma|-i-1}(Delta|sigma) over Q for the Stanley-Reisner complex Delta
+of I (Miller & Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12),
+from exact `Fraction` ranks of simplicial boundary matrices: no Groebner
+basis and no syzygy is computed.
 """
 
 import itertools
@@ -800,3 +813,114 @@ def reference_invariant_part(M, bound):
             text = str(M.ring.monomial(mono)) if any(mono) else "1"
             elements.append(f"{text}*e{k + 1} (zdeg {d.zdeg})")
     return dims, elements
+
+
+def reference_cm_gorenstein_check(C, ideal_gens, imax):
+    """The CM/Gorenstein report from every Ext^i, i = 0..imax, read off the
+    Hom complex into the canonical module."""
+    from stackdual.complexes import hom_complex
+    from stackdual.duality import (CMReport, _combinatorial_dimension,
+                                   _ext_ranks, _ext_resolution, canonical_module)
+    omega = canonical_module(C)
+    ring_b, res = _ext_resolution(C, ideal_gens, omega, imax)
+    profile = _ext_ranks(hom_complex(res, omega), range(imax + 1))
+    nonzero = [i for i, n in profile.items() if n]
+    notes = []
+    if not nonzero:
+        return CMReport(None, profile, False, False, inconclusive=True,
+                        notes=["every computed Ext vanishes"])
+    r = nonzero[0]
+    codim_by_dim = C.nvars - _combinatorial_dimension(ring_b)
+    inconclusive = False
+    if codim_by_dim != r:
+        inconclusive = True
+        notes.append(f"first nonvanishing Ext index {r} disagrees with "
+                     f"combinatorial codimension {codim_by_dim}")
+    cm = nonzero == [r] and not inconclusive
+    gorenstein = cm and profile[r] == 1
+    return CMReport(r, profile, cm, gorenstein, inconclusive, notes)
+
+
+def reference_lci_dualizing(C, seq, omega, imax=None):
+    """The l.c.i. report with the sequence tested by its Koszul homology
+    ranks below r before the quotient ring is built."""
+    from stackdual.caps import InputError
+    from stackdual.complexes import hom_complex, homology, koszul
+    from stackdual.duality import (COMPARE_BOUND, DualityReport, _check_ext_inputs,
+                                   _ext_ranks, _over, compare_modules)
+    from stackdual.gmodule import ModulePresentation
+    if omega.rank != 1 or omega.relations:
+        raise InputError("omega must be free of rank one")
+    seq = [C.reduce(g) for g in seq]
+    r = len(seq)
+    imax = imax if imax is not None else max(r + 1, 2)
+    _check_ext_inputs(C, omega, imax)
+    hc = hom_complex(koszul(C, seq), omega)
+    below = [j for j, n in _ext_ranks(hc, range(r)).items() if n]
+    if below:
+        raise InputError(f"sequence is not regular: Koszul H_{r - below[-1]} is nonzero")
+    ring_b = C.quotient(seq, name=f"{C.name}/I")
+    if any(g.is_constant() for g in ring_b.ideal_groebner().generators):
+        raise InputError("sequence generates the unit ideal")
+    total = C.degree_zero()
+    for g in seq:
+        total = total + g.bidegree()
+    module = ModulePresentation(ring_b, (omega.bidegrees[0] - total,))
+    ext_r = _over(ring_b, homology(hc, r))
+    profile = {i: ext_r.rank if i == r else 0 for i in range(imax + 1)}
+    verdict = compare_modules(module, ext_r, COMPARE_BOUND)
+    notes = [f"cross-check against Ext^{r}: {verdict}"]
+    if verdict != "isomorphic-up-to-bound":
+        notes.append("CROSS-CHECK FAILED")
+    return DualityReport(
+        description=f"l.c.i. dualizing module over {ring_b!r}",
+        module=module, depth=imax, is_sheaf=True,
+        ext_profile=profile, notes=notes)
+
+
+def fraction_rank(rows):
+    """The rank over Q of a matrix given as a list of rows, by exact
+    Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        j = next((k for k, x in enumerate(pivot) if x), None)
+        if j is None:
+            continue
+        rank += 1
+        rows = [[x - row[j] / pivot[j] * y for x, y in zip(row, pivot)]
+                for row in rows]
+    return rank
+
+
+def hochster_betti(nvars, supports):
+    """{(i, sigma): beta_{i,sigma}(C/I)} over the nonzero graded Betti
+    numbers, for the ideal I of C = Q[x_1..x_n] spanned by the squarefree
+    monomials prod_{k in s} x_k, s in `supports` (nonempty sets): sigma
+    runs over the subsets of range(nvars), as sorted tuples."""
+    supports = [frozenset(s) for s in supports]
+    out = {}
+    for size in range(nvars + 1):
+        for sigma in itertools.combinations(range(nvars), size):
+            # faces of Delta|sigma by dimension k, from k = -1 (the empty face)
+            faces = [[F for F in itertools.combinations(sigma, k + 1)
+                      if not any(s <= set(F) for s in supports)]
+                     for k in range(-1, size)]
+            ranks = [0]  # rank of d_k: C_k -> C_{k-1}, for k = -1, 0, ...
+            for k in range(1, len(faces)):
+                index = {F: pos for pos, F in enumerate(faces[k - 1])}
+                rows = []
+                for F in faces[k]:
+                    row = [0] * len(faces[k - 1])
+                    for pos in range(len(F)):
+                        row[index[F[:pos] + F[pos + 1:]]] = (-1) ** pos
+                    rows.append(row)
+                ranks.append(fraction_rank(rows))
+            ranks.append(0)
+            for i in range(size + 1):
+                k = size - i - 1  # reduced homology degree, index k + 1 in faces
+                dim = len(faces[k + 1]) - ranks[k + 1] - ranks[k + 2]
+                if dim:
+                    out[(i, sigma)] = dim
+    return out

@@ -6,21 +6,30 @@ touch the Groebner engine, so they check the whole pipeline end to end.
 """
 
 import dataclasses
+import itertools
+import json
+import random
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from stackdual import duality
-from stackdual.caps import EXIT_INTERNAL_ERROR
+from stackdual.caps import EXIT_INTERNAL_ERROR, ResourceCapError, command_caps
 from stackdual.cli import main
 from stackdual.complexes import hom_complex, homology
 from stackdual.dsl import parse_session
-from stackdual.duality import (canonical_module, cm_gorenstein_check,
+from stackdual.duality import (CMReport, canonical_module, cm_gorenstein_check,
                                compare_modules, ext_dualizing, finite_shriek,
                                lci_dualizing, pushforward_check)
 from stackdual.gmodule import (ModulePresentation, RingMorphism,
                                hilbert_function, minimalize, restrict_along)
 from stackdual.poly import Bidegree, GradedRing, RingMismatchError
+from stackdual.session import cm_report_json, duality_report_json
+
+# json_digest's Ext grid draws its ideals from perfbench/workloads.py
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 def node_setup(a, i, j):
@@ -33,8 +42,9 @@ map p : A -> B {{ u = x^{alpha}, v = y^{beta} }}
     return ast.maps["p"], alpha, beta
 
 
-from oracles import (col, cusp_hom_oracle, node_hom_oracle, reference_resolve,
-                     root_hom_oracle, twist)
+from oracles import (col, cusp_hom_oracle, node_hom_oracle,
+                     reference_cm_gorenstein_check, reference_lci_dualizing,
+                     reference_resolve, root_hom_oracle, twist)
 
 
 # -- finite duality -------------------------------------------------------------
@@ -346,6 +356,201 @@ def test_a_repeat_over_a_regular_ambient_is_an_internal_error(monkeypatch, qxy,
         session = tmp_path / "ext.sdl"
         session.write_text(f"ring C = Q[x,y]\n{command}\n")
         assert main(["run", str(session)]) == EXIT_INTERNAL_ERROR
+
+
+# -- verdicts from grade and Betti numbers -------------------------------------------
+
+
+def outcome(fn, *args):
+    """A report as its JSON bytes and human lines, or an error as its type
+    and text."""
+    try:
+        rep = fn(*args)
+    except Exception as exc:  # both paths must fail alike
+        return type(exc).__name__, str(exc)
+    to_json = cm_report_json if isinstance(rep, CMReport) else duality_report_json
+    return json.dumps(to_json(rep)), rep.summary_lines()
+
+
+# not Cohen-Macaulay: a plane and a line through one point, with and
+# without a variable of Z-degree 0, and the depth-0 ring of the
+# dsl-expressions golden
+NOT_CM = ("ring C = Q[x,y,z]\ncheck gorenstein C ideal (x*y, x*z) max 3\n",
+          "ring C = Q[x,y,z] degrees {x:1, y:1, z:0}\n"
+          "check gorenstein C ideal (x*y, x*z) max 3\n",
+          "ring C = Q[x,y]\ncheck gorenstein C ideal (x^2*y, x*y^2) max 2\n")
+
+
+def digest_gorenstein_ideals():
+    """(name, ring, ideal) of every `check gorenstein` session of
+    tests/json_digest.py, then the rings of NOT_CM."""
+    import json_digest
+    texts = [(name, text) for name, text, _ in (*json_digest.ext_grid(),
+                                                 *json_digest.cliff_grid())
+             if name.startswith("gorenstein/")]
+    for name, text in texts + [(f"not-cm-{k}", t) for k, t in enumerate(NOT_CM)]:
+        cmd = parse_session(text).commands()[0]
+        yield name, cmd.args["ring"], cmd.args["ideal"]
+
+
+def test_cm_verdicts_match_the_hom_path_on_the_digest_ideals():
+    """The verdicts read off grade and projective dimension equal those of
+    the Hom path at every bound from 0 to n + 1, on every `check gorenstein`
+    ideal of the digest and on three rings that are not CM."""
+    names = set()
+    for name, C, ideal in digest_gorenstein_ideals():
+        names.add(name)
+        for imax in range(C.nvars + 2):
+            assert (outcome(cm_gorenstein_check, C, ideal, imax)
+                    == outcome(reference_cm_gorenstein_check, C, ideal, imax)), (name, imax)
+    assert len(names) == 31 + len(NOT_CM)
+
+
+def random_graded_ring(rng):
+    """Q[x,y], Q[x,y,z] or Q[x,y,z,w] with Z-degrees 1 and 2, a quarter of
+    the time with one variable of Z-degree 0, under a random group."""
+    nvars = rng.choice([2, 3, 3, 4])
+    zdegs = [rng.choice([1, 1, 2]) for _ in range(nvars)]
+    if rng.random() < 0.25:
+        zdegs[rng.randrange(nvars)] = 0
+    a = rng.choice([1, 2, 3, 5])
+    return GradedRing(list("xyzw"[:nvars]), zdegs=zdegs,
+                      weights=[rng.randrange(a) for _ in range(nvars)],
+                      group_order=a, name="C")
+
+
+def random_bihomogeneous(rng, C):
+    """Half of the time a squarefree monomial, else a sum of up to three
+    terms of one bidegree at Z-degree 1..3, each exponent of a variable of
+    Z-degree 0 at most 2."""
+    monos = [m for m in itertools.product(
+                 *(range(3 // z + 1 if z else 3) for z in C.zdegs))
+             if 1 <= sum(e * z for e, z in zip(m, C.zdegs)) <= 3]
+    if rng.random() < 0.5:
+        support = rng.sample(range(C.nvars), rng.randint(1, C.nvars))
+        return C.monomial(tuple(int(i in support) for i in range(C.nvars)))
+    d = C.monomial_bidegree(rng.choice(monos))
+    same = [m for m in monos if C.monomial_bidegree(m) == d]
+    out = C.zero()
+    for m in rng.sample(same, min(len(same), rng.randint(1, 3))):
+        out = out + C.monomial(m, rng.choice([-2, -1, 1, 3]))
+    return out
+
+
+def test_cm_verdicts_match_the_hom_path_on_drawn_ideals():
+    """The same on drawn homogeneous ideals, monomial ideals that are not
+    CM and rings with a variable of Z-degree 0 among them."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    @hyp.settings(derandomize=True, max_examples=60, deadline=None,
+                  database=None)
+    @hyp.given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        C = random_graded_ring(rng)
+        ideal = [random_bihomogeneous(rng, C) for _ in range(rng.randint(1, 3))]
+        for imax in range(C.nvars + 2):
+            got = outcome(cm_gorenstein_check, C, ideal, imax)
+            assert got == outcome(reference_cm_gorenstein_check, C, ideal, imax)
+            if imax == C.nvars:
+                seen.add((C.positive, '"cohen_macaulay": true' in got[0]))
+
+    check()
+    assert seen == {(p, cm) for p in (False, True) for cm in (False, True)}
+
+
+def random_entry(rng, C):
+    """A sequence entry: zero, a unit or a drawn bihomogeneous element."""
+    k = rng.random()
+    if k < 0.15:
+        return C.zero()
+    if k < 0.25:
+        return C.constant(rng.choice([-1, 2]))
+    return random_bihomogeneous(rng, C)
+
+
+def test_lci_height_test_matches_the_koszul_loop():
+    """`lci_dualizing` decides regularity by height where the reference reads
+    the Koszul homology below r: equal reports and equal error texts on
+    drawn sequences that are regular, not regular, hold a zero or generate
+    the unit ideal."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    @hyp.settings(derandomize=True, max_examples=80, deadline=None,
+                  database=None)
+    @hyp.given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        C = random_graded_ring(rng)
+        seq = [random_entry(rng, C) for _ in range(rng.randint(1, 3))]
+        imax = rng.choice([None, 0, len(seq), len(seq) + 1])
+        args = (C, seq, canonical_module(C), imax)
+        got = outcome(lci_dualizing, *args)
+        assert got == outcome(reference_lci_dualizing, *args)
+        seen.add(got[1].split(":")[0] if got[0] == "InputError" else "regular")
+
+    check()
+    assert seen == {"regular", "sequence is not regular",
+                    "sequence generates the unit ideal"}
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call of duality.<name>."""
+    calls = []
+    original = getattr(duality, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(duality, name, counted)
+    return calls
+
+
+def test_verdicts_read_only_the_ext_the_resolution_leaves_open(monkeypatch):
+    """A CM ring builds no Hom complex and reads no homology; a ring that is
+    not CM reads only Ext^c..Ext^pd; a regular sequence reads no Koszul
+    homology below r."""
+    from workloads import rational_normal_curve
+    homs = counting(monkeypatch, "hom_complex")
+    ranks = counting(monkeypatch, "homology_rank")
+    ring, ideal = rational_normal_curve(4, 5, 1, 2)
+    cmd = parse_session(ring + f"check gorenstein C ideal {ideal} max 4\n").commands()[0]
+    rep = cm_gorenstein_check(cmd.args["ring"], cmd.args["ideal"], 4)
+    assert rep.cohen_macaulay and rep.ext_profile == {0: 0, 1: 0, 2: 0, 3: 3, 4: 0}
+    assert homs == ranks == []
+
+    cmd = parse_session(NOT_CM[0]).commands()[0]
+    rep = cm_gorenstein_check(cmd.args["ring"], cmd.args["ideal"], 3)
+    assert not rep.cohen_macaulay and rep.ext_profile == {0: 0, 1: 1, 2: 1, 3: 0}
+    assert len(homs) == 1 and [i for _, i in ranks] == [1, 2]
+
+    C = GradedRing(["x", "y", "z"], name="C")
+    x, y, z = C.var("x"), C.var("y"), C.var("z")
+    ranks.clear()
+    lci_dualizing(C, [x * y, z ** 2], canonical_module(C))
+    assert ranks == []
+    with pytest.raises(ValueError, match="Koszul H_1 is nonzero"):
+        lci_dualizing(C, [x * y, x * z], canonical_module(C))
+    assert [i for _, i in ranks] == [0, 1]
+
+
+def test_the_dimension_search_polls_the_deadline(monkeypatch):
+    """Under an expired command deadline the dimension of Q[x1..x20] modulo
+    every x_i*x_j, whose search meets about 2^20 variable sets, raises a
+    resource cap error (exit 3) within its first deadline polls."""
+    C = GradedRing([f"x{i}" for i in range(20)], name="C")
+    B = C.quotient([C.var(i) * C.var(j) for i, j in itertools.combinations(range(20), 2)])
+    B.ideal_groebner()
+    polls = counting(monkeypatch, "check_deadline")
+    monkeypatch.setenv("STACKDUAL_TIME_LIMIT_S", "0")
+    with command_caps(), pytest.raises(ResourceCapError):
+        duality._combinatorial_dimension(B)
+    assert 0 < len(polls) <= 64
 
 
 # -- pushforward and comparison ------------------------------------------------------------
